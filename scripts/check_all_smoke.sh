@@ -1,19 +1,15 @@
 #!/usr/bin/env bash
-# Tier-1 combined smoke: every guard in sequence, with per-guard failure
-# attribution — when something breaks, the summary names the guard that
-# failed instead of burying it in one merged pytest run.
+# Tier-1 combined smoke: the pytest guards plus the CLI guards, with
+# per-guard failure attribution — when something breaks, the summary
+# names the guard that failed.
 #
-# Guards (each also runnable standalone via its own script):
-#   bench      scripts/check_bench_smoke.sh   benchmark harness artifact
-#   obs        scripts/check_obs_smoke.sh     trace schema round trip
-#   delta      scripts/check_delta_smoke.sh   semi-naive delta evaluation
-#   lint       repro-lint + its pytest guard  engine lint (AST rules)
-#   procedures tests/test_procedures_smoke.py stored-procedure baseline
-#   tracediff  scripts/check_trace_diff.sh    native vs baseline diff
-#   perf       scripts/check_perf_gate.sh     perf ledger + regression gate
-#   mpp        scripts/check_mpp_smoke.sh     2-worker shared-nothing parity
-#   serving    scripts/check_serving_smoke.sh multi-session server + snapshots
-#   racecheck  scripts/check_racecheck_smoke.sh lock discipline + lockset races
+#   repro-smoke      every *_smoke pytest marker in one run (the list is
+#                    repro.harness.smoke._MARKERS; `repro-smoke --only X`
+#                    runs a single one)
+#   repro-lint       engine lint over the real tree
+#   trace-diff       scripts/check_trace_diff.sh   native vs baseline diff
+#   perf-gate        scripts/check_perf_gate.sh    ledger + regression gate
+#   repro-racecheck  static lock-discipline pass over the real tree
 #
 # Usage: scripts/check_all_smoke.sh [extra pytest args...]
 set -euo pipefail
@@ -34,26 +30,11 @@ run_guard() {
     fi
 }
 
-run_pytest_guard() {
-    name="$1" marker="$2"
-    shift 2
-    run_guard "$name" env PYTHONPATH=src \
-        python -m pytest -m "$marker" -q "$@"
-}
-
-run_pytest_guard bench bench_smoke "$@"
-run_pytest_guard obs obs_smoke "$@"
-run_pytest_guard delta delta_smoke "$@"
-run_pytest_guard lint lint_smoke "$@"
+run_guard repro-smoke env PYTHONPATH=src \
+    python -m repro.harness.smoke -- "$@"
 run_guard repro-lint env PYTHONPATH=src python -m repro.verify.lint
-run_pytest_guard procedures procedures_smoke "$@"
-run_pytest_guard tracediff tracediff_smoke "$@"
-run_guard trace-diff-cli scripts/check_trace_diff.sh
-run_pytest_guard perf perf_smoke "$@"
-run_guard perf-gate-cli scripts/check_perf_gate.sh
-run_pytest_guard mpp mpp_smoke "$@"
-run_pytest_guard serving serving_smoke "$@"
-run_pytest_guard racecheck racecheck_smoke "$@"
+run_guard trace-diff scripts/check_trace_diff.sh
+run_guard perf-gate scripts/check_perf_gate.sh
 run_guard repro-racecheck env PYTHONPATH=src \
     python -m repro.verify.concurrency.cli
 

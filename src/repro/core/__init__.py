@@ -4,14 +4,18 @@
 * :mod:`repro.core.recursive` — ANSI recursive CTEs (fixed point), with
   the aggregate restriction the paper motivates.
 The loop operator's termination evaluation and the program executor
-moved to :mod:`repro.runtime` (the unified loop runtime);
-:mod:`repro.core.loop` and :mod:`repro.core.runner` re-export them for
-compatibility.
+live in :mod:`repro.runtime` (the unified loop runtime) and are
+re-exported here.
 """
 
-from .loop import LoopState, count_changed_rows, should_continue
+from ..runtime import (
+    LoopState,
+    ProgramRunner,
+    count_changed_rows,
+    run_program,
+    should_continue,
+)
 from .rewrite import compile_statement
-from .runner import ProgramRunner, run_program
 
 __all__ = [
     "LoopState",

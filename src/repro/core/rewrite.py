@@ -41,11 +41,8 @@ from ..plan import (
 )
 from ..plan.program import (
     CountUpdatesStep,
-    DeltaApplyStep,
     DeltaCaptureStep,
     DeltaFusedStep,
-    DeltaGateStep,
-    DeltaPartitionStep,
     DeltaSpec,
     DropStep,
     DuplicateCheckStep,
@@ -248,34 +245,13 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
     steps.append(InitLoopStep(spec))
 
     loop_start = len(steps)
-    fused = None
-    if delta_spec is not None and options.enable_delta_fusion:
-        # Fused shape: one batched columnar step replaces the
-        # gate/partition/materialize/dup-check/apply quintet.
+    if delta_spec is not None:
         fused = DeltaFusedStep(delta_spec, delta_plan, columns,
                                dup_check=has_where)
         steps.append(fused)
         # Delta capture always needs the previous iteration to diff
         # against, even when the termination condition does not.
         fused.jump_full = len(steps)
-        steps.append(SnapshotStep(cte_result, previous))
-    elif delta_spec is not None:
-        gate = DeltaGateStep(delta_spec)
-        apply_step = DeltaApplyStep(delta_spec)
-        steps.append(gate)
-        steps.append(DeltaPartitionStep(delta_spec))
-        steps.append(MaterializeStep(
-            delta_spec.delta_working, delta_plan, columns,
-            comment=f"iterative part of {cte.name} over the affected "
-                    "partition"))
-        if has_where:
-            steps.append(DuplicateCheckStep(delta_spec.delta_working,
-                                            key_column))
-        steps.append(apply_step)
-        # Delta capture always needs the previous iteration to diff
-        # against, even when the termination condition does not.
-        gate.jump_full = len(steps)
-        apply_step.jump_full = gate.jump_full
         steps.append(SnapshotStep(cte_result, previous))
     elif needs_update_count:
         steps.append(SnapshotStep(cte_result, previous))
@@ -317,12 +293,7 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
                                       loop_id))
     if delta_spec is not None:
         steps.append(DeltaCaptureStep(delta_spec, previous))
-        if fused is not None:
-            fused.jump_to = len(steps)
-            fused.jump_done = len(steps)
-        else:
-            apply_step.jump_to = len(steps)
-            gate.jump_done = len(steps)
+        fused.jump_to = len(steps)
     steps.append(IncrementLoopStep(loop_id))
     steps.append(LoopStep(loop_id, loop_start))
 

@@ -249,9 +249,7 @@ class Session:
         if not isinstance(statement, (ast.Select, ast.SetOp)):
             raise ReproError("EXPLAIN supports only queries")
         program = self._compile(statement)
-        report = estimate_program(
-            program, self.statistics,
-            default_iterations=self.options.default_iteration_estimate)
+        report = estimate_program(program, self.statistics)
         return program.explain() + "\n--\n" + report.describe()
 
     def explain_analyze(self, sql: str | ast.Statement) -> str:
@@ -274,9 +272,7 @@ class Session:
             program = self._compile(statement, tracer)
             # Cost the program before running it so the iteration
             # estimate does not see this very run's measurement.
-            cost_report = estimate_program(
-                program, self.statistics,
-                default_iterations=self.options.default_iteration_estimate)
+            cost_report = estimate_program(program, self.statistics)
             for estimate in cost_report.loop_estimates:
                 spec = program.loops.get(estimate.loop_id)
                 tracer.event(
@@ -351,11 +347,13 @@ class Session:
         return self._engine.metrics_snapshot()
 
     def set_option(self, name: str, value) -> None:
-        if not hasattr(self.options, name):
-            valid = ", ".join(f.name for f in fields(SessionOptions))
+        # Not hasattr(): methods and class attributes of SessionOptions
+        # (copy, compile_fingerprint, ...) are not options.
+        valid = [f.name for f in fields(SessionOptions)]
+        if name not in valid:
             raise ReproError(
                 f"unknown session option: {name!r} "
-                f"(valid options: {valid})")
+                f"(valid options: {', '.join(valid)})")
         setattr(self.options, name, value)
 
     def reset_stats(self) -> None:

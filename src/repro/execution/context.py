@@ -73,9 +73,6 @@ class ExecutionStats:
     # landed on observed the frontier collapsing again and handed the
     # loop back to a fresh semi-naive delta strategy.
     strategy_promotions: int = 0
-    # Iterations served by the fused delta pass (gate + partition +
-    # recompute + apply in one batched columnar step).
-    delta_fused_iterations: int = 0
     # Morsel-driven parallelism: batches dispatched, batches that ran on
     # the worker pool (vs. the single-threaded fallback), and rows
     # processed through morsel-split operators.
@@ -132,9 +129,6 @@ class SessionOptions:
     # Cost-based greedy join reordering (paper §V-A future work); only
     # active when statistics are available.
     enable_join_reorder: bool = True
-    # Iteration estimate used by the cost model for data/delta
-    # termination conditions (no closed form exists; see repro.stats).
-    default_iteration_estimate: int = 10
     # Compile hot expressions into fused closures (the LLVM-codegen
     # analog, see repro.execution.compiler).
     enable_expr_compile: bool = True
@@ -157,32 +151,18 @@ class SessionOptions:
     # default until the analyzer has seen wider production exposure.
     enable_delta_iteration: bool = False
     # Feedback-driven strategy demotion: once the measured changed-row
-    # frontier covers at least `delta_demotion_threshold` of the table
-    # for `delta_demotion_patience` consecutive measurements, the loop
-    # engine demotes SemiNaiveDelta to the plain full-body strategy —
-    # near-full frontiers (e.g. PageRank, where every rank changes every
-    # trip) make the delta bookkeeping pure overhead.  Results stay
-    # bit-identical: demotion just routes iterations down the
-    # always-compiled full body.
+    # frontier stays near-full (the thresholds are constants in
+    # repro.runtime.strategies), the loop engine demotes SemiNaiveDelta
+    # to the plain full-body strategy — near-full frontiers (e.g.
+    # PageRank, where every rank changes every trip) make the delta
+    # bookkeeping pure overhead.  Results stay bit-identical: demotion
+    # just routes iterations down the always-compiled full body.
     enable_strategy_demotion: bool = True
-    delta_demotion_threshold: float = 0.8
-    delta_demotion_patience: int = 2
     # Feedback-driven strategy *promotion* (the demotion mirror): a loop
     # demoted to its movement fallback keeps measuring the changed-row
-    # frontier; once it stays below `delta_promotion_threshold` of the
-    # table for `delta_promotion_patience` consecutive measurements, the
-    # engine re-promotes the loop to a fresh semi-naive delta strategy.
-    # The promote threshold sits well under the demote threshold so the
-    # pair forms a hysteresis band and cannot ping-pong every iteration.
+    # frontier; once it collapses again the engine re-promotes the loop
+    # to a fresh semi-naive delta strategy.
     enable_strategy_promotion: bool = True
-    delta_promotion_threshold: float = 0.5
-    delta_promotion_patience: int = 2
-    # Fuse the semi-naive delta quartet (gate/partition/apply plus the
-    # recompute materialization) into one batched columnar step, so a
-    # delta iteration costs a single dispatch instead of five.  The
-    # quartet emission remains available (fusion off) and both shapes
-    # pass the verifier's strategy-legality checks.
-    enable_delta_fusion: bool = True
     # Morsel-driven parallelism: split large scans/filters/projections
     # and join probes into fixed-size row chunks dispatched across a
     # thread pool (NumPy kernels release the GIL).  Inputs smaller than

@@ -1,16 +1,15 @@
 """Console entry point for the combined tier-1 smoke guards.
 
 ``repro-smoke`` (see ``[project.scripts]`` in pyproject.toml) runs the
-same marker set as ``scripts/check_all_smoke.sh``: the bench,
-observability, delta-evaluation, lint, stored-procedure, trace-diff,
-perf-gate, MPP worker-pool, serving-layer and racecheck guards, in one
-pytest invocation.  Pass ``--only
+bench, observability, delta-evaluation, lint, stored-procedure,
+trace-diff, perf-gate, MPP worker-pool, serving-layer and racecheck
+guards in one pytest invocation.  Pass ``--only
 bench|obs|delta|lint|procedures|tracediff|perf|mpp|serving|racecheck``
 to run a single guard, plus any extra pytest arguments after ``--``.
 
-``_MARKERS`` is the source of truth for the guard list; a sync test
-(``tests/test_smoke_sync.py``) asserts ``scripts/check_all_smoke.sh``
-and the pyproject marker declarations agree with it.
+``_MARKERS`` is the only declaration of the guard list:
+``tests/conftest.py`` registers the pytest markers from it and
+``scripts/check_all_smoke.sh`` runs this entry point.
 """
 
 from __future__ import annotations

@@ -39,13 +39,7 @@ from .plan import (
     sssp_exchange_plan,
 )
 from .superstep import SuperstepSpec, superstep_inline, superstep_pool
-from .workers import (
-    InlineSegmentExecutor,
-    ProcessSegmentExecutor,
-    WorkerPool,
-    WorkerReply,
-    run_segment_tasks,
-)
+from .workers import WorkerPool, WorkerReply, run_segment_tasks
 
 __all__ = [
     "Cluster",
@@ -76,8 +70,6 @@ __all__ = [
     "SuperstepSpec",
     "superstep_inline",
     "superstep_pool",
-    "InlineSegmentExecutor",
-    "ProcessSegmentExecutor",
     "WorkerPool",
     "WorkerReply",
     "run_segment_tasks",

@@ -69,7 +69,7 @@ def _verify_spec(spec: SuperstepSpec) -> None:
 
 def _run_distributed_loop(cluster: Cluster, spec: SuperstepSpec,
                           tables: dict[str, tuple[Table, Distribution]],
-                          iterations: int, tracer, executor, pool,
+                          iterations: int, tracer, pool,
                           metrics=None,
                           until_converged: bool = False,
                           loop_name: Optional[str] = None
@@ -108,8 +108,7 @@ def _run_distributed_loop(cluster: Cluster, spec: SuperstepSpec,
             step_metrics = superstep_pool(cluster, spec, pool, tracer)
         else:
             new_partitions, step_metrics = superstep_inline(
-                cluster, spec, distributed, strategy, tracer,
-                executor=executor)
+                cluster, spec, distributed, strategy, tracer)
             distributed[spec.state] = DistributedTable(
                 spec.state, distributed[spec.state].distribution,
                 new_partitions)
@@ -293,7 +292,6 @@ def distributed_pagerank(cluster: Cluster,
                          iterations: int = 10,
                          tracer=None,
                          delta_shuffle: bool = False,
-                         executor=None,
                          pool=None,
                          metrics=None) -> DistributedPageRankResult:
     """PageRank over ``edges`` executed segment by segment.
@@ -315,13 +313,11 @@ def distributed_pagerank(cluster: Cluster,
     piece is unchanged (the receiver reuses its copy).  Off by default
     so the motion bill matches the naive exchange.
 
-    ``executor`` runs the per-segment local phases of the inline
-    simulation: ``None`` (sequential) or a
-    :class:`repro.mpp.workers.ProcessSegmentExecutor`.  ``pool`` (a
-    :class:`repro.mpp.workers.WorkerPool`) switches to real
-    shared-nothing execution instead: partitions resident in worker
-    processes, batches on the wire, compute overlapping motion.  All
-    substrates produce bit-identical ranks, counters, and trace shapes.
+    ``pool`` (a :class:`repro.mpp.workers.WorkerPool`) switches from the
+    inline simulation to real shared-nothing execution: partitions
+    resident in worker processes, batches on the wire, compute
+    overlapping motion.  Both substrates produce bit-identical ranks,
+    counters, and trace shapes.
 
     ``metrics`` (a :class:`repro.obs.MetricsRegistry`) receives the
     loop's exchange-bytes counters (``mpp.exchange.*``).
@@ -334,7 +330,7 @@ def distributed_pagerank(cluster: Cluster,
         cluster, spec,
         {"edges": (_edges_table(edges), Distribution.hashed("src")),
          "state": (_state_table(nodes), Distribution.hashed("node"))},
-        iterations, tracer, executor, pool, metrics=metrics,
+        iterations, tracer, pool, metrics=metrics,
         loop_name="pr_state")
 
     # Parity with the SQL query, which reports `rank` after the last
@@ -471,7 +467,6 @@ def distributed_sssp(cluster: Cluster,
                      max_iterations: int = 64,
                      tracer=None,
                      delta_shuffle: bool = False,
-                     executor=None,
                      pool=None,
                      metrics=None) -> DistributedSsspResult:
     """Single-source shortest paths, semi-naive, on either substrate.
@@ -495,7 +490,7 @@ def distributed_sssp(cluster: Cluster,
         {"edges": (_edges_table(edges), Distribution.hashed("src")),
          "state": (_sssp_state_table(nodes, source),
                    Distribution.hashed("node"))},
-        max_iterations, tracer, executor, pool, metrics=metrics,
+        max_iterations, tracer, pool, metrics=metrics,
         until_converged=True, loop_name="sssp_state")
 
     distances = {node: dist for node, dist, _ in final.rows()}

@@ -109,8 +109,8 @@ def charge_piece(motion, kind: str, piece: Table) -> None:
 
 def superstep_inline(cluster: Cluster, spec: SuperstepSpec,
                      registers: dict[str, DistributedTable],
-                     strategy: ExchangeStrategy, tracer,
-                     executor=None) -> tuple[list[Table], dict]:
+                     strategy: ExchangeStrategy,
+                     tracer) -> tuple[list[Table], dict]:
     """One superstep on the simulated cluster.
 
     Returns the new partitions of the ``state`` register and the summed
@@ -126,8 +126,7 @@ def superstep_inline(cluster: Cluster, spec: SuperstepSpec,
                      operation=spec.produce_op):
         chunks: list[Table] = run_segment_tasks(
             tracer, _produce_phase,
-            [(spec, regs) for regs in regs_per_segment],
-            executor=executor)
+            [(spec, regs) for regs in regs_per_segment])
 
     with exchange_span(cluster, tracer, spec.exchange_op):
         incoming: list[list[Table]] = [[] for _ in range(segments)]
@@ -148,8 +147,7 @@ def superstep_inline(cluster: Cluster, spec: SuperstepSpec,
         new_partitions = run_segment_tasks(
             tracer, _apply_phase,
             [(spec, regs_per_segment[i], incoming[i])
-             for i in range(segments)],
-            executor=executor)
+             for i in range(segments)])
 
     metrics = _sum_metrics([
         spec.metrics({**regs_per_segment[i], spec.state: new_partitions[i]},

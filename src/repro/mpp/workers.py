@@ -1,12 +1,11 @@
-"""Segment task execution: inline, pooled tasks, or resident workers.
+"""Segment task execution: inline, or resident workers.
 
-Three substrates, one contract:
+Two substrates, one contract:
 
-* :class:`InlineSegmentExecutor` — the simulated cluster runs
-  per-segment work in a plain loop.
-* :class:`ProcessSegmentExecutor` — the same task functions in a
-  ``multiprocessing`` pool; state still lives with the coordinator and
-  ships with every task.
+* *inline* (:func:`run_segment_tasks`) — the simulated cluster runs
+  per-segment work in a plain in-process loop through
+  :func:`_segment_task`, still capture/merge-traced so its trace shape
+  equals the pool's.
 * :class:`WorkerPool` — real shared-nothing execution: N resident
   worker processes, spawned once per cluster, each *owning* its hash
   partitions for the lifetime of the pool.  The coordinator drives
@@ -44,97 +43,35 @@ from ..runtime.strategies import SEND, UNCHANGED, make_exchange_strategy
 from . import wire
 from .distribution import hash_partition_indices, split_table
 
-# payload = (fn, args, segment, context_dict | None)
-# outcome = (result, exported span dicts | None)
 
-
-def _segment_task(payload: tuple) -> tuple:
-    """Run one segment's work, tracing it when a context was shipped.
-
-    Module-level (and payload built from picklable pieces) so the same
-    callable crosses the ``multiprocessing`` boundary unchanged — the
-    inline executor calls it directly, which is what makes the two
-    executors trace-identical by construction."""
-    fn, args, segment, context_data = payload
-    if context_data is None:
+def _segment_task(fn: Callable, args: tuple, segment: int,
+                  context: Optional[TraceContext]) -> tuple:
+    """Run one segment's work and return ``(result, exported spans)``,
+    tracing it when a context was handed over — into a buffering
+    :class:`ContextTracer`, exactly as a pool worker does, which is what
+    keeps the two substrates' trace shapes equal."""
+    if context is None:
         return fn(*args), None
-    tracer = ContextTracer(TraceContext.from_dict(context_data))
+    tracer = ContextTracer(context)
     with tracer.span("segment", kind="worker", segment=segment):
         result = fn(*args)
     return result, tracer.export_spans()
 
 
-class InlineSegmentExecutor:
-    """Runs segment tasks sequentially in the calling process (the
-    simulated-cluster default)."""
-
-    processes = 0
-
-    def run(self, payloads: Sequence[tuple]) -> list[tuple]:
-        return [_segment_task(payload) for payload in payloads]
-
-    def close(self) -> None:
-        pass
-
-
-class ProcessSegmentExecutor:
-    """Runs segment tasks in a ``multiprocessing`` pool.
-
-    Prefers ``fork`` (cheap, inherits the parent's modules) and falls
-    back to the platform default where fork is unavailable.  The pool is
-    created lazily on first use and reused across iterations — a
-    per-iteration pool would dominate the runtime of smoke-scale loops.
-    """
-
-    def __init__(self, processes: Optional[int] = None):
-        self.processes = processes or min(4, multiprocessing.cpu_count())
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else methods[0]
-            context = multiprocessing.get_context(method)
-            self._pool = context.Pool(self.processes)
-        return self._pool
-
-    def run(self, payloads: Sequence[tuple]) -> list[tuple]:
-        return self._ensure_pool().map(_segment_task, list(payloads))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "ProcessSegmentExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def run_segment_tasks(tracer, fn: Callable,
-                      args_per_segment: Sequence[tuple],
-                      executor=None) -> list:
-    """Run ``fn(*args)`` once per segment through ``executor`` and
-    return the per-segment results in segment order.
+                      args_per_segment: Sequence[tuple]) -> list:
+    """Run ``fn(*args)`` once per segment, in process, and return the
+    per-segment results in segment order.
 
     When the run is traced, one :class:`TraceContext` is captured at the
-    caller's current span, shipped to every worker, and the buffered
-    worker spans are merged back under it in segment order — so the
-    merged trace looks the same whether the executor was inline or
-    process-backed."""
-    if executor is None:
-        executor = InlineSegmentExecutor()
+    caller's current span, handed to every segment task, and the
+    buffered segment spans are merged back under it in segment order —
+    so the merged trace looks the same as a worker pool's."""
     context = tracer.context() if tracer.enabled else None
-    context_data = context.to_dict() if context is not None else None
-    payloads = [(fn, tuple(args), segment, context_data)
-                for segment, args in enumerate(args_per_segment)]
-    outcomes = executor.run(payloads)
     results = []
     exported: list[dict] = []
-    for result, spans in outcomes:
+    for segment, args in enumerate(args_per_segment):
+        result, spans = _segment_task(fn, args, segment, context)
         results.append(result)
         if spans:
             exported.extend(spans)

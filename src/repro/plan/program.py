@@ -247,75 +247,18 @@ class DeltaSpec:
 
 
 @dataclass
-class DeltaGateStep(Step):
-    """Route one iteration down the delta or the full path.
-
-    Falls through into the delta block when the runtime is active and the
-    frontier is non-empty; jumps to ``jump_full`` (the original loop body)
-    when delta state is missing or invalid; jumps to ``jump_done`` (past
-    both bodies) when the frontier is empty — nothing can change, so the
-    iteration costs O(1).  Jump targets are patched after emission.
-    """
-
-    spec: DeltaSpec
-    jump_full: int = -1
-    jump_done: int = -1
-
-    def describe(self) -> str:
-        return (f"Delta gate for {self.spec.cte_name}: full body at step "
-                f"{self.jump_full + 1}, empty frontier to step "
-                f"{self.jump_done + 1}.")
-
-
-@dataclass
-class DeltaPartitionStep(Step):
-    """Materialize the affected partition of the CTE table.
-
-    Expands the frontier through the spec's influence links and gathers
-    the affected rows into the partition result the delta step plan scans.
-    """
-
-    spec: DeltaSpec
-
-    def describe(self) -> str:
-        return (f"Partition {self.spec.cte_result} to rows affected by "
-                f"the frontier as {self.spec.partition}")
-
-
-@dataclass
-class DeltaApplyStep(Step):
-    """Merge the recomputed partition back into the CTE table.
-
-    Scatters the delta-working rows over their key positions, derives the
-    next frontier from IS DISTINCT FROM change detection, and jumps to
-    ``jump_to`` (the loop increment), skipping the full body.  When the
-    spec's keyset guard trips, jumps forward to ``jump_full`` (the full
-    body) instead, so the iteration reruns correctly.
-    """
-
-    spec: DeltaSpec
-    jump_to: int = -1
-    jump_full: int = -1
-
-    def describe(self) -> str:
-        return (f"Apply {self.spec.delta_working} to "
-                f"{self.spec.cte_result}; go to step {self.jump_to + 1}.")
-
-
-@dataclass
 class DeltaFusedStep(Step):
-    """The fused semi-naive delta pass: gate, partition, recompute and
-    apply in one batched columnar step.
+    """The semi-naive delta pass: gate, partition, recompute and apply in
+    one batched columnar step.
 
-    One dispatch replaces the quartet's gate/partition/materialize/apply
-    chain (plus the delta-working duplicate check when ``dup_check``),
-    keeping intermediate code arrays and positions in registers across
-    the phases.  Control flow matches the gate/apply pair: jumps to
-    ``jump_full`` (the original loop body) when delta state is missing,
-    invalid, or the keyset guard trips; jumps to ``jump_done`` (past both
-    bodies) on an empty frontier; jumps to ``jump_to`` (the loop
-    increment) after a successful delta iteration.  It never falls
-    through.  Jump targets are patched after emission.
+    One dispatch runs the whole delta iteration (plus the duplicate check
+    on the recomputed rows when ``dup_check``), keeping intermediate code
+    arrays and positions in registers across the phases.  It never falls
+    through: it jumps to ``jump_full`` (the original loop body) when
+    delta state is missing, invalid, or the keyset guard trips, and to
+    ``jump_to`` (the loop increment, past both bodies) after a delta
+    iteration — including the O(1) one an empty frontier costs.  Jump
+    targets are patched after emission.
     """
 
     spec: DeltaSpec
@@ -324,12 +267,10 @@ class DeltaFusedStep(Step):
     dup_check: bool
     jump_to: int = -1
     jump_full: int = -1
-    jump_done: int = -1
 
     def describe(self) -> str:
         return (f"Fused delta pass for {self.spec.cte_name}: full body at "
                 f"step {self.jump_full + 1}, done to step "
-                f"{self.jump_done + 1}, applied to step "
                 f"{self.jump_to + 1}.")
 
 

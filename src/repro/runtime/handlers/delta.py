@@ -1,4 +1,4 @@
-"""Semi-naive delta evaluation: gate / partition / apply / capture.
+"""Semi-naive delta evaluation: the fused delta pass and delta capture.
 
 The handlers own the *mechanics* of the delta path; the decision of
 whether the loop should stay on it belongs to the
@@ -17,78 +17,20 @@ import numpy as np
 from ...errors import DuplicateKeyError, ExecutionError
 from ...execution import execute_to_table
 from ...execution.kernels import factorize, scatter_update
-from ...plan.program import (
-    DeltaApplyStep,
-    DeltaCaptureStep,
-    DeltaFusedStep,
-    DeltaGateStep,
-    DeltaPartitionStep,
-    DeltaSpec,
-)
+from ...plan.program import DeltaCaptureStep, DeltaFusedStep
 from ...storage import Table
 from ..registry import handles
 from ..strategies import DeltaLoopRuntime
 
 
-@handles(DeltaGateStep)
-def run_delta_gate(runner, step: DeltaGateStep) -> Optional[int]:
-    engine = runner.engine
-    runtime = engine.delta_runtime(step.spec)
-    if runtime.disabled or not runtime.active:
-        return step.jump_full
-    if runtime.frontier_keys is None or not len(runtime.frontier_keys):
-        # Empty frontier: no input of any key changed last iteration,
-        # so no output can change this iteration (or ever after) —
-        # this iteration costs O(1).
-        runtime.last_frontier = 0
-        if engine.counts_updates(step.spec.loop_id):
-            engine.record_updates(step.spec.loop_id, 0)
-        runner.ctx.stats.delta_iterations += 1
-        return step.jump_done
-    return None
-
-
-@handles(DeltaPartitionStep)
-def run_delta_partition(runner, step: DeltaPartitionStep) -> Optional[int]:
-    ctx = runner.ctx
-    spec = step.spec
-    runtime = runner.engine.delta_runtime(spec)
-    frontier = runtime.frontier_keys
-    # A changed key always influences itself (its own row is
-    # recomputed); links add the keys reachable through base tables.
-    position_sets = [_key_positions_of(runtime, frontier, strict=True)]
-    for link in spec.influences:
-        influenced = _expand_influence(runner, runtime, link, frontier)
-        position_sets.append(
-            _key_positions_of(runtime, influenced, strict=False))
-    positions = np.unique(np.concatenate(position_sets))
-    table = ctx.registry.fetch(spec.cte_result)
-    partition = table.take(positions)
-    ctx.registry.store(spec.partition, partition)
-    runtime.pending_positions = positions
-    ctx.stats.rows_moved += int(len(positions))
-    ctx.stats.bytes_moved += partition.nbytes()
-    return None
-
-
-@handles(DeltaApplyStep)
-def run_delta_apply(runner, step: DeltaApplyStep) -> int:
-    ctx = runner.ctx
-    spec = step.spec
-    runtime = runner.engine.delta_runtime(spec)
-    working = ctx.registry.fetch(spec.delta_working)
-    return _apply_delta(runner, spec, runtime, working,
-                        step.jump_to, step.jump_full)
-
-
-def _apply_delta(runner, spec: DeltaSpec, runtime: DeltaLoopRuntime,
-                 working: Table, jump_to: int, jump_full: int) -> int:
+def _apply_delta(runner, step: DeltaFusedStep, runtime: DeltaLoopRuntime,
+                 working: Table) -> int:
     """Scatter the recomputed partition back by key and derive the next
-    frontier — the shared back half of the quartet's apply step and the
-    fused delta pass."""
+    frontier — the back half of the fused delta pass."""
     from ...execution.kernel_cache import _comparable_values
 
     ctx = runner.ctx
+    spec = step.spec
     engine = runner.engine
     w_keys = _comparable_values(working.columns[0].data)
     positions = _key_positions_of(runtime, w_keys, strict=True)
@@ -106,7 +48,7 @@ def _apply_delta(runner, spec: DeltaSpec, runtime: DeltaLoopRuntime,
         runtime.active = False
         runtime.pending_positions = None
         ctx.stats.delta_guard_fallbacks += 1
-        return jump_full
+        return step.jump_full
 
     changed = np.zeros(working.num_rows, dtype=np.bool_)
     new_columns = list(runtime.columns)
@@ -150,18 +92,15 @@ def _apply_delta(runner, spec: DeltaSpec, runtime: DeltaLoopRuntime,
     ctx.stats.delta_iterations += 1
     engine.note_frontier(spec.loop_id, runtime.last_frontier,
                          new_table.num_rows)
-    return jump_to
+    return step.jump_to
 
 
 @handles(DeltaFusedStep)
 def run_delta_fused(runner, step: DeltaFusedStep) -> int:
     """The fused semi-naive delta pass: gate, partition, recompute,
-    duplicate check and apply in one batched columnar dispatch.
-
-    Control flow is identical to the quartet (same three jump targets,
-    same O(1) empty-frontier short-circuit, same keyset-guard fallback);
-    the fusion saves four step dispatches and the registry round-trips
-    between them per delta iteration.
+    duplicate check and apply in one batched columnar dispatch, with an
+    O(1) empty-frontier short-circuit and a keyset-guard fallback to the
+    full body.
     """
     ctx = runner.ctx
     engine = runner.engine
@@ -179,11 +118,12 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
         if engine.counts_updates(spec.loop_id):
             engine.record_updates(spec.loop_id, 0)
         ctx.stats.delta_iterations += 1
-        ctx.stats.delta_fused_iterations += 1
-        return step.jump_done
+        return step.jump_to
 
     # -- partition ----------------------------------------------------------
     frontier = runtime.frontier_keys
+    # A changed key always influences itself (its own row is
+    # recomputed); links add the keys reachable through base tables.
     position_sets = [_key_positions_of(runtime, frontier, strict=True)]
     for link in spec.influences:
         influenced = _expand_influence(runner, runtime, link, frontier)
@@ -214,11 +154,7 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
                 "them (paper §II)")
 
     # -- apply --------------------------------------------------------------
-    jump = _apply_delta(runner, spec, runtime, working,
-                        step.jump_to, step.jump_full)
-    if jump == step.jump_to:
-        ctx.stats.delta_fused_iterations += 1
-    return jump
+    return _apply_delta(runner, step, runtime, working)
 
 
 @handles(DeltaCaptureStep)

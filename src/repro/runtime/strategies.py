@@ -78,10 +78,9 @@ class FixpointIncremental(LoopStrategy):
 class DeltaLoopRuntime:
     """Mutable per-loop state for the semi-naive delta path.
 
-    Created when the loop initializes (or by the first
-    :class:`DeltaGateStep` execution), populated by
+    Created when the loop initializes, populated by
     :class:`DeltaCaptureStep` after a full iteration, consumed and updated
-    by the partition/apply steps on every delta iteration.
+    by :class:`DeltaFusedStep` on every delta iteration.
     """
 
     __slots__ = ("spec", "active", "disabled", "demoted", "schema",
@@ -120,13 +119,24 @@ class DeltaLoopRuntime:
         self.link_indexes: dict = {}
 
 
+# Demote once DEMOTION_PATIENCE consecutive measured frontiers cover at
+# least DEMOTION_THRESHOLD of the table; promote back once
+# PROMOTION_PATIENCE consecutive frontiers fall below PROMOTION_THRESHOLD.
+# The promote threshold sits well under the demote threshold so the pair
+# forms a hysteresis band and cannot ping-pong every iteration.
+DEMOTION_THRESHOLD = 0.8
+DEMOTION_PATIENCE = 2
+PROMOTION_THRESHOLD = 0.5
+PROMOTION_PATIENCE = 2
+
+
 class SemiNaiveDelta(LoopStrategy):
     """Frontier-driven partition recomputation, with self-demotion.
 
     Each measured frontier (from delta capture after a full iteration, or
     from delta apply after a delta iteration) feeds
-    :meth:`note_frontier`.  Once ``delta_demotion_patience`` consecutive
-    frontiers cover at least ``delta_demotion_threshold`` of the table,
+    :meth:`note_frontier`.  Once ``DEMOTION_PATIENCE`` consecutive
+    frontiers cover at least ``DEMOTION_THRESHOLD`` of the table,
     the strategy disables its runtime — the gate then routes every later
     iteration down the full body — and hands the loop to the strategy the
     compiler emitted for that body (rename or copy).
@@ -139,8 +149,6 @@ class SemiNaiveDelta(LoopStrategy):
         super().__init__(spec)
         self.runtime = runtime
         self._options = options
-        self._threshold = options.delta_demotion_threshold
-        self._patience = options.delta_demotion_patience
         self._demotion_on = options.enable_strategy_demotion
         self._streak = 0
 
@@ -148,11 +156,11 @@ class SemiNaiveDelta(LoopStrategy):
                       engine) -> LoopStrategy:
         if not self._demotion_on or self.runtime.disabled:
             return self
-        if total <= 0 or frontier < self._threshold * total:
+        if total <= 0 or frontier < DEMOTION_THRESHOLD * total:
             self._streak = 0
             return self
         self._streak += 1
-        if self._streak < self._patience:
+        if self._streak < DEMOTION_PATIENCE:
             return self
         self.runtime.disabled = True
         self.runtime.active = False
@@ -164,10 +172,10 @@ class SemiNaiveDelta(LoopStrategy):
                                     self.runtime, base)
         engine.record_demotion(
             self.spec.loop_id, self, fallback, frontier, total,
-            budget_frontier=int(self._threshold * total),
+            budget_frontier=int(DEMOTION_THRESHOLD * total),
             reason=(f"measured frontier covered >= "
-                    f"{self._threshold:.0%} of the table for "
-                    f"{self._patience} consecutive iteration(s); delta "
+                    f"{DEMOTION_THRESHOLD:.0%} of the table for "
+                    f"{DEMOTION_PATIENCE} consecutive iteration(s); delta "
                     f"bookkeeping costs more than the recomputation it "
                     f"saves"))
         return fallback
@@ -179,8 +187,8 @@ class MovementFallback(LoopStrategy):
 
     Delta capture keeps measuring the changed-row frontier of every full
     iteration while the loop is demoted (without re-activating the delta
-    machinery).  Once ``delta_promotion_patience`` consecutive frontiers
-    fall below ``delta_promotion_threshold`` of the table, the watcher
+    machinery).  Once ``PROMOTION_PATIENCE`` consecutive frontiers
+    fall below ``PROMOTION_THRESHOLD`` of the table, the watcher
     re-enables the runtime and hands the loop back to a fresh
     :class:`SemiNaiveDelta` — the next full iteration re-captures delta
     state, and the one after takes the delta path again.  The promote
@@ -196,8 +204,6 @@ class MovementFallback(LoopStrategy):
         self.base = base
         self.runtime = runtime
         self._options = options
-        self._threshold = options.delta_promotion_threshold
-        self._patience = options.delta_promotion_patience
         self._promotion_on = options.enable_strategy_promotion
         self._streak = 0
 
@@ -205,11 +211,11 @@ class MovementFallback(LoopStrategy):
                       engine) -> LoopStrategy:
         if not self._promotion_on or not self.runtime.demoted:
             return self
-        if total <= 0 or frontier >= self._threshold * total:
+        if total <= 0 or frontier >= PROMOTION_THRESHOLD * total:
             self._streak = 0
             return self
         self._streak += 1
-        if self._streak < self._patience:
+        if self._streak < PROMOTION_PATIENCE:
             return self
         self.runtime.disabled = False
         self.runtime.active = False
@@ -217,10 +223,10 @@ class MovementFallback(LoopStrategy):
         promoted = SemiNaiveDelta(self.spec, self._options, self.runtime)
         engine.record_promotion(
             self.spec.loop_id, self, promoted, frontier, total,
-            budget_frontier=int(self._threshold * total),
+            budget_frontier=int(PROMOTION_THRESHOLD * total),
             reason=(f"measured frontier stayed < "
-                    f"{self._threshold:.0%} of the table for "
-                    f"{self._patience} consecutive iteration(s); the "
+                    f"{PROMOTION_THRESHOLD:.0%} of the table for "
+                    f"{PROMOTION_PATIENCE} consecutive iteration(s); the "
                     f"delta path is profitable again"))
         return promoted
 

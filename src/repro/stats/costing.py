@@ -337,7 +337,6 @@ class ProgramCostReport:
 
 def estimate_iterations(spec: LoopSpec,
                         cte_rows: float,
-                        default_estimate: int = DEFAULT_ITERATION_ESTIMATE,
                         measured: Optional[int] = None) -> LoopEstimate:
     """The paper's future-work item: an iteration-count estimate per
     termination family.
@@ -347,7 +346,7 @@ def estimate_iterations(spec: LoopSpec,
       per iteration, so ceil(N / |CTE|) iterations reach the budget.
     * DATA / DELTA / fixpoint — no closed form without executing; a
       recorded measurement from a prior run of the same CTE (loop
-      telemetry feedback) beats the session default.
+      telemetry feedback) beats ``DEFAULT_ITERATION_ESTIMATE``.
     """
     termination = spec.termination
     if termination is not None \
@@ -356,20 +355,18 @@ def estimate_iterations(spec: LoopSpec,
                             "exact")
     if measured is not None and measured > 0:
         return LoopEstimate(spec.loop_id, float(measured), "measured")
-    if termination is None:
-        return LoopEstimate(spec.loop_id, float(default_estimate),
-                            "heuristic")
-    if termination.kind is ast.TerminationKind.UPDATES:
+    if termination is not None \
+            and termination.kind is ast.TerminationKind.UPDATES:
         per_iteration = max(cte_rows, 1.0)
         iterations = math.ceil(termination.count / per_iteration)
         return LoopEstimate(spec.loop_id, float(max(iterations, 1)),
                             "derived")
-    return LoopEstimate(spec.loop_id, float(default_estimate), "heuristic")
+    return LoopEstimate(spec.loop_id, float(DEFAULT_ITERATION_ESTIMATE),
+                        "heuristic")
 
 
-def estimate_program(program: Program, statistics: StatisticsCatalog,
-                     default_iterations: int = DEFAULT_ITERATION_ESTIMATE
-                     ) -> ProgramCostReport:
+def estimate_program(program: Program,
+                     statistics: StatisticsCatalog) -> ProgramCostReport:
     """Cost a step program: setup + Σ loops (estimate × body) + final."""
     estimator = CardinalityEstimator(statistics)
     report = ProgramCostReport()
@@ -392,8 +389,7 @@ def estimate_program(program: Program, statistics: StatisticsCatalog,
                 spec.cte_result.lower(), 1000.0)
             measured = statistics.measured_iterations(spec.cte_name)
             report.loop_estimates.append(
-                estimate_iterations(spec, cte_rows, default_iterations,
-                                    measured=measured))
+                estimate_iterations(spec, cte_rows, measured=measured))
             current_loop = None
             continue
         if isinstance(step, ReturnStep):

@@ -1,0 +1,61 @@
+"""The benchmark's entry points are a tier-1 contract.
+
+``benchmarks/e2e`` may not change with the code it measures, and its
+traced mode patches every entry point ``layers.py`` names.  The
+benchmark's own smoke test is outside tier-1, so a deletion that breaks
+``--trace 1`` would otherwise surface only in the benchmark run; this
+resolves the same targets the probe does, in tier-1.  Reads
+``benchmarks/e2e``, changes nothing there.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+from pathlib import Path
+
+from repro.execution import SessionOptions
+
+E2E = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
+
+
+def _targets():
+    # layers.py imports its sibling probe.py by bare name, as run.py
+    # arranges; keep both off sys.path / sys.modules afterwards.
+    sys.path.insert(0, str(E2E))
+    try:
+        return list(importlib.import_module("layers").TARGETS)
+    finally:
+        sys.path.remove(str(E2E))
+        sys.modules.pop("layers", None)
+        sys.modules.pop("probe", None)
+
+
+def _resolve(target):
+    owner = importlib.import_module(target.module)
+    *path, leaf = target.qualname.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    # Methods are looked up the way the probe patches them: on the
+    # class that defines them, not through inheritance.
+    return owner.__dict__[leaf] if path else getattr(owner, leaf)
+
+
+def test_every_probe_target_resolves_to_a_callable():
+    targets = _targets()
+    assert targets
+    broken = []
+    for target in targets:
+        try:
+            resolved = callable(_resolve(target))
+        except (ImportError, AttributeError, KeyError):
+            resolved = False
+        if not resolved:
+            broken.append(f"{target.module}:{target.qualname}")
+    assert not broken, f"benchmarks/e2e/layers.py targets gone: {broken}"
+
+
+def test_benchmark_option_set_constructs():
+    options = SessionOptions(enable_plan_verifier=True,
+                             enable_delta_iteration=True)
+    assert options.enable_plan_verifier and options.enable_delta_iteration

@@ -130,7 +130,7 @@ class TestCache:
         # The context is per-statement, so inspect via a fresh run.
         from repro.execution import ExecutionContext
         from repro.core.rewrite import compile_statement
-        from repro.core.runner import run_program
+        from repro.runtime import run_program
         from repro.plan import PlanContext
         program = compile_statement(
             parse("""

@@ -13,6 +13,7 @@ from repro.stats import (
     estimate_program,
     plan_cost,
 )
+from repro.stats.costing import DEFAULT_ITERATION_ESTIMATE
 from repro.types import SqlType
 
 
@@ -135,9 +136,8 @@ class TestIterationEstimation:
             ast.TerminationKind.DATA_ANY,
             expr=ast.BinaryOp(ast.BinaryOperator.GT,
                               ast.ColumnRef("k"), ast.Literal(10)))
-        estimate = estimate_iterations(self._spec(termination), 100.0,
-                                       default_estimate=40)
-        assert estimate.iterations == 40
+        estimate = estimate_iterations(self._spec(termination), 100.0)
+        assert estimate.iterations == DEFAULT_ITERATION_ESTIMATE
         assert estimate.basis == "heuristic"
 
     def test_fixpoint_heuristic(self):

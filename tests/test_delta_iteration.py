@@ -12,12 +12,9 @@ import pytest
 
 from repro.datasets import dblp_like, generate_edges
 from repro.engine.database import Database
+from repro.errors import DuplicateKeyError
 from repro.execution import SessionOptions
-from repro.plan.program import (
-    DeltaApplyStep,
-    DeltaFusedStep,
-    DeltaGateStep,
-)
+from repro.plan.program import DeltaCaptureStep, DeltaFusedStep
 from repro.types import SqlType
 from repro.workloads import (
     ff_query,
@@ -129,28 +126,19 @@ class TestProgramShape:
     def test_fused_delta_step_emitted_when_safe_and_enabled(self):
         program = self._program(sssp_query(source=1, iterations=5), True)
         kinds = [type(step) for step in program.steps]
-        assert DeltaFusedStep in kinds
-        assert DeltaGateStep not in kinds
-        assert DeltaApplyStep not in kinds
+        assert kinds.count(DeltaFusedStep) == 1
+        assert kinds.count(DeltaCaptureStep) == 1
         fused = next(s for s in program.steps
                      if isinstance(s, DeltaFusedStep))
-        assert fused.jump_full > 0 and fused.jump_to > fused.jump_full
-        assert fused.jump_to == fused.jump_done
-
-    def test_quartet_emitted_when_fusion_disabled(self):
-        program = self._program(sssp_query(source=1, iterations=5), True,
-                                enable_delta_fusion=False)
-        kinds = [type(step) for step in program.steps]
-        assert DeltaGateStep in kinds
-        assert DeltaApplyStep in kinds
-        assert DeltaFusedStep not in kinds
-        gate = next(s for s in program.steps
-                    if isinstance(s, DeltaGateStep))
-        assert gate.jump_full > 0 and gate.jump_done > gate.jump_full
+        capture = kinds.index(DeltaCaptureStep)
+        # Full body entered right after the fused step; a delta
+        # iteration skips past the capture to the loop increment.
+        assert fused.jump_full == kinds.index(DeltaFusedStep) + 1
+        assert fused.jump_to == capture + 1
 
     def test_no_delta_steps_when_disabled(self):
         program = self._program(sssp_query(source=1, iterations=5), False)
-        assert not any(isinstance(step, DeltaGateStep)
+        assert not any(isinstance(step, (DeltaFusedStep, DeltaCaptureStep))
                        for step in program.steps)
 
     def test_unsafe_step_query_falls_back(self):
@@ -162,7 +150,7 @@ class TestProgramShape:
           UNTIL 3 ITERATIONS
         ) SELECT node, v FROM r"""
         program = self._program(sql, True)
-        assert not any(isinstance(step, DeltaGateStep)
+        assert not any(isinstance(step, (DeltaFusedStep, DeltaCaptureStep))
                        for step in program.steps)
         full, delta, db = both_modes(sql)
         assert full == delta
@@ -182,6 +170,24 @@ class TestRuntimeFallbacks:
         full, delta, db = both_modes(sql)
         assert full == delta
         assert db.stats.delta_iterations == 0
+
+
+    def test_delta_body_output_is_duplicate_checked(self, monkeypatch):
+        # The safety analyzer only admits bodies that emit one row per
+        # anchor row, so SQL cannot make the delta body produce duplicate
+        # keys; the fused pass still checks (§II) in case the analysis
+        # is ever wrong.  Double the recomputed partition to prove it.
+        import repro.runtime.handlers.delta as delta_handlers
+        recompute = delta_handlers.execute_to_table
+
+        def doubled(plan, ctx, column_names):
+            table = recompute(plan, ctx, column_names)
+            return table.take(np.repeat(np.arange(table.num_rows), 2))
+
+        monkeypatch.setattr(delta_handlers, "execute_to_table", doubled)
+        db = graph_db(EDGES, delta_on=True)
+        with pytest.raises(DuplicateKeyError):
+            db.execute(sssp_query(source=1, iterations=10))
 
 
 class TestExplainAnalyze:

@@ -1,4 +1,4 @@
-"""Tier-1 delta-evaluation smoke (scripts/check_delta_smoke.sh): delta
+"""Tier-1 delta-evaluation smoke (``repro-smoke --only delta``): delta
 mode must stay bit-identical to full recomputation, the frontier must
 actually drive the loop, and the recursive fixpoint's segmented append
 must move O(|delta|) rows per iteration.

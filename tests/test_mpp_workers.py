@@ -87,6 +87,7 @@ class TestPoolParity:
         with WorkerPool(2) as pool:
             pool_trace = traced(pool)
         assert shape(pool_trace.root) == shape(inline_trace.root)
+        validate_trace_dict(json.loads(inline_trace.to_json()))
         validate_trace_dict(json.loads(pool_trace.to_json()))
 
 

@@ -1,4 +1,4 @@
-"""Tier-1 observability smoke (scripts/check_obs_smoke.sh): a traced
+"""Tier-1 observability smoke (``repro-smoke --only obs``): a traced
 iterative query must produce schema-valid trace JSON, and the benchmark
 harness must write a parseable BENCH_*.json artifact.
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database
-from repro.core.loop import count_changed_rows
+from repro.runtime import count_changed_rows
 from repro.storage import Table
 from repro.types import SqlType
 

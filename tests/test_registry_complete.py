@@ -46,6 +46,6 @@ def test_registry_names_only_real_steps():
 
 
 def test_enumeration_is_not_vacuous():
-    # The program IR currently defines 16 step kinds; a refactor that
+    # The program IR currently defines 14 step kinds; a refactor that
     # moves them out of repro.plan.program must move this guard too.
-    assert len(_step_subclasses()) >= 16
+    assert len(_step_subclasses()) >= 14

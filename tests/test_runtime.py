@@ -18,7 +18,7 @@ from repro.engine.database import Database
 from repro.execution import SessionOptions
 from repro.middleware import MiddlewareDriver
 from repro.obs.export import validate_trace_dict
-from repro.plan.program import DeltaFusedStep, DeltaGateStep
+from repro.plan.program import DeltaCaptureStep, DeltaFusedStep
 from repro.procedures import ExecuteSql, Loop, Procedure, ProcedureCatalog, ReturnQuery
 from repro.types import SqlType
 from repro.workloads import pagerank_query, sssp_query
@@ -287,28 +287,25 @@ class TestStepIdentityProfiles:
             assert profile.executions >= 1
 
     def test_delta_and_full_bodies_profile_separately(self):
-        """The gate forks execution: the delta body and the full body of
-        the same loop must not alias each other's profiles."""
+        """The fused step forks execution: the delta pass and the full
+        body of the same loop must not alias each other's profiles."""
         from repro.execution import ExecutionContext
         from repro.runtime import ProgramRunner
 
-        from repro.plan.program import DeltaApplyStep
-
-        db = graph_db(SMALL_EDGES, enable_delta_iteration=True,
-                      enable_delta_fusion=False)
-        program = _compile(db, KEY_DROPPING_SQL)
+        db = graph_db(enable_delta_iteration=True)
+        program = _compile(db, sssp_query(source=1, iterations=5))
         ctx = ExecutionContext(db.catalog, db.registry, db.options,
                                db.stats, db.kernel_cache)
         runner = ProgramRunner(program, ctx, instrument=True)
         runner.run()
-        gate = next(s for s in program.steps
-                    if isinstance(s, DeltaGateStep))
-        apply_step = next(s for s in program.steps
-                          if isinstance(s, DeltaApplyStep))
-        # The gate runs every iteration; the apply step only on the one
-        # delta attempt (which its keyset guard aborts).
-        assert runner.profiles[id(gate)].executions == 3
-        assert runner.profiles[id(apply_step)].executions == 1
+        fused = next(s for s in program.steps
+                     if isinstance(s, DeltaFusedStep))
+        capture = next(s for s in program.steps
+                       if isinstance(s, DeltaCaptureStep))
+        # The fused step runs every iteration; the full body (ending in
+        # the capture step) only on the first, before delta state exists.
+        assert runner.profiles[id(fused)].executions == 5
+        assert runner.profiles[id(capture)].executions == 1
 
 
 class TestBaselineTraces:

@@ -1,7 +1,7 @@
 """The serving layer: dispatch, admission control, snapshots, tracing.
 
 The ``serving_smoke`` marker selects the tier-1 guard subset
-(scripts/check_serving_smoke.sh): server round trips, snapshot-pinned
+(``repro-smoke --only serving``): server round trips, snapshot-pinned
 concurrent reads verified against serial replay, and backpressure.
 """
 

@@ -1,39 +1,17 @@
-"""Guard-list sync: ``repro.harness.smoke._MARKERS`` is the source of
-truth for the tier-1 smoke guards; this test keeps
-``scripts/check_all_smoke.sh`` and the pyproject marker declarations
-from drifting away from it (a guard added in one place but not the
-others silently stops running).
+"""Guard-list health: ``repro.harness.smoke._MARKERS`` is the only
+declaration of the tier-1 smoke guards (conftest registers the pytest
+markers from it, ``scripts/check_all_smoke.sh`` runs ``repro-smoke``);
+these tests keep every guard selecting something and the CI racecheck
+job in place.
 """
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
 from repro.harness.smoke import _MARKERS, marker_expression
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-def script_guards() -> dict[str, str]:
-    """name -> marker for every ``run_pytest_guard`` call in
-    scripts/check_all_smoke.sh."""
-    text = (REPO / "scripts" / "check_all_smoke.sh").read_text()
-    return dict(re.findall(
-        r'^run_pytest_guard\s+(\S+)\s+(\S+)', text, flags=re.MULTILINE))
-
-
-def pyproject_markers() -> set[str]:
-    text = (REPO / "pyproject.toml").read_text()
-    return set(re.findall(r'^\s*"(\w+_smoke):', text, flags=re.MULTILINE))
-
-
-def test_shell_guard_list_matches_markers():
-    assert script_guards() == _MARKERS
-
-
-def test_pyproject_declares_exactly_the_smoke_markers():
-    assert pyproject_markers() == set(_MARKERS.values())
 
 
 def test_marker_expression_covers_all_guards():

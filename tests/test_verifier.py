@@ -66,12 +66,6 @@ def _fresh(shape):
     if shape == "iterative":
         db = _graph_db(enable_delta_iteration=False)
         sql = sssp_query(source=1, iterations=5)
-    elif shape == "delta":
-        # The quartet shape: fusion off keeps the five-step delta block
-        # the index-based mutations below rely on.
-        db = _graph_db(enable_delta_iteration=True,
-                       enable_delta_fusion=False)
-        sql = sssp_query(source=1, iterations=5)
     elif shape == "fused":
         db = _graph_db(enable_delta_iteration=True)
         sql = sssp_query(source=1, iterations=5)
@@ -107,10 +101,6 @@ def _first_column_ref(node):
 #
 #   iterative/where: 0 mat cte, 1 init, 2 mat work, 3 dupcheck,
 #                    4 mat merge, 5 rename, 6 inc, 7 loop, 8 ret, 9 drop
-#   delta:           0 mat cte, 1 init, 2 gate, 3 partition, 4 mat dwork,
-#                    5 dupcheck, 6 apply, 7 snapshot, 8 mat work,
-#                    9 dupcheck, 10 mat merge, 11 rename, 12 capture,
-#                    13 inc, 14 loop, 15 ret, 16 drop
 #   fused:           0 mat cte, 1 init, 2 fused, 3 snapshot, 4 mat work,
 #                    5 dupcheck, 6 mat merge, 7 rename, 8 capture,
 #                    9 inc, 10 loop, 11 ret, 12 drop
@@ -120,14 +110,6 @@ def _first_column_ref(node):
 
 def _mut_jump_past_end(program):
     program.steps[7].jump_to = 99
-
-
-def _mut_unpatched_delta_jump(program):
-    program.steps[2].jump_full = -1
-
-
-def _mut_drop_delta_capture(program):
-    program.steps[12] = DropStep([])
 
 
 def _mut_drop_init(program):
@@ -157,7 +139,7 @@ def _mut_drop_live_table(program):
 
 
 def _mut_orphan_snapshot(program):
-    program.steps[7].target = "__orphan"
+    program.steps[3].target = "__orphan"
 
 
 def _mut_materialize_arity(program):
@@ -183,9 +165,9 @@ def _mut_unknown_loop_id(program):
     program.steps[6].loop_id = 7
 
 
-def _mut_swap_gate_partition(program):
-    program.steps[2], program.steps[3] = \
-        program.steps[3], program.steps[2]
+def _mut_swap_fused_capture(program):
+    program.steps[2], program.steps[8] = \
+        program.steps[8], program.steps[2]
 
 
 def _mut_merge_feeds_wrong_working(program):
@@ -206,13 +188,12 @@ def _mut_fused_columns_diverge(program):
     program.steps[2].column_names = names
 
 
-def _mut_fused_jump_targets_diverge(program):
-    program.steps[2].jump_done = program.steps[2].jump_full
+def _mut_fused_jump_to_enters_full_body(program):
+    program.steps[2].jump_to = program.steps[2].jump_full
 
 
-def _mut_fused_coexists_with_quartet(program):
-    from repro.plan.program import DeltaPartitionStep
-    program.steps[3] = DeltaPartitionStep(program.steps[2].spec)
+def _mut_fused_step_missing(program):
+    program.steps[2] = DropStep([])
 
 
 def _mut_fused_capture_missing(program):
@@ -222,10 +203,6 @@ def _mut_fused_capture_missing(program):
 MUTATIONS = [
     ("jump_past_end", "iterative", _mut_jump_past_end,
      "past the end"),
-    ("unpatched_delta_jump", "delta", _mut_unpatched_delta_jump,
-     "never patched"),
-    ("missing_delta_capture", "delta", _mut_drop_delta_capture,
-     "DeltaCaptureStep"),
     ("missing_init_loop", "iterative", _mut_drop_init,
      "InitLoopStep"),
     ("missing_increment", "iterative", _mut_drop_increment,
@@ -238,7 +215,7 @@ MUTATIONS = [
      "reads '__ghost'"),
     ("drop_live_table", "iterative", _mut_drop_live_table,
      "drops live result"),
-    ("orphan_snapshot", "delta", _mut_orphan_snapshot,
+    ("orphan_snapshot", "fused", _mut_orphan_snapshot,
      "never consumed"),
     ("materialize_arity", "iterative", _mut_materialize_arity,
      "column names"),
@@ -250,8 +227,8 @@ MUTATIONS = [
      "without merging"),
     ("unknown_loop_id", "iterative", _mut_unknown_loop_id,
      "unknown loop 7"),
-    ("swap_gate_partition", "delta", _mut_swap_gate_partition,
-     "out of order"),
+    ("swap_fused_capture", "fused", _mut_swap_fused_capture,
+     "must precede"),
     ("merge_feeds_wrong_working", "recursive",
      _mut_merge_feeds_wrong_working, "RecursiveMergeStep"),
     ("fused_unpatched_jump", "fused", _mut_fused_unpatched_jump,
@@ -260,10 +237,10 @@ MUTATIONS = [
      "duplicate-check"),
     ("fused_columns_diverge", "fused", _mut_fused_columns_diverge,
      "diverge from the DeltaSpec"),
-    ("fused_jump_targets_diverge", "fused",
-     _mut_fused_jump_targets_diverge, "diverge; both must target"),
-    ("fused_coexists_with_quartet", "fused",
-     _mut_fused_coexists_with_quartet, "coexists"),
+    ("fused_jump_to_enters_full_body", "fused",
+     _mut_fused_jump_to_enters_full_body, "must skip past"),
+    ("fused_step_missing", "fused", _mut_fused_step_missing,
+     "has no DeltaFusedStep"),
     ("fused_capture_missing", "fused", _mut_fused_capture_missing,
      "DeltaCaptureStep"),
 ]
@@ -271,7 +248,7 @@ MUTATIONS = [
 
 class TestPristinePrograms:
     @pytest.mark.parametrize(
-        "shape", ["iterative", "delta", "fused", "recursive", "where"])
+        "shape", ["iterative", "fused", "recursive", "where"])
     def test_compiles_clean(self, shape):
         program, catalog = _fresh(shape)
         assert check_program(program, catalog) == []
