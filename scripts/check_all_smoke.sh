@@ -8,7 +8,6 @@
 #                    runs a single one)
 #   repro-lint       engine lint over the real tree
 #   trace-diff       scripts/check_trace_diff.sh   native vs baseline diff
-#   perf-gate        scripts/check_perf_gate.sh    ledger + regression gate
 #   repro-racecheck  static lock-discipline pass over the real tree
 #
 # Usage: scripts/check_all_smoke.sh [extra pytest args...]
@@ -34,7 +33,6 @@ run_guard repro-smoke env PYTHONPATH=src \
     python -m repro.harness.smoke -- "$@"
 run_guard repro-lint env PYTHONPATH=src python -m repro.verify.lint
 run_guard trace-diff scripts/check_trace_diff.sh
-run_guard perf-gate scripts/check_perf_gate.sh
 run_guard repro-racecheck env PYTHONPATH=src \
     python -m repro.verify.concurrency.cli
 

@@ -73,11 +73,9 @@ class ExecutionStats:
     # landed on observed the frontier collapsing again and handed the
     # loop back to a fresh semi-naive delta strategy.
     strategy_promotions: int = 0
-    # Morsel-driven parallelism: batches dispatched, batches that ran on
-    # the worker pool (vs. the single-threaded fallback), and rows
-    # processed through morsel-split operators.
+    # Morsel-driven parallelism: batches dispatched to the worker pool
+    # and rows processed through morsel-split operators.
     morsel_batches: int = 0
-    morsel_parallel_batches: int = 0
     morsel_rows: int = 0
     # Per-morsel partials produced by the two-phase grouped-aggregate
     # kernels (COUNT/SUM/AVG/MIN/MAX partial → final merge).
@@ -165,13 +163,10 @@ class SessionOptions:
     enable_strategy_promotion: bool = True
     # Morsel-driven parallelism: split large scans/filters/projections
     # and join probes into fixed-size row chunks dispatched across a
-    # thread pool (NumPy kernels release the GIL).  Inputs smaller than
-    # `morsel_min_rows` stay on the single-threaded path — below the
-    # threshold the dispatch overhead exceeds the kernel work.
+    # thread pool (NumPy kernels release the GIL).  Chunk size, row
+    # threshold and pool width are constants in repro.execution.morsel;
+    # inputs below the threshold stay on the single-shot path.
     parallel_morsels: bool = False
-    morsel_size: int = 16_384
-    morsel_workers: int = 4
-    morsel_min_rows: int = 65_536
     # IR verifier (repro.verify): check schema/type propagation, step
     # CFG integrity, and strategy legality after building, after each
     # rewrite pass, and after compilation, raising VerificationError on

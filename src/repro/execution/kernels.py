@@ -30,6 +30,9 @@ def factorize(column: Column, nulls_match: bool,
     Returns (codes, cardinality).  Valid values get codes in
     [0, n_unique); NULLs get ``n_unique`` when ``nulls_match`` (they form
     their own group) or -1 otherwise (they never match anything).
+    ``cardinality`` counts the codes that occur: the NULL code is only
+    reserved when the column has NULLs, so ``cardinality < len(codes)``
+    exactly when some code repeats (the §II duplicate-key check).
 
     With a cache, the returned array may be shared (and read-only);
     callers must not mutate it in place.
@@ -37,17 +40,15 @@ def factorize(column: Column, nulls_match: bool,
     if cache is not None:
         dictionary = cache.dictionary(column)
         n_unique = dictionary.cardinality
-        if nulls_match:
-            if dictionary.has_nulls:
-                codes = np.array(dictionary.codes)
-                codes[column.mask] = n_unique
-                return codes, n_unique + 1
-            return dictionary.codes, n_unique + 1
+        if nulls_match and dictionary.has_nulls:
+            codes = np.array(dictionary.codes)
+            codes[column.mask] = n_unique
+            return codes, n_unique + 1
         return dictionary.codes, n_unique
     dictionary = build_dictionary(column)
     n_unique = dictionary.cardinality
     codes = np.array(dictionary.codes)
-    if nulls_match:
+    if nulls_match and dictionary.has_nulls:
         codes[column.mask] = n_unique
         return codes, n_unique + 1
     return codes, n_unique

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from ..engine import Database
-from ..obs import ledger as ledger_mod
 from ..obs.export import BENCH_SCHEMA_VERSION
 
 
@@ -136,65 +135,24 @@ def _comparison_dict(comparison: Comparison) -> dict:
     }
 
 
-def _ledger_records(name: str, comparisons: list[Comparison],
-                    measurements: list[Measurement],
-                    extra: dict) -> list["ledger_mod.RunRecord"]:
-    """Every measurement in the artifact (standalone or a comparison
-    side) becomes one ``kind="bench"`` ledger record.  The benchmark's
-    ``extra`` dict doubles as its options hash — it is where benchmarks
-    already put their shape parameters."""
-    host = ledger_mod.host_fingerprint()
-    sha = ledger_mod.git_sha()
-    flat: list[tuple[str, Measurement]] = [
-        (m.label, m) for m in measurements]
-    for comparison in comparisons:
-        flat.append((f"{comparison.name}/baseline", comparison.baseline))
-        flat.append((f"{comparison.name}/optimized",
-                     comparison.optimized))
-    records = []
-    for label, measurement in flat:
-        samples = measurement.all_seconds or [measurement.seconds]
-        records.append(ledger_mod.record_from_samples(
-            name, label, samples, options=extra, kind="bench",
-            host=host, sha=sha))
-    return records
-
-
 def write_bench_artifact(name: str,
                          comparisons: Iterable[Comparison] = (),
                          measurements: Iterable[Measurement] = (),
                          extra: Optional[dict] = None,
-                         directory: str = ".",
-                         ledger: Optional[str] = None) -> str:
+                         directory: str = ".") -> str:
     """Write ``BENCH_<name>.json`` (bench schema v1, see repro.obs.export)
     and return its path.  Benchmarks call this from their ``__main__``
-    block so importing/collecting them leaves no files behind.
-
-    Every measurement is also appended to the perf ledger
-    (:mod:`repro.obs.ledger`) as a ``bench`` record — ``ledger`` names
-    the JSONL path, defaulting to ``$REPRO_PERF_LEDGER`` or
-    ``PERF_LEDGER.jsonl`` next to the artifact; pass ``ledger=""`` to
-    skip the append."""
-    comparisons = list(comparisons)
-    measurements = list(measurements)
-    extra = dict(extra or {})
+    block so importing/collecting them leaves no files behind."""
     document = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "benchmark": name,
         "created_unix": time.time(),
         "measurements": [_measurement_dict(m) for m in measurements],
         "comparisons": [_comparison_dict(c) for c in comparisons],
-        "extra": extra,
+        "extra": dict(extra or {}),
     }
     path = os.path.join(directory, f"BENCH_{name}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")
-    if ledger is None:
-        ledger = os.environ.get("REPRO_PERF_LEDGER") or os.path.join(
-            directory, ledger_mod.DEFAULT_LEDGER_NAME)
-    if ledger:
-        ledger_mod.append_records(
-            _ledger_records(name, comparisons, measurements, extra),
-            ledger)
     return path

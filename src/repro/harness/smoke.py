@@ -2,8 +2,8 @@
 
 ``repro-smoke`` (see ``[project.scripts]`` in pyproject.toml) runs the
 bench, observability, delta-evaluation, lint, stored-procedure,
-trace-diff, perf-gate, MPP worker-pool, serving-layer and racecheck
-guards in one pytest invocation.  Pass ``--only
+trace-diff, tracing-overhead budget (``perf``), MPP worker-pool,
+serving-layer and racecheck guards in one pytest invocation.  Pass ``--only
 bench|obs|delta|lint|procedures|tracediff|perf|mpp|serving|racecheck``
 to run a single guard, plus any extra pytest arguments after ``--``.
 

@@ -17,16 +17,6 @@ from .export import (
     validate_bench_dict,
     validate_trace_dict,
 )
-from .ledger import (
-    LEDGER_SCHEMA_VERSION,
-    CheckResult,
-    RunRecord,
-    append_records,
-    check_regression,
-    latest_baseline,
-    read_ledger,
-    record_from_samples,
-)
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import (
     Profile,
@@ -60,14 +50,6 @@ __all__ = [
     "build_trace",
     "validate_bench_dict",
     "validate_trace_dict",
-    "LEDGER_SCHEMA_VERSION",
-    "CheckResult",
-    "RunRecord",
-    "append_records",
-    "check_regression",
-    "latest_baseline",
-    "read_ledger",
-    "record_from_samples",
     "Counter",
     "Gauge",
     "Histogram",

@@ -58,6 +58,25 @@ SMALL_STATUS = [(1, 1), (2, 1), (3, 0), (4, 1)]
 
 
 @pytest.fixture
+def morsel_constants(monkeypatch):
+    """Setter for the morsel tuning constants for one test.
+
+    ``morsel_constants(size=64, min_rows=0, workers=3)`` patches
+    ``MORSEL_SIZE`` / ``MORSEL_MIN_ROWS`` / ``MORSEL_WORKERS`` in
+    ``repro.execution.morsel`` (omitted ones keep their values) so small
+    test tables reach the pool dispatch at chosen chunk sizes."""
+    from repro.execution import morsel
+
+    def apply(size: int = morsel.MORSEL_SIZE,
+              min_rows: int = morsel.MORSEL_MIN_ROWS,
+              workers: int = morsel.MORSEL_WORKERS) -> None:
+        monkeypatch.setattr(morsel, "MORSEL_SIZE", size)
+        monkeypatch.setattr(morsel, "MORSEL_MIN_ROWS", min_rows)
+        monkeypatch.setattr(morsel, "MORSEL_WORKERS", workers)
+    return apply
+
+
+@pytest.fixture
 def db() -> Database:
     """An empty database."""
     return Database()

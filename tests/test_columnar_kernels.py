@@ -82,6 +82,17 @@ class TestFactorize:
                 assert (codes[i] == codes[j]) == same_value, (
                     f"rows {i} ({vi!r}) and {j} ({vj!r})")
 
+    @pytest.mark.parametrize("name", sorted(COLUMNS), ids=sorted(COLUMNS))
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_nulls_match_cardinality_counts_codes(self, name, cached):
+        # The §II duplicate check reads `cardinality < len(codes)`, so
+        # no code may be reserved for NULLs the column does not have.
+        from repro.execution.kernel_cache import KernelCache
+        column = COLUMNS[name]
+        cache = KernelCache() if cached else None
+        codes, cardinality = factorize(column, True, cache)
+        assert cardinality == len(set(codes.tolist()))
+
 
 class TestEncodeKeys:
     @pytest.mark.parametrize("nulls_match", [True, False])
@@ -260,31 +271,44 @@ def _morsel_db(**options) -> Database:
 
 
 class TestMorselBoundaries:
-    def test_results_independent_of_chunk_size(self):
+    def test_results_independent_of_chunk_size(self, morsel_constants):
         baseline = _morsel_db(parallel_morsels=False) \
             .execute(MORSEL_SQL).rows()
         assert len(baseline) > 0
-        for morsel_size in (1, 3, 64, 100_000):
-            db = _morsel_db(parallel_morsels=True,
-                            morsel_size=morsel_size,
-                            morsel_workers=3, morsel_min_rows=0)
+        for size in (1, 3, 64, 100_000):
+            morsel_constants(size=size, min_rows=0, workers=3)
+            db = _morsel_db(parallel_morsels=True)
             assert db.execute(MORSEL_SQL).rows() == baseline, (
-                f"morsel_size={morsel_size} changed query results")
-            if morsel_size < 500:
+                f"morsel size {size} changed query results")
+            if size < 500:
                 assert db.stats.morsel_batches > 0
             else:
                 # Everything fits one chunk: the scheduler must step
                 # aside entirely rather than pay dispatch overhead.
                 assert db.stats.morsel_batches == 0
 
-    def test_parallel_dispatch_engages_above_threshold(self):
-        db = _morsel_db(parallel_morsels=True, morsel_size=64,
-                        morsel_workers=3, morsel_min_rows=0)
+    def test_parallel_dispatch_engages_above_threshold(
+            self, morsel_constants):
+        morsel_constants(size=64, min_rows=0, workers=3)
+        db = _morsel_db(parallel_morsels=True)
         db.execute(MORSEL_SQL)
-        assert db.stats.morsel_parallel_batches > 0
+        assert db.stats.morsel_batches > 0
         assert db.stats.morsel_rows > 0
 
-    def test_iterative_delta_path_unaffected_by_morsels(self):
+    def test_below_row_threshold_runs_single_shot(self, morsel_constants):
+        # Small chunks would split this input, but it is below the row
+        # threshold, so the operators take their single-shot path: no
+        # batch is counted and the result is the unmorselled one.
+        baseline = _morsel_db(parallel_morsels=False) \
+            .execute(MORSEL_SQL).rows()
+        morsel_constants(size=64, min_rows=10_000, workers=3)
+        db = _morsel_db(parallel_morsels=True)
+        assert db.execute(MORSEL_SQL).rows() == baseline
+        assert db.stats.morsel_batches == 0
+        assert db.stats.morsel_rows == 0
+
+    def test_iterative_delta_path_unaffected_by_morsels(
+            self, morsel_constants):
         from repro.workloads import sssp_query
         from tests.conftest import SMALL_EDGES
 
@@ -299,6 +323,6 @@ class TestMorselBoundaries:
 
         sql = sssp_query(source=1, iterations=6)
         plain = graph().execute(sql).rows()
-        morsels = graph(parallel_morsels=True, morsel_size=2,
-                        morsel_workers=2, morsel_min_rows=0)
+        morsel_constants(size=2, min_rows=0, workers=2)
+        morsels = graph(parallel_morsels=True)
         assert morsels.execute(sql).rows() == plain

@@ -176,18 +176,29 @@ class TestRuntimeFallbacks:
         # The safety analyzer only admits bodies that emit one row per
         # anchor row, so SQL cannot make the delta body produce duplicate
         # keys; the fused pass still checks (§II) in case the analysis
-        # is ever wrong.  Double the recomputed partition to prove it.
+        # is ever wrong.  Double the recomputed partition, and separately
+        # repeat only its first row, to prove it.
         import repro.runtime.handlers.delta as delta_handlers
         recompute = delta_handlers.execute_to_table
 
-        def doubled(plan, ctx, column_names):
-            table = recompute(plan, ctx, column_names)
-            return table.take(np.repeat(np.arange(table.num_rows), 2))
+        def doubled(table):
+            return np.repeat(np.arange(table.num_rows), 2)
 
-        monkeypatch.setattr(delta_handlers, "execute_to_table", doubled)
-        db = graph_db(EDGES, delta_on=True)
-        with pytest.raises(DuplicateKeyError):
-            db.execute(sssp_query(source=1, iterations=10))
+        def one_extra(table):
+            rows = np.arange(table.num_rows)
+            return np.append(rows, rows[:1])
+
+        for duplicate_rows in (doubled, one_extra):
+            def corrupted(plan, ctx, column_names,
+                          duplicate_rows=duplicate_rows):
+                table = recompute(plan, ctx, column_names)
+                return table.take(duplicate_rows(table))
+
+            monkeypatch.setattr(delta_handlers, "execute_to_table",
+                                corrupted)
+            db = graph_db(EDGES, delta_on=True)
+            with pytest.raises(DuplicateKeyError):
+                db.execute(sssp_query(source=1, iterations=10))
 
 
 class TestExplainAnalyze:

@@ -156,6 +156,24 @@ class TestSemantics:
         with pytest.raises(DuplicateKeyError):
             graph_db.execute(sql)
 
+    def test_single_duplicate_key_raises_on_first_iteration(self, db):
+        # Key 1 matches two rows of d, so the body emits exactly one
+        # extra row: one iteration must raise, not merge 4 rows for 3
+        # keys into the CTE table.
+        db.execute("CREATE TABLE t (k int, v int)")
+        db.execute("CREATE TABLE d (k int, v int)")
+        db.execute("INSERT INTO t VALUES (1,1),(2,1),(3,1)")
+        db.execute("INSERT INTO d VALUES (1,5),(1,6),(2,7)")
+        sql = """
+        WITH ITERATIVE r (k, v) AS (
+          SELECT k, v FROM t
+          ITERATE SELECT d.k, d.v FROM r JOIN d ON r.k = d.k
+                  WHERE d.v > 0
+          UNTIL 1 ITERATIONS
+        ) SELECT * FROM r"""
+        with pytest.raises(DuplicateKeyError):
+            db.execute(sql)
+
     def test_column_count_mismatch_init(self, db):
         sql = """
         WITH ITERATIVE r (a, b) AS (

@@ -49,39 +49,39 @@ def _staff_db(**options) -> Database:
 
 
 class TestMorselAggregate:
-    def test_results_independent_of_chunk_size(self):
+    def test_results_independent_of_chunk_size(self, morsel_constants):
         baseline = _staff_db(parallel_morsels=False).execute(AGG_SQL).rows()
         assert len(baseline) == 13
-        for morsel_size in (1, 7, 64, 100_000):
-            db = _staff_db(parallel_morsels=True, morsel_size=morsel_size,
-                           morsel_workers=3, morsel_min_rows=0)
+        for size in (1, 7, 64, 100_000):
+            morsel_constants(size=size, min_rows=0, workers=3)
+            db = _staff_db(parallel_morsels=True)
             assert db.execute(AGG_SQL).rows() == baseline, (
-                f"morsel_size={morsel_size} changed aggregate results")
-            if morsel_size < 700:
+                f"morsel size {size} changed aggregate results")
+            if size < 700:
                 assert db.stats.morsel_agg_batches > 0
             else:
                 # Single chunk: the two-phase path must step aside.
                 assert db.stats.morsel_agg_batches == 0
 
-    def test_global_aggregate_bit_identical(self):
+    def test_global_aggregate_bit_identical(self, morsel_constants):
         baseline = _staff_db(parallel_morsels=False).execute(GLOBAL_SQL)
-        for morsel_size in (3, 50):
-            db = _staff_db(parallel_morsels=True, morsel_size=morsel_size,
-                           morsel_workers=2, morsel_min_rows=0)
+        for size in (3, 50):
+            morsel_constants(size=size, min_rows=0, workers=2)
+            db = _staff_db(parallel_morsels=True)
             assert db.execute(GLOBAL_SQL).rows() == baseline.rows()
 
-    def test_null_only_group(self):
-        db = _staff_db(parallel_morsels=True, morsel_size=16,
-                       morsel_workers=2, morsel_min_rows=0)
+    def test_null_only_group(self, morsel_constants):
+        morsel_constants(size=16, min_rows=0, workers=2)
+        db = _staff_db(parallel_morsels=True)
         by_dept = {row[0]: row for row in db.execute(AGG_SQL).rows()}
         dept99 = by_dept[99]
         assert dept99[1] == 10          # COUNT(*) counts NULL rows
         assert dept99[2] == 0           # COUNT(salary) ignores them
         assert dept99[3:] == (None, None, None, None)
 
-    def test_integer_and_distinct_paths_survive(self):
-        db = _staff_db(parallel_morsels=True, morsel_size=9,
-                       morsel_workers=2, morsel_min_rows=0)
+    def test_integer_and_distinct_paths_survive(self, morsel_constants):
+        morsel_constants(size=9, min_rows=0, workers=2)
+        db = _staff_db(parallel_morsels=True)
         plain = _staff_db()
         sql = ("SELECT SUM(dept), COUNT(DISTINCT dept), MIN(dept), "
                "MAX(dept) FROM staff")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database
+from repro.errors import DuplicateKeyError
 from repro.runtime import count_changed_rows
 from repro.storage import Table
 from repro.types import SqlType
@@ -79,6 +80,37 @@ class TestIterativeInvariants:
                 assert result[key] == value + 100
             else:
                 assert result[key] == value
+
+    @given(st.sets(st.integers(0, 8), min_size=1, max_size=6),
+           st.lists(st.tuples(st.integers(0, 8), st.integers(1, 50)),
+                    max_size=10),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_body_key_raises(self, anchor_keys, d_rows,
+                                      kernel_cache):
+        """§II: a merge-path body emitting any key more than once —
+        even a single extra row — is a run-time error; otherwise the
+        body output merges over the anchor rows by key."""
+        db = fresh_db([(k, 0) for k in sorted(anchor_keys)])
+        db.set_option("enable_kernel_cache", kernel_cache)
+        db.create_table("d", [("k", SqlType.INTEGER),
+                              ("v", SqlType.INTEGER)])
+        db.load_rows("d", d_rows)
+        sql = """
+        WITH ITERATIVE r (k, v) AS (
+          SELECT k, v FROM t
+          ITERATE SELECT d.k, d.v FROM r JOIN d ON r.k = d.k
+                  WHERE d.v > 0
+          UNTIL 1 ITERATIONS
+        ) SELECT k, v FROM r ORDER BY k"""
+        body_keys = [k for k, _ in d_rows if k in anchor_keys]
+        if len(set(body_keys)) < len(body_keys):
+            with pytest.raises(DuplicateKeyError):
+                db.execute(sql)
+            return
+        expected = {k: 0 for k in anchor_keys}
+        expected.update((k, v) for k, v in d_rows if k in anchor_keys)
+        assert db.execute(sql).rows() == sorted(expected.items())
 
     @given(st.integers(1, 30))
     @settings(max_examples=10, deadline=None)

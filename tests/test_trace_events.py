@@ -54,14 +54,16 @@ def events_of_kind(span: dict, kind: str) -> list[dict]:
 
 
 class TestMorselEvents:
-    def _morsel_trace(self) -> dict:
-        db = traced_db(parallel_morsels=True, morsel_size=64,
-                       morsel_min_rows=128, morsel_workers=2)
+    @pytest.fixture
+    def morsel_trace(self, morsel_constants) -> dict:
+        morsel_constants(size=64, min_rows=128, workers=2)
+        db = traced_db(parallel_morsels=True)
         db.execute("SELECT count(*) FROM edges WHERE weight > 0.01")
         return json.loads(db.trace_json())
 
-    def test_morsel_events_round_trip_with_required_attrs(self):
-        payload = self._morsel_trace()
+    def test_morsel_events_round_trip_with_required_attrs(self,
+                                                          morsel_trace):
+        payload = morsel_trace
         validate_trace_dict(payload)
         events = events_of_kind(payload["root"], "morsel")
         assert events, "expected morsels:<label> events in the trace"
@@ -74,8 +76,8 @@ class TestMorselEvents:
             assert isinstance(attrs["parallel"], bool)
             assert event["seconds"] == 0.0  # events carry no time
 
-    def test_validator_requires_the_morsel_contract(self):
-        payload = self._morsel_trace()
+    def test_validator_requires_the_morsel_contract(self, morsel_trace):
+        payload = morsel_trace
         event = events_of_kind(payload["root"], "morsel")[0]
         del event["attributes"]["workers"]
         with pytest.raises(ValueError, match="workers"):
