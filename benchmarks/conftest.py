@@ -55,4 +55,3 @@ def reset_options(dblp_db, pokec_db, ff_db):
         db.set_option("enable_rename", True)
         db.set_option("enable_common_results", True)
         db.set_option("enable_predicate_pushdown", True)
-        db.set_option("enable_outer_to_inner", True)

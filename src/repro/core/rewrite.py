@@ -282,7 +282,6 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
         steps.append(MaterializeStep(
             merge_result, merge_plan, columns,
             comment=f"merge updates into {cte.name}"))
-        state.stats.merge_steps += 1
         if options.enable_rename:
             steps.append(RenameStep(merge_result, cte_result))
         else:

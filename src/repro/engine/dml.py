@@ -72,7 +72,6 @@ def execute_insert(stmt: ast.Insert, ctx: ExecutionContext,
         ctx.catalog.put(stmt.table, appended)
     else:
         ctx.catalog.put(stmt.table, table)
-    ctx.stats.lock_acquisitions += 1
     ctx.stats.rows_moved += len(full_rows)
     return len(full_rows)
 
@@ -95,7 +94,6 @@ def _rows_from_values(rows: list[list[ast.Expr]], width: int):
 def execute_delete(stmt: ast.Delete, ctx: ExecutionContext,
                    plan_context: PlanContext) -> int:
     table = ctx.catalog.get(stmt.table)
-    ctx.stats.lock_acquisitions += 1
     # The replaced columns' cached dictionaries must never be served for
     # the table's new contents; new columns carry new versions, so this
     # is eager memory release as much as invalidation.
@@ -114,7 +112,6 @@ def execute_update(stmt: ast.Update, ctx: ExecutionContext,
                    plan_context: PlanContext) -> int:
     """UPDATE ... [FROM ...] [WHERE ...]; returns rows updated."""
     table = ctx.catalog.get(stmt.table)
-    ctx.stats.lock_acquisitions += 1
     ctx.kernel_cache.invalidate_table(table)
     alias = stmt.table.lower()
 

@@ -7,21 +7,9 @@ for reporting.
 
 from __future__ import annotations
 
-import os
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..storage import Catalog, ResultRegistry
-
-
-def _default_plan_verifier() -> bool:
-    """Default for ``enable_plan_verifier``: explicit REPRO_VERIFY wins,
-    otherwise on under pytest/smoke runs and off in production — the
-    verifier is a correctness guard, not a hot-path cost."""
-    env = os.environ.get("REPRO_VERIFY")
-    if env is not None:
-        return env.strip().lower() not in ("", "0", "false", "no", "off")
-    return "PYTEST_CURRENT_TEST" in os.environ or "pytest" in sys.modules
 
 
 @dataclass
@@ -30,17 +18,13 @@ class ExecutionStats:
 
     rows_scanned: int = 0
     rows_joined: int = 0
-    rows_aggregated: int = 0
     rows_materialized: int = 0
-    bytes_materialized: int = 0
     rows_moved: int = 0          # rows copied between main/working tables
     bytes_moved: int = 0
     renames: int = 0
     iterations: int = 0
     statements: int = 0
     plans_built: int = 0
-    lock_acquisitions: int = 0
-    merge_steps: int = 0
     common_results_built: int = 0
     predicate_pushdowns: int = 0
     # Iteration-aware kernel cache (see repro.execution.kernel_cache).
@@ -122,11 +106,6 @@ class SessionOptions:
     # Fig. 10 — push final-query predicates into the non-iterative part
     # when safe (§V-B).
     enable_predicate_pushdown: bool = True
-    # Outer-to-inner join conversion (enabler for common results).
-    enable_outer_to_inner: bool = True
-    # Cost-based greedy join reordering (paper §V-A future work); only
-    # active when statistics are available.
-    enable_join_reorder: bool = True
     # Compile hot expressions into fused closures (the LLVM-codegen
     # analog, see repro.execution.compiler).
     enable_expr_compile: bool = True
@@ -148,19 +127,6 @@ class SessionOptions:
     # merge the delta back.  Bit-identical to full recomputation; off by
     # default until the analyzer has seen wider production exposure.
     enable_delta_iteration: bool = False
-    # Feedback-driven strategy demotion: once the measured changed-row
-    # frontier stays near-full (the thresholds are constants in
-    # repro.runtime.strategies), the loop engine demotes SemiNaiveDelta
-    # to the plain full-body strategy — near-full frontiers (e.g.
-    # PageRank, where every rank changes every trip) make the delta
-    # bookkeeping pure overhead.  Results stay bit-identical: demotion
-    # just routes iterations down the always-compiled full body.
-    enable_strategy_demotion: bool = True
-    # Feedback-driven strategy *promotion* (the demotion mirror): a loop
-    # demoted to its movement fallback keeps measuring the changed-row
-    # frontier; once it collapses again the engine re-promotes the loop
-    # to a fresh semi-naive delta strategy.
-    enable_strategy_promotion: bool = True
     # Morsel-driven parallelism: split large scans/filters/projections
     # and join probes into fixed-size row chunks dispatched across a
     # thread pool (NumPy kernels release the GIL).  Chunk size, row
@@ -170,10 +136,9 @@ class SessionOptions:
     # IR verifier (repro.verify): check schema/type propagation, step
     # CFG integrity, and strategy legality after building, after each
     # rewrite pass, and after compilation, raising VerificationError on
-    # the first malformed IR.  Defaults on under pytest/smoke (or with
-    # REPRO_VERIFY=1) and off otherwise.
-    enable_plan_verifier: bool = field(
-        default_factory=_default_plan_verifier)
+    # the first malformed IR.  About 0.5 ms per compile (see
+    # EXPERIMENTS.md); the ablation is the only reason to turn it off.
+    enable_plan_verifier: bool = True
     # Shared plan cache: reuse compiled programs across statements and
     # sessions when the normalized statement, its literals, and every
     # compile-relevant option match (see repro.plan.cache).  EXPLAIN

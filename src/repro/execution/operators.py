@@ -118,7 +118,6 @@ def execute_to_table(op: LogicalOp, ctx: ExecutionContext,
     frame = execute_plan(op, ctx)
     table = frame.to_table(names)
     ctx.stats.rows_materialized += table.num_rows
-    ctx.stats.bytes_materialized += table.nbytes()
     return table
 
 
@@ -489,7 +488,6 @@ def _execute_aggregate(op: LogicalAggregate, ctx: ExecutionContext) -> Frame:
 
     internal_fields = internal_aggregate_fields(op, op.child.fields)
     internal = Frame(internal_fields, key_slots + agg_slots, n_groups)
-    ctx.stats.rows_aggregated += n_groups
 
     if op.having is not None:
         keep = evaluate_predicate(op.having, internal)

@@ -1,9 +1,8 @@
 """Stable machine-readable run artifacts: trace JSON and BENCH JSON.
 
 Two documented schemas live here, each with a validator used by the
-tests and by ``repro-smoke --only obs``.  Both schemas are versioned
-with a top-level integer ``schema_version``; any key removal or type
-change bumps it.
+tests.  Both schemas are versioned with a top-level integer
+``schema_version``; any key removal or type change bumps it.
 
 **Trace schema** (``Database.trace_json()``, version 1)::
 

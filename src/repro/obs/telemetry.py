@@ -67,7 +67,7 @@ class LoopTelemetry:
     kind: str
     records: list[IterationRecord] = field(default_factory=list)
     # The LoopStrategy that ran the loop (None for loop kinds without
-    # strategy selection); "from->to" after a mid-loop demotion.
+    # strategy selection); one "->next" per mid-loop strategy switch.
     strategy: Optional[str] = None
 
     @property

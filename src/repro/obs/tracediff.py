@@ -17,7 +17,7 @@ so the writeups can quote a single diff instead of two raw span trees:
 Works on the exported trace dict (``Trace.to_dict()`` /
 ``Database.trace_json()``), so it runs both in-process and over saved
 JSON artifacts: ``python -m repro.obs.tracediff native.json
-baseline.json`` (also reachable through ``scripts/check_trace_diff.sh``).
+baseline.json`` (the ``repro-tracediff`` console script).
 """
 
 from __future__ import annotations

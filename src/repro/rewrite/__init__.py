@@ -72,12 +72,11 @@ def optimize_plan(plan: LogicalOp, options: SessionOptions,
     rules = [fold_plan_filters]
     if options.enable_predicate_pushdown:
         rules.append(push_filters)
-    if options.enable_outer_to_inner:
-        rules.append(outer_to_inner)
-        rules.append(inner_over_left_commute)
+    rules.append(outer_to_inner)
+    rules.append(inner_over_left_commute)
 
     def reorder(plan: LogicalOp, observer=None) -> LogicalOp:
-        if not options.enable_join_reorder or estimator is None:
+        if estimator is None:
             return plan
         reordered = reorder_joins(plan, estimator)
         if reordered is not plan:

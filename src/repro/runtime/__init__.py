@@ -22,13 +22,13 @@ from .registry import HANDLERS, dispatch, handles
 from .strategies import (
     DeltaLoopRuntime,
     DeltaShuffleExchange,
-    DemotionRecord,
     ExchangeStrategy,
     FixpointIncremental,
     FullRecompute,
     LoopStrategy,
     RenameInPlace,
     SemiNaiveDelta,
+    StrategySwitch,
     choose_strategy,
     make_exchange_strategy,
 )
@@ -37,7 +37,6 @@ __all__ = [
     "HANDLERS",
     "DeltaLoopRuntime",
     "DeltaShuffleExchange",
-    "DemotionRecord",
     "ExchangeStrategy",
     "FixpointIncremental",
     "FullRecompute",
@@ -49,6 +48,7 @@ __all__ = [
     "RenameInPlace",
     "SemiNaiveDelta",
     "StepProfile",
+    "StrategySwitch",
     "choose_strategy",
     "count_changed_rows",
     "dispatch",

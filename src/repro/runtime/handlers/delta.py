@@ -166,7 +166,7 @@ def run_delta_capture(runner, step: DeltaCaptureStep) -> Optional[int]:
     spec = step.spec
     runtime = engine.delta_runtime(spec)
     if runtime.disabled:
-        if runtime.demoted and ctx.options.enable_strategy_promotion:
+        if runtime.demoted:
             # Demoted (not disqualified) loop: keep measuring the
             # changed-row frontier of every full iteration without
             # re-activating the delta machinery — the movement

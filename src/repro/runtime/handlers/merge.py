@@ -16,7 +16,6 @@ def run_recursive_merge(runner, step: RecursiveMergeStep) -> Optional[int]:
     ctx = runner.ctx
     result = ctx.registry.fetch(step.result)
     candidate = ctx.registry.fetch(step.candidate)
-    ctx.stats.merge_steps += 1
 
     if not step.distinct:
         # UNION ALL: everything is new.

@@ -183,7 +183,7 @@ class ProgramRunner:
 
     def _strategy_report(self) -> list[str]:
         """The strategy that finished owning each loop, with any
-        mid-loop demotions and promotions."""
+        mid-loop demotions and promotions in the order taken."""
         lines = []
         for loop_id in sorted(self.engine.strategies):
             spec = self._program.loops.get(loop_id)
@@ -192,9 +192,7 @@ class ProgramRunner:
             strategy = self.engine.strategies[loop_id]
             line = f"loop {spec.cte_name}: strategy {strategy.describe()}"
             events = [record.describe() for record in
-                      (self.engine.demotions.get(loop_id),
-                       self.engine.promotions.get(loop_id))
-                      if record is not None]
+                      self.engine.switches.get(loop_id, ())]
             if events:
                 line += f" ({'; '.join(events)})"
             lines.append(line)
@@ -212,10 +210,8 @@ class ProgramRunner:
             cte = spec.cte_name if spec is not None else str(loop_id)
             name, reason = engine.selections[loop_id]
             lines.append(f"  loop {cte}: selected {name} — {reason}")
-            for record in (engine.demotions.get(loop_id),
-                           engine.promotions.get(loop_id)):
-                if record is not None:
-                    lines.append(f"  loop {cte}: {record.describe()}")
+            for record in engine.switches.get(loop_id, ()):
+                lines.append(f"  loop {cte}: {record.describe()}")
         return lines
 
     def loop_iteration_counts(self) -> dict[str, int]:

@@ -29,10 +29,9 @@ from ..sql import ast
 from .conditions import LoopState, should_continue
 from .strategies import (
     DeltaLoopRuntime,
-    DemotionRecord,
     LoopStrategy,
-    PromotionRecord,
     SemiNaiveDelta,
+    StrategySwitch,
     choose_strategy,
 )
 
@@ -132,7 +131,7 @@ class LoopEngine:
     """Loop control for one program run.
 
     Owns every per-loop artifact of the run: termination states, strategy
-    objects (with their delta runtimes), demotion records, and — when the
+    objects (with their delta runtimes), strategy switches, and — when the
     run is observed — one :class:`LoopRun` per loop for telemetry and
     spans.  Step handlers never touch loop state directly; they go
     through this engine, which is what makes the strategies pluggable.
@@ -144,8 +143,8 @@ class LoopEngine:
         self.states: dict[int, LoopState] = {}
         self.strategies: dict[int, LoopStrategy] = {}
         self.delta_runtimes: dict[int, DeltaLoopRuntime] = {}
-        self.demotions: dict[int, DemotionRecord] = {}
-        self.promotions: dict[int, PromotionRecord] = {}
+        # Mid-loop demotions and promotions per loop, in the order taken.
+        self.switches: dict[int, list[StrategySwitch]] = {}
         # (strategy name, selection reason) per loop, for the decision
         # timeline in EXPLAIN ANALYZE.
         self.selections: dict[int, tuple[str, str]] = {}
@@ -156,8 +155,7 @@ class LoopEngine:
         self.states = {}
         self.strategies = {}
         self.delta_runtimes = {}
-        self.demotions = {}
-        self.promotions = {}
+        self.switches = {}
         self.selections = {}
         self._runs = {}
 
@@ -171,7 +169,7 @@ class LoopEngine:
             if runtime is None:
                 runtime = DeltaLoopRuntime(spec.delta)
                 self.delta_runtimes[spec.loop_id] = runtime
-        strategy = choose_strategy(spec, self._ctx.options, runtime)
+        strategy = choose_strategy(spec, runtime)
         self.strategies[spec.loop_id] = strategy
         self.selections[spec.loop_id] = (strategy.name, strategy.reason)
         tracer = self._ctx.tracer
@@ -226,20 +224,28 @@ class LoopEngine:
             self.strategies[loop_id] = strategy.note_frontier(
                 frontier, total, self)
 
-    def record_demotion(self, loop_id: int, from_strategy: LoopStrategy,
-                        to_strategy: LoopStrategy, frontier: int,
-                        total: int, budget_frontier: int = 0,
-                        reason: str = "") -> None:
+    def record_switch(self, kind: str, loop_id: int,
+                      from_strategy: LoopStrategy,
+                      to_strategy: LoopStrategy, frontier: int,
+                      total: int, budget_frontier: int = 0,
+                      reason: str = "") -> None:
+        """Log one mid-loop ``"demotion"`` or ``"promotion"``: append it
+        to the loop's switch list, count it, emit its decision event and
+        extend the telemetry's strategy chain."""
         state = self.states.get(loop_id)
-        record = DemotionRecord(
+        record = StrategySwitch(
+            kind=kind,
             iteration=(state.iterations + 1) if state is not None else 0,
             from_name=from_strategy.name, to_name=to_strategy.name,
             frontier=frontier, total=total)
-        self.demotions[loop_id] = record
-        self._ctx.stats.strategy_demotions += 1
+        self.switches.setdefault(loop_id, []).append(record)
+        if kind == "demotion":
+            self._ctx.stats.strategy_demotions += 1
+        else:
+            self._ctx.stats.strategy_promotions += 1
         tracer = self._ctx.tracer
         if tracer.enabled:
-            tracer.event("strategy_demotion", kind="decision",
+            tracer.event(f"strategy_{kind}", kind="decision",
                          loop_id=loop_id,
                          from_strategy=record.from_name,
                          to_strategy=record.to_name,
@@ -249,33 +255,7 @@ class LoopEngine:
                          reason=reason)
         run = self._runs.get(loop_id)
         if run is not None:
-            run.telemetry.strategy = (f"{record.from_name}->"
-                                      f"{record.to_name}")
-
-    def record_promotion(self, loop_id: int, from_strategy: LoopStrategy,
-                         to_strategy: LoopStrategy, frontier: int,
-                         total: int, budget_frontier: int = 0,
-                         reason: str = "") -> None:
-        state = self.states.get(loop_id)
-        record = PromotionRecord(
-            iteration=(state.iterations + 1) if state is not None else 0,
-            from_name=from_strategy.name, to_name=to_strategy.name,
-            frontier=frontier, total=total)
-        self.promotions[loop_id] = record
-        self._ctx.stats.strategy_promotions += 1
-        tracer = self._ctx.tracer
-        if tracer.enabled:
-            tracer.event("strategy_promotion", kind="decision",
-                         loop_id=loop_id,
-                         from_strategy=record.from_name,
-                         to_strategy=record.to_name,
-                         iteration=record.iteration,
-                         frontier=frontier, total=total,
-                         budget_frontier=budget_frontier,
-                         reason=reason)
-        run = self._runs.get(loop_id)
-        if run is not None:
-            # Append to the demotion chain so the telemetry reads e.g.
+            # One "->next" per switch, e.g.
             # "semi-naive-delta->rename-in-place->semi-naive-delta".
             prior = run.telemetry.strategy or record.from_name
             run.telemetry.strategy = f"{prior}->{record.to_name}"

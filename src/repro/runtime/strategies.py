@@ -144,17 +144,14 @@ class SemiNaiveDelta(LoopStrategy):
 
     name = "semi-naive-delta"
 
-    def __init__(self, spec: LoopSpec, options,
-                 runtime: DeltaLoopRuntime):
+    def __init__(self, spec: LoopSpec, runtime: DeltaLoopRuntime):
         super().__init__(spec)
         self.runtime = runtime
-        self._options = options
-        self._demotion_on = options.enable_strategy_demotion
         self._streak = 0
 
     def note_frontier(self, frontier: int, total: int,
                       engine) -> LoopStrategy:
-        if not self._demotion_on or self.runtime.disabled:
+        if self.runtime.disabled:
             return self
         if total <= 0 or frontier < DEMOTION_THRESHOLD * total:
             self._streak = 0
@@ -168,10 +165,9 @@ class SemiNaiveDelta(LoopStrategy):
         base = (RenameInPlace(self.spec)
                 if self.spec.movement == "rename"
                 else FullRecompute(self.spec))
-        fallback = MovementFallback(self.spec, self._options,
-                                    self.runtime, base)
-        engine.record_demotion(
-            self.spec.loop_id, self, fallback, frontier, total,
+        fallback = MovementFallback(self.spec, self.runtime, base)
+        engine.record_switch(
+            "demotion", self.spec.loop_id, self, fallback, frontier, total,
             budget_frontier=int(DEMOTION_THRESHOLD * total),
             reason=(f"measured frontier covered >= "
                     f"{DEMOTION_THRESHOLD:.0%} of the table for "
@@ -196,20 +192,18 @@ class MovementFallback(LoopStrategy):
     cannot ping-pong every iteration.
     """
 
-    def __init__(self, spec: LoopSpec, options,
-                 runtime: DeltaLoopRuntime, base: LoopStrategy):
+    def __init__(self, spec: LoopSpec, runtime: DeltaLoopRuntime,
+                 base: LoopStrategy):
         super().__init__(spec)
         # Reports and telemetry see the movement fallback's own name.
         self.name = base.name
         self.base = base
         self.runtime = runtime
-        self._options = options
-        self._promotion_on = options.enable_strategy_promotion
         self._streak = 0
 
     def note_frontier(self, frontier: int, total: int,
                       engine) -> LoopStrategy:
-        if not self._promotion_on or not self.runtime.demoted:
+        if not self.runtime.demoted:
             return self
         if total <= 0 or frontier >= PROMOTION_THRESHOLD * total:
             self._streak = 0
@@ -220,9 +214,9 @@ class MovementFallback(LoopStrategy):
         self.runtime.disabled = False
         self.runtime.active = False
         self.runtime.demoted = False
-        promoted = SemiNaiveDelta(self.spec, self._options, self.runtime)
-        engine.record_promotion(
-            self.spec.loop_id, self, promoted, frontier, total,
+        promoted = SemiNaiveDelta(self.spec, self.runtime)
+        engine.record_switch(
+            "promotion", self.spec.loop_id, self, promoted, frontier, total,
             budget_frontier=int(PROMOTION_THRESHOLD * total),
             reason=(f"measured frontier stayed < "
                     f"{PROMOTION_THRESHOLD:.0%} of the table for "
@@ -231,9 +225,9 @@ class MovementFallback(LoopStrategy):
         return promoted
 
 
-def choose_strategy(spec: LoopSpec, options,
+def choose_strategy(spec: LoopSpec,
                     runtime: DeltaLoopRuntime = None) -> LoopStrategy:
-    """The statically best strategy for ``spec`` under ``options``.
+    """The statically best strategy for ``spec``.
 
     This mirrors what the compiler emitted: delta steps exist exactly when
     ``spec.delta`` is set, and the full body moves data by rename or copy
@@ -248,7 +242,7 @@ def choose_strategy(spec: LoopSpec, options,
         strategy.reason = ("recursive UNTIL-empty loop: the working "
                            "table is its own frontier")
     elif spec.delta is not None and runtime is not None:
-        strategy = SemiNaiveDelta(spec, options, runtime)
+        strategy = SemiNaiveDelta(spec, runtime)
         strategy.reason = ("delta-safety analysis proved per-key "
                            "evolution; frontier-driven recomputation is "
                            "statically cheapest")
@@ -264,9 +258,13 @@ def choose_strategy(spec: LoopSpec, options,
 
 
 @dataclass
-class DemotionRecord:
-    """One mid-loop strategy demotion, for reports and telemetry."""
+class StrategySwitch:
+    """One mid-loop strategy switch, for reports and telemetry.
 
+    ``kind`` is ``"demotion"`` (delta -> movement fallback) or
+    ``"promotion"`` (movement fallback -> delta)."""
+
+    kind: str
     iteration: int
     from_name: str
     to_name: str
@@ -274,23 +272,8 @@ class DemotionRecord:
     total: int
 
     def describe(self) -> str:
-        return (f"demoted {self.from_name} -> {self.to_name} after "
-                f"iteration {self.iteration} (frontier {self.frontier}"
-                f"/{self.total} rows)")
-
-
-@dataclass
-class PromotionRecord:
-    """One mid-loop strategy promotion, for reports and telemetry."""
-
-    iteration: int
-    from_name: str
-    to_name: str
-    frontier: int
-    total: int
-
-    def describe(self) -> str:
-        return (f"promoted {self.from_name} -> {self.to_name} after "
+        verb = "demoted" if self.kind == "demotion" else "promoted"
+        return (f"{verb} {self.from_name} -> {self.to_name} after "
                 f"iteration {self.iteration} (frontier {self.frontier}"
                 f"/{self.total} rows)")
 

@@ -9,11 +9,11 @@ Two layers live here:
   after program compilation; violations raise a structured
   :class:`repro.errors.VerificationError` naming the pass that produced
   the bad IR.  Enabled per session via the ``enable_plan_verifier``
-  option, which defaults on under pytest/smoke runs.
+  option, which defaults on.
 
 * **Engine lint** — AST-based repo-specific rules over the source tree
   (:mod:`repro.verify.lint`), exposed as the ``repro-lint`` console
-  script and wired into the smoke suite.
+  script and run by the tier-1 tests.
 """
 
 from ..errors import VerificationError

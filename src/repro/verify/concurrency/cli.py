@@ -3,7 +3,7 @@
 Two modes:
 
 * default — run the static lock-discipline pass over the source tree
-  (the same rules the ``racecheck`` smoke guard and CI job run); exits
+  (the same rules the tier-1 racecheck tests run); exits
   non-zero on any finding.
 * ``--replay report.json`` — re-render a dynamic lockset report
   recorded by a ``REPRO_RACECHECK=1`` pytest run (the conftest hook

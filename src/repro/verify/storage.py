@@ -13,7 +13,7 @@ families of invariants must survive every append/consolidate cycle:
   with the pre-consolidation row count.
 
 The merge handler runs these checks after every fixpoint append when the
-session's ``enable_plan_verifier`` option is on (pytest/smoke default),
+session's ``enable_plan_verifier`` option is on (the default),
 so a regression in the O(|delta|) append path fails loudly instead of
 silently corrupting loop results.
 """

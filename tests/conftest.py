@@ -20,13 +20,6 @@ _RACECHECK = os.environ.get("REPRO_RACECHECK") == "1"
 
 
 def pytest_configure(config):
-    # repro.harness.smoke._MARKERS is the one guard list; registering
-    # from it keeps `-m X_smoke` free of unknown-marker warnings.
-    from repro.harness.smoke import _MARKERS
-    for guard, marker in _MARKERS.items():
-        config.addinivalue_line(
-            "markers", f"{marker}: tier-1 smoke guard "
-                       f"(repro-smoke --only {guard})")
     if _RACECHECK:
         from repro.verify.concurrency import enable_racecheck
         enable_racecheck()

@@ -11,7 +11,6 @@ noise cannot flake it.
 import time
 
 import numpy as np
-import pytest
 
 from repro import Database
 from repro.types import SqlType
@@ -44,7 +43,6 @@ def _run(cache_on, edges):
     return count, time.perf_counter() - started
 
 
-@pytest.mark.bench_smoke
 def test_iterative_closure_smoke():
     edges = _edges()
     count_on, seconds_on = _run(True, edges)

@@ -6,17 +6,30 @@ benchmark's own smoke test is outside tier-1, so a deletion that breaks
 ``--trace 1`` would otherwise surface only in the benchmark run; this
 resolves the same targets the probe does, in tier-1.  Reads
 ``benchmarks/e2e``, changes nothing there.
+
+Session options exist as experiment arms: every one is set by some
+benchmark or example, so an option nothing measures cannot linger.
 """
 
 from __future__ import annotations
 
 import importlib
+import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from repro.execution import SessionOptions
 
-E2E = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
+REPO = Path(__file__).resolve().parent.parent
+E2E = REPO / "benchmarks" / "e2e"
+
+# Options no experiment arm sets, each with the reason it stays.
+UNMEASURED_OPTIONS = {
+    "enable_tracing": "the user's switch behind Database.last_trace()",
+    "max_iterations": "the runaway-loop cap; IterationLimitError tells "
+                      "the user to raise it",
+}
 
 
 def _targets():
@@ -59,3 +72,17 @@ def test_benchmark_option_set_constructs():
     options = SessionOptions(enable_plan_verifier=True,
                              enable_delta_iteration=True)
     assert options.enable_plan_verifier and options.enable_delta_iteration
+
+
+def test_every_option_is_an_experiment_arm():
+    sources = [path.read_text()
+               for directory in ("benchmarks", "examples")
+               for path in sorted((REPO / directory).rglob("*.py"))]
+    unset = []
+    for option in fields(SessionOptions):
+        setter = re.compile(rf"""["']{option.name}["']|"""
+                            rf"""\b{option.name}\s*=(?!=)""")
+        if not any(setter.search(text) for text in sources):
+            unset.append(option.name)
+    assert sorted(unset) == sorted(UNMEASURED_OPTIONS), \
+        f"options no benchmark or example sets: {unset}"

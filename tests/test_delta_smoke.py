@@ -1,7 +1,7 @@
-"""Tier-1 delta-evaluation smoke (``repro-smoke --only delta``): delta
-mode must stay bit-identical to full recomputation, the frontier must
-actually drive the loop, and the recursive fixpoint's segmented append
-must move O(|delta|) rows per iteration.
+"""Tier-1 delta-evaluation smoke: delta mode must stay bit-identical to
+full recomputation, the frontier must actually drive the loop, and the
+recursive fixpoint's segmented append must move O(|delta|) rows per
+iteration.
 
 Fast by construction (tiny graphs, few iterations) so the guard can run
 on every change alongside the bench and observability smokes.
@@ -25,7 +25,6 @@ def _graph_db(delta_on):
     return db
 
 
-@pytest.mark.delta_smoke
 @pytest.mark.parametrize("sql", [
     sssp_query(source=1, iterations=6),
     pagerank_query(iterations=6),
@@ -38,7 +37,6 @@ def test_delta_mode_bit_identical(sql):
     assert db.stats.delta_iterations > 0
 
 
-@pytest.mark.delta_smoke
 def test_frontier_drives_the_telemetry():
     db = _graph_db(True)
     db.set_option("enable_tracing", True)
@@ -49,7 +47,6 @@ def test_frontier_drives_the_telemetry():
     assert records[-1].delta_rows < records[0].working_rows
 
 
-@pytest.mark.delta_smoke
 def test_recursive_append_is_delta_sized():
     db = Database(SessionOptions(enable_tracing=True))
     db.create_table("edge", [("a", SqlType.INTEGER),

@@ -1,27 +1,23 @@
 """Engine lint: clean on the real tree, non-vacuous on seeded trees.
 
-The ``lint_smoke`` marker runs the real-tree check as a tier-1 guard
-(the same thing ``repro-lint`` does in CI); the seeded-tree tests prove
+The real-tree check runs the ``repro-lint`` CLI itself; the seeded-tree
+tests prove
 each rule family actually fires by building tiny synthetic package
 trees with one violation each.
 """
 
 import textwrap
 
-import pytest
-
 from repro.verify.lint import Linter, main, run_lint
 
 
-@pytest.mark.lint_smoke
 class TestRealTree:
-    def test_package_tree_is_clean(self):
-        issues = run_lint()
-        assert issues == [], "\n".join(i.render() for i in issues)
-
     def test_cli_exit_zero(self, capsys):
-        assert main([]) == 0
-        assert "repro-lint: ok" in capsys.readouterr().out
+        # Exit 0 means no findings; the CLI prints each one otherwise.
+        code = main([])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "repro-lint: ok (" in out
 
 
 def _tree(tmp_path, files):

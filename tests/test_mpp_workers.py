@@ -189,7 +189,6 @@ class TestFailureContainment:
         _assert_no_orphans(pool)
 
 
-@pytest.mark.mpp_smoke
 class TestMppSmoke:
     def test_two_worker_pagerank_parity(self):
         """The CI guard: spawn 2 real workers, run a short PageRank,

@@ -1,6 +1,6 @@
-"""Tier-1 observability smoke (``repro-smoke --only obs``): a traced
-iterative query must produce schema-valid trace JSON, and the benchmark
-harness must write a parseable BENCH_*.json artifact.
+"""Tier-1 observability smoke: a traced iterative query must produce
+schema-valid trace JSON, and the benchmark harness must write a
+parseable BENCH_*.json artifact.
 
 Fast by construction (tiny graph, few iterations) so the guard can run
 on every change alongside the bench smoke.
@@ -20,7 +20,6 @@ from repro.workloads import pagerank_query
 from tests.conftest import SMALL_EDGES
 
 
-@pytest.mark.obs_smoke
 def test_traced_iterative_query_emits_valid_trace():
     db = Database(SessionOptions(enable_tracing=True))
     db.create_table("edges", [("src", SqlType.INTEGER),
@@ -37,7 +36,6 @@ def test_traced_iterative_query_emits_valid_trace():
     assert payload["root"]["seconds"] >= 0.0
 
 
-@pytest.mark.obs_smoke
 def test_bench_artifact_is_parseable(tmp_path):
     comparison = Comparison(
         "smoke", Measurement("baseline", 0.2, 1, [0.2]),

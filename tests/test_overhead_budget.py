@@ -15,8 +15,6 @@ import json
 import statistics
 import time
 
-import pytest
-
 from repro.datasets import dblp_like, generate_edges
 from repro.engine.database import Database
 from repro.execution import SessionOptions
@@ -51,7 +49,6 @@ def run_once(tracing: bool) -> float:
     return time.perf_counter() - start
 
 
-@pytest.mark.perf_smoke
 def test_tracing_and_profiling_within_budget():
     # Interleave the two variants so clock drift and thermal effects
     # land on both sides equally; compare medians.

@@ -1,6 +1,5 @@
-"""Tier-1 stored-procedure smoke (scripts/check_all_smoke.sh): the
-Fig. 11 baseline must keep running and keep agreeing with the native
-iterative-CTE path.
+"""Tier-1 stored-procedure smoke: the Fig. 11 baseline must keep running
+and keep agreeing with the native iterative-CTE path.
 
 The full Fig. 11 benchmark lives in
 ``benchmarks/bench_fig11_stored_procedures.py``; this guard compiles the
@@ -69,7 +68,6 @@ CASES = [
 ]
 
 
-@pytest.mark.procedures_smoke
 @pytest.mark.parametrize("name,cte_sql,script,final_sql,cleanup", CASES,
                          ids=[case[0] for case in CASES])
 def test_procedure_baseline_matches_native_cte(name, cte_sql, script,
@@ -83,7 +81,6 @@ def test_procedure_baseline_matches_native_cte(name, cte_sql, script,
         assert have == pytest.approx(want)
 
 
-@pytest.mark.procedures_smoke
 def test_procedure_statements_bypass_loop_optimizations():
     """The baseline must stay a baseline: statement-at-a-time execution
     with none of the one-plan loop machinery engaged."""

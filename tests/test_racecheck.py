@@ -1,10 +1,8 @@
 """Concurrency safety net: static lock-discipline + dynamic lockset.
 
-The ``racecheck_smoke`` marker selects the tier-1 guard subset
-(scripts/check_racecheck_smoke.sh): the real tree is clean under the
-static pass (zero false positives), the seeded mutation harness catches
-every violation class with file/line attribution, and the dynamic
-detector re-finds the PR 9 KernelCache race when its lock is knocked
+The real tree is clean under the static pass (zero false positives),
+the seeded mutation harness catches every violation class with
+file/line attribution, and the dynamic detector re-finds the PR 9 KernelCache race when its lock is knocked
 out while staying silent on the properly locked serving storm.
 """
 
@@ -50,15 +48,13 @@ def _line_of(source: str, needle: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.racecheck_smoke
 class TestStaticRealTree:
-    def test_real_tree_is_clean(self):
-        assert run_static() == []
-
     def test_cli_ok_on_real_tree(self, capsys):
-        assert racecheck_main([]) == 0
+        # Exit 0 means no findings; the CLI prints each one otherwise.
+        code = racecheck_main([])
         out = capsys.readouterr().out
-        assert "repro-racecheck: ok" in out
+        assert code == 0, out
+        assert "repro-racecheck: ok (" in out
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +172,6 @@ class Lookup:
 '''
 
 
-@pytest.mark.racecheck_smoke
 class TestSeededViolations:
     def test_harness_catches_every_seeded_violation(self, tmp_path):
         seeds = {
@@ -291,7 +286,6 @@ def _hammer(cache: KernelCache, threads: int = 2,
         thread.join()
 
 
-@pytest.mark.racecheck_smoke
 class TestDynamicLockset:
     def test_redetects_kernel_cache_race_without_lock(self, dynamic):
         cache = KernelCache()

@@ -69,6 +69,14 @@ WITH ITERATIVE r (node, v) AS (
 ) SELECT node, v FROM r ORDER BY node"""
 
 
+@pytest.fixture
+def no_demotion(monkeypatch):
+    """Keep delta loops in delta mode: no frontier reaches a demotion
+    threshold above 100 % of the table."""
+    from repro.runtime import strategies
+    monkeypatch.setattr(strategies, "DEMOTION_THRESHOLD", 1.1)
+
+
 def _compile(db, sql):
     from repro.core.rewrite import compile_statement
     from repro.plan import PlanContext
@@ -125,14 +133,6 @@ class TestMidLoopDemotion:
         assert db.stats.strategy_demotions == 0
         assert db.stats.delta_iterations > 0
 
-    def test_demotion_can_be_disabled(self):
-        sql = pagerank_query(iterations=8)
-        full, delta, db = both_modes(sql, enable_strategy_demotion=False)
-        assert full == delta
-        assert db.stats.strategy_demotions == 0
-        # Without demotion, every iteration goes through the delta path.
-        assert db.stats.delta_iterations >= 7
-
 
 # Frontier profile by construction: iterations 1-3 rewrite every row
 # (v < 3.0), demoting the loop after two near-full frontiers; from
@@ -177,13 +177,6 @@ class TestMidLoopPromotion:
         assert chain.startswith("semi-naive-delta")
         assert chain.endswith("semi-naive-delta")
 
-    def test_promotion_can_be_disabled(self):
-        full, delta, db = both_modes(PROMOTION_SQL,
-                                     enable_strategy_promotion=False)
-        assert full == delta
-        assert db.stats.strategy_demotions == 1
-        assert db.stats.strategy_promotions == 0
-
     def test_full_frontier_never_promotes(self):
         # PageRank's frontier never collapses: the loop demotes once and
         # stays demoted.
@@ -207,6 +200,62 @@ class TestMidLoopPromotion:
         assert db.stats.delta_iterations == 0
 
 
+def _two_wave_edges():
+    """A graph whose SSSP frontier from node 1 fills, empties, fills
+    again and empties again, so the loop switches strategy four times.
+
+    Every v in 100..299 is reached at 100 (direct), then 3 (via 2), then
+    1.5 (via the 0.1-weighted chain to 3) and finally 1.1 (via the longer
+    chain to 4): two near-full improvement waves separated by quiet
+    iterations while the chains are walked."""
+    edges = []
+    for v in range(100, 300):
+        edges += [(1, v, 100.0), (2, v, 2.0), (3, v, 1.0), (4, v, 0.5)]
+    edges.append((1, 2, 1.0))
+    for chain in ([1, 10, 11, 12, 13, 3], [1, 20, 21, 22, 23, 24, 4]):
+        edges += [(a, b, 0.1) for a, b in zip(chain, chain[1:])]
+    return edges
+
+
+class TestStrategySwitchLog:
+    """Every mid-loop switch is logged, in the order it was taken."""
+
+    SQL = sssp_query(source=1, iterations=14)
+
+    def test_every_switch_is_reported_in_order(self):
+        full, delta, db = both_modes(self.SQL, edges=_two_wave_edges())
+        assert full == delta
+        assert db.stats.strategy_demotions == 2
+        assert db.stats.strategy_promotions == 2
+
+        db = graph_db(_two_wave_edges(), enable_delta_iteration=True)
+        report = db.explain_analyze(self.SQL)
+        timeline = [line.split(": ", 1)[1] for line in report.splitlines()
+                    if line.startswith("  loop sssp: ")
+                    and "moted " in line]
+        assert timeline == [
+            "demoted semi-naive-delta -> rename-in-place after "
+            "iteration 2 (frontier 205/213 rows)",
+            "promoted rename-in-place -> semi-naive-delta after "
+            "iteration 5 (frontier 4/213 rows)",
+            "demoted semi-naive-delta -> rename-in-place after "
+            "iteration 7 (frontier 201/213 rows)",
+            "promoted rename-in-place -> semi-naive-delta after "
+            "iteration 10 (frontier 0/213 rows)",
+        ]
+        strategy_line = next(line for line in report.splitlines()
+                             if line.startswith("loop sssp: strategy"))
+        assert all(event in strategy_line for event in timeline)
+
+    def test_telemetry_chain_has_one_arrow_per_switch(self):
+        db = graph_db(_two_wave_edges(), enable_delta_iteration=True,
+                      enable_tracing=True)
+        db.execute(self.SQL)
+        assert db.last_trace().loops[0].strategy == "->".join(
+            ["semi-naive-delta", "rename-in-place"] * 2
+            + ["semi-naive-delta"])
+
+
 class TestInnerJoinSafety:
     def test_analyzer_accepts_inner_join_without_where(self):
         db = graph_db(enable_delta_iteration=True)
@@ -223,9 +272,8 @@ class TestInnerJoinSafety:
                  if isinstance(s, DeltaFusedStep)]
         assert gates and not gates[0].spec.guard_keyset
 
-    def test_inner_join_body_runs_in_delta_mode(self):
-        full, delta, db = both_modes(
-            INNER_JOIN_SQL, enable_strategy_demotion=False)
+    def test_inner_join_body_runs_in_delta_mode(self, no_demotion):
+        full, delta, db = both_modes(INNER_JOIN_SQL)
         assert full == delta
         assert db.stats.delta_iterations > 0
         assert db.stats.delta_guard_fallbacks == 0

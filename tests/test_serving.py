@@ -1,8 +1,7 @@
 """The serving layer: dispatch, admission control, snapshots, tracing.
 
-The ``serving_smoke`` marker selects the tier-1 guard subset
-(``repro-smoke --only serving``): server round trips, snapshot-pinned
-concurrent reads verified against serial replay, and backpressure.
+Covers server round trips, snapshot-pinned concurrent reads verified
+against serial replay, and backpressure.
 """
 
 import threading
@@ -90,7 +89,6 @@ class TestEngineSessions:
         assert reader.last_snapshot.watermarks()["t"] == 2
 
 
-@pytest.mark.serving_smoke
 class TestServerBasics:
     def test_round_trip(self):
         with serve(_graph_db(), workers=2) as server:
@@ -173,7 +171,6 @@ class TestServerBasics:
         assert snapshot["gauges"]["server.submitted"] == 1
 
 
-@pytest.mark.serving_smoke
 class TestConcurrentSnapshots:
     """Writers append while many reader sessions scan and iterate; every
     reader result must equal serial execution at its pinned watermark."""
@@ -300,7 +297,6 @@ class TestConcurrentSnapshots:
         assert db.stats.plan_cache_invalidations == 2
 
 
-@pytest.mark.serving_smoke
 class TestDdlStorm:
     """Plan-cache invalidation under a DDL storm: a writer repeatedly
     drops and recreates a hot table while readers replay one cached

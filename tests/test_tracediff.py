@@ -1,9 +1,7 @@
 """Trace diff: native vs baseline span-tree comparison.
 
-The ``tracediff_smoke`` marker is the tier-1 guard wired into
-``scripts/check_trace_diff.sh`` / ``scripts/check_all_smoke.sh``: a real
-native run and a real middleware run of the same query must diff to full
-agreement (same iterations, same delta_rows convergence curve).
+A real native run and a real middleware run of the same query must diff
+to full agreement (same iterations, same delta_rows convergence curve).
 """
 
 import copy
@@ -45,7 +43,6 @@ def pagerank_traces():
     return _native_trace(sql), _middleware_trace(sql)
 
 
-@pytest.mark.tracediff_smoke
 class TestNativeVsMiddleware:
     def test_summaries_classify_both_sides(self, pagerank_traces):
         native, middleware = map(summarize_trace, pagerank_traces)
@@ -88,7 +85,6 @@ class TestNativeVsMiddleware:
         assert "convergence (delta_rows): identical" in text
 
 
-@pytest.mark.tracediff_smoke
 def test_sssp_measurement_gap_is_surfaced():
     # Full-refresh rename-in-place loops report delta_rows as the whole
     # working table, while the middleware probes the rows that actually

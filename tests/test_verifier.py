@@ -308,15 +308,8 @@ class TestErrorStructure:
 
 class TestVerifierToggle:
     def test_pytest_runs_default_on(self):
-        # PYTEST_CURRENT_TEST is set while this test runs, so the
-        # factory default must be on — the whole suite doubles as the
+        # On by default, so the whole suite doubles as the
         # zero-false-positive corpus.
-        assert SessionOptions().enable_plan_verifier
-
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY", "0")
-        assert not SessionOptions().enable_plan_verifier
-        monkeypatch.setenv("REPRO_VERIFY", "1")
         assert SessionOptions().enable_plan_verifier
 
     def test_disabled_sessions_skip_verification(self):
