@@ -17,11 +17,11 @@ removes them:
   belt-and-braces; see :mod:`repro.engine.dml`).
 
 * **Join build-side indexes** — for an equi join the executor needs the
-  build side factorized *and sorted*.  When the build input is
+  build side factorized *and bucketed by code*.  When the build input is
   loop-invariant (base tables, and the COMMON#k blocks the common-result
   rewrite materializes before the loop) its columns are the same objects
   every iteration, so the whole index — dictionaries, mixed-radix codes,
-  sort order — is cached keyed by the tuple of column versions and
+  bucket offsets — is cached keyed by the tuple of column versions and
   reused.  The probe side is encoded *against* the build dictionaries
   with a binary search instead of the concat-and-re-unique of both sides.
 
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -134,13 +134,42 @@ def probe_dictionary(dictionary: ColumnDictionary,
     return codes
 
 
+class ProbeIndex(NamedTuple):
+    """Build rows with a valid code, stably sorted by code, plus either
+    CSR bucket ``offsets`` (code c's rows are ``positions[offsets[c]:
+    offsets[c + 1]]``; the last bucket is empty) or, for a sparse code
+    space, the ``sorted_codes`` to binary-search."""
+
+    positions: np.ndarray
+    offsets: Optional[np.ndarray]
+    sorted_codes: Optional[np.ndarray]
+
+
+def build_probe_index(codes: np.ndarray, probe_rows: int = 0) -> ProbeIndex:
+    """Index a build side's codes (-1 = no match) so many probe morsels,
+    or every iteration of a loop, can share it.  Offsets cost a slot per
+    code up to the largest; past twice the rows of both sides (a sparse
+    mixed-radix space) the sorted codes are kept instead."""
+    valid = codes >= 0
+    positions = np.flatnonzero(valid)
+    valid_codes = codes[valid]
+    order = np.argsort(valid_codes, kind="stable")
+    positions = positions[order]
+    cardinality = int(valid_codes.max()) + 1 if len(valid_codes) else 0
+    if cardinality > 2 * (len(codes) + probe_rows):
+        return ProbeIndex(positions, None, valid_codes[order])
+    offsets = np.zeros(cardinality + 2, dtype=np.int64)
+    np.cumsum(np.bincount(valid_codes, minlength=cardinality + 1),
+              out=offsets[1:])
+    return ProbeIndex(positions, offsets, None)
+
+
 class JoinIndex:
     """A reusable equi-join build side: per-column dictionaries, combined
-    mixed-radix codes, and the sorted order probe lookups binary-search.
+    mixed-radix codes, and the :class:`ProbeIndex` over them.
     """
 
-    __slots__ = ("dictionaries", "radices", "codes", "sorted_codes",
-                 "sorted_positions")
+    __slots__ = ("dictionaries", "radices", "codes", "probe_index")
 
     def __init__(self, dictionaries: list[ColumnDictionary],
                  radices: list[int], codes: np.ndarray):
@@ -148,16 +177,7 @@ class JoinIndex:
         self.dictionaries = dictionaries
         self.radices = radices
         self.codes = codes
-        valid = codes >= 0
-        positions = np.nonzero(valid)[0]
-        valid_codes = codes[valid]
-        order = np.argsort(valid_codes, kind="stable")
-        self.sorted_codes = valid_codes[order]
-        self.sorted_positions = positions[order]
-
-    @property
-    def sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.sorted_codes, self.sorted_positions
+        self.probe_index = build_probe_index(codes)
 
     def probe(self, columns: Sequence[Column]) -> np.ndarray:
         """Encode probe-side key columns into this index's code space."""
@@ -176,9 +196,8 @@ class JoinIndex:
 
     def nbytes(self) -> int:
         payload = sum(d.nbytes() for d in self.dictionaries)
-        return payload + int(self.codes.nbytes) \
-            + int(self.sorted_codes.nbytes) \
-            + int(self.sorted_positions.nbytes)
+        return payload + int(self.codes.nbytes) + sum(
+            int(a.nbytes) for a in self.probe_index if a is not None)
 
 
 def build_join_index(columns: Sequence[Column],

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..storage import Column
-from .kernel_cache import KernelCache, build_dictionary
+from .kernel_cache import (KernelCache, ProbeIndex, build_dictionary,
+                           build_probe_index)
 
 
 def factorize(column: Column, nulls_match: bool,
@@ -83,56 +84,51 @@ def encode_keys(columns: Sequence[Column], nulls_match: bool,
     return combined
 
 
-def build_probe_index(codes: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Sort a build side's codes for binary-search probing.
-
-    Returns (sorted_codes, sorted_positions) with -1 (no-match) codes
-    dropped — the shape :func:`equi_join_pairs` accepts as
-    ``right_sorted``.  Building it once lets many probe morsels share
-    one sorted build side.
-    """
-    valid = codes >= 0
-    positions = np.nonzero(valid)[0]
-    valid_codes = codes[valid]
-    order = np.argsort(valid_codes, kind="stable")
-    return valid_codes[order], positions[order]
+def probe_buckets(left_codes: np.ndarray, index: ProbeIndex
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per probe row, the start of its bucket in ``index.positions`` and
+    the bucket's size (0 for -1 codes and codes the build side lacks)."""
+    if index.offsets is not None:
+        # Direct addressing: out-of-range codes go to the trailing
+        # empty bucket.
+        empty = len(index.offsets) - 2
+        codes = np.where((left_codes >= 0) & (left_codes < empty),
+                         left_codes, empty)
+        lo = index.offsets[codes]
+        return lo, index.offsets[codes + 1] - lo
+    # The sorted codes are all valid, so -1 finds an empty range.
+    lo = np.searchsorted(index.sorted_codes, left_codes, "left")
+    hi = np.searchsorted(index.sorted_codes, left_codes, "right")
+    return lo, hi - lo
 
 
 def equi_join_pairs(left_codes: np.ndarray,
                     right_codes: np.ndarray,
-                    right_sorted: tuple[np.ndarray, np.ndarray] | None = None
+                    right_index: Optional[ProbeIndex] = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """All matching (left_row, right_row) index pairs for equal codes.
 
     Codes of -1 never match.  Pairs are grouped by left row in left-row
-    order, which downstream outer-join padding relies on.
+    order, which downstream outer-join padding relies on, with right
+    rows ascending within a left row.
 
-    ``right_sorted`` is an optional prebuilt (sorted_codes,
-    sorted_positions) pair for the right side — a cached
-    :class:`~repro.execution.kernel_cache.JoinIndex` supplies it so a
-    loop-invariant build side is sorted once per loop, not per iteration.
+    ``right_index`` is an optional prebuilt :class:`ProbeIndex` for the
+    right side — a cached :class:`~repro.execution.kernel_cache.JoinIndex`
+    supplies it so a loop-invariant build side is indexed once per loop,
+    not per iteration.
     """
-    if right_sorted is not None:
-        sorted_codes, sorted_positions = right_sorted
-    else:
-        sorted_codes, sorted_positions = build_probe_index(right_codes)
-
-    valid_left = left_codes >= 0
-    lo = np.searchsorted(sorted_codes, left_codes, "left")
-    hi = np.searchsorted(sorted_codes, left_codes, "right")
-    counts = np.where(valid_left, hi - lo, 0)
-
-    total = int(counts.sum())
+    if right_index is None:
+        right_index = build_probe_index(right_codes, len(left_codes))
+    lo, counts = probe_buckets(left_codes, right_index)
     left_idx = np.repeat(np.arange(len(left_codes), dtype=np.int64), counts)
-    if total == 0:
-        return left_idx, np.empty(0, dtype=np.int64)
-    starts = np.repeat(lo, counts)
-    cumulative = np.cumsum(counts)
-    first_of_row = np.repeat(cumulative - counts, counts)
-    offsets = np.arange(total, dtype=np.int64) - first_of_row
-    right_idx = sorted_positions[starts + offsets]
-    return left_idx, right_idx
+    return left_idx, right_index.positions[expand_ranges(lo, counts)]
+
+
+def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(starts[i], starts[i] + counts[i])``."""
+    firsts = np.cumsum(counts) - counts
+    return (np.repeat(starts - firsts, counts)
+            + np.arange(int(counts.sum()), dtype=np.int64))
 
 
 def group_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

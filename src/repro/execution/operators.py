@@ -46,6 +46,7 @@ from .kernels import (
     encode_keys,
     equi_join_pairs,
     group_ids,
+    probe_buckets,
     sort_indices,
 )
 from .morsel import run_morsels
@@ -262,14 +263,15 @@ def _encode_join_sides(left_keys: list[Column], right_keys: list[Column],
     """Codes for both sides of an equi join in one shared space.
 
     Preferred path: treat the right side as the build side — factorize it
-    into per-column dictionaries (memoized by the kernel cache, so a
-    loop-invariant build input is factorized and sorted once per loop)
-    and binary-search the probe side against them.  Probe values absent
-    from the build dictionaries cannot match and encode as -1, so the
-    resulting pairs are identical to the joint-encoding fallback, which
-    remains for mixed-radix overflow and the cache-off configuration.
+    into per-column dictionaries and bucket its rows by code (memoized by
+    the kernel cache, so a loop-invariant build input is factorized and
+    indexed once per loop) and binary-search the probe side's values in
+    those dictionaries.  Probe values absent from the build dictionaries
+    cannot match and encode as -1, so the resulting pairs are identical
+    to the joint-encoding fallback, which remains for mixed-radix
+    overflow and the cache-off configuration.
 
-    Returns (left_codes, right_codes, right_sorted-or-None).
+    Returns (left_codes, right_codes, right ProbeIndex-or-None).
     """
     from ..types import common_type
     casted_left, casted_right = [], []
@@ -283,7 +285,7 @@ def _encode_join_sides(left_keys: list[Column], right_keys: list[Column],
     if cache is not None:
         index = cache.join_index(casted_right)
         if index is not None:
-            return index.probe(casted_left), index.codes, index.sorted
+            return index.probe(casted_left), index.codes, index.probe_index
     # Joint encoding: the concatenated key columns are ephemeral, so
     # memoizing their dictionaries would only pollute the cache.
     joint = [lk.concat(rk) for lk, rk in zip(casted_left, casted_right)]
@@ -296,21 +298,21 @@ def _equi_pairs(equi, left: Frame, right: Frame,
                 ctx: ExecutionContext) -> tuple[np.ndarray, np.ndarray]:
     left_keys = [evaluate(a, left) for a, _ in equi]
     right_keys = [evaluate(b, right) for _, b in equi]
-    left_codes, right_codes, right_sorted = _encode_join_sides(
+    left_codes, right_codes, right_index = _encode_join_sides(
         left_keys, right_keys, ctx)
-    if ctx.options.parallel_morsels and right_sorted is None:
+    if ctx.options.parallel_morsels and right_index is None:
         # Build the probe index once so every morsel shares it.
-        right_sorted = build_probe_index(right_codes)
+        right_index = build_probe_index(right_codes, len(left_codes))
 
     def probe_chunk(start: int, stop: int):
         pairs_left, pairs_right = equi_join_pairs(
-            left_codes[start:stop], right_codes, right_sorted)
+            left_codes[start:stop], right_codes, right_index)
         return pairs_left + start, pairs_right
 
     chunks = run_morsels(ctx, len(left_codes), probe_chunk,
                          label="join-probe")
     if chunks is None:
-        return equi_join_pairs(left_codes, right_codes, right_sorted)
+        return equi_join_pairs(left_codes, right_codes, right_index)
     # Per-morsel pairs are grouped by left row in left-row order, so
     # concatenating in morsel order preserves the global pair order.
     return (np.concatenate([c[0] for c in chunks]),
@@ -447,14 +449,9 @@ def _execute_set_difference(op: LogicalSetDifference,
         return left.slice(0, 0)
     codes = encode_keys(joint, nulls_match=True)
     left_codes = codes[:left.num_rows]
-    right_sorted = np.sort(codes[left.num_rows:])
-
-    positions = np.searchsorted(right_sorted, left_codes)
-    inside = positions < len(right_sorted)
-    clipped = np.where(inside, positions, 0)
-    in_right = (inside & (right_sorted[clipped] == left_codes)
-                if len(right_sorted)
-                else np.zeros(left.num_rows, dtype=np.bool_))
+    _, counts = probe_buckets(left_codes, build_probe_index(
+        codes[left.num_rows:], left.num_rows))
+    in_right = counts > 0
     keep = in_right if op.intersect else ~in_right
     filtered = left.filter(keep)
     if not filtered.columns:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ...errors import DuplicateKeyError, ExecutionError
 from ...execution import execute_to_table
-from ...execution.kernels import factorize, scatter_update
+from ...execution.kernels import expand_ranges, factorize, scatter_update
 from ...plan.program import DeltaCaptureStep, DeltaFusedStep
 from ...storage import Table
 from ..registry import handles
@@ -79,7 +79,11 @@ def _apply_delta(runner, step: DeltaFusedStep, runtime: DeltaLoopRuntime,
                               np.arange(len(perm), dtype=perm.dtype)):
             new_columns = [c.take(perm) for c in new_columns]
             in_working = in_working[perm]
-            _set_key_index(runtime, new_columns[0])
+            # Same key set, moved rows: old row perm[j] is now row j, so
+            # the sorted keys stay and their positions follow the move.
+            moved_to = np.empty_like(perm)
+            moved_to[perm] = np.arange(len(perm), dtype=perm.dtype)
+            runtime.key_positions = moved_to[runtime.key_positions]
             ctx.stats.rows_moved += int(len(perm))
         runtime.in_working = in_working
 
@@ -254,16 +258,7 @@ def _expand_influence(runner, runtime: DeltaLoopRuntime,
     src_sorted, dst_by_src = entry
     left = np.searchsorted(src_sorted, frontier, side="left")
     right = np.searchsorted(src_sorted, frontier, side="right")
-    return dst_by_src[_expand_ranges(left, right)]
-
-
-def _set_key_index(runtime: DeltaLoopRuntime, key_column) -> None:
-    from ...execution.kernel_cache import _comparable_values
-
-    values = _comparable_values(key_column.data)
-    order = np.argsort(values, kind="stable")
-    runtime.key_sorted = values[order]
-    runtime.key_positions = order.astype(np.int64)
+    return dst_by_src[expand_ranges(left, right - left)]
 
 
 def _diff_by_key(current: Table, previous: Table, current_keys):
@@ -291,15 +286,3 @@ def _diff_by_key(current: Table, previous: Table, current_keys):
             differs |= cur_col.is_distinct_from(prev_col)
         changed[idx_cur] = differs
     return changed
-
-
-def _expand_ranges(left, right):
-    """Concatenate ``arange(left[i], right[i])`` for all i, vectorized."""
-    counts = (right - left).astype(np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    cumulative = np.cumsum(counts)
-    shift = np.repeat(left - np.concatenate(([0], cumulative[:-1])),
-                      counts)
-    return np.arange(total, dtype=np.int64) + shift

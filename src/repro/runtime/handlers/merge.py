@@ -119,24 +119,20 @@ def _merge_incremental(runner, step: RecursiveMergeStep, result: Table,
 
 def _merge_rescan(result: Table, candidate: Table):
     """Cache-off UNION DISTINCT dedup: joint-encode ``result ++
-    candidate`` from scratch each iteration, but with sorted-search
+    candidate`` from scratch each iteration, but with bucket-lookup
     membership instead of a per-row set loop.  Produces exactly the masks
     of the incremental path."""
-    from ...execution.kernels import encode_keys
+    from ...execution.kernels import (
+        build_probe_index, encode_keys, probe_buckets)
 
     joint = [rc.concat(cc) for rc, cc in
              zip(result.columns, candidate.columns)]
     codes = encode_keys(joint, nulls_match=True)
-    seen_sorted = np.sort(codes[:result.num_rows])
     cand_codes = codes[result.num_rows:]
+    _, seen = probe_buckets(cand_codes, build_probe_index(
+        codes[:result.num_rows], candidate.num_rows))
 
     _, first_index = np.unique(cand_codes, return_index=True)
     first_mask = np.zeros(candidate.num_rows, dtype=np.bool_)
     first_mask[first_index] = True
-    if len(seen_sorted):
-        positions = np.searchsorted(seen_sorted, cand_codes)
-        inside = positions < len(seen_sorted)
-        clipped = np.where(inside, positions, 0)
-        in_seen = inside & (seen_sorted[clipped] == cand_codes)
-        return first_mask & ~in_seen
-    return first_mask
+    return first_mask & (seen == 0)

@@ -11,6 +11,8 @@ the morsel scheduler at several chunk sizes (including degenerate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.database import Database
 from repro.execution import SessionOptions
@@ -147,6 +149,87 @@ class TestEquiJoin:
         assert got == self.reference_pairs(left, right)
         # Pairs must arrive grouped by left row in left-row order.
         assert li.tolist() == sorted(li.tolist())
+
+
+def nested_loop_pairs(left_codes, right_codes):
+    """Reference pairs in the kernel's order: by left row, then right."""
+    pairs = [(i, j) for i, lc in enumerate(left_codes.tolist())
+             for j, rc in enumerate(right_codes.tolist())
+             if lc >= 0 and lc == rc]
+    return ([i for i, _ in pairs], [j for _, j in pairs])
+
+
+code_arrays = st.lists(st.integers(-1, 12), max_size=40).map(
+    lambda codes: np.array(codes, dtype=np.int64))
+
+
+class TestDirectAddressProbe:
+    """The bucket-offset probe against a nested-loop reference, pair
+    order included."""
+
+    def check(self, left_codes, right_codes, right_index=None):
+        li, ri = equi_join_pairs(left_codes, right_codes, right_index)
+        assert li.dtype == ri.dtype == np.int64
+        assert (li.tolist(), ri.tolist()) == nested_loop_pairs(
+            left_codes, right_codes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(code_arrays, code_arrays, st.booleans())
+    def test_matches_nested_loop(self, left_codes, right_codes, prebuilt):
+        # Codes up to 12 against build sides that may lack them cover
+        # -1 on both sides, probe codes past the build cardinality,
+        # empty sides and heavy duplicates.
+        index = build_probe_index(right_codes) if prebuilt else None
+        self.check(left_codes, right_codes, index)
+
+    @pytest.mark.parametrize("left,right", [
+        ([-1, 0, -1], [-1, 0, 0, -1]),
+        ([5, 9, 0], [0, 1]),
+        ([], [3, 3]),
+        ([3, 3], []),
+        ([-1], [-1]),
+        ([2] * 5, [2] * 7),
+    ])
+    def test_edge_cases(self, left, right):
+        self.check(np.array(left, dtype=np.int64),
+                   np.array(right, dtype=np.int64))
+
+    def test_dense_codes_take_the_offsets(self):
+        index = build_probe_index(np.array([2, -1, 0, 2], dtype=np.int64))
+        assert index.sorted_codes is None
+        assert index.offsets.tolist() == [0, 1, 1, 3, 3]
+        assert index.positions.tolist() == [2, 0, 3]
+
+    @settings(max_examples=50, deadline=None)
+    @given(code_arrays, code_arrays, st.integers(1, 7))
+    def test_morsels_sharing_one_index(self, left_codes, right_codes,
+                                       size):
+        index = build_probe_index(right_codes, len(left_codes))
+        chunks = [equi_join_pairs(left_codes[start:start + size],
+                                  right_codes, index)
+                  for start in range(0, len(left_codes), size)]
+        li = np.concatenate([c[0] + start for c, start in
+                             zip(chunks, range(0, len(left_codes), size))]
+                            + [np.empty(0, dtype=np.int64)])
+        ri = np.concatenate([c[1] for c in chunks]
+                            + [np.empty(0, dtype=np.int64)])
+        assert (li.tolist(), ri.tolist()) == nested_loop_pairs(
+            left_codes, right_codes)
+
+    def test_sparse_mixed_radix_takes_the_search(self):
+        # Two wide key columns: the mixed-radix space dwarfs the rows.
+        left = [ints(*range(0, 4000, 100)), ints(*range(40))]
+        right = [ints(*range(0, 4000, 100), None, 7),
+                 ints(*range(40), 3, None)]
+        joint = encode_keys([l.concat(r) for l, r in zip(left, right)],
+                            nulls_match=False)
+        left_codes, right_codes = joint[:40], joint[40:]
+        index = build_probe_index(right_codes, len(left_codes))
+        assert index.offsets is None and index.sorted_codes is not None
+        self.check(left_codes, right_codes, index)
+        self.check(left_codes, right_codes)
+        assert equi_join_pairs(left_codes, right_codes)[0].tolist() \
+            == list(range(40))
 
 
 class TestGrouping:

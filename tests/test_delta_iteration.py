@@ -111,6 +111,20 @@ class TestTerminationFamilies:
         assert full == delta
         assert db.stats.delta_iterations > 0
 
+    @pytest.mark.parametrize("cache_on", [True, False])
+    def test_delta_condition_matches_reference(self, cache_on):
+        # UNTIL DELTA pairs previous and current rows by key through the
+        # join kernel without a prebuilt index: with the kernel cache via
+        # the current key's dictionary, without it via joint encoding.
+        edges = dag_edges(120, 400)
+        sql = sssp_query(source=1, iterations=200).replace(
+            "UNTIL 200 ITERATIONS", "UNTIL DELTA = 0")
+        for delta_on in (False, True):
+            db = graph_db(edges, delta_on=delta_on,
+                          enable_kernel_cache=cache_on)
+            got = dict(db.execute(sql).rows())
+            assert got == reference_sssp(edges, source=1, iterations=200)
+
 
 class TestProgramShape:
     def _program(self, sql, delta_on, **options):
@@ -155,6 +169,33 @@ class TestProgramShape:
         full, delta, db = both_modes(sql)
         assert full == delta
         assert db.stats.delta_iterations == 0
+
+
+class TestKeyIndex:
+    def test_reorder_keeps_the_index_of_a_fresh_sort(self, monkeypatch):
+        # The merge-by-key reorder moves rows but keeps the key set, so
+        # the delta pass permutes the key index instead of re-sorting;
+        # it must still equal a sort of the reordered key column.
+        import repro.runtime.handlers.delta as delta_handlers
+        apply_delta = delta_handlers._apply_delta
+        moved = []
+
+        def checked(runner, step, runtime, working):
+            before = runtime.key_positions.copy()
+            result = apply_delta(runner, step, runtime, working)
+            if runtime.active:
+                keys = runtime.columns[0].data
+                order = np.argsort(keys, kind="stable")
+                assert np.array_equal(runtime.key_positions, order)
+                assert np.array_equal(runtime.key_sorted, keys[order])
+                moved.append(not np.array_equal(before,
+                                                runtime.key_positions))
+            return result
+
+        monkeypatch.setattr(delta_handlers, "_apply_delta", checked)
+        full, delta, db = both_modes(sssp_query(source=1, iterations=10))
+        assert full == delta
+        assert any(moved)
 
 
 class TestRuntimeFallbacks:

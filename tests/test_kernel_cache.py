@@ -133,6 +133,22 @@ class TestJoinIndexPolicy:
                                and probe[i] == index.codes[j])
                 assert joint_match == index_match
 
+    def test_nbytes_counts_the_bucket_offsets(self):
+        key = [Column.from_values(SqlType.INTEGER, [4, 1, None, 4, 9])]
+        cache = KernelCache()
+        cache.join_index(key)
+        index = cache.join_index(key)
+        probe_index = index.probe_index
+        assert probe_index.offsets is not None
+        assert probe_index.sorted_codes is None
+        expected = (sum(d.nbytes() for d in index.dictionaries)
+                    + index.codes.nbytes + probe_index.positions.nbytes
+                    + probe_index.offsets.nbytes)
+        assert index.nbytes() == expected
+        # The cache adds its own dictionary map to every index it holds.
+        assert cache.nbytes() == expected + sum(
+            d.nbytes() for d in index.dictionaries)
+
 
 class TestIncrementalDistinctIndex:
     def _columns(self, rows):

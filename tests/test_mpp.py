@@ -134,6 +134,32 @@ class TestDistributedExecution:
                        for rk, _ in right.rows() if lk == rk)
         assert joined.num_rows == expected
 
+    def test_join_rows_match_single_process_engine(self):
+        # Two-hop paths over a small graph with NULL, duplicate and
+        # dangling keys; each segment's local join probes without a
+        # prebuilt build-side index.
+        from repro import Database
+        edges = [(1, 2), (2, 3), (2, 4), (3, 1), (4, None), (None, 2),
+                 (7, 8), (2, 3), (40, 2)]
+        table = Table.from_columns([
+            ("src", SqlType.INTEGER, [s for s, _ in edges]),
+            ("dst", SqlType.INTEGER, [d for _, d in edges]),
+        ])
+        db = Database()
+        db.create_table("edges", [("src", SqlType.INTEGER),
+                                  ("dst", SqlType.INTEGER)])
+        db.load_rows("edges", edges)
+        expected = sorted(db.execute(
+            "SELECT a.src, a.dst, b.src, b.dst FROM edges a "
+            "JOIN edges b ON a.dst = b.src").rows(), key=repr)
+        assert expected
+        for segments in (1, 3):
+            cluster = Cluster(segments)
+            a = cluster.distribute("a", table, Distribution.round_robin())
+            b = cluster.distribute("b", table, Distribution.hashed("src"))
+            joined, _ = distributed_join(cluster, a, b, "dst", "src")
+            assert sorted(joined.gather().rows(), key=repr) == expected
+
     def test_join_charges_motion(self):
         cluster = Cluster(4)
         a = cluster.distribute("a", make_table(range(100)),
