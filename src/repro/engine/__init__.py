@@ -6,7 +6,7 @@ from .database import Database, QueryResult
 from .engine import Engine
 from .session import Session
 from .transactions import LockMode, TransactionManager, TxnState
-from .workload import UnitKind, WorkloadManager
+from .workload import WorkloadManager
 
 __all__ = [
     "Database",
@@ -17,6 +17,5 @@ __all__ = [
     "LockMode",
     "TransactionManager",
     "TxnState",
-    "UnitKind",
     "WorkloadManager",
 ]

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..errors import CatalogError, ExecutionError, TypeCheckError
 from ..execution import ExecutionContext, Frame, evaluate, evaluate_predicate
+from ..execution.kernels import scatter_update
 from ..execution.operators import execute_plan
 from ..plan import Field, LogicalTempScan, PlanContext, build_relation
 from ..sql import ast
@@ -110,10 +111,12 @@ def execute_delete(stmt: ast.Delete, ctx: ExecutionContext,
 
 def execute_update(stmt: ast.Update, ctx: ExecutionContext,
                    plan_context: PlanContext) -> int:
-    """UPDATE ... [FROM ...] [WHERE ...]; returns rows updated."""
+    """UPDATE ... [FROM ...] [WHERE ...]; returns rows updated.
+
+    Each assigned column is scattered over the matched rows; unassigned
+    columns stay the same objects, so their versions and kernel-cache
+    state survive the statement."""
     table = ctx.catalog.get(stmt.table)
-    ctx.kernel_cache.invalidate_table(table)
-    alias = stmt.table.lower()
 
     if stmt.from_clause is None:
         frame = _target_frame(table, stmt.table)
@@ -125,31 +128,36 @@ def execute_update(stmt: ast.Update, ctx: ExecutionContext,
         row_ids = np.nonzero(hit)[0]
     else:
         matched, row_ids = _join_from(stmt, table, ctx, plan_context)
+        # Several FROM matches for one target row: last match wins
+        # (deterministic here; PostgreSQL leaves it unspecified).  NumPy
+        # does not order repeated-index assignment, so keep only each
+        # row's last match before scattering.
+        _, from_end = np.unique(row_ids[::-1], return_index=True)
+        last = len(row_ids) - 1 - from_end
+        matched, row_ids = matched.take(last), row_ids[last]
 
     if len(row_ids) == 0:
         return 0
 
-    # Several FROM matches for one target row: last match wins
-    # (deterministic here; PostgreSQL leaves it unspecified).
-    new_columns = {c.name.lower(): list(col.to_list())
-                   for c, col in zip(table.schema.columns, table.columns)}
+    index_of = {c.name.lower(): i
+                for i, c in enumerate(table.schema.columns)}
+    columns = list(table.columns)
     for column_name, expr in stmt.assignments:
-        key = column_name.lower()
-        if key not in new_columns:
+        index = index_of.get(column_name.lower())
+        if index is None:
             raise CatalogError(
                 f"no column {column_name!r} in table {stmt.table!r}")
-        values = evaluate(expr, matched)
-        target_list = new_columns[key]
-        value_list = values.to_list()
-        for position, row_id in enumerate(row_ids):
-            target_list[int(row_id)] = value_list[position]
+        columns[index], _ = scatter_update(columns[index], row_ids,
+                                           evaluate(expr, matched))
 
-    columns = [Column.from_values(c.sql_type, new_columns[c.name.lower()])
-               for c in table.schema.columns]
+    # The replaced columns' cached dictionaries must never be served for
+    # the new contents; new columns carry new versions, so this is eager
+    # memory release as much as invalidation.
+    ctx.kernel_cache.invalidate_columns(
+        [old for old, new in zip(table.columns, columns) if new is not old])
     ctx.catalog.put(stmt.table, Table(table.schema, columns))
-    unique_rows = len(np.unique(row_ids))
-    ctx.stats.rows_moved += unique_rows
-    return unique_rows
+    ctx.stats.rows_moved += len(row_ids)
+    return len(row_ids)
 
 
 def _target_frame(table: Table, name: str) -> Frame:

@@ -67,7 +67,6 @@ from ..types import SqlType, type_from_name
 from .dml import execute_delete, execute_insert, execute_update
 from .engine import Engine
 from .transactions import LockMode, TransactionManager, TxnState
-from .workload import UnitKind
 
 
 @dataclass
@@ -495,8 +494,7 @@ class Session:
 
     def _run_program(self, program: Program, snapshot: SnapshotCatalog,
                      tracer=NULL_TRACER) -> Table:
-        self.workload.admit(UnitKind.QUERY, "query",
-                            steps=len(program.steps))
+        self.workload.admit()
         ctx = ExecutionContext(snapshot, self.registry, self.options,
                                self.stats, self.kernel_cache,
                                tracer=tracer)
@@ -535,8 +533,7 @@ class Session:
 
         if isinstance(statement, ast.Analyze):
             with self._engine.write_lock:
-                self.workload.admit(UnitKind.DDL,
-                                    f"analyze {statement.table or 'all'}")
+                self.workload.admit()
                 analyzed = self.statistics.analyze(statement.table)
             table = Table.from_columns([
                 ("analyzed", SqlType.TEXT, analyzed)])
@@ -544,8 +541,7 @@ class Session:
 
         if isinstance(statement, ast.DropTable):
             with self._engine.write_lock:
-                self.workload.admit(UnitKind.DDL,
-                                    f"drop {statement.name}")
+                self.workload.admit()
                 self.transactions.lock(statement.name, LockMode.EXCLUSIVE)
                 self.catalog.drop(statement.name, statement.if_exists)
                 self.statistics.invalidate(statement.name)
@@ -554,8 +550,7 @@ class Session:
 
         if isinstance(statement, ast.Insert):
             with self._engine.write_lock:
-                self.workload.admit(UnitKind.DML,
-                                    f"insert {statement.table}")
+                self.workload.admit()
                 self.transactions.lock(statement.table,
                                        LockMode.EXCLUSIVE)
                 self.transactions.note_write()
@@ -568,8 +563,7 @@ class Session:
 
         if isinstance(statement, ast.Update):
             with self._engine.write_lock:
-                self.workload.admit(UnitKind.DML,
-                                    f"update {statement.table}")
+                self.workload.admit()
                 self.transactions.lock(statement.table,
                                        LockMode.EXCLUSIVE)
                 self.transactions.note_write()
@@ -581,8 +575,7 @@ class Session:
 
         if isinstance(statement, ast.Delete):
             with self._engine.write_lock:
-                self.workload.admit(UnitKind.DML,
-                                    f"delete {statement.table}")
+                self.workload.admit()
                 self.transactions.lock(statement.table,
                                        LockMode.EXCLUSIVE)
                 self.transactions.note_write()
@@ -593,15 +586,15 @@ class Session:
             return QueryResult(rowcount=count)
 
         if isinstance(statement, ast.BeginTransaction):
-            self.workload.admit(UnitKind.CONTROL, "begin")
+            self.workload.admit()
             self.transactions.begin()
             return QueryResult()
         if isinstance(statement, ast.CommitTransaction):
-            self.workload.admit(UnitKind.CONTROL, "commit")
+            self.workload.admit()
             self.transactions.commit()
             return QueryResult()
         if isinstance(statement, ast.RollbackTransaction):
-            self.workload.admit(UnitKind.CONTROL, "rollback")
+            self.workload.admit()
             self.transactions.rollback()
             return QueryResult()
 
@@ -616,7 +609,7 @@ class Session:
                                 self.stats, self.kernel_cache)
 
     def _execute_create(self, statement: ast.CreateTable) -> None:
-        self.workload.admit(UnitKind.DDL, f"create {statement.name}")
+        self.workload.admit()
         self.transactions.lock(statement.name, LockMode.EXCLUSIVE)
         primary_key = None
         columns = []

@@ -3,50 +3,35 @@
 The paper's second argument for the native approach (§II): a middleware
 solution submits each basic operation as its own statement, so the
 workload manager schedules and accounts per statement rather than per
-iterative query.  This module records admissions so the ablation benchmark
+iterative query.  This module counts admissions so the ablation benchmark
 can show the difference in scheduling units (one plan vs. hundreds of
 statements for the same computation).
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+import threading
 
 
-class UnitKind(enum.Enum):
-    QUERY = "query"
-    DDL = "ddl"
-    DML = "dml"
-    CONTROL = "control"
-
-
-@dataclass
-class AdmissionRecord:
-    kind: UnitKind
-    description: str
-    steps: int  # plan steps for queries, 1 otherwise
-
-
-@dataclass
 class WorkloadManager:
-    """Counts the units of work the scheduler sees."""
+    """Counts the units of work the scheduler sees.
 
-    admissions: list[AdmissionRecord] = field(default_factory=list)
+    One manager serves every session of an engine, so the count is
+    taken under a lock: ``+= 1`` is a read-modify-write that concurrent
+    sessions could otherwise lose."""
 
-    def admit(self, kind: UnitKind, description: str,
-              steps: int = 1) -> None:
-        self.admissions.append(AdmissionRecord(kind, description, steps))
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._units = 0
+
+    def admit(self) -> None:
+        with self._lock:
+            self._units += 1
 
     @property
     def units_admitted(self) -> int:
-        return len(self.admissions)
-
-    def units_by_kind(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for record in self.admissions:
-            counts[record.kind.value] = counts.get(record.kind.value, 0) + 1
-        return counts
+        return self._units
 
     def reset(self) -> None:
-        self.admissions.clear()
+        with self._lock:
+            self._units = 0

@@ -106,9 +106,6 @@ class SessionOptions:
     # Fig. 10 — push final-query predicates into the non-iterative part
     # when safe (§V-B).
     enable_predicate_pushdown: bool = True
-    # Compile hot expressions into fused closures (the LLVM-codegen
-    # analog, see repro.execution.compiler).
-    enable_expr_compile: bool = True
     # Iteration-aware kernel cache: memoized column dictionaries, reusable
     # join build-side indexes, and incremental UNION DISTINCT state (see
     # repro.execution.kernel_cache).  Disabling it restores recompute-
@@ -173,13 +170,11 @@ class ExecutionContext:
                  stats: ExecutionStats | None = None,
                  kernel_cache=None, tracer=None):
         from ..obs.trace import NULL_TRACER
-        from .compiler import ExpressionCache
         from .kernel_cache import KernelCache
         self.catalog = catalog
         self.registry = registry
         self.options = options or SessionOptions()
         self.stats = stats or ExecutionStats()
-        self.expr_cache = ExpressionCache()
         # Shared across statements when the Database passes its own (so
         # loop-invariant state survives within and across queries and DML
         # can invalidate it); otherwise private to this context.

@@ -43,80 +43,16 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..storage import Column
+from .kernels import (ColumnDictionary, build_dictionary, build_probe_index,
+                      comparable_values, lookup_sorted)
 
 # Mixed-radix combination of per-column codes must stay inside int64.
 _RADIX_LIMIT = 1 << 62
-
-
-def _comparable_values(values: np.ndarray) -> np.ndarray:
-    """Object (TEXT) payloads become fixed-width numpy strings so that
-    sorting/searching uses well-defined comparisons."""
-    if values.dtype == object:
-        return values.astype(str)
-    return values
-
-
-def _lookup_sorted(haystack: np.ndarray,
-                   needles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of ``needles`` in the sorted ``haystack`` plus a found
-    mask.  NaN probes match a NaN entry (np.unique collapses NaNs to one
-    slot at the end, matching the joint-encoding behaviour this replaces).
-    """
-    if not len(haystack):
-        return (np.zeros(len(needles), dtype=np.int64),
-                np.zeros(len(needles), dtype=np.bool_))
-    positions = np.searchsorted(haystack, needles)
-    inside = positions < len(haystack)
-    clipped = np.where(inside, positions, 0)
-    found = inside & (haystack[clipped] == needles)
-    if needles.dtype.kind == "f":
-        nan_probe = np.isnan(needles)
-        if nan_probe.any() and np.isnan(haystack[-1]):
-            clipped = np.where(nan_probe, len(haystack) - 1, clipped)
-            found = found | nan_probe
-    return clipped.astype(np.int64), found
-
-
-class ColumnDictionary:
-    """One column's factorization: sorted unique valid values and dense
-    per-row codes (-1 for NULL).  ``codes`` is marked read-only because
-    the same array is handed to every consumer."""
-
-    __slots__ = ("uniques", "codes", "has_nulls")
-
-    def __init__(self, uniques: np.ndarray, codes: np.ndarray,
-                 has_nulls: bool):
-        codes.setflags(write=False)
-        self.uniques = uniques
-        self.codes = codes
-        self.has_nulls = has_nulls
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.uniques)
-
-    def nbytes(self) -> int:
-        return int(self.uniques.nbytes) + int(self.codes.nbytes)
-
-
-def build_dictionary(column: Column) -> ColumnDictionary:
-    """Factorize one column (the uncached kernel)."""
-    count = len(column)
-    codes = np.full(count, -1, dtype=np.int64)
-    valid = ~column.mask
-    has_nulls = bool(column.mask.any())
-    if valid.any():
-        values = _comparable_values(column.data[valid])
-        uniques, inverse = np.unique(values, return_inverse=True)
-        codes[valid] = inverse
-    else:
-        uniques = np.empty(0, dtype=np.int64)
-    return ColumnDictionary(uniques, codes, has_nulls)
 
 
 def probe_dictionary(dictionary: ColumnDictionary,
@@ -128,40 +64,10 @@ def probe_dictionary(dictionary: ColumnDictionary,
     valid = ~column.mask
     if not valid.any() or dictionary.cardinality == 0:
         return codes
-    values = _comparable_values(column.data[valid])
-    positions, found = _lookup_sorted(dictionary.uniques, values)
+    values = comparable_values(column.data[valid])
+    positions, found = lookup_sorted(dictionary.uniques, values)
     codes[valid] = np.where(found, positions, -1)
     return codes
-
-
-class ProbeIndex(NamedTuple):
-    """Build rows with a valid code, stably sorted by code, plus either
-    CSR bucket ``offsets`` (code c's rows are ``positions[offsets[c]:
-    offsets[c + 1]]``; the last bucket is empty) or, for a sparse code
-    space, the ``sorted_codes`` to binary-search."""
-
-    positions: np.ndarray
-    offsets: Optional[np.ndarray]
-    sorted_codes: Optional[np.ndarray]
-
-
-def build_probe_index(codes: np.ndarray, probe_rows: int = 0) -> ProbeIndex:
-    """Index a build side's codes (-1 = no match) so many probe morsels,
-    or every iteration of a loop, can share it.  Offsets cost a slot per
-    code up to the largest; past twice the rows of both sides (a sparse
-    mixed-radix space) the sorted codes are kept instead."""
-    valid = codes >= 0
-    positions = np.flatnonzero(valid)
-    valid_codes = codes[valid]
-    order = np.argsort(valid_codes, kind="stable")
-    positions = positions[order]
-    cardinality = int(valid_codes.max()) + 1 if len(valid_codes) else 0
-    if cardinality > 2 * (len(codes) + probe_rows):
-        return ProbeIndex(positions, None, valid_codes[order])
-    offsets = np.zeros(cardinality + 2, dtype=np.int64)
-    np.cumsum(np.bincount(valid_codes, minlength=cardinality + 1),
-              out=offsets[1:])
-    return ProbeIndex(positions, offsets, None)
 
 
 class JoinIndex:
@@ -378,7 +284,7 @@ class _ValueDictionary:
         valid = ~column.mask
         if not valid.any():
             return ids
-        values = _comparable_values(column.data[valid])
+        values = comparable_values(column.data[valid])
         if self.values is None or not len(self.values):
             uniques, inverse = np.unique(values, return_inverse=True)
             assigned = self.next_id + np.arange(len(uniques),
@@ -388,7 +294,7 @@ class _ValueDictionary:
             self.ids = assigned
             ids[valid] = assigned[inverse]
             return ids
-        positions, found = _lookup_sorted(self.values, values)
+        positions, found = lookup_sorted(self.values, values)
         batch = np.where(found, self.ids[positions], 0)
         missing = ~found
         if missing.any():
@@ -513,7 +419,7 @@ class IncrementalDistinctIndex:
         first_mask = np.zeros(num_rows, dtype=np.bool_)
         first_mask[first_index] = True
         if len(self._seen):
-            positions, found = _lookup_sorted(self._seen, packed)
+            positions, found = lookup_sorted(self._seen, packed)
             new_mask = first_mask & ~found
         else:
             new_mask = first_mask

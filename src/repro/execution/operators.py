@@ -143,19 +143,11 @@ def _execute_filter_mask(op: LogicalFilter, child: Frame,
 
     Predicates are elementwise, so evaluating per-morsel and
     concatenating the masks in input order is bit-identical to the
-    single-shot evaluation.  Compilation happens once on the
-    coordinating thread; the compiled closure is pure and safe to call
-    from pool workers.
+    single-shot evaluation.  The evaluator is pure NumPy over frames, so
+    pool workers can call it.
     """
-    if ctx.options.enable_expr_compile:
-        compiled = ctx.expr_cache.get(op.predicate, child.fields, id(op))
-
-        def keep_of(start: int, stop: int) -> np.ndarray:
-            return _predicate_from_column(compiled(child.slice(start, stop)))
-    else:
-        def keep_of(start: int, stop: int) -> np.ndarray:
-            return evaluate_predicate(op.predicate,
-                                      child.slice(start, stop))
+    def keep_of(start: int, stop: int) -> np.ndarray:
+        return evaluate_predicate(op.predicate, child.slice(start, stop))
 
     chunks = run_morsels(ctx, child.num_rows, keep_of, label="filter")
     if chunks is None:
@@ -165,19 +157,11 @@ def _execute_filter_mask(op: LogicalFilter, child: Frame,
 
 def _execute_project(op: LogicalProject, child: Frame,
                      ctx: ExecutionContext | None = None) -> Frame:
-    use_compiler = ctx is not None and ctx.options.enable_expr_compile
-    evaluators = []
-    for (expr, _name), field in zip(op.exprs, op.fields):
-        compiled = (ctx.expr_cache.get(expr, child.fields, id(op))
-                    if use_compiler else None)
-        evaluators.append((expr, compiled, field))
-
     def project_chunk(start: int, stop: int) -> list[Column]:
         chunk = child.slice(start, stop)
         columns = []
-        for expr, compiled, field in evaluators:
-            column = compiled(chunk) if compiled is not None \
-                else evaluate(expr, chunk)
+        for (expr, _name), field in zip(op.exprs, op.fields):
+            column = evaluate(expr, chunk)
             if column.sql_type is not field.sql_type \
                     and field.sql_type is not SqlType.NULL:
                 column = column.cast(field.sql_type)
@@ -190,17 +174,8 @@ def _execute_project(op: LogicalProject, child: Frame,
         return Frame(op.fields, project_chunk(0, child.num_rows),
                      child.num_rows)
     columns = [Column.concat_many([c[i] for c in chunks])
-               for i in range(len(evaluators))]
+               for i in range(len(op.fields))]
     return Frame(op.fields, columns, child.num_rows)
-
-
-def _predicate_from_column(column: Column) -> np.ndarray:
-    """UNKNOWN (NULL) predicate rows drop, as in evaluate_predicate."""
-    from ..errors import TypeCheckError
-    if column.sql_type not in (SqlType.BOOLEAN, SqlType.NULL):
-        raise TypeCheckError(
-            f"predicate must be boolean, got {column.sql_type}")
-    return column.data.astype(np.bool_) & ~column.mask
 
 
 # ---------------------------------------------------------------------------

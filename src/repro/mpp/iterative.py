@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..execution.kernels import lookup_sorted
 from ..obs.telemetry import LoopTelemetry, render_iteration_table
 from ..obs.trace import NULL_TRACER
 from ..runtime import LoopRun, make_exchange_strategy
@@ -196,19 +197,12 @@ def _edges_table(edges: list[tuple[int, int, float]]) -> Table:
          Column.from_values(SqlType.FLOAT, [e[2] for e in edges])])
 
 
-def _lookup_sorted(keys: np.ndarray, probe: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Stable-sort lookup of ``probe`` in ``keys``: returns
-    ``(positions_into_keys, found_mask)`` with positions expressed in
-    the original (unsorted) key order."""
+def _lookup_unsorted(keys: np.ndarray, probe: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`lookup_sorted` over unsorted ``keys``: positions are
+    expressed in the original key order."""
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    positions = np.searchsorted(sorted_keys, probe)
-    positions = np.clip(positions, 0, max(len(sorted_keys) - 1, 0))
-    if len(sorted_keys):
-        found = sorted_keys[positions] == probe
-    else:
-        found = np.zeros(len(probe), dtype=np.bool_)
+    positions, found = lookup_sorted(keys[order], probe)
     return order[positions], found
 
 
@@ -221,7 +215,7 @@ def _pr_produce(registers: dict) -> Table:
     weight = edge_part.column("weight").data
     state_delta = state_part.column("delta").data
 
-    positions, found = _lookup_sorted(state_part.column("node").data, src)
+    positions, found = _lookup_unsorted(state_part.column("node").data, src)
     if len(state_delta):
         delta_of_src = np.where(found, state_delta[positions], 0.0)
     else:
@@ -251,7 +245,7 @@ def _pr_apply(registers: dict, pieces: list[Table],
         all_dst = np.concatenate([p.column("dst").data for p in pieces])
         all_contrib = np.concatenate(
             [p.column("contribution").data for p in pieces])
-        positions, found = _lookup_sorted(nodes, all_dst)
+        positions, found = _lookup_unsorted(nodes, all_dst)
         np.add.at(sums, positions[found], all_contrib[found])
     new_delta = DAMPING * sums
 
@@ -396,7 +390,7 @@ def _sssp_produce(registers: dict) -> Table:
     dist = state_part.column("dist").data
     changed = state_part.column("changed").data
 
-    positions, found = _lookup_sorted(state_part.column("node").data, src)
+    positions, found = _lookup_unsorted(state_part.column("node").data, src)
     if len(dist):
         dist_src = np.where(found, dist[positions], np.inf)
         changed_src = np.where(found, changed[positions], 0)
@@ -425,7 +419,7 @@ def _sssp_apply(registers: dict, pieces: list[Table], aux) -> Table:
     if pieces:
         all_dst = np.concatenate([p.column("dst").data for p in pieces])
         all_dist = np.concatenate([p.column("dist").data for p in pieces])
-        positions, found = _lookup_sorted(nodes, all_dst)
+        positions, found = _lookup_unsorted(nodes, all_dst)
         np.minimum.at(best, positions[found], all_dist[found])
     new_dist = np.minimum(dist, best)
     new_changed = (new_dist < dist).astype(np.int64)

@@ -16,7 +16,8 @@ import numpy as np
 
 from ...errors import DuplicateKeyError, ExecutionError
 from ...execution import execute_to_table
-from ...execution.kernels import expand_ranges, factorize, scatter_update
+from ...execution.kernels import (comparable_values, expand_ranges, factorize,
+                                  lookup_sorted, scatter_update)
 from ...plan.program import DeltaCaptureStep, DeltaFusedStep
 from ...storage import Table
 from ..registry import handles
@@ -27,12 +28,10 @@ def _apply_delta(runner, step: DeltaFusedStep, runtime: DeltaLoopRuntime,
                  working: Table) -> int:
     """Scatter the recomputed partition back by key and derive the next
     frontier — the back half of the fused delta pass."""
-    from ...execution.kernel_cache import _comparable_values
-
     ctx = runner.ctx
     spec = step.spec
     engine = runner.engine
-    w_keys = _comparable_values(working.columns[0].data)
+    w_keys = comparable_values(working.columns[0].data)
     positions = _key_positions_of(runtime, w_keys, strict=True)
 
     if spec.guard_keyset and not np.array_equal(
@@ -163,8 +162,6 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
 
 @handles(DeltaCaptureStep)
 def run_delta_capture(runner, step: DeltaCaptureStep) -> Optional[int]:
-    from ...execution.kernel_cache import _comparable_values
-
     ctx = runner.ctx
     engine = runner.engine
     spec = step.spec
@@ -179,7 +176,7 @@ def run_delta_capture(runner, step: DeltaCaptureStep) -> Optional[int]:
             table = ctx.registry.fetch(spec.cte_result)
             key_column = table.columns[0]
             if not key_column.mask.any():
-                values = _comparable_values(key_column.data)
+                values = comparable_values(key_column.data)
                 previous = ctx.registry.fetch(step.previous)
                 changed = _diff_by_key(table, previous, values)
                 engine.note_frontier(spec.loop_id, int(changed.sum()),
@@ -192,7 +189,7 @@ def run_delta_capture(runner, step: DeltaCaptureStep) -> Optional[int]:
         runtime.disabled = True
         runtime.active = False
         return None
-    values = _comparable_values(key_column.data)
+    values = comparable_values(key_column.data)
     order = np.argsort(values, kind="stable")
     sorted_values = values[order]
     if len(sorted_values) > 1 \
@@ -211,7 +208,7 @@ def run_delta_capture(runner, step: DeltaCaptureStep) -> Optional[int]:
     runtime.last_frontier = int(changed.sum())
     if spec.merge_by_key:
         working = ctx.registry.fetch(spec.working)
-        w_keys = _comparable_values(working.columns[0].data)
+        w_keys = comparable_values(working.columns[0].data)
         flags = np.zeros(table.num_rows, dtype=np.bool_)
         flags[_key_positions_of(runtime, w_keys, strict=False)] = True
         runtime.in_working = flags
@@ -223,25 +220,17 @@ def run_delta_capture(runner, step: DeltaCaptureStep) -> Optional[int]:
 
 def _key_positions_of(runtime: DeltaLoopRuntime, keys, strict: bool):
     """Row positions of comparable ``keys`` in the CTE table."""
-    if not len(keys):
-        return np.empty(0, dtype=np.int64)
-    haystack = runtime.key_sorted
-    positions = np.searchsorted(haystack, keys)
-    inside = positions < len(haystack)
-    clipped = np.where(inside, positions, 0)
-    found = inside & (haystack[clipped] == keys)
+    positions, found = lookup_sorted(runtime.key_sorted, keys)
     if strict and not found.all():
         raise ExecutionError(
             "delta evaluation lost track of a CTE key; this is a bug "
             "in the delta safety analysis")
-    return runtime.key_positions[clipped[found]]
+    return runtime.key_positions[positions[found]]
 
 
 def _expand_influence(runner, runtime: DeltaLoopRuntime,
                       link: tuple[str, str, str], frontier):
     """Keys influenced by ``frontier`` through one base-table link."""
-    from ...execution.kernel_cache import _comparable_values
-
     entry = runtime.link_indexes.get(link)
     if entry is None:
         table_name, src_name, dst_name = link
@@ -250,8 +239,8 @@ def _expand_influence(runner, runtime: DeltaLoopRuntime,
         dst = base.column(dst_name)
         # A NULL on either side of an equi join never matches.
         valid = ~(src.mask | dst.mask)
-        src_values = _comparable_values(src.data[valid])
-        dst_values = _comparable_values(dst.data[valid])
+        src_values = comparable_values(src.data[valid])
+        dst_values = comparable_values(dst.data[valid])
         order = np.argsort(src_values, kind="stable")
         entry = (src_values[order], dst_values[order])
         runtime.link_indexes[link] = entry
@@ -264,21 +253,15 @@ def _expand_influence(runner, runtime: DeltaLoopRuntime,
 def _diff_by_key(current: Table, previous: Table, current_keys):
     """Mask of ``current`` rows whose non-key values differ from the row
     of ``previous`` with the same key (new keys count as changed)."""
-    from ...execution.kernel_cache import _comparable_values
-
     if previous.num_rows == 0:
         return np.ones(current.num_rows, dtype=np.bool_)
-    prev_values = _comparable_values(previous.columns[0].data)
+    prev_values = comparable_values(previous.columns[0].data)
     order = np.argsort(prev_values, kind="stable")
-    prev_sorted = prev_values[order]
-    positions = np.searchsorted(prev_sorted, current_keys)
-    inside = positions < len(prev_sorted)
-    clipped = np.where(inside, positions, 0)
-    found = inside & (prev_sorted[clipped] == current_keys)
+    positions, found = lookup_sorted(prev_values[order], current_keys)
     changed = ~found
     if found.any():
         idx_cur = np.flatnonzero(found)
-        idx_prev = order[clipped[found]]
+        idx_prev = order[positions[found]]
         differs = np.zeros(len(idx_cur), dtype=np.bool_)
         for i in range(1, len(current.columns)):
             cur_col = current.columns[i].take(idx_cur)

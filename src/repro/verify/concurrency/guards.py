@@ -21,7 +21,8 @@ The lock hierarchy (higher acquires first, never the inverse)::
                                                    PlanCache._lock,
                                                    MetricsRegistry._lock,
                                                    DatabaseServer._lock /
-                                                   ._trace_lock
+                                                   ._trace_lock,
+                                                   WorkloadManager._lock
 
 Deliberately *not* in the map:
 
@@ -203,6 +204,14 @@ GUARDS: tuple[GuardSpec, ...] = (
         lock_attr="_lock",
         level=LEVEL_CACHE,
         attrs=("_pending", "_in_flight", "_closed"),
+    ),
+    GuardSpec(
+        name="WorkloadManager",
+        module="engine/workload.py",
+        cls="WorkloadManager",
+        lock_attr="_lock",
+        level=LEVEL_CACHE,
+        attrs=("_units",),
     ),
 )
 

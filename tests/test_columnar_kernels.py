@@ -23,6 +23,7 @@ from repro.execution.kernels import (
     equi_join_pairs,
     factorize,
     group_ids,
+    lookup_sorted,
     scatter_update,
     sort_indices,
 )
@@ -59,6 +60,24 @@ def rows_of(*columns):
     """Row tuples with None for NULL slots (the row-path view)."""
     lists = [c.to_list() for c in columns]
     return list(zip(*lists))
+
+
+class TestLookupSorted:
+    @given(st.lists(st.integers(-20, 20), max_size=30),
+           st.lists(st.integers(-25, 25), max_size=30))
+    def test_matches_membership(self, haystack, needles):
+        haystack = np.unique(np.array(haystack, dtype=np.int64))
+        needles = np.array(needles, dtype=np.int64)
+        positions, found = lookup_sorted(haystack, needles)
+        assert found.tolist() == [n in haystack for n in needles]
+        assert (haystack[positions[found]] == needles[found]).all()
+
+    def test_nan_probe_finds_the_nan_slot(self):
+        haystack = np.unique(np.array([2.0, np.nan, 1.0]))
+        positions, found = lookup_sorted(haystack,
+                                         np.array([np.nan, 1.0, 3.0]))
+        assert found.tolist() == [True, True, False]
+        assert positions[:2].tolist() == [2, 0]
 
 
 class TestFactorize:

@@ -134,6 +134,27 @@ class TestUpdate:
             FROM deltas AS d WHERE accounts.id = d.id""")
         assert result.rowcount == 1
 
+    def test_update_from_last_match_wins(self, accounts):
+        accounts.execute("CREATE TABLE deltas (id int, amount float)")
+        accounts.execute("INSERT INTO deltas VALUES "
+                         "(1, 5.0), (2, 8.0), (1, 6.0), (2, 9.0)")
+        accounts.execute("""
+            UPDATE accounts SET balance = d.amount
+            FROM deltas AS d WHERE accounts.id = d.id""")
+        assert accounts.execute(
+            "SELECT id, balance FROM accounts ORDER BY id").rows() == [
+            (1, 6.0), (2, 9.0), (3, 0.0)]
+
+    def test_unassigned_columns_keep_their_version(self, accounts):
+        before = accounts.catalog.get("accounts").columns
+        accounts.execute(
+            "UPDATE accounts SET balance = balance + 1 WHERE id = 2")
+        after = accounts.catalog.get("accounts").columns
+        assert [c.version for c in after[:2]] == \
+            [c.version for c in before[:2]]
+        assert after[2].version != before[2].version
+        assert after[2].to_list() == [100.0, 251.0, 0.0]
+
 
 class TestDelete:
     def test_delete_with_where(self, accounts):

@@ -1,6 +1,7 @@
 """Entry-point health: every advertised console script resolves, the CI
-workflow only names paths that exist, and the CI racecheck job — the
-only place the dynamic lockset detector runs — stays in place.
+workflow and the top-level docs only name paths that exist, and the CI
+racecheck job — the only place the dynamic lockset detector runs —
+stays in place.
 """
 
 from __future__ import annotations
@@ -51,3 +52,16 @@ def test_every_repo_path_named_in_ci_exists():
     for relative in sorted(referenced):
         assert (REPO / relative).exists(), \
             f"{relative} is named in ci.yml but missing"
+
+
+def test_every_repo_path_named_in_the_docs_exists():
+    """A deletion that leaves a stale backticked path in README.md,
+    DESIGN.md or EXPERIMENTS.md fails here."""
+    for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+        referenced = set(re.findall(
+            r"`((?:src|tests|benchmarks|examples)/[\w./-]*\w)(?:::[^`]*)?`",
+            (REPO / doc).read_text()))
+        assert referenced, f"{doc} names no repo paths"
+        for relative in sorted(referenced):
+            assert (REPO / relative).exists(), \
+                f"{relative} is named in {doc} but missing"

@@ -2,6 +2,8 @@
 that the vectorized three-valued logic agrees with the scalar reference
 semantics in repro.types.values."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +14,8 @@ from repro.execution import Frame, evaluate, evaluate_predicate
 from repro.plan.logical import Field
 from repro.sql import parse
 from repro.storage import Column
-from repro.types import SqlType, sql_and, sql_not, sql_or
+from repro.types import (SqlType, sql_and, sql_compare, sql_equal, sql_not,
+                         sql_or)
 
 
 def expr_of(text):
@@ -292,3 +295,65 @@ class TestVectorProperties:
         low = evaluate(expr_of("LEAST(x, y)"), frame).to_list()
         high = evaluate(expr_of("GREATEST(x, y)"), frame).to_list()
         assert all(a <= b for a, b in zip(low, high))
+
+
+def _arith(op, a, b):
+    """Python arithmetic with SQL NULL propagation."""
+    return None if a is None or b is None else op(a, b)
+
+
+def _less(a, b):
+    order = sql_compare(a, b)
+    return None if order is None else order < 0
+
+
+def _greater(a, b):
+    order = sql_compare(a, b)
+    return None if order is None else order > 0
+
+
+# Row-level references built from repro.types.values.
+INTEGER_REFERENCE = {
+    "x + y": lambda x, y: _arith(operator.add, x, y),
+    "x * y - 3": lambda x, y: _arith(
+        operator.sub, _arith(operator.mul, x, y), 3),
+    "x < y": _less,
+    "x = y": sql_equal,
+    "x IS NULL OR y > 0": lambda x, y: sql_or(x is None, _greater(y, 0)),
+}
+BOOLEAN_REFERENCE = {
+    "p AND q": sql_and,
+    "p OR q": sql_or,
+    "NOT p": lambda p, q: sql_not(p),
+}
+
+
+class TestColumnsMatchScalarReference:
+    """Row by row over columns that mix NULL and valid rows, the
+    vectorized evaluator agrees with the scalar reference."""
+
+    @pytest.mark.parametrize("text", sorted(INTEGER_REFERENCE))
+    @given(st.lists(st.one_of(st.none(), st.integers(-100, 100)),
+                    min_size=1, max_size=30),
+           st.lists(st.one_of(st.none(), st.integers(-100, 100)),
+                    min_size=1, max_size=30))
+    def test_integer_columns(self, text, xs, ys):
+        size = min(len(xs), len(ys))
+        xs, ys = xs[:size], ys[:size]
+        frame = frame_of(x=(SqlType.INTEGER, xs), y=(SqlType.INTEGER, ys))
+        reference = INTEGER_REFERENCE[text]
+        assert evaluate(expr_of(text), frame).to_list() == \
+            [reference(x, y) for x, y in zip(xs, ys)]
+
+    @pytest.mark.parametrize("text", sorted(BOOLEAN_REFERENCE))
+    @given(st.lists(st.one_of(st.none(), st.booleans()),
+                    min_size=1, max_size=25),
+           st.lists(st.one_of(st.none(), st.booleans()),
+                    min_size=1, max_size=25))
+    def test_boolean_columns(self, text, ps, qs):
+        size = min(len(ps), len(qs))
+        ps, qs = ps[:size], qs[:size]
+        frame = frame_of(p=(SqlType.BOOLEAN, ps), q=(SqlType.BOOLEAN, qs))
+        reference = BOOLEAN_REFERENCE[text]
+        assert evaluate(expr_of(text), frame).to_list() == \
+            [reference(p, q) for p, q in zip(ps, qs)]

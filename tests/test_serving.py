@@ -4,6 +4,7 @@ Covers server round trips, snapshot-pinned concurrent reads verified
 against serial replay, and backpressure.
 """
 
+import sys
 import threading
 
 import pytest
@@ -169,6 +170,39 @@ class TestServerBasics:
             snapshot = server.metrics_snapshot()
         assert snapshot["gauges"]["server.completed"] == 1
         assert snapshot["gauges"]["server.submitted"] == 1
+
+
+class TestWorkloadAccounting:
+    def test_admissions_stay_exact_across_sessions(self):
+        # The engine-wide counter is shared by every session; a lost
+        # read-modify-write would show up as a short total.
+        clients, statements = 6, 25
+        counts = []
+
+        def run(client):
+            for _ in range(statements):
+                counts.append(
+                    client.execute("SELECT COUNT(*) FROM edges").scalar())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with serve(_graph_db(), workers=4) as server:
+                workload = server.engine.workload
+                before = workload.units_admitted
+                threads = [threading.Thread(target=run,
+                                            args=(server.connect(),))
+                           for _ in range(clients)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                admitted = workload.units_admitted - before
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [5] * (clients * statements)
+        assert admitted == clients * statements
 
 
 class TestConcurrentSnapshots:
