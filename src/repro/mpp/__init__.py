@@ -1,34 +1,29 @@
-"""Simulated shared-nothing distribution layer (MPPDB substrate).
+"""Shared-nothing distribution layer (MPPDB substrate).
 
 The single-node engine (``repro.engine``) executes plans; this package
-models the *placement* dimension of MPPDB — hash distribution, exchange
-motions, and the shuffle decisions the planner makes — with real
-partitioning code and per-motion accounting.  See DESIGN.md for why the
-simulation preserves the paper-relevant behaviour.
+runs distributed iterative supersteps.  Each superstep is described once
+by a verified :class:`ExchangePlan` — resident registers hash-partitioned
+on their keys, one routed exchange, the register the apply phase
+rewrites — and executes either on the inline simulated cluster or on a
+resident :class:`WorkerPool`, with per-motion accounting.  See DESIGN.md
+for why the simulation preserves the paper-relevant behaviour.
 """
 
-from .cluster import Cluster, DistributedTable, MotionStats
-from .distribution import (
-    Distribution,
-    DistributionKind,
+from .cluster import (
+    Cluster,
+    DistributedTable,
+    MotionStats,
     hash_partition_indices,
     split_table,
 )
 from .iterative import (
+    DistributedLoopResult,
     DistributedPageRankResult,
     DistributedSsspResult,
     distributed_pagerank,
     distributed_sssp,
     pagerank_superstep_spec,
     sssp_superstep_spec,
-)
-from .exchange import (
-    JoinDecision,
-    JoinStrategy,
-    distributed_aggregate_sum,
-    distributed_join,
-    exchange_span,
-    plan_join,
 )
 from .plan import (
     ExchangeOp,
@@ -45,22 +40,15 @@ __all__ = [
     "Cluster",
     "DistributedTable",
     "MotionStats",
-    "Distribution",
-    "DistributionKind",
     "hash_partition_indices",
     "split_table",
+    "DistributedLoopResult",
     "DistributedPageRankResult",
     "DistributedSsspResult",
     "distributed_pagerank",
     "distributed_sssp",
     "pagerank_superstep_spec",
     "sssp_superstep_spec",
-    "JoinDecision",
-    "JoinStrategy",
-    "distributed_aggregate_sum",
-    "distributed_join",
-    "exchange_span",
-    "plan_join",
     "ExchangeOp",
     "ExchangePlan",
     "LocalOp",

@@ -1,26 +1,48 @@
 """The simulated shared-nothing cluster.
 
-A :class:`Cluster` holds N segments, each with its own partition of every
-distributed table.  Segments execute sequentially (this is a simulation of
-placement and movement, not of parallel speedup); what the benchmarks read
-is the :class:`MotionStats` — rows and bytes crossing the interconnect.
+A :class:`Cluster` holds N segments; every resident register of a
+superstep program lives hash-partitioned across them on the key its
+:class:`~repro.mpp.plan.RegisterDef` declares.  Segments execute
+sequentially (this is a simulation of placement and movement, not of
+parallel speedup); what the benchmarks read is the :class:`MotionStats`
+— rows and bytes crossing the interconnect.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CatalogError
-from ..storage import Table
-from .distribution import (
-    Distribution,
-    DistributionKind,
-    hash_partition_indices,
-    split_table,
-)
+from ..runtime.strategies import SEND, UNCHANGED
+from ..storage import Column, Table
+
+
+def hash_partition_indices(column: Column, segments: int) -> np.ndarray:
+    """Deterministic segment assignment per row; NULL keys go to segment 0.
+
+    TEXT keys hash with CRC-32, not ``hash()``: Python salts string
+    hashes per process, and the coordinator that places a register and
+    the workers that route pieces onto it must agree on every key.
+    """
+    if column.data.dtype == object:
+        codes = np.array([zlib.crc32(str(v).encode()) if v is not None
+                          else 0 for v in column.to_list()],
+                         dtype=np.int64)
+    else:
+        codes = column.data.astype(np.int64, copy=False)
+    # Knuth multiplicative hash keeps nearby keys apart.
+    mixed = (codes * np.int64(2654435761)) & np.int64(0x7FFFFFFF)
+    out = (mixed % segments).astype(np.int64)
+    out[column.mask] = 0
+    return out
+
+
+def split_table(table: Table, assignment: np.ndarray,
+                segments: int) -> list[Table]:
+    """Split a table into per-segment partitions by assignment vector."""
+    return [table.filter(assignment == s) for s in range(segments)]
 
 
 @dataclass
@@ -35,41 +57,33 @@ class MotionStats:
     """
 
     shuffles: int = 0
-    broadcasts: int = 0
     rows_moved: int = 0
     bytes_moved: int = 0
     suppressed_rows: int = 0
     suppressed_bytes: int = 0
     suppressed_batches: int = 0
 
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.__dict__)
+    def charge(self, kind: str, piece: Table) -> None:
+        """Bill one classified cross-segment piece — the one rule both
+        substrates use, so their counters agree byte for byte."""
+        if kind == SEND:
+            self.rows_moved += piece.num_rows
+            self.bytes_moved += piece.nbytes()
+        elif kind == UNCHANGED:
+            self.suppressed_rows += piece.num_rows
+            self.suppressed_bytes += piece.nbytes()
+            self.suppressed_batches += 1
 
     def reset(self) -> None:
-        self.shuffles = 0
-        self.broadcasts = 0
-        self.rows_moved = 0
-        self.bytes_moved = 0
-        self.suppressed_rows = 0
-        self.suppressed_bytes = 0
-        self.suppressed_batches = 0
+        self.__init__()
 
 
 @dataclass
 class DistributedTable:
-    """One logical table: a distribution and per-segment partitions."""
+    """One register: its per-segment partitions."""
 
     name: str
-    distribution: Distribution
     partitions: list[Table]
-
-    @property
-    def num_rows(self) -> int:
-        return sum(p.num_rows for p in self.partitions)
-
-    @property
-    def schema(self):
-        return self.partitions[0].schema
 
     def gather(self) -> Table:
         """Union of all partitions (the gather motion to the coordinator)."""
@@ -87,77 +101,12 @@ class Cluster:
             raise ValueError("a cluster needs at least one segment")
         self.segments = segments
         self.motion = MotionStats()
-        self._tables: dict[str, DistributedTable] = {}
-
-    # -- table placement ------------------------------------------------------
 
     def distribute(self, name: str, table: Table,
-                   distribution: Distribution) -> DistributedTable:
-        """Load a table into the cluster under the given distribution.
-
-        Loading charges one full shuffle (the rows travel from the
-        coordinator to their segments), matching how an MPP load works.
-        """
-        if distribution.kind is DistributionKind.HASHED:
-            key = distribution.key_column
-            if key is None:
-                raise CatalogError("hashed distribution needs a key column")
-            assignment = hash_partition_indices(table.column(key),
-                                                self.segments)
-            partitions = split_table(table, assignment, self.segments)
-        elif distribution.kind is DistributionKind.REPLICATED:
-            partitions = [table.copy() for _ in range(self.segments)]
-        else:  # ROUND_ROBIN
-            assignment = np.arange(table.num_rows,
-                                   dtype=np.int64) % self.segments
-            partitions = split_table(table, assignment, self.segments)
-
-        moved = sum(p.num_rows for p in partitions)
-        self.motion.rows_moved += moved
-        self.motion.bytes_moved += sum(p.nbytes() for p in partitions)
-        self.motion.shuffles += 1
-
-        distributed = DistributedTable(name.lower(), distribution,
-                                       partitions)
-        self._tables[name.lower()] = distributed
-        return distributed
-
-    def table(self, name: str) -> DistributedTable:
-        try:
-            return self._tables[name.lower()]
-        except KeyError:
-            raise CatalogError(f"no distributed table {name!r}") from None
-
-    def drop(self, name: str) -> None:
-        self._tables.pop(name.lower(), None)
-
-    # -- motions ---------------------------------------------------------------
-
-    def redistribute(self, table: DistributedTable,
-                     key_column: str) -> DistributedTable:
-        """Shuffle a distributed table onto a new hash key."""
-        target = Distribution.hashed(key_column)
-        if table.distribution == target:
-            return table
-        gathered = table.gather()
-        assignment = hash_partition_indices(gathered.column(key_column),
+                   key: str) -> DistributedTable:
+        """Hash-partition ``table`` across the segments on column ``key``."""
+        assignment = hash_partition_indices(table.column(key),
                                             self.segments)
-        partitions = split_table(gathered, assignment, self.segments)
-        self.motion.shuffles += 1
-        # On average (S-1)/S of the rows change segments; we charge all
-        # rows conservatively, as MPP engines do for costing.
-        self.motion.rows_moved += gathered.num_rows
-        self.motion.bytes_moved += gathered.nbytes()
-        return DistributedTable(table.name, target, partitions)
-
-    def broadcast(self, table: DistributedTable) -> DistributedTable:
-        """Replicate a distributed table to every segment."""
-        if table.distribution.kind is DistributionKind.REPLICATED:
-            return table
-        gathered = table.gather()
-        self.motion.broadcasts += 1
-        self.motion.rows_moved += gathered.num_rows * self.segments
-        self.motion.bytes_moved += gathered.nbytes() * self.segments
-        partitions = [gathered.copy() for _ in range(self.segments)]
-        return DistributedTable(table.name, Distribution.replicated(),
-                                partitions)
+        return DistributedTable(name,
+                                split_table(table, assignment,
+                                            self.segments))

@@ -2,9 +2,9 @@
 
 PageRank (the paper's delta-accumulative loop) and semi-naive SSSP,
 each expressed once as a :class:`~repro.mpp.superstep.SuperstepSpec` —
-module-level produce / pre-apply / apply callables plus a statically
-verified :class:`~repro.mpp.plan.ExchangePlan` — and runnable on either
-substrate:
+a statically verified :class:`~repro.mpp.plan.ExchangePlan` plus the
+module-level produce / pre-apply / apply callables — and runnable on
+either substrate:
 
 * the **inline simulation** (default): segments execute sequentially
   in-process, exchanges charge measured piece sizes without moving
@@ -22,11 +22,12 @@ between iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from ..errors import VerificationError
 from ..execution.kernels import lookup_sorted
 from ..obs.telemetry import LoopTelemetry, render_iteration_table
 from ..obs.trace import NULL_TRACER
@@ -34,7 +35,6 @@ from ..runtime import LoopRun, make_exchange_strategy
 from ..storage import Column, ColumnSchema, Schema, Table
 from ..types import SqlType
 from .cluster import Cluster, DistributedTable
-from .distribution import Distribution
 from .plan import pagerank_exchange_plan, sssp_exchange_plan
 from .superstep import SuperstepSpec, superstep_inline, superstep_pool
 
@@ -49,50 +49,71 @@ BASE_DELTA = 0.15
 
 @dataclass
 class DistributedLoopResult:
-    """Common shape of a distributed loop's outcome: the final state
-    plus the motion bill and per-iteration telemetry."""
+    """Common shape of a distributed loop's outcome: the motion bill
+    and per-iteration telemetry."""
 
     iterations: int
     rows_moved: int
     bytes_moved: int
     shuffles: int
+    telemetry: LoopTelemetry
     suppressed_bytes: int = 0
     suppressed_batches: int = 0
-    telemetry: Optional[LoopTelemetry] = None
+
+    def report(self) -> str:
+        """Per-iteration breakdown (motion + convergence) as text."""
+        return "\n".join(render_iteration_table(self.telemetry))
 
 
 def _verify_spec(spec: SuperstepSpec) -> None:
     # Imported lazily: repro.verify.exchange imports repro.mpp.plan, so
     # a module-level import here would cycle through the package inits.
     from ..verify.exchange import verify_exchange_plan
-    verify_exchange_plan(spec.plan, pass_name=f"{spec.name}:exchange_plan")
+    verify_exchange_plan(spec.plan,
+                         pass_name=f"{spec.plan.name}:exchange_plan")
+
+
+def _distribute(cluster: Cluster, spec: SuperstepSpec,
+                tables: dict[str, Table]) -> dict[str, DistributedTable]:
+    """Place every resident register the plan declares, on its key."""
+    distributed = {}
+    for register in spec.plan.registers:
+        table = tables[register.name]
+        if tuple(table.schema.names) != register.columns:
+            raise VerificationError(
+                f"{spec.plan.name}:exchange_plan",
+                [f"register {register.name!r} declares columns "
+                 f"{list(register.columns)} but is loaded with "
+                 f"{table.schema.names}"])
+        distributed[register.name] = cluster.distribute(
+            register.name, table, register.key)
+    return distributed
 
 
 def _run_distributed_loop(cluster: Cluster, spec: SuperstepSpec,
-                          tables: dict[str, tuple[Table, Distribution]],
+                          tables: dict[str, Table],
                           iterations: int, tracer, pool,
                           metrics=None,
                           until_converged: bool = False,
                           loop_name: Optional[str] = None
-                          ) -> tuple[Table, int, LoopTelemetry]:
-    """Distribute ``tables``, drive ``iterations`` supersteps of
-    ``spec`` on the chosen substrate, and gather the final state.
+                          ) -> tuple[Table, dict]:
+    """Distribute ``tables`` as the plan's registers, drive
+    ``iterations`` supersteps of ``spec`` on the chosen substrate, and
+    gather the final state.
 
-    Returns ``(final_state, trips, telemetry)``; the cluster's motion
-    counters hold the loop's bill (reset after the initial load, which
-    is charged as in any MPP engine but is not part of the loop).
+    Returns ``(final_state, loop)``, ``loop`` holding the
+    :class:`DistributedLoopResult` fields; the cluster's motion counters
+    hold the loop's bill.
     """
     _verify_spec(spec)
-    distributed = {
-        name: cluster.distribute(name, table, distribution)
-        for name, (table, distribution) in tables.items()}
+    distributed = _distribute(cluster, spec, tables)
     cluster.motion.reset()
 
     if pool is not None:
         for name, table in distributed.items():
             pool.load(name, table.partitions)
         pool.set_spec(spec)
-    strategy = make_exchange_strategy(spec.delta_shuffle)
+    strategy = make_exchange_strategy(spec.exchange.delta)
 
     run = LoopRun(
         0, loop_name or spec.state, "mpp", tracer=tracer,
@@ -110,9 +131,8 @@ def _run_distributed_loop(cluster: Cluster, spec: SuperstepSpec,
         else:
             new_partitions, step_metrics = superstep_inline(
                 cluster, spec, distributed, strategy, tracer)
-            distributed[spec.state] = DistributedTable(
-                spec.state, distributed[spec.state].distribution,
-                new_partitions)
+            distributed[spec.state] = DistributedTable(spec.state,
+                                                       new_partitions)
         trips += 1
         delta_rows = step_metrics.get("delta_rows", 0)
         converged = until_converged and delta_rows == 0
@@ -140,13 +160,19 @@ def _run_distributed_loop(cluster: Cluster, spec: SuperstepSpec,
             metrics.counter(name).add(amount)
 
     if pool is not None:
-        partitions = pool.fetch(spec.state)
-        final = DistributedTable(spec.state,
-                                 distributed[spec.state].distribution,
-                                 partitions)
+        final = DistributedTable(spec.state, pool.fetch(spec.state))
     else:
         final = distributed[spec.state]
-    return final.gather(), trips, run.telemetry
+    motion = cluster.motion
+    return final.gather(), {
+        "iterations": trips,
+        "rows_moved": motion.rows_moved,
+        "bytes_moved": motion.bytes_moved,
+        "shuffles": motion.shuffles,
+        "telemetry": run.telemetry,
+        "suppressed_bytes": motion.suppressed_bytes,
+        "suppressed_batches": motion.suppressed_batches,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -155,24 +181,10 @@ def _run_distributed_loop(cluster: Cluster, spec: SuperstepSpec,
 
 
 @dataclass
-class DistributedPageRankResult:
+class DistributedPageRankResult(DistributedLoopResult):
     """Final ranks plus the motion bill."""
 
-    ranks: dict[int, float]
-    iterations: int
-    rows_moved: int
-    bytes_moved: int
-    shuffles: int
-    telemetry: Optional[LoopTelemetry] = None
-    suppressed_bytes: int = 0
-    suppressed_batches: int = 0
-
-    def report(self) -> str:
-        """Per-iteration breakdown (motion + convergence) as text."""
-        if self.telemetry is None:
-            return (f"distributed pagerank: {self.iterations} iterations, "
-                    f"{self.rows_moved} rows moved")
-        return "\n".join(render_iteration_table(self.telemetry))
+    ranks: dict[int, float] = field(default_factory=dict)
 
 
 def _state_table(nodes: list[int]) -> Table:
@@ -267,18 +279,11 @@ def _pr_metrics(registers: dict, outbound: Table) -> dict:
 
 def pagerank_superstep_spec(delta_shuffle: bool = False) -> SuperstepSpec:
     return SuperstepSpec(
-        name="pagerank",
+        plan=pagerank_exchange_plan(delta_shuffle),
         produce=_pr_produce,
         pre_apply=_pr_pre_apply,
         apply=_pr_apply,
-        metrics=_pr_metrics,
-        route_key="dst",
-        state="state",
-        plan=pagerank_exchange_plan(delta_shuffle),
-        delta_shuffle=delta_shuffle,
-        produce_op="contributions",
-        apply_op="apply_update",
-        exchange_op="shuffle_partials")
+        metrics=_pr_metrics)
 
 
 def distributed_pagerank(cluster: Cluster,
@@ -320,26 +325,16 @@ def distributed_pagerank(cluster: Cluster,
     nodes = sorted({e[0] for e in edges} | {e[1] for e in edges})
     spec = pagerank_superstep_spec(delta_shuffle)
 
-    final, trips, telemetry = _run_distributed_loop(
+    final, loop = _run_distributed_loop(
         cluster, spec,
-        {"edges": (_edges_table(edges), Distribution.hashed("src")),
-         "state": (_state_table(nodes), Distribution.hashed("node"))},
+        {"edges": _edges_table(edges), "state": _state_table(nodes)},
         iterations, tracer, pool, metrics=metrics,
         loop_name="pr_state")
 
     # Parity with the SQL query, which reports `rank` after the last
     # update (delta holds the not-yet-folded next increment).
     ranks = {node: rank for node, rank, _ in final.rows()}
-    return DistributedPageRankResult(
-        ranks=ranks,
-        iterations=trips,
-        rows_moved=cluster.motion.rows_moved,
-        bytes_moved=cluster.motion.bytes_moved,
-        shuffles=cluster.motion.shuffles,
-        telemetry=telemetry,
-        suppressed_bytes=cluster.motion.suppressed_bytes,
-        suppressed_batches=cluster.motion.suppressed_batches,
-    )
+    return DistributedPageRankResult(ranks=ranks, **loop)
 
 
 # ---------------------------------------------------------------------------
@@ -348,23 +343,10 @@ def distributed_pagerank(cluster: Cluster,
 
 
 @dataclass
-class DistributedSsspResult:
+class DistributedSsspResult(DistributedLoopResult):
     """Final distances plus the motion bill."""
 
-    distances: dict[int, float]
-    iterations: int
-    rows_moved: int
-    bytes_moved: int
-    shuffles: int
-    telemetry: Optional[LoopTelemetry] = None
-    suppressed_bytes: int = 0
-    suppressed_batches: int = 0
-
-    def report(self) -> str:
-        if self.telemetry is None:
-            return (f"distributed sssp: {self.iterations} iterations, "
-                    f"{self.rows_moved} rows moved")
-        return "\n".join(render_iteration_table(self.telemetry))
+    distances: dict[int, float] = field(default_factory=dict)
 
 
 def _sssp_state_table(nodes: list[int], source: int) -> Table:
@@ -442,17 +424,10 @@ def _sssp_metrics(registers: dict, outbound: Table) -> dict:
 
 def sssp_superstep_spec(delta_shuffle: bool = False) -> SuperstepSpec:
     return SuperstepSpec(
-        name="sssp",
+        plan=sssp_exchange_plan(delta_shuffle),
         produce=_sssp_produce,
         apply=_sssp_apply,
-        metrics=_sssp_metrics,
-        route_key="dst",
-        state="state",
-        plan=sssp_exchange_plan(delta_shuffle),
-        delta_shuffle=delta_shuffle,
-        produce_op="relax",
-        apply_op="min_merge",
-        exchange_op="shuffle_candidates")
+        metrics=_sssp_metrics)
 
 
 def distributed_sssp(cluster: Cluster,
@@ -479,22 +454,12 @@ def distributed_sssp(cluster: Cluster,
                    | {source})
     spec = sssp_superstep_spec(delta_shuffle)
 
-    final, trips, telemetry = _run_distributed_loop(
+    final, loop = _run_distributed_loop(
         cluster, spec,
-        {"edges": (_edges_table(edges), Distribution.hashed("src")),
-         "state": (_sssp_state_table(nodes, source),
-                   Distribution.hashed("node"))},
+        {"edges": _edges_table(edges),
+         "state": _sssp_state_table(nodes, source)},
         max_iterations, tracer, pool, metrics=metrics,
         until_converged=True, loop_name="sssp_state")
 
     distances = {node: dist for node, dist, _ in final.rows()}
-    return DistributedSsspResult(
-        distances=distances,
-        iterations=trips,
-        rows_moved=cluster.motion.rows_moved,
-        bytes_moved=cluster.motion.bytes_moved,
-        shuffles=cluster.motion.shuffles,
-        telemetry=telemetry,
-        suppressed_bytes=cluster.motion.suppressed_bytes,
-        suppressed_batches=cluster.motion.suppressed_batches,
-    )
+    return DistributedSsspResult(distances=distances, **loop)

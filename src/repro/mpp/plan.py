@@ -1,18 +1,17 @@
 """Exchange plans: the static IR of one distributed superstep.
 
 A distributed iterative workload runs the same *superstep program* on
-every worker each trip around the loop: one or more local compute
-phases, with exchange operators moving columnar batch registers between
-workers in between.  Before the first superstep runs, the driver builds
-an :class:`ExchangePlan` describing that program — which registers are
-resident (hash-partitioned on a key), which are produced locally, what
-each exchange routes on, and whether the exchange may apply delta-
-shuffle suppression — and hands it to the verifier
-(:mod:`repro.verify.exchange`), the distributed tail of the PR-5 IR
-verifier.
+every worker each trip around the loop: a local produce phase, one
+exchange moving its output between workers, and a local apply phase.
+The :class:`ExchangePlan` is the one description of that program —
+which registers are resident and the key each is hash-partitioned on,
+what the exchange routes on, whether it may apply delta-shuffle
+suppression, which register the apply phase rewrites — and the loop
+hands it to the verifier (:mod:`repro.verify.exchange`), the
+distributed tail of the IR verifier, before anything is partitioned.
 
 The plan is deliberately tiny and frozen: it is shipped to every worker
-alongside the :class:`~repro.mpp.superstep.SuperstepSpec`, so it must
+inside the :class:`~repro.mpp.superstep.SuperstepSpec`, so it must
 pickle by value and never mutate after verification.
 """
 
@@ -28,15 +27,13 @@ STRATEGIES = (NAIVE, SEMI_NAIVE)
 
 @dataclass(frozen=True)
 class RegisterDef:
-    """One resident (pre-distributed) register of the superstep program.
-
-    ``key`` names the hash-partition column; ``None`` marks a register
-    that is replicated or local-only and never co-locates with anything.
-    """
+    """One resident register of the superstep program: loaded with
+    exactly ``columns``, hash-partitioned across the segments on
+    ``key``."""
 
     name: str
     columns: tuple[str, ...]
-    key: Optional[str] = None
+    key: str
 
 
 @dataclass(frozen=True)
@@ -89,10 +86,6 @@ class ExchangePlan:
             if reg.name == name:
                 return reg
         return None
-
-    def exchanges(self) -> list[ExchangeOp]:
-        return [step for step in self.steps
-                if isinstance(step, ExchangeOp)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """The distributed superstep: one spec, two substrates.
 
-A :class:`SuperstepSpec` packages everything one trip of a distributed
-iterative workload does — the local produce phase, the routed exchange,
-the overlap-eligible pre-apply work, and the apply phase — as
-module-level picklable callables plus the static
-:class:`~repro.mpp.plan.ExchangePlan` the verifier checks.
+A :class:`SuperstepSpec` is a verified
+:class:`~repro.mpp.plan.ExchangePlan` plus the module-level picklable
+callables that implement its two local phases.  The plan is the one
+description of the trip — which registers are resident and on what key,
+what the exchange routes on, whether it may suppress unchanged pieces,
+which register the apply phase rewrites, and the operation names the
+trace shows; the verifier (:mod:`repro.verify.exchange`) checks that it
+has the produce → exchange → apply shape both runners execute.
 
 Two runners execute the same spec:
 
@@ -29,15 +32,15 @@ is always the piece's ``nbytes()`` regardless of transport.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..runtime.strategies import SEND, UNCHANGED, ExchangeStrategy
+from ..runtime.strategies import ExchangeStrategy
 from ..storage import Table
-from .cluster import Cluster, DistributedTable
-from .distribution import hash_partition_indices, split_table
-from .exchange import exchange_span
-from .plan import ExchangePlan
+from .cluster import (Cluster, DistributedTable, hash_partition_indices,
+                      split_table)
+from .plan import ExchangeOp, ExchangePlan, LocalOp
 from .workers import run_segment_tasks
 
 
@@ -49,37 +52,62 @@ class SuperstepSpec:
     their arguments — the spec crosses the process boundary once and is
     then executed by every worker every trip:
 
-    * ``produce(registers) -> Table`` — the local phase emitting the
-      rows to shuffle; ``registers`` maps register name -> this
-      segment's partition.
+    * ``produce(registers) -> Table`` — the plan's first LocalOp,
+      emitting the rows to shuffle; ``registers`` maps register name ->
+      this segment's partition.
     * ``pre_apply(registers) -> aux`` — optional apply work that needs
       no incoming pieces; the pool runner executes it while outbound
       batches drain (the compute/motion overlap), the inline runner
       immediately before ``apply``.
-    * ``apply(registers, pieces, aux) -> Table`` — folds the incoming
-      pieces (origin order) into a new partition of the ``state``
-      register.
+    * ``apply(registers, pieces, aux) -> Table`` — the plan's last
+      LocalOp: folds the incoming pieces (origin order) into a new
+      partition of the register it writes.
     * ``metrics(registers, outbound) -> dict`` — optional per-segment
       loop telemetry (``delta_rows``/``working_rows``/``total_rows``),
       summed across segments by the runner.
     """
 
-    name: str
+    plan: ExchangePlan
     produce: Callable
     apply: Callable
-    route_key: str
-    state: str
-    plan: ExchangePlan
-    delta_shuffle: bool = False
     pre_apply: Optional[Callable] = None
     metrics: Optional[Callable] = None
-    produce_op: str = "produce"
-    apply_op: str = "apply"
-    exchange_op: str = "shuffle"
+
+    @property
+    def produce_op(self) -> LocalOp:
+        return self.plan.steps[0]
+
+    @property
+    def exchange(self) -> ExchangeOp:
+        return self.plan.steps[1]
+
+    @property
+    def exchange_name(self) -> str:
+        return f"shuffle_{self.exchange.register}"
+
+    @property
+    def apply_op(self) -> LocalOp:
+        return self.plan.steps[2]
+
+    @property
+    def state(self) -> str:
+        """The resident register the apply phase rewrites."""
+        return self.apply_op.writes[0]
 
 
-def _produce_phase(spec: SuperstepSpec, registers: dict) -> Table:
-    return spec.produce(registers)
+@contextlib.contextmanager
+def exchange_span(cluster: Cluster, tracer, operation: str):
+    """An ``exchange`` span whose motion counters are measured as the
+    delta of the cluster's bill across the wrapped work."""
+    mark = (cluster.motion.rows_moved, cluster.motion.bytes_moved,
+            cluster.motion.shuffles)
+    with tracer.span("exchange", kind="exchange",
+                     operation=operation) as span:
+        yield span
+        span.set(
+            rows_moved=cluster.motion.rows_moved - mark[0],
+            bytes_moved=cluster.motion.bytes_moved - mark[1],
+            shuffles=cluster.motion.shuffles - mark[2])
 
 
 def _apply_phase(spec: SuperstepSpec, registers: dict,
@@ -94,17 +122,6 @@ def _sum_metrics(per_segment: list[Optional[dict]]) -> dict:
         for key, value in (metrics or {}).items():
             totals[key] = totals.get(key, 0) + int(value)
     return totals
-
-
-def charge_piece(motion, kind: str, piece: Table) -> None:
-    """Apply one classified cross-segment piece to the motion bill."""
-    if kind == SEND:
-        motion.rows_moved += piece.num_rows
-        motion.bytes_moved += piece.nbytes()
-    elif kind == UNCHANGED:
-        motion.suppressed_rows += piece.num_rows
-        motion.suppressed_bytes += piece.nbytes()
-        motion.suppressed_batches += 1
 
 
 def superstep_inline(cluster: Cluster, spec: SuperstepSpec,
@@ -123,27 +140,27 @@ def superstep_inline(cluster: Cluster, spec: SuperstepSpec,
         for i in range(segments)]
 
     with tracer.span("compute", kind="compute",
-                     operation=spec.produce_op):
+                     operation=spec.produce_op.operation):
         chunks: list[Table] = run_segment_tasks(
-            tracer, _produce_phase,
-            [(spec, regs) for regs in regs_per_segment])
+            tracer, spec.produce, [(regs,) for regs in regs_per_segment])
 
-    with exchange_span(cluster, tracer, spec.exchange_op):
+    with exchange_span(cluster, tracer, spec.exchange_name):
         incoming: list[list[Table]] = [[] for _ in range(segments)]
         for origin, chunk in enumerate(chunks):
             assignment = hash_partition_indices(
-                chunk.column(spec.route_key), segments)
+                chunk.column(spec.exchange.key), segments)
             pieces = split_table(chunk, assignment, segments)
             for segment, piece in enumerate(pieces):
                 if piece.num_rows == 0:
                     continue
                 incoming[segment].append(piece)
                 if segment != origin:
-                    kind = strategy.classify((origin, segment), piece)
-                    charge_piece(cluster.motion, kind, piece)
+                    cluster.motion.charge(
+                        strategy.classify((origin, segment), piece), piece)
         cluster.motion.shuffles += 1
 
-    with tracer.span("compute", kind="compute", operation=spec.apply_op):
+    with tracer.span("compute", kind="compute",
+                     operation=spec.apply_op.operation):
         new_partitions = run_segment_tasks(
             tracer, _apply_phase,
             [(spec, regs_per_segment[i], incoming[i])
@@ -171,20 +188,21 @@ def superstep_pool(cluster: Cluster, spec: SuperstepSpec, pool,
     replies = pool.superstep(tracer)
 
     with tracer.span("compute", kind="compute",
-                     operation=spec.produce_op):
+                     operation=spec.produce_op.operation):
         if tracer.enabled:
             context = tracer.context()
             for reply in replies:
                 tracer.merge(context, reply.produce_spans)
 
-    with exchange_span(cluster, tracer, spec.exchange_op):
+    with exchange_span(cluster, tracer, spec.exchange_name):
         for reply in replies:
             for key, value in reply.stats.items():
                 setattr(cluster.motion, key,
                         getattr(cluster.motion, key) + value)
         cluster.motion.shuffles += 1
 
-    with tracer.span("compute", kind="compute", operation=spec.apply_op):
+    with tracer.span("compute", kind="compute",
+                     operation=spec.apply_op.operation):
         if tracer.enabled:
             context = tracer.context()
             for reply in replies:

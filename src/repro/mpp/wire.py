@@ -17,9 +17,10 @@ One shuffled piece travels as a tagged message over a
   last one sent on this channel, the receiver must replay its cached
   copy.  Sent by :class:`repro.runtime.strategies.DeltaShuffleExchange`.
 
-:func:`send_piece` returns the **payload bytes** of the piece
-(``table.nbytes()``), independent of transport, so measured motion
-matches the inline simulation's accounting bit for bit.
+The sender bills a piece at its payload bytes (``table.nbytes()``,
+through :meth:`repro.mpp.cluster.MotionStats.charge`), independent of
+transport, so measured motion matches the inline simulation's
+accounting bit for bit.
 
 Senders never unlink: the receiver owns segment teardown (attach → copy
 → close → unlink).  Bookkeeping balances because every pool process
@@ -37,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..execution.frame import table_from_wire, table_to_wire
+from ..runtime.strategies import EMPTY, UNCHANGED
 from ..storage import Table
 
 # Blocks at or above this many bytes ride shared memory instead of the
@@ -45,16 +47,11 @@ from ..storage import Table
 SHM_THRESHOLD = 1 << 18
 
 BATCH = "batch"
-EMPTY = "empty"
-UNCHANGED = "unchanged"
 
 
 def send_piece(conn, table: Table,
-               shm_threshold: int = SHM_THRESHOLD) -> int:
-    """Ship ``table`` over ``conn``; returns its payload bytes."""
-    if table.num_rows == 0:
-        conn.send((EMPTY,))
-        return 0
+               shm_threshold: int = SHM_THRESHOLD) -> None:
+    """Ship the non-empty piece ``table`` over ``conn``."""
     meta, blocks = table_to_wire(table)
     descs = []
     for block in blocks:
@@ -68,17 +65,14 @@ def send_piece(conn, table: Table,
         else:
             descs.append(("inline", block))
     conn.send((BATCH, meta, descs))
-    return table.nbytes()
 
 
-def send_empty(conn) -> int:
+def send_empty(conn) -> None:
     conn.send((EMPTY,))
-    return 0
 
 
-def send_unchanged(conn) -> int:
+def send_unchanged(conn) -> None:
     conn.send((UNCHANGED,))
-    return 0
 
 
 def recv_piece(conn) -> tuple[str, Table | None]:

@@ -34,14 +34,14 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 from ..errors import MppWorkerError
 from ..obs.trace import NULL_TRACER, ContextTracer, TraceContext
 from ..runtime.strategies import SEND, UNCHANGED, make_exchange_strategy
 from . import wire
-from .distribution import hash_partition_indices, split_table
+from .cluster import MotionStats, hash_partition_indices, split_table
 
 
 def _segment_task(fn: Callable, args: tuple, segment: int,
@@ -118,12 +118,11 @@ def _run_superstep(index: int, segments: int, spec, strategy,
     with tracer.span("segment", kind="worker", segment=index):
         outbound = spec.produce(registers)
 
-    assignment = hash_partition_indices(outbound.column(spec.route_key),
-                                        segments)
+    assignment = hash_partition_indices(
+        outbound.column(spec.exchange.key), segments)
     pieces = split_table(outbound, assignment, segments)
 
-    stats = {"rows_moved": 0, "bytes_moved": 0, "suppressed_rows": 0,
-             "suppressed_bytes": 0, "suppressed_batches": 0}
+    motion = MotionStats()
     failures: list[BaseException] = []
 
     def _ship() -> None:
@@ -136,16 +135,12 @@ def _run_superstep(index: int, segments: int, spec, strategy,
                 piece = pieces[dest]
                 kind = strategy.classify((index, dest), piece)
                 if kind == SEND:
-                    stats["bytes_moved"] += wire.send_piece(
-                        outs[dest], piece, shm_threshold)
-                    stats["rows_moved"] += piece.num_rows
+                    wire.send_piece(outs[dest], piece, shm_threshold)
                 elif kind == UNCHANGED:
                     wire.send_unchanged(outs[dest])
-                    stats["suppressed_rows"] += piece.num_rows
-                    stats["suppressed_bytes"] += piece.nbytes()
-                    stats["suppressed_batches"] += 1
                 else:
                     wire.send_empty(outs[dest])
+                motion.charge(kind, piece)
         except BaseException as exc:  # surfaced after join
             failures.append(exc)
 
@@ -176,7 +171,7 @@ def _run_superstep(index: int, segments: int, spec, strategy,
         raise failures[0]
 
     metrics = spec.metrics(registers, outbound) if spec.metrics else {}
-    return (stats, metrics,
+    return (asdict(motion), metrics,
             produce_tracer.export_spans() if produce_tracer else [],
             apply_tracer.export_spans() if apply_tracer else [])
 
@@ -202,7 +197,7 @@ def _worker_main(index: int, segments: int, cmd, outs: dict, ins: dict,
                 cmd.send(("ok",))
             elif tag == "spec":
                 spec = message[1]
-                strategy = make_exchange_strategy(spec.delta_shuffle)
+                strategy = make_exchange_strategy(spec.exchange.delta)
                 recv_cache = {}
                 cmd.send(("ok",))
             elif tag == "fetch":

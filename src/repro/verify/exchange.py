@@ -19,6 +19,11 @@ the same guarantees to the distributed superstep programs described by
   the ``semi_naive`` strategy: suppression replays the receiver's cached
   piece, which is only equivalent when state evolves by deltas and an
   unchanged outbound piece implies an unchanged contribution.
+* **Superstep shape** — both runners (:mod:`repro.mpp.superstep`)
+  execute exactly produce → exchange → apply: a LocalOp writing the
+  one register the ExchangeOp ships, then a LocalOp rewriting one
+  resident register in place.  A plan of any other shape would verify
+  a program nothing runs.
 
 Violations are collected (not raised one at a time) and surface as the
 same structured :class:`repro.errors.VerificationError` the local
@@ -48,7 +53,7 @@ def check_exchange_plan(plan: ExchangePlan) -> list[str]:
         if reg.name in seen:
             violations.append(f"duplicate register {reg.name!r}")
         seen.add(reg.name)
-        if reg.key is not None and reg.key not in reg.columns:
+        if reg.key not in reg.columns:
             violations.append(
                 f"register {reg.name!r} hashed on {reg.key!r} "
                 f"which is not one of its columns {list(reg.columns)}")
@@ -57,7 +62,7 @@ def check_exchange_plan(plan: ExchangePlan) -> list[str]:
     # column each is currently partitioned on (None == unknown/local).
     defined: set[str] = {reg.name for reg in plan.registers}
     current_key: dict[str, str] = {
-        reg.name: reg.key for reg in plan.registers if reg.key is not None}
+        reg.name: reg.key for reg in plan.registers}
 
     for position, step in enumerate(plan.steps):
         where = f"step {position}"
@@ -101,6 +106,27 @@ def check_exchange_plan(plan: ExchangePlan) -> list[str]:
         else:  # pragma: no cover - frozen dataclass union
             violations.append(f"{where} is not a LocalOp or ExchangeOp")
 
+    violations.extend(_check_superstep_shape(plan))
+    return violations
+
+
+def _check_superstep_shape(plan: ExchangePlan) -> list[str]:
+    kinds = [type(step).__name__ for step in plan.steps]
+    if kinds != ["LocalOp", "ExchangeOp", "LocalOp"]:
+        return [f"a superstep runs LocalOp, ExchangeOp, LocalOp; "
+                f"the plan has {kinds}"]
+    produce, exchange, apply = plan.steps
+    violations = []
+    if produce.writes != (exchange.register,):
+        violations.append(
+            f"produce phase {produce.operation!r} writes "
+            f"{list(produce.writes)} but the exchange ships "
+            f"{exchange.register!r}")
+    if len(apply.writes) != 1 or plan.register(apply.writes[0]) is None:
+        violations.append(
+            f"apply phase {apply.operation!r} writes "
+            f"{list(apply.writes)}; it must rewrite exactly one "
+            f"resident register")
     return violations
 
 

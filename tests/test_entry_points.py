@@ -54,10 +54,13 @@ def test_every_repo_path_named_in_ci_exists():
             f"{relative} is named in ci.yml but missing"
 
 
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+
+
 def test_every_repo_path_named_in_the_docs_exists():
     """A deletion that leaves a stale backticked path in README.md,
     DESIGN.md or EXPERIMENTS.md fails here."""
-    for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+    for doc in DOCS:
         referenced = set(re.findall(
             r"`((?:src|tests|benchmarks|examples)/[\w./-]*\w)(?:::[^`]*)?`",
             (REPO / doc).read_text()))
@@ -65,3 +68,20 @@ def test_every_repo_path_named_in_the_docs_exists():
         for relative in sorted(referenced):
             assert (REPO / relative).exists(), \
                 f"{relative} is named in {doc} but missing"
+
+
+def test_every_file_and_module_named_in_the_docs_exists():
+    """Unquoted file paths (``python examples/x.py`` in a code block)
+    and bare ``bench_*.py`` / ``test_*.py`` module names count too."""
+    modules = {path.name for folder in ("benchmarks", "tests")
+               for path in (REPO / folder).rglob("*.py")}
+    for doc in DOCS:
+        text = (REPO / doc).read_text()
+        for relative in set(re.findall(
+                r"(?<![\w./-])((?:src|tests|benchmarks|examples)/"
+                r"[\w./-]*\.(?:py|json|md|txt))", text)):
+            assert (REPO / relative).exists(), \
+                f"{relative} is named in {doc} but missing"
+        for name in set(re.findall(r"(?<![\w./-])((?:bench|test)_\w+\.py)",
+                                   text)):
+            assert name in modules, f"{name} is named in {doc} but missing"

@@ -162,6 +162,10 @@ class TestMppWorkerSpanPlacement:
                          if c.kind == "exchange"]
             assert len(computes) == 2  # contributions + apply_update
             assert len(exchanges) == 1
+            # The phase names are the exchange plan's operations.
+            assert [c.attributes["operation"] for c in iteration.children
+                    if c.kind in ("compute", "exchange")] \
+                == ["contributions", "shuffle_partials", "apply_update"]
             for compute in computes:
                 workers = [c for c in compute.children
                            if c.kind == "worker"]

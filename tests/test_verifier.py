@@ -400,6 +400,23 @@ def _xmut_unknown_strategy(plan):
     return dataclasses.replace(plan, strategy="speculative")
 
 
+def _xmut_produce_writes_elsewhere(plan):
+    # The exchange would ship a register the produce phase never wrote.
+    produce = dataclasses.replace(plan.steps[0], writes=("scratch",))
+    return dataclasses.replace(plan, steps=(produce,) + plan.steps[1:])
+
+
+def _xmut_apply_writes_scratch(plan):
+    # The runners install the apply output as a resident register.
+    apply = dataclasses.replace(plan.steps[2], writes=("scratch",))
+    return dataclasses.replace(plan, steps=plan.steps[:2] + (apply,))
+
+
+def _xmut_second_exchange(plan):
+    # Verifiable as a dataflow, but no runner executes two motions.
+    return dataclasses.replace(plan, steps=plan.steps + (plan.steps[1],))
+
+
 EXCHANGE_MUTATIONS = [
     ("duplicate_register", _xmut_duplicate_register, "duplicate register"),
     ("key_not_a_column", _xmut_key_not_a_column, "not one of its columns"),
@@ -411,6 +428,12 @@ EXCHANGE_MUTATIONS = [
      "delta suppression"),
     ("drop_exchange", _xmut_drop_exchange, "requires"),
     ("unknown_strategy", _xmut_unknown_strategy, "unknown plan strategy"),
+    ("produce_writes_elsewhere", _xmut_produce_writes_elsewhere,
+     "but the exchange ships"),
+    ("apply_writes_scratch", _xmut_apply_writes_scratch,
+     "exactly one resident register"),
+    ("second_exchange", _xmut_second_exchange,
+     "a superstep runs LocalOp, ExchangeOp, LocalOp"),
 ]
 
 
@@ -479,11 +502,43 @@ class TestExchangePlanVerifier:
         from repro.mpp.iterative import _verify_spec
         from repro.mpp.superstep import SuperstepSpec
 
-        spec = SuperstepSpec(
-            name="broken", produce=lambda regs: None,
-            apply=lambda regs, pieces, aux: None, route_key="dst",
-            state="state",
-            plan=_xmut_ship_undefined(pagerank_exchange_plan()))
+        plan = dataclasses.replace(
+            _xmut_ship_undefined(pagerank_exchange_plan()), name="broken")
+        spec = SuperstepSpec(plan=plan, produce=lambda regs: None,
+                             apply=lambda regs, pieces, aux: None)
         with pytest.raises(VerificationError) as excinfo:
             _verify_spec(spec)
         assert excinfo.value.pass_name == "broken:exchange_plan"
+
+    def test_spec_reads_the_trip_from_its_plan(self):
+        from repro.mpp import pagerank_superstep_spec, sssp_superstep_spec
+
+        for build in (pagerank_superstep_spec, sssp_superstep_spec):
+            for delta in (False, True):
+                spec = build(delta_shuffle=delta)
+                assert spec.exchange.key == "dst"
+                assert spec.exchange.delta is delta
+                assert spec.state == "state"
+                assert spec.plan.register(spec.state).key == "node"
+
+    def test_loaded_tables_must_match_the_declared_registers(self):
+        # The plan, not the caller, says what each register holds: a
+        # table whose columns disagree is refused before partitioning.
+        from repro.mpp import Cluster, pagerank_superstep_spec
+        from repro.mpp.iterative import (_edges_table, _run_distributed_loop,
+                                         _state_table)
+        from repro.obs.trace import NULL_TRACER
+
+        cluster = Cluster(2)
+        edges = _edges_table([(1, 2, 1.0)])
+        with pytest.raises(VerificationError) as excinfo:
+            _run_distributed_loop(
+                cluster, pagerank_superstep_spec(),
+                {"edges": edges, "state": edges}, 1, NULL_TRACER, None)
+        assert excinfo.value.pass_name == "pagerank:exchange_plan"
+        assert "declares columns" in str(excinfo.value)
+        _, loop = _run_distributed_loop(
+            cluster, pagerank_superstep_spec(),
+            {"edges": edges, "state": _state_table([1, 2])}, 1,
+            NULL_TRACER, None)
+        assert loop["iterations"] == 1
