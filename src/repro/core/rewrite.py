@@ -32,11 +32,11 @@ from ..errors import PlanError
 from ..execution import ExecutionStats, SessionOptions
 from ..plan import (
     CteBinding,
-    Field,
     LogicalFilter,
     LogicalOp,
     PlanContext,
     build_statement,
+    rebind_temp_scans,
     rename_outputs,
 )
 from ..plan.program import (
@@ -234,8 +234,8 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
                 influences=list(safety.influences),
                 guard_keyset=safety.guard_keyset)
             spec.delta = delta_spec
-            delta_plan = _build_delta_step_plan(
-                state, cte, cte_name, binding, partition, columns, types)
+            delta_plan = _rebind_anchor(step_plan, cte, cte_result,
+                                        partition)
 
     steps = state.steps
     steps.append(MaterializeStep(
@@ -308,42 +308,28 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
     context.cte_bindings[cte_name] = binding
 
 
-def _build_delta_step_plan(state: CompilerState, cte: ast.IterativeCte,
-                           cte_name: str, binding: CteBinding,
-                           partition: str, columns: list[str],
-                           types: list) -> LogicalOp:
-    """The iterative part with its *anchor* scan rebound to the affected
-    partition.
+def _rebind_anchor(step_plan: LogicalOp, cte: ast.IterativeCte,
+                   cte_result: str, partition: str) -> LogicalOp:
+    """The delta body: the finished full body (optimized, §V-A blocks
+    extracted) with its *anchor* scan rebound to the affected partition.
 
-    The leftmost FROM leaf (the row being evolved — the safety analyzer
-    guaranteed it is the CTE) is replaced by a scan of the partition
-    result; every other CTE reference still reads the full CTE table, so
-    joins against it see all keys.  Common-result extraction is skipped:
-    the partition changes every iteration and the loop-invariant build
-    sides are already cached by the kernel cache.
+    The anchor is the CTE scan under the alias of the leftmost FROM leaf
+    (the row being evolved — the safety analyzer guaranteed it is the
+    CTE).  Every other CTE reference still reads the full CTE table, so
+    joins against it see all keys, and the loop-invariant COMMON blocks
+    serve delta trips exactly as they serve full ones.
     """
-    delta_select = copy.deepcopy(cte.step)
-    source_name = f"__delta_src_{cte_name}"
-
-    def rebind(leaf: ast.TableRef) -> ast.TableRef:
-        return ast.TableRef(source_name, alias=leaf.binding_name)
-
-    node = delta_select.from_clause
-    if isinstance(node, ast.TableRef):
-        delta_select.from_clause = rebind(node)
-    else:
-        parent = node
-        while isinstance(parent.left, ast.Join):
-            parent = parent.left
-        parent.left = rebind(parent.left)
-
-    delta_context = state.context.child()
-    delta_context.cte_bindings[cte_name] = binding
-    delta_context.cte_bindings[source_name] = CteBinding(
-        partition, tuple(zip(columns, types)))
-    plan = build_statement(delta_select, delta_context)
-    return optimize_plan(plan, state.options, state.estimator,
-                        state.tracer, state.context.catalog)
+    leaf = cte.step.from_clause
+    while isinstance(leaf, ast.Join):
+        leaf = leaf.left
+    alias = leaf.binding_name.lower()
+    plan, rebound = rebind_temp_scans(step_plan, cte_result, partition,
+                                      alias)
+    if rebound != 1:
+        raise PlanError(
+            f"delta body of {cte.name!r}: expected one anchor scan of "
+            f"{cte_result} AS {alias}, found {rebound}")
+    return plan
 
 
 def _build_merge_plan(state: CompilerState, cte_name: str, cte_result: str,

@@ -60,7 +60,7 @@ def execute_insert(stmt: ast.Insert, ctx: ExecutionContext,
         full_rows.append(tuple(full))
 
     appended = Table.from_rows(table.schema, full_rows)
-    ctx.kernel_cache.invalidate_table(table)
+    ctx.kernel_cache.invalidate_tables(table)
     if table.num_rows and full_rows:
         # Append a segment in O(|inserted|) instead of copying the whole
         # table; scans consolidate lazily.  The pre-append schema lets
@@ -98,7 +98,7 @@ def execute_delete(stmt: ast.Delete, ctx: ExecutionContext,
     # The replaced columns' cached dictionaries must never be served for
     # the table's new contents; new columns carry new versions, so this
     # is eager memory release as much as invalidation.
-    ctx.kernel_cache.invalidate_table(table)
+    ctx.kernel_cache.invalidate_tables(table)
     if stmt.where is None:
         ctx.catalog.put(stmt.table, Table.empty(table.schema))
         return table.num_rows

@@ -374,7 +374,7 @@ class Session:
         with self._engine.write_lock:
             table = self.catalog.get(name)
             loaded = Table.from_rows(table.schema, rows)
-            self.kernel_cache.invalidate_table(table)
+            self.kernel_cache.invalidate_tables(table)
             self.catalog.put(name, table.concat(loaded)
                              if table.num_rows else loaded)
             self.transactions.note_write()

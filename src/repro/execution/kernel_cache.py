@@ -231,21 +231,23 @@ class KernelCache:
                 if self._dictionaries.pop(version, None) is not None:
                     dropped += 1
             for key in [k for k in self._indexes
-                        if any(v in versions for v in k)]:
+                        if not versions.isdisjoint(k)]:
                 del self._indexes[key]
                 dropped += 1
             for key in [k for k in self._index_candidates
-                        if any(v in versions for v in k)]:
+                        if not versions.isdisjoint(k)]:
                 del self._index_candidates[key]
         if dropped and self.stats is not None:
             self.stats.kernel_cache_invalidations += dropped
         return dropped
 
-    def invalidate_table(self, table) -> int:
-        # Segmented tables expose their backing columns without forcing a
-        # consolidation (invalidating a table must not copy it).
-        known = getattr(table, "known_columns", None)
-        columns = known() if known is not None else table.columns
+    def invalidate_tables(self, *tables) -> int:
+        columns = []
+        for table in tables:
+            # Segmented tables expose their backing columns without
+            # forcing a consolidation (invalidating must not copy).
+            known = getattr(table, "known_columns", None)
+            columns.extend(known() if known is not None else table.columns)
         return self.invalidate_columns(columns)
 
     def clear(self) -> None:

@@ -410,3 +410,23 @@ def transform(op: LogicalOp, visitor) -> LogicalOp:
                for new, old in zip(new_children, children)):
             op = op.with_children(new_children)
     return visitor(op)
+
+
+def rebind_temp_scans(op: LogicalOp, source: str, target: str,
+                      alias: Optional[str] = None) -> tuple[LogicalOp, int]:
+    """``op`` with every TempScan of ``source`` (under ``alias``, when
+    given) reading ``target`` instead — same alias, same fields — plus
+    how many scans were rebound."""
+    source = source.lower()
+    rebound = 0
+
+    def visit(node: LogicalOp) -> LogicalOp:
+        nonlocal rebound
+        if isinstance(node, LogicalTempScan) \
+                and node.result_name.lower() == source \
+                and alias in (None, node.alias):
+            rebound += 1
+            return replace(node, result_name=target)
+        return node
+
+    return transform(op, visit), rebound

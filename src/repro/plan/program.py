@@ -330,7 +330,8 @@ class Program:
             if isinstance(step, LoopStep):
                 spec = self.loops[step.loop_id]
                 lines.append(f"     loop {spec.annotation()}")
-            if verbose and isinstance(step, (MaterializeStep, ReturnStep)):
+            if verbose and isinstance(step, (MaterializeStep, ReturnStep,
+                                             DeltaFusedStep)):
                 plan_text = plan_to_text(step.plan, indent=3)
                 lines.append(plan_text)
         if self.verifier_verdict is not None:

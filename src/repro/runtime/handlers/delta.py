@@ -16,12 +16,13 @@ import numpy as np
 
 from ...errors import DuplicateKeyError, ExecutionError
 from ...execution import execute_to_table
-from ...execution.kernels import (comparable_values, expand_ranges, factorize,
-                                  lookup_sorted, scatter_update)
+from ...execution.kernels import (build_probe_index, comparable_values,
+                                  expand_ranges, factorize, probe_buckets,
+                                  scatter_update)
 from ...plan.program import DeltaCaptureStep, DeltaFusedStep
 from ...storage import Table
 from ..registry import handles
-from ..strategies import DeltaLoopRuntime
+from ..strategies import DeltaLoopRuntime, SolutionSet
 
 
 def _apply_delta(runner, step: DeltaFusedStep, runtime: DeltaLoopRuntime,
@@ -31,8 +32,10 @@ def _apply_delta(runner, step: DeltaFusedStep, runtime: DeltaLoopRuntime,
     ctx = runner.ctx
     spec = step.spec
     engine = runner.engine
-    w_keys = comparable_values(working.columns[0].data)
-    positions = _key_positions_of(runtime, w_keys, strict=True)
+    solution = runtime.solution
+    w_codes = _known_codes(solution,
+                           comparable_values(working.columns[0].data))
+    positions = solution.rows[w_codes]
 
     if spec.guard_keyset and not np.array_equal(
             np.sort(positions), runtime.pending_positions):
@@ -62,7 +65,7 @@ def _apply_delta(runner, step: DeltaFusedStep, runtime: DeltaLoopRuntime,
     ctx.stats.rows_moved += working.num_rows
     ctx.stats.bytes_moved += working.nbytes()
 
-    runtime.frontier_keys = w_keys[changed]
+    runtime.frontier_codes = w_codes[changed]
     runtime.last_frontier = int(changed.sum())
 
     if spec.merge_by_key:
@@ -79,10 +82,10 @@ def _apply_delta(runner, step: DeltaFusedStep, runtime: DeltaLoopRuntime,
             new_columns = [c.take(perm) for c in new_columns]
             in_working = in_working[perm]
             # Same key set, moved rows: old row perm[j] is now row j, so
-            # the sorted keys stay and their positions follow the move.
+            # the codes stay and their rows follow the move.
             moved_to = np.empty_like(perm)
             moved_to[perm] = np.arange(len(perm), dtype=perm.dtype)
-            runtime.key_positions = moved_to[runtime.key_positions]
+            solution.permute(moved_to)
             ctx.stats.rows_moved += int(len(perm))
         runtime.in_working = in_working
 
@@ -113,7 +116,7 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
     # -- gate ---------------------------------------------------------------
     if runtime.disabled or not runtime.active:
         return step.jump_full
-    if runtime.frontier_keys is None or not len(runtime.frontier_keys):
+    if runtime.frontier_codes is None or not len(runtime.frontier_codes):
         # Empty frontier: no input of any key changed last iteration,
         # so no output can change this iteration (or ever after) —
         # this iteration costs O(1).
@@ -124,15 +127,14 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
         return step.jump_to
 
     # -- partition ----------------------------------------------------------
-    frontier = runtime.frontier_keys
+    frontier = runtime.frontier_codes
+    solution = runtime.solution
     # A changed key always influences itself (its own row is
     # recomputed); links add the keys reachable through base tables.
-    position_sets = [_key_positions_of(runtime, frontier, strict=True)]
+    code_sets = [frontier]
     for link in spec.influences:
-        influenced = _expand_influence(runner, runtime, link, frontier)
-        position_sets.append(
-            _key_positions_of(runtime, influenced, strict=False))
-    positions = np.unique(np.concatenate(position_sets))
+        code_sets.append(_expand_influence(runner, solution, link, frontier))
+    positions = np.unique(solution.rows[np.concatenate(code_sets)])
     table = ctx.registry.fetch(spec.cte_result)
     partition = table.take(positions)
     # The delta body's anchor scan reads the partition by name.
@@ -166,51 +168,39 @@ def run_delta_capture(runner, step: DeltaCaptureStep) -> Optional[int]:
     engine = runner.engine
     spec = step.spec
     runtime = engine.delta_runtime(spec)
-    if runtime.disabled:
-        if runtime.demoted:
-            # Demoted (not disqualified) loop: keep measuring the
-            # changed-row frontier of every full iteration without
-            # re-activating the delta machinery — the movement
-            # fallback's promotion watcher consumes these and hands the
-            # loop back to semi-naive delta when the frontier collapses.
-            table = ctx.registry.fetch(spec.cte_result)
-            key_column = table.columns[0]
-            if not key_column.mask.any():
-                values = comparable_values(key_column.data)
-                previous = ctx.registry.fetch(step.previous)
-                changed = _diff_by_key(table, previous, values)
-                engine.note_frontier(spec.loop_id, int(changed.sum()),
-                                     table.num_rows)
+    if runtime.disabled and not runtime.demoted:
         return None
     table = ctx.registry.fetch(spec.cte_result)
     key_column = table.columns[0]
-    if key_column.mask.any():
-        # NULL keys cannot be tracked by key; stay on the full path.
+    values = comparable_values(key_column.data)
+    solution = None if key_column.mask.any() else SolutionSet.build(values)
+    if solution is None:
+        # NULL or duplicate keys cannot be tracked by key: full path
+        # forever.
         runtime.disabled = True
         runtime.active = False
         return None
-    values = comparable_values(key_column.data)
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    if len(sorted_values) > 1 \
-            and (sorted_values[1:] == sorted_values[:-1]).any():
-        # Duplicate keys break per-key alignment; full path forever.
-        runtime.disabled = True
-        runtime.active = False
+    changed = _diff_by_key(table, ctx.registry.fetch(step.previous),
+                           solution)
+    if runtime.demoted:
+        # Demoted (not disqualified) loop: keep measuring the changed-row
+        # frontier of every full iteration without re-activating the
+        # delta machinery — the movement fallback's promotion watcher
+        # consumes these and hands the loop back to semi-naive delta
+        # when the frontier collapses.
+        engine.note_frontier(spec.loop_id, int(changed.sum()),
+                             table.num_rows)
         return None
     runtime.schema = table.schema
     runtime.columns = list(table.columns)
-    runtime.key_sorted = sorted_values
-    runtime.key_positions = order.astype(np.int64)
-    previous = ctx.registry.fetch(step.previous)
-    changed = _diff_by_key(table, previous, values)
-    runtime.frontier_keys = values[changed]
+    runtime.solution = solution
+    runtime.frontier_codes = solution.codes(values[changed])
     runtime.last_frontier = int(changed.sum())
     if spec.merge_by_key:
         working = ctx.registry.fetch(spec.working)
-        w_keys = comparable_values(working.columns[0].data)
+        w_codes = solution.codes(comparable_values(working.columns[0].data))
         flags = np.zeros(table.num_rows, dtype=np.bool_)
-        flags[_key_positions_of(runtime, w_keys, strict=False)] = True
+        flags[solution.rows[w_codes[w_codes >= 0]]] = True
         runtime.in_working = flags
     runtime.active = True
     engine.note_frontier(spec.loop_id, runtime.last_frontier,
@@ -218,50 +208,52 @@ def run_delta_capture(runner, step: DeltaCaptureStep) -> Optional[int]:
     return None
 
 
-def _key_positions_of(runtime: DeltaLoopRuntime, keys, strict: bool):
-    """Row positions of comparable ``keys`` in the CTE table."""
-    positions, found = lookup_sorted(runtime.key_sorted, keys)
-    if strict and not found.all():
+def _known_codes(solution: SolutionSet, keys):
+    """Solution-set codes of comparable ``keys`` the CTE table must hold."""
+    codes = solution.codes(keys)
+    if (codes < 0).any():
         raise ExecutionError(
             "delta evaluation lost track of a CTE key; this is a bug "
             "in the delta safety analysis")
-    return runtime.key_positions[positions[found]]
+    return codes
 
 
-def _expand_influence(runner, runtime: DeltaLoopRuntime,
+def _expand_influence(runner, solution: SolutionSet,
                       link: tuple[str, str, str], frontier):
-    """Keys influenced by ``frontier`` through one base-table link."""
-    entry = runtime.link_indexes.get(link)
-    if entry is None:
+    """Codes of the keys influenced by the ``frontier`` codes through one
+    base-table link."""
+    index = solution.links.get(link)
+    if index is None:
         table_name, src_name, dst_name = link
         base = runner.ctx.catalog.get(table_name)
         src = base.column(src_name)
         dst = base.column(dst_name)
         # A NULL on either side of an equi join never matches.
         valid = ~(src.mask | dst.mask)
-        src_values = comparable_values(src.data[valid])
-        dst_values = comparable_values(dst.data[valid])
-        order = np.argsort(src_values, kind="stable")
-        entry = (src_values[order], dst_values[order])
-        runtime.link_indexes[link] = entry
-    src_sorted, dst_by_src = entry
-    left = np.searchsorted(src_sorted, frontier, side="left")
-    right = np.searchsorted(src_sorted, frontier, side="right")
-    return dst_by_src[expand_ranges(left, right - left)]
+        src_codes = solution.codes(comparable_values(src.data[valid]))
+        dst_codes = solution.codes(comparable_values(dst.data[valid]))
+        # A link row whose destination is no CTE key influences nothing.
+        src_codes[dst_codes < 0] = -1
+        index = build_probe_index(src_codes)
+        # Each bucket carries the destination codes of its link rows
+        # instead of their row numbers, so a probe lands on codes.
+        index = index._replace(positions=dst_codes[index.positions])
+        solution.links[link] = index
+    lo, counts = probe_buckets(frontier, index)
+    return index.positions[expand_ranges(lo, counts)]
 
 
-def _diff_by_key(current: Table, previous: Table, current_keys):
+def _diff_by_key(current: Table, previous: Table, solution: SolutionSet):
     """Mask of ``current`` rows whose non-key values differ from the row
-    of ``previous`` with the same key (new keys count as changed)."""
-    if previous.num_rows == 0:
-        return np.ones(current.num_rows, dtype=np.bool_)
-    prev_values = comparable_values(previous.columns[0].data)
-    order = np.argsort(prev_values, kind="stable")
-    positions, found = lookup_sorted(prev_values[order], current_keys)
-    changed = ~found
+    of ``previous`` with the same key (new keys count as changed).
+    ``solution`` indexes ``current``'s keys."""
+    changed = np.ones(current.num_rows, dtype=np.bool_)
+    prev_key = previous.columns[0]
+    codes = solution.codes(comparable_values(prev_key.data))
+    found = (codes >= 0) & ~prev_key.mask
     if found.any():
-        idx_cur = np.flatnonzero(found)
-        idx_prev = order[positions[found]]
+        idx_prev = np.flatnonzero(found)
+        idx_cur = solution.rows[codes[found]]
         differs = np.zeros(len(idx_cur), dtype=np.bool_)
         for i in range(1, len(current.columns)):
             cur_col = current.columns[i].take(idx_cur)

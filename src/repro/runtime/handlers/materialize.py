@@ -36,6 +36,14 @@ def run_return(runner, step: ReturnStep) -> Optional[int]:
 
 @handles(DropStep)
 def run_drop(runner, step: DropStep) -> Optional[int]:
+    registry = runner.ctx.registry
+    dropped = [registry.fetch(name) for name in step.names
+               if registry.exists(name)]
     for name in step.names:
-        runner.ctx.registry.drop(name)
+        registry.drop(name)
+    cache = runner.ctx.active_kernel_cache()
+    if cache is not None and dropped:
+        # A dropped result's versions never recur: release its
+        # dictionaries and join indexes now, not at LRU eviction.
+        cache.invalidate_tables(*dropped)
     return None

@@ -163,12 +163,8 @@ class LoopEngine:
 
     def init_loop(self, spec: LoopSpec) -> None:
         self.states[spec.loop_id] = LoopState(spec)
-        runtime = None
-        if spec.delta is not None:
-            runtime = self.delta_runtimes.get(spec.loop_id)
-            if runtime is None:
-                runtime = DeltaLoopRuntime(spec.delta)
-                self.delta_runtimes[spec.loop_id] = runtime
+        runtime = None if spec.delta is None \
+            else self.delta_runtime(spec.delta)
         strategy = choose_strategy(spec, runtime)
         self.strategies[spec.loop_id] = strategy
         self.selections[spec.loop_id] = (strategy.name, strategy.reason)

@@ -30,7 +30,11 @@ body, so results stay bit-identical by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
+import numpy as np
+
+from ..execution.kernels import lookup_sorted
 from ..plan.program import DeltaSpec, LoopSpec
 
 
@@ -75,6 +79,70 @@ class FixpointIncremental(LoopStrategy):
     name = "fixpoint-incremental"
 
 
+class SolutionSet:
+    """The delta loop's one index over its unique CTE key column:
+    key -> dense code -> row.
+
+    Codes stay fixed for the life of the set, because a per-key
+    independent body keeps the key set invariant.  Only code -> row
+    changes, when the merge-by-key reorder moves rows (:meth:`permute`).
+    Integer keys whose span is at most twice their count (the bound
+    :func:`build_probe_index` uses) are addressed directly, code =
+    key - base.  Sparse integer, TEXT and FLOAT keys binary-search their
+    sorted values, code = rank.
+    """
+
+    __slots__ = ("base", "sorted_keys", "rows", "links")
+
+    def __init__(self, base, sorted_keys, rows):
+        self.base = base
+        self.sorted_keys = sorted_keys
+        # Code -> row position; -1 marks an empty direct-address slot.
+        self.rows = rows
+        # Base-table link -> ProbeIndex over its source codes whose
+        # payload is the destination codes (see _expand_influence).
+        self.links: dict = {}
+
+    @classmethod
+    def build(cls, keys: np.ndarray) -> Optional["SolutionSet"]:
+        """Index comparable ``keys``; None when a key repeats."""
+        count = len(keys)
+        if count and keys.dtype.kind == "i":
+            base = int(keys.min())
+            span = int(keys.max()) - base + 1
+            if span <= 2 * count:
+                rows = np.full(span, -1, dtype=np.int64)
+                rows[keys - base] = np.arange(count, dtype=np.int64)
+                if np.count_nonzero(rows >= 0) < count:
+                    return None
+                return cls(base, None, rows)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        if count > 1 and (sorted_keys[1:] == sorted_keys[:-1]).any():
+            return None
+        return cls(None, sorted_keys, order.astype(np.int64))
+
+    def codes(self, keys: np.ndarray) -> np.ndarray:
+        """Code of each comparable key, -1 for keys not in the set."""
+        if self.sorted_keys is None and keys.dtype.kind == "i":
+            slots = keys - self.base
+            inside = (slots >= 0) & (slots < len(self.rows))
+            slots = np.where(inside, slots, 0)
+            return np.where(inside & (self.rows[slots] >= 0), slots, -1)
+        if self.sorted_keys is None:
+            # Non-integer probes of a direct-addressed set.
+            occupied = np.flatnonzero(self.rows >= 0)
+            positions, found = lookup_sorted(occupied + self.base, keys)
+            return np.where(found, occupied[positions], -1)
+        positions, found = lookup_sorted(self.sorted_keys, keys)
+        return np.where(found, positions, -1)
+
+    def permute(self, moved_to: np.ndarray) -> None:
+        """Follow a reorder that moved old row ``r`` to ``moved_to[r]``."""
+        occupied = self.rows >= 0
+        self.rows = np.where(occupied, moved_to[self.rows], -1)
+
+
 class DeltaLoopRuntime:
     """Mutable per-loop state for the semi-naive delta path.
 
@@ -84,9 +152,8 @@ class DeltaLoopRuntime:
     """
 
     __slots__ = ("spec", "active", "disabled", "demoted", "schema",
-                 "columns", "key_sorted", "key_positions", "in_working",
-                 "frontier_keys", "last_frontier", "pending_positions",
-                 "link_indexes")
+                 "columns", "solution", "in_working", "frontier_codes",
+                 "last_frontier", "pending_positions")
 
     def __init__(self, spec: DeltaSpec):
         self.spec = spec
@@ -103,20 +170,16 @@ class DeltaLoopRuntime:
         self.schema = None
         # Column objects of the current CTE table (shared, immutable).
         self.columns: list = []
-        # Sorted comparable key values + the row position of each.
-        self.key_sorted = None
-        self.key_positions = None
+        # The key index over the CTE table, built at capture.
+        self.solution: Optional[SolutionSet] = None
         # Merge path only: per-row "key was in last iteration's working
         # table" flags, which drive the merge join's row ordering.
         self.in_working = None
-        # Comparable key values changed by the last iteration.
-        self.frontier_keys = None
+        # Solution-set codes of the keys changed by the last iteration.
+        self.frontier_codes = None
         self.last_frontier = 0
         # Row positions gathered by the pending partition step.
         self.pending_positions = None
-        # (table, src, dst) -> (sorted src values, dst values in that
-        # order) for frontier expansion through base tables.
-        self.link_indexes: dict = {}
 
 
 # Demote once DEMOTION_PATIENCE consecutive measured frontiers cover at
@@ -331,7 +394,6 @@ class DeltaShuffleExchange(ExchangeStrategy):
     def classify(self, channel: tuple[int, int], piece) -> str:
         if piece.num_rows == 0:
             return EMPTY
-        import numpy as np
         arrays = []
         for column in piece.columns:
             arrays.append(column.data)

@@ -17,7 +17,9 @@ preserve:
   ``DropStep`` never kills a live name (backward liveness);
 * **strategy legality** — semi-naive delta programs carry a single
   ``DeltaFusedStep`` paired with the capture step, its jumps entering
-  the full body before the capture and skipping past it; rename-in-place
+  the full body before the capture and skipping past it, and its plan
+  equal to the full body's with only the anchor scan rebound to the
+  partition; rename-in-place
   only moves a table straight onto the CTE name when the body has no WHERE
   clause (WHERE bodies must move the *merge* result, built from the
   duplicate-checked working table);
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import VerificationError
-from ..plan.logical import LogicalOp, LogicalTempScan
+from ..plan.logical import LogicalOp, LogicalTempScan, rebind_temp_scans
 from ..plan.program import (
     CopyStep,
     CountUpdatesStep,
@@ -540,6 +542,26 @@ class ProgramChecker:
         if not (capture_i < step.jump_to <= loop_idx):
             self._note(fused_i, f"jump_to ({step.jump_to + 1}) must skip "
                                 "past the capture step")
+        # The delta body is the full body's working-table plan with
+        # exactly its anchor scan rebound to the partition: it shares the
+        # §V-A common results and the join order, which keeps the two
+        # bodies bit-identical.
+        working = next(
+            (self.steps[i].plan for i in body
+             if isinstance(self.steps[i], MaterializeStep)
+             and self.steps[i].result_name.lower()
+             == delta.working.lower()),
+            None)
+        restored, rebound = rebind_temp_scans(step.plan, delta.partition,
+                                              delta.cte_result)
+        self.checks += 1
+        if rebound != 1:
+            self._note(fused_i, f"delta body reads the partition "
+                                f"{rebound} times, expected exactly once "
+                                "(the anchor)")
+        elif restored != working:
+            self._note(fused_i, "delta body is not the full body with "
+                                "only its anchor scan rebound")
 
     # -- embedded plans ----------------------------------------------------
 

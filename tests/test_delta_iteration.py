@@ -7,14 +7,22 @@ termination families, the runtime's self-disabling fallbacks, and the
 EXPLAIN ANALYZE integration (frontier-sized delta_rows, measured
 iteration feedback)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import dblp_like, generate_edges
 from repro.engine.database import Database
 from repro.errors import DuplicateKeyError
 from repro.execution import SessionOptions
+from repro.execution.kernels import comparable_values, expand_ranges
 from repro.plan.program import DeltaCaptureStep, DeltaFusedStep
+from repro.runtime.handlers.delta import _expand_influence
+from repro.runtime.strategies import SolutionSet
+from repro.storage import Table
 from repro.types import SqlType
 from repro.workloads import (
     ff_query,
@@ -174,22 +182,21 @@ class TestProgramShape:
 class TestKeyIndex:
     def test_reorder_keeps_the_index_of_a_fresh_sort(self, monkeypatch):
         # The merge-by-key reorder moves rows but keeps the key set, so
-        # the delta pass permutes the key index instead of re-sorting;
-        # it must still equal a sort of the reordered key column.
+        # the delta pass permutes the solution set instead of rebuilding
+        # it; it must still equal a fresh build over the reordered keys.
         import repro.runtime.handlers.delta as delta_handlers
         apply_delta = delta_handlers._apply_delta
         moved = []
 
         def checked(runner, step, runtime, working):
-            before = runtime.key_positions.copy()
+            before = runtime.solution.rows.copy()
             result = apply_delta(runner, step, runtime, working)
             if runtime.active:
-                keys = runtime.columns[0].data
-                order = np.argsort(keys, kind="stable")
-                assert np.array_equal(runtime.key_positions, order)
-                assert np.array_equal(runtime.key_sorted, keys[order])
+                fresh = SolutionSet.build(runtime.columns[0].data)
+                assert np.array_equal(runtime.solution.rows, fresh.rows)
+                assert runtime.solution.base == fresh.base
                 moved.append(not np.array_equal(before,
-                                                runtime.key_positions))
+                                                runtime.solution.rows))
             return result
 
         monkeypatch.setattr(delta_handlers, "_apply_delta", checked)
@@ -270,3 +277,137 @@ class TestExplainAnalyze:
         db.explain_analyze(sql)
         report = db.explain_analyze(sql)
         assert "8 iterations (exact)" in report
+
+
+def vs_db(edges, status, **options) -> Database:
+    db = graph_db(edges, **options)
+    db.create_table("vertexStatus", [("node", SqlType.INTEGER),
+                                     ("status", SqlType.INTEGER)])
+    db.load_rows("vertexStatus", status)
+    return db
+
+
+@st.composite
+def status_graphs(draw):
+    """(edges, vertexStatus rows, source): a small random graph, and a
+    random status per node — some nodes have no status row at all."""
+    nodes = draw(st.integers(2, 14))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1)),
+        min_size=1, max_size=40, unique=True))
+    weights = draw(st.lists(st.integers(1, 40), min_size=len(pairs),
+                            max_size=len(pairs)))
+    edges = [(a, b, w / 8) for (a, b), w in zip(pairs, weights)]
+    status = [(node, flag) for node in range(nodes)
+              if (flag := draw(st.sampled_from([0, 1, 1, None])))
+              is not None]
+    source = draw(st.sampled_from(sorted({a for a, _, _ in edges})))
+    return edges, status, source
+
+
+class TestSsspVertexStatus:
+    """SSSP-VS: the delta body reads the §V-A common block, so delta on vs
+    off must agree under every common-results × kernel-cache arm."""
+
+    @given(status_graphs())
+    @settings(max_examples=12, deadline=None)
+    def test_every_arm_is_bit_identical_to_the_reference(self, graph):
+        edges, status, source = graph
+        sql = sssp_query(source=source, iterations=8,
+                         with_vertex_status=True)
+        available = {node: bool(flag) for node, flag in status}
+        expected = reference_sssp(edges, source=source, iterations=8,
+                                  available=available)
+        tables = {}
+        for delta_on in (False, True):
+            for common in (False, True):
+                for cache in (False, True):
+                    db = vs_db(edges, status, delta_on=delta_on,
+                               enable_common_results=common,
+                               enable_kernel_cache=cache)
+                    tables[delta_on, common, cache] = \
+                        db.execute(sql).rows()
+        for rows in tables.values():
+            assert rows == tables[False, False, False]
+            assert dict(rows) == expected
+
+
+class TestSolutionSet:
+    def test_dense_integer_keys_are_direct_addressed(self):
+        keys = np.array([7, -2, 3, 0, -1, 5])  # negative, span 10 <= 12
+        solution = SolutionSet.build(keys)
+        assert solution.sorted_keys is None and solution.base == -2
+        codes = solution.codes(np.array([3, -2, 4, 99, -9]))
+        assert list(codes[2:]) == [-1, -1, -1]
+        assert list(solution.rows[codes[:2]]) == [2, 1]
+        # A FLOAT link column probing INTEGER keys.
+        codes = solution.codes(np.array([3.0, 3.5, np.nan, 99.0]))
+        assert codes[0] == 3 - (-2) and list(codes[1:]) == [-1, -1, -1]
+
+    def test_gaps_wider_than_twice_the_rows_fall_back_to_search(self):
+        keys = np.array([0, 1000, -7, 5])  # span 1008 > 8
+        solution = SolutionSet.build(keys)
+        assert solution.sorted_keys is not None
+        codes = solution.codes(np.array([1000, -7, 6]))
+        assert list(solution.rows[codes[:2]]) == [1, 2]
+        assert codes[2] == -1
+
+    @pytest.mark.parametrize("values,probe,found_rows", [
+        (["b", "a", "cc"], ["cc", "zz", "a"], [2, None, 1]),
+        ([0.5, -1.0, 2.25], [2.25, 0.75, -1.0], [2, None, 1]),
+    ], ids=["text", "float"])
+    def test_text_and_float_keys(self, values, probe, found_rows):
+        keys = comparable_values(np.array(values, dtype=object)
+                                 if isinstance(values[0], str)
+                                 else np.array(values))
+        solution = SolutionSet.build(keys)
+        codes = solution.codes(comparable_values(
+            np.array(probe, dtype=keys.dtype)))
+        got = [int(solution.rows[c]) if c >= 0 else None for c in codes]
+        assert got == found_rows
+
+    @pytest.mark.parametrize("keys", [[3, 1, 3], [0, 100, 0], [1.5, 1.5]])
+    def test_repeated_keys_build_nothing(self, keys):
+        assert SolutionSet.build(np.array(keys)) is None
+
+    @pytest.mark.parametrize("keys", [np.arange(-20, 20)[::-1],
+                                      np.arange(0, 4000, 100)])
+    def test_permute_equals_a_fresh_build(self, keys):
+        solution = SolutionSet.build(keys)
+        perm = np.random.default_rng(0).permutation(len(keys))
+        moved_to = np.empty_like(perm)
+        moved_to[perm] = np.arange(len(perm))
+        solution.permute(moved_to)
+        fresh = SolutionSet.build(keys[perm])
+        assert np.array_equal(solution.rows, fresh.rows)
+        probe = keys[::3]
+        assert np.array_equal(solution.codes(probe), fresh.codes(probe))
+
+    @pytest.mark.parametrize("keys", [np.arange(12), np.arange(12) * 50])
+    def test_link_expansion_matches_sort_and_search(self, keys):
+        # Duplicate sources, NULL on either side, and destinations that
+        # are no CTE key.
+        src = [0, 0, 1, 2, None, 3, 3, 11, 5, 50]
+        dst = [1, 1, 2, None, 4, 500, 0, 3, 7, 2]
+        scale = int(keys[1])
+        scaled = [[None if v is None else v * scale for v in side]
+                  for side in (src, dst)]
+        link = Table.from_columns([("s", SqlType.INTEGER, scaled[0]),
+                                   ("d", SqlType.INTEGER, scaled[1])])
+        runner = SimpleNamespace(ctx=SimpleNamespace(catalog={"link": link}))
+        solution = SolutionSet.build(keys)
+        frontier_keys = keys[[0, 3, 5, 11]]
+        codes = _expand_influence(runner, solution, ("link", "s", "d"),
+                                  solution.codes(frontier_keys))
+        got = np.sort(solution.rows[codes])
+
+        s, d = link.column("s"), link.column("d")
+        valid = ~(s.mask | d.mask)
+        order = np.argsort(s.data[valid], kind="stable")
+        src_sorted, dst_by_src = s.data[valid][order], d.data[valid][order]
+        lo = np.searchsorted(src_sorted, frontier_keys, "left")
+        hi = np.searchsorted(src_sorted, frontier_keys, "right")
+        reached = dst_by_src[expand_ranges(lo, hi - lo)]
+        reached = reached[np.isin(reached, keys)]
+        expected = np.sort(np.searchsorted(keys, reached))
+        assert np.array_equal(got, expected)

@@ -86,6 +86,23 @@ class TestFigureFive:
             pagerank_query(iterations=5, with_vertex_status=True))
         assert "COMMON#" not in text
 
+    def test_delta_body_reads_the_common_block(self, graph_vs_db):
+        # SSSP-VS with delta on: the fused pass's plan is the full body
+        # with its anchor rebound, so it reads COMMON#1 and the partition
+        # and never rescans vertexStatus.
+        graph_vs_db.set_option("enable_delta_iteration", True)
+        text = graph_vs_db.explain(
+            sssp_query(iterations=5, with_vertex_status=True), verbose=True)
+        lines = text.splitlines()
+        start = next(i for i, line in enumerate(lines)
+                     if "Fused delta pass" in line)
+        end = next(i for i in range(start + 1, len(lines))
+                   if not lines[i].startswith("      "))
+        fused = "\n".join(lines[start + 1:end])
+        assert "TempScan(COMMON#1)" in fused
+        assert "TempScan(__part_sssp" in fused
+        assert "Scan(vertexStatus" not in fused
+
     def test_explain_statement_form(self, graph_db):
         result = graph_db.execute("EXPLAIN SELECT src FROM edges")
         assert result.table is not None

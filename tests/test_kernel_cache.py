@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Database
+from repro.datasets import dblp_like, generate_edges, generate_vertex_status
 from repro.execution.kernel_cache import (
     IncrementalDistinctIndex,
     KernelCache,
@@ -14,8 +15,9 @@ from repro.execution.kernel_cache import (
     probe_dictionary,
 )
 from repro.execution.kernels import encode_keys
-from repro.storage import Column
+from repro.storage import Column, ResultRegistry
 from repro.types import SqlType
+from repro.workloads import sssp_query
 from repro.workloads.pagerank import pagerank_query
 
 CLOSURE = """
@@ -258,6 +260,50 @@ class TestDmlInvalidation:
         db.load_rows("edge", [(3, 4)])
         assert db.execute(CLOSURE).rows() == [
             (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
+class TestDropInvalidation:
+    def test_dropped_temp_results_release_their_entries(self, monkeypatch):
+        # Every run materializes fresh temp results (COMMON#1, whose join
+        # index the delta trips build, and the CTE tables).  Dropping them
+        # must release their dictionaries, join indexes and candidates at
+        # once, so the indexes do not pile up run after run until LRU
+        # eviction.
+        spec = dblp_like(nodes=300, seed=4)
+        db = Database()
+        db.set_option("enable_delta_iteration", True)
+        db.create_table("edges", [("src", SqlType.INTEGER),
+                                  ("dst", SqlType.INTEGER),
+                                  ("weight", SqlType.FLOAT)])
+        db.load_rows("edges", generate_edges(spec))
+        db.create_table("vertexStatus", [("node", SqlType.INTEGER),
+                                         ("status", SqlType.INTEGER)])
+        db.load_rows("vertexStatus", generate_vertex_status(spec))
+        sql = sssp_query(source=0, iterations=10, with_vertex_status=True)
+
+        dropped = set()
+        drop = ResultRegistry.drop
+
+        def recording_drop(registry, name):
+            if registry.exists(name):
+                dropped.update(c.version
+                               for c in registry.fetch(name).columns)
+            drop(registry, name)
+
+        monkeypatch.setattr(ResultRegistry, "drop", recording_drop)
+        cache = db.kernel_cache
+        db.execute(sql)
+        db.execute(sql)  # second touch: base-table join indexes built
+        indexes = {key: entry.nbytes()
+                   for key, entry in cache._indexes.items()}
+        for _ in range(3):
+            db.execute(sql)
+            assert {key: entry.nbytes()
+                    for key, entry in cache._indexes.items()} == indexes
+            held = set(cache._dictionaries).union(
+                *cache._indexes, *cache._index_candidates)
+            assert not held & dropped
+        assert db.stats.delta_iterations > 0
 
 
 class TestCacheParity:

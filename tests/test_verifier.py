@@ -14,11 +14,11 @@ import dataclasses
 import pytest
 
 from repro.core.rewrite import compile_statement
-from repro.datasets import dblp_like, generate_edges
+from repro.datasets import dblp_like, generate_edges, generate_vertex_status
 from repro.engine.database import Database
 from repro.errors import VerificationError
 from repro.execution import SessionOptions
-from repro.plan import PlanContext
+from repro.plan import PlanContext, rebind_temp_scans, transform
 from repro.plan.logical import LogicalTempScan
 from repro.plan.program import CopyStep, DropStep
 from repro.sql import ast, parse
@@ -69,6 +69,13 @@ def _fresh(shape):
     elif shape == "fused":
         db = _graph_db(enable_delta_iteration=True)
         sql = sssp_query(source=1, iterations=5)
+    elif shape == "fused_vs":
+        db = _graph_db(enable_delta_iteration=True)
+        db.create_table("vertexStatus", [("node", SqlType.INTEGER),
+                                         ("status", SqlType.INTEGER)])
+        db.load_rows("vertexStatus",
+                     generate_vertex_status(dblp_like(nodes=60, seed=3)))
+        sql = sssp_query(source=1, iterations=5, with_vertex_status=True)
     elif shape == "recursive":
         db = _graph_db()
         sql = RECURSIVE_SQL
@@ -104,6 +111,7 @@ def _first_column_ref(node):
 #   fused:           0 mat cte, 1 init, 2 fused, 3 snapshot, 4 mat work,
 #                    5 dupcheck, 6 mat merge, 7 rename, 8 capture,
 #                    9 inc, 10 loop, 11 ret, 12 drop
+#   fused_vs:        fused with 1 mat COMMON#1 inserted (fused at 3)
 #   recursive:       0 mat cte, 1 mat work, 2 init, 3 mat cand,
 #                    4 merge, 5 loop, 6 ret, 7 drop
 
@@ -200,6 +208,33 @@ def _mut_fused_capture_missing(program):
     program.steps[8] = DropStep([])
 
 
+def _mut_delta_body_unbound(program):
+    # The delta body runs the full body as is: no anchor rebound.
+    program.steps[2].plan = program.steps[4].plan
+
+
+def _mut_delta_body_rebinds_every_cte_scan(program):
+    fused = program.steps[2]
+    fused.plan, _ = rebind_temp_scans(program.steps[4].plan,
+                                      fused.spec.cte_result,
+                                      fused.spec.partition)
+
+
+def _mut_delta_body_reads_base_tables(program):
+    # Inline the §V-A block: the delta body rejoins edges and
+    # vertexStatus instead of reading COMMON#1.
+    common = program.steps[1]
+    fused = program.steps[3]
+
+    def inline(node):
+        if isinstance(node, LogicalTempScan) \
+                and node.result_name == common.result_name:
+            return common.plan
+        return node
+
+    fused.plan = transform(fused.plan, inline)
+
+
 MUTATIONS = [
     ("jump_past_end", "iterative", _mut_jump_past_end,
      "past the end"),
@@ -243,12 +278,19 @@ MUTATIONS = [
      "has no DeltaFusedStep"),
     ("fused_capture_missing", "fused", _mut_fused_capture_missing,
      "DeltaCaptureStep"),
+    ("delta_body_unbound", "fused", _mut_delta_body_unbound,
+     "0 times, expected exactly once"),
+    ("delta_body_rebinds_every_cte_scan", "fused",
+     _mut_delta_body_rebinds_every_cte_scan,
+     "2 times, expected exactly once"),
+    ("delta_body_reads_base_tables", "fused_vs",
+     _mut_delta_body_reads_base_tables, "only its anchor scan rebound"),
 ]
 
 
 class TestPristinePrograms:
     @pytest.mark.parametrize(
-        "shape", ["iterative", "fused", "recursive", "where"])
+        "shape", ["iterative", "fused", "fused_vs", "recursive", "where"])
     def test_compiles_clean(self, shape):
         program, catalog = _fresh(shape)
         assert check_program(program, catalog) == []
