@@ -1,12 +1,11 @@
-"""Vectorized columnar kernels + fused delta pass + morsel scheduler.
+"""Vectorized columnar kernels + fused delta pass.
 
 Not a paper figure: this measures the execution-core work described in
-DESIGN.md's "Columnar batches and morsels" section — the vectorized
-kernel suite (encode/join/group/scatter), the fused semi-naive delta
-step (gate, partition, recompute, apply and capture as one batched
-columnar pass), and morsel-driven parallel dispatch.
+DESIGN.md's "Columnar batches" section — the vectorized kernel suite
+(encode/join/group/scatter) and the fused semi-naive delta step (gate,
+partition, recompute, apply and capture as one batched columnar pass).
 
-Two workloads, results asserted bit-identical (mask-aware):
+One workload, results asserted bit-identical (mask-aware):
 
 * **SSSP on a DAG, fixed 120 iterations** — the convergence profile
   that rewards the fused delta pass hardest: the wave dies out after
@@ -14,15 +13,6 @@ Two workloads, results asserted bit-identical (mask-aware):
   O(1) fused-step dispatch instead of a full columnar recomputation.
   Expected: >= 5x end to end, every delta iteration through the fused
   step.
-* **Large scan (400k rows), morsel scheduler off vs on** — a
-  filter+project over fixed-size morsels with a shared worker pool.
-  This reproduction's container is single-CPU, so the honest claim is
-  *dispatch correctness at parity*, not a scaling curve: multi-worker
-  dispatch must engage (``morsel_batches > 0``, on a host with more
-  than one usable CPU) and must not cost more than a few percent
-  against the single-threaded path.
-  NumPy kernels release the GIL, so multi-core hosts see real scaling
-  from the same code path.
 
 Run directly for the JSON summary and the BENCH artifact:
 
@@ -36,19 +26,12 @@ import json
 import numpy as np
 
 from repro import Database
-from repro.execution.morsel import MORSEL_WORKERS
 from repro.harness import Comparison, print_figure, time_fresh, \
     write_bench_artifact
 from repro.types import SqlType
 from repro.workloads import sssp_query
 
 SSSP_ITERATIONS = 120
-SCAN_ROWS = 400_000
-
-SCAN_SQL = """
-SELECT src, dst, weight * 2.0 + 1.0 AS boosted
-FROM big
-WHERE weight > 0.25 AND MOD(src, 3) <> 1"""
 
 
 def dag_graph(num_nodes=3000, num_edges=12000, seed=5):
@@ -70,21 +53,6 @@ def _graph_db(edges, delta_on):
                               ("dst", SqlType.INTEGER),
                               ("weight", SqlType.FLOAT)])
     db.load_rows("edges", edges)
-    return db
-
-
-def _scan_db(parallel):
-    rng = np.random.default_rng(23)
-    db = Database()
-    db.set_option("parallel_morsels", parallel)
-    db.create_table("big", [("src", SqlType.INTEGER),
-                            ("dst", SqlType.INTEGER),
-                            ("weight", SqlType.FLOAT)])
-    src = rng.integers(1, 10_000, size=SCAN_ROWS)
-    dst = rng.integers(1, 10_000, size=SCAN_ROWS)
-    weight = rng.uniform(0, 1, size=SCAN_ROWS)
-    db.load_rows("big", list(zip(src.tolist(), dst.tolist(),
-                                 np.round(weight, 6).tolist())))
     return db
 
 
@@ -127,41 +95,12 @@ def fused_delta_case(repeats=3, warmup=1):
             fused_iterations)
 
 
-def morsel_scan_case(repeats=3, warmup=1):
-    results, measurements = {}, {}
-    stats = {}
-    for parallel in (False, True):
-        captured = {}
-
-        def run(db, parallel=parallel, captured=captured):
-            captured["table"] = db.execute(SCAN_SQL).table
-            captured["stats"] = (db.stats.morsel_batches,
-                                 db.stats.morsel_rows)
-
-        measurements[parallel] = time_fresh(
-            f"scan-{SCAN_ROWS // 1000}k/"
-            f"morsels-{'on' if parallel else 'off'}",
-            lambda parallel=parallel: _scan_db(parallel),
-            run, repeats=repeats, warmup=warmup)
-        results[parallel] = captured["table"]
-        stats[parallel] = captured["stats"]
-    comparison = Comparison(f"scan {SCAN_ROWS // 1000}k morsels",
-                            measurements[False], measurements[True])
-    batches, rows = stats[True]
-    return (comparison, tables_bit_identical(results[True], results[False]),
-            {"morsel_batches": batches,
-             "morsel_rows": rows,
-             "morsel_workers": MORSEL_WORKERS})
-
-
 def run_benchmark(artifact_dir=None) -> dict:
     delta_cmp, delta_identical, fused_iterations = fused_delta_case()
-    scan_cmp, scan_identical, morsel_stats = morsel_scan_case()
     print_figure(
-        "Vectorized columnar kernels + fused delta pass + morsels",
-        [delta_cmp, scan_cmp],
-        f">= 5x on convergent SSSP via the fused delta step; "
-        f"morsel dispatch at parity on this single-CPU container")
+        "Vectorized columnar kernels + fused delta pass",
+        [delta_cmp],
+        ">= 5x on convergent SSSP via the fused delta step")
     summary = {
         "benchmark": "columnar_kernels",
         "workloads": [
@@ -173,43 +112,26 @@ def run_benchmark(artifact_dir=None) -> dict:
                 "bit_identical": delta_identical,
                 "delta_iterations": fused_iterations,
             },
-            {
-                "name": scan_cmp.name,
-                "baseline_seconds": scan_cmp.baseline.seconds,
-                "optimized_seconds": scan_cmp.optimized.seconds,
-                "speedup": scan_cmp.speedup,
-                "bit_identical": scan_identical,
-                **morsel_stats,
-            },
         ],
-        "single_cpu_container": True,
     }
     print(json.dumps(summary, indent=2))
     if artifact_dir is not None:
         path = write_bench_artifact(
             "columnar_kernels",
-            comparisons=[delta_cmp, scan_cmp],
-            extra={"workloads": summary["workloads"],
-                   "single_cpu_container": True},
+            comparisons=[delta_cmp],
+            extra={"workloads": summary["workloads"]},
             directory=artifact_dir)
         print(f"wrote {path}")
     return summary
 
 
 def test_columnar_kernels_report():
-    summary = run_benchmark()
-    sssp, scan = summary["workloads"]
+    (sssp,) = run_benchmark()["workloads"]
     assert sssp["bit_identical"], "fused delta changed SSSP results"
     assert sssp["delta_iterations"] >= SSSP_ITERATIONS - 1, (
         "not every iteration after the first took the delta path")
     assert sssp["speedup"] >= 5.0, (
         f"fused-delta speedup {sssp['speedup']:.2f}x below the 5x floor")
-    assert scan["bit_identical"], "morsel scheduling changed scan results"
-    assert scan["morsel_batches"] > 0 or MORSEL_WORKERS == 1, (
-        "parallel morsel dispatch never engaged on the large scan")
-    assert scan["speedup"] >= 0.7, (
-        f"morsel dispatch overhead collapsed the scan: "
-        f"{scan['speedup']:.2f}x")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import RecursionNotSupportedError
 from ..plan import CteBinding, build_statement, rename_outputs
+from ..plan.logical import LogicalDistinct
 from ..plan.program import (
     InitLoopStep,
     LoopSpec,
@@ -72,9 +73,14 @@ def emit_recursive_cte(cte: ast.CommonTableExpr,
         types = unified
     assert step_plan is not None
 
-    base_plan = optimize_plan(rename_outputs(base_plan, columns, cte_name),
-                              state.options, state.estimator, state.tracer,
-                              context.catalog)
+    base_plan = rename_outputs(base_plan, columns, cte_name)
+    if distinct:
+        # Under UNION the result is a set from the start: the merge step
+        # only dedups each candidate against the rows seen so far, so
+        # duplicates within the base would otherwise survive.
+        base_plan = LogicalDistinct(base_plan)
+    base_plan = optimize_plan(base_plan, state.options, state.estimator,
+                              state.tracer, context.catalog)
     step_plan = optimize_plan(step_plan, state.options, state.estimator,
                               state.tracer, context.catalog)
 
@@ -88,9 +94,7 @@ def emit_recursive_cte(cte: ast.CommonTableExpr,
     steps.append(MaterializeStep(
         cte_result, base_plan, columns,
         comment=f"base of recursive {cte.name}"))
-    # Seed the working table: under UNION the base rows are deduplicated
-    # against themselves by the merge step of the first iteration; seeding
-    # with the same plan keeps the program uniform.
+    # Seed the working table with the same (deduplicated) base plan.
     steps.append(MaterializeStep(
         working, base_plan, columns,
         comment=f"seed working table of {cte.name}"))

@@ -2,24 +2,6 @@
 
 SUM/MIN/MAX/AVG ignore NULL inputs and return NULL for groups with no
 valid input; COUNT returns 0.  COUNT(*) counts rows regardless of NULLs.
-
-The grouped kernels dispatch through :func:`~repro.execution.morsel.run_morsels`
-when the session opts into morsel execution (``ctx`` passed), as a
-two-phase partial/final merge that is chunk-size-independent **by
-construction**, not by tolerance:
-
-* COUNT / valid-counts — per-morsel ``bincount`` partials summed with
-  integer addition (exactly associative);
-* MIN / MAX — per-morsel group extremes merged with the same reducer
-  (order-independent, NaN-propagation included);
-* SUM / AVG — floating addition is *not* associative, so the per-morsel
-  "partial" is the filtered ``(gids, weights)`` row pairs; concatenated
-  in morsel order they reproduce the single-shot filtered row order
-  exactly, and one final ``bincount`` accumulates in that order —
-  bit-identical to the unchunked kernel whatever the morsel size.
-
-COUNT DISTINCT and TEXT extremes keep their single-shot paths (pair
-factorization and the object-dtype scan do not decompose cleanly).
 """
 
 from __future__ import annotations
@@ -34,20 +16,14 @@ from ..types import SqlType
 from .expressions import evaluate
 from .frame import Frame
 from .kernels import factorize
-from .morsel import run_morsels
 
 
 def compute_aggregate(call: ast.FunctionCall, frame: Frame,
-                      gids: np.ndarray, n_groups: int,
-                      ctx=None) -> Column:
-    """Evaluate one aggregate call per group over ``frame``.
-
-    ``ctx`` (an :class:`~repro.execution.context.ExecutionContext`)
-    enables the morselized two-phase kernels where the session opted in.
-    """
+                      gids: np.ndarray, n_groups: int) -> Column:
+    """Evaluate one aggregate call per group over ``frame``."""
     name = call.name
     if name == "count":
-        return _count(call, frame, gids, n_groups, ctx)
+        return _count(call, frame, gids, n_groups)
     if len(call.args) != 1:
         raise TypeCheckError(f"{name.upper()} expects exactly one argument")
     if call.distinct:
@@ -55,43 +31,23 @@ def compute_aggregate(call: ast.FunctionCall, frame: Frame,
             f"DISTINCT is only supported inside COUNT, not {name.upper()}")
     values = evaluate(call.args[0], frame)
     if name == "sum":
-        return _sum(values, gids, n_groups, ctx)
+        return _sum(values, gids, n_groups)
     if name == "avg":
-        total = _sum(values.cast(SqlType.FLOAT), gids, n_groups, ctx)
-        counts = _valid_counts(values, gids, n_groups, ctx)
+        total = _sum(values.cast(SqlType.FLOAT), gids, n_groups)
+        counts = _valid_counts(values, gids, n_groups)
         data = np.zeros(n_groups, dtype=np.float64)
         nonzero = counts > 0
         data[nonzero] = total.data[nonzero] / counts[nonzero]
         return Column(SqlType.FLOAT, data, counts == 0)
     if name in ("min", "max"):
-        return _extreme(values, gids, n_groups, smallest=(name == "min"),
-                        ctx=ctx)
+        return _extreme(values, gids, n_groups, smallest=(name == "min"))
     raise ExecutionError(f"unknown aggregate: {name!r}")
 
 
-def _morsel_agg(ctx, gids: np.ndarray, fn, label: str):
-    """Run one grouped kernel's partial phase over morsels of the input
-    rows; returns the per-morsel partials or ``None`` (single-shot)."""
-    if ctx is None:
-        return None
-    partials = run_morsels(ctx, len(gids), fn, label)
-    if partials is not None:
-        ctx.stats.morsel_agg_batches += len(partials)
-    return partials
-
-
 def _count(call: ast.FunctionCall, frame: Frame, gids: np.ndarray,
-           n_groups: int, ctx=None) -> Column:
+           n_groups: int) -> Column:
     if len(call.args) == 1 and isinstance(call.args[0], ast.Star):
-        partials = _morsel_agg(
-            ctx, gids,
-            lambda start, stop: np.bincount(gids[start:stop],
-                                            minlength=n_groups),
-            "aggregate:count")
-        if partials is not None:
-            data = np.sum(partials, axis=0).astype(np.int64)
-        else:
-            data = np.bincount(gids, minlength=n_groups).astype(np.int64)
+        data = np.bincount(gids, minlength=n_groups).astype(np.int64)
         return Column(SqlType.INTEGER, data,
                       np.zeros(n_groups, dtype=np.bool_))
     if len(call.args) != 1:
@@ -110,56 +66,31 @@ def _count(call: ast.FunctionCall, frame: Frame, gids: np.ndarray,
                                minlength=n_groups).astype(np.int64)
         return Column(SqlType.INTEGER, data,
                       np.zeros(n_groups, dtype=np.bool_))
-    data = _valid_counts(values, gids, n_groups, ctx).astype(np.int64)
+    data = _valid_counts(values, gids, n_groups).astype(np.int64)
     return Column(SqlType.INTEGER, data, np.zeros(n_groups, dtype=np.bool_))
 
 
 def _valid_counts(values: Column, gids: np.ndarray,
-                  n_groups: int, ctx=None) -> np.ndarray:
+                  n_groups: int) -> np.ndarray:
     valid = ~values.mask
     if not valid.any():
         return np.zeros(n_groups, dtype=np.int64)
-    partials = _morsel_agg(
-        ctx, gids,
-        lambda start, stop: np.bincount(
-            gids[start:stop][valid[start:stop]], minlength=n_groups),
-        "aggregate:valid_counts")
-    if partials is not None:
-        return np.sum(partials, axis=0).astype(np.int64)
     return np.bincount(gids[valid], minlength=n_groups).astype(np.int64)
 
 
-def _sum(values: Column, gids: np.ndarray, n_groups: int,
-         ctx=None) -> Column:
+def _sum(values: Column, gids: np.ndarray, n_groups: int) -> Column:
     if not values.sql_type.is_numeric and values.sql_type is not SqlType.NULL:
         raise TypeCheckError("SUM requires a numeric argument")
     result_type = (SqlType.INTEGER if values.sql_type is SqlType.INTEGER
                    else SqlType.FLOAT)
-    counts = _valid_counts(values, gids, n_groups, ctx)
+    counts = _valid_counts(values, gids, n_groups)
     valid = ~values.mask
     sums = np.zeros(n_groups, dtype=np.float64)
     if valid.any():
-        # Two-phase float sum: morsels gather their filtered
-        # (gid, weight) rows; one final bincount adds them in the
-        # original row order, so the result cannot depend on the chunk
-        # size (float addition is order-, not grouping-, sensitive).
-        partials = _morsel_agg(
-            ctx, gids,
-            lambda start, stop: (
-                gids[start:stop][valid[start:stop]],
-                values.data[start:stop][valid[start:stop]].astype(
-                    np.float64)),
-            "aggregate:sum")
-        if partials is not None:
-            sums = np.bincount(
-                np.concatenate([p[0] for p in partials]),
-                weights=np.concatenate([p[1] for p in partials]),
-                minlength=n_groups)
-        else:
-            sums = np.bincount(
-                gids[valid],
-                weights=values.data[valid].astype(np.float64),
-                minlength=n_groups)
+        sums = np.bincount(
+            gids[valid],
+            weights=values.data[valid].astype(np.float64),
+            minlength=n_groups)
     mask = counts == 0
     if result_type is SqlType.INTEGER:
         data = np.round(sums).astype(np.int64)
@@ -169,9 +100,9 @@ def _sum(values: Column, gids: np.ndarray, n_groups: int,
 
 
 def _extreme(values: Column, gids: np.ndarray, n_groups: int,
-             smallest: bool, ctx=None) -> Column:
+             smallest: bool) -> Column:
     valid = ~values.mask
-    counts = _valid_counts(values, gids, n_groups, ctx)
+    counts = _valid_counts(values, gids, n_groups)
     mask = counts == 0
     if values.sql_type is SqlType.TEXT:
         # Object dtype: no ufunc.at — loop over valid rows.
@@ -197,23 +128,7 @@ def _extreme(values: Column, gids: np.ndarray, n_groups: int,
         data = np.full(n_groups, init, dtype=np.float64)
     if valid.any():
         reducer = np.minimum if smallest else np.maximum
-
-        def _partial(start: int, stop: int) -> np.ndarray:
-            part = data.copy()
-            keep = valid[start:stop]
-            reducer.at(part, gids[start:stop][keep],
-                       values.data[start:stop][keep])
-            return part
-
-        partials = _morsel_agg(ctx, gids, _partial, "aggregate:extreme")
-        if partials is not None:
-            # min/max are associative and commutative (NaN propagates
-            # through either way), so merging per-morsel group extremes
-            # is exact — no ordering caveat like the float sum.
-            for part in partials:
-                data = reducer(data, part)
-        else:
-            reducer.at(data, gids[valid], values.data[valid])
+        reducer.at(data, gids[valid], values.data[valid])
     # Give empty groups an in-band placeholder consistent with the mask.
     if mask.any():
         data[mask] = 0

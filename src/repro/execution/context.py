@@ -57,13 +57,6 @@ class ExecutionStats:
     # landed on observed the frontier collapsing again and handed the
     # loop back to a fresh semi-naive delta strategy.
     strategy_promotions: int = 0
-    # Morsel-driven parallelism: batches dispatched to the worker pool
-    # and rows processed through morsel-split operators.
-    morsel_batches: int = 0
-    morsel_rows: int = 0
-    # Per-morsel partials produced by the two-phase grouped-aggregate
-    # kernels (COUNT/SUM/AVG/MIN/MAX partial → final merge).
-    morsel_agg_batches: int = 0
     # Shared plan cache (repro.plan.cache): full hits skip parse→bind→
     # rewrite→compile; shape hits saw the statement family before but
     # with different constants (recompiled); invalidations are entries
@@ -124,12 +117,6 @@ class SessionOptions:
     # merge the delta back.  Bit-identical to full recomputation; off by
     # default until the analyzer has seen wider production exposure.
     enable_delta_iteration: bool = False
-    # Morsel-driven parallelism: split large scans/filters/projections
-    # and join probes into fixed-size row chunks dispatched across a
-    # thread pool (NumPy kernels release the GIL).  Chunk size, row
-    # threshold and pool width are constants in repro.execution.morsel;
-    # inputs below the threshold stay on the single-shot path.
-    parallel_morsels: bool = False
     # IR verifier (repro.verify): check schema/type propagation, step
     # CFG integrity, and strategy legality after building, after each
     # rewrite pass, and after compilation, raising VerificationError on

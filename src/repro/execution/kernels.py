@@ -103,10 +103,10 @@ class ProbeIndex(NamedTuple):
 
 
 def build_probe_index(codes: np.ndarray, probe_rows: int = 0) -> ProbeIndex:
-    """Index a build side's codes (-1 = no match) so many probe morsels,
-    or every iteration of a loop, can share it.  Offsets cost a slot per
-    code up to the largest; past twice the rows of both sides (a sparse
-    mixed-radix space) the sorted codes are kept instead."""
+    """Index a build side's codes (-1 = no match) so every iteration of a
+    loop can share it.  Offsets cost a slot per code up to the largest;
+    past twice the rows of both sides (a sparse mixed-radix space) the
+    sorted codes are kept instead."""
     valid = codes >= 0
     positions = np.flatnonzero(valid)
     valid_codes = codes[valid]

@@ -49,7 +49,6 @@ from .kernels import (
     probe_buckets,
     sort_indices,
 )
-from .morsel import run_morsels
 
 
 def execute_plan(op: LogicalOp, ctx: ExecutionContext) -> Frame:
@@ -66,10 +65,10 @@ def execute_plan(op: LogicalOp, ctx: ExecutionContext) -> Frame:
         return _execute_values(op)
     if isinstance(op, LogicalFilter):
         child = execute_plan(op.child, ctx)
-        return child.filter(_execute_filter_mask(op, child, ctx))
+        return child.filter(evaluate_predicate(op.predicate, child))
     if isinstance(op, LogicalProject):
         child = execute_plan(op.child, ctx)
-        return _execute_project(op, child, ctx)
+        return _execute_project(op, child)
     if isinstance(op, LogicalRename):
         child = execute_plan(op.child, ctx)
         columns = [c if c.sql_type is f.sql_type else c.cast(f.sql_type)
@@ -137,44 +136,14 @@ def _execute_values(op: LogicalValues) -> Frame:
     return Frame(op.fields, columns, len(op.rows))
 
 
-def _execute_filter_mask(op: LogicalFilter, child: Frame,
-                         ctx: ExecutionContext) -> np.ndarray:
-    """The keep mask of a filter, morsel-split when the session opts in.
-
-    Predicates are elementwise, so evaluating per-morsel and
-    concatenating the masks in input order is bit-identical to the
-    single-shot evaluation.  The evaluator is pure NumPy over frames, so
-    pool workers can call it.
-    """
-    def keep_of(start: int, stop: int) -> np.ndarray:
-        return evaluate_predicate(op.predicate, child.slice(start, stop))
-
-    chunks = run_morsels(ctx, child.num_rows, keep_of, label="filter")
-    if chunks is None:
-        return keep_of(0, child.num_rows)
-    return np.concatenate(chunks)
-
-
-def _execute_project(op: LogicalProject, child: Frame,
-                     ctx: ExecutionContext | None = None) -> Frame:
-    def project_chunk(start: int, stop: int) -> list[Column]:
-        chunk = child.slice(start, stop)
-        columns = []
-        for (expr, _name), field in zip(op.exprs, op.fields):
-            column = evaluate(expr, chunk)
-            if column.sql_type is not field.sql_type \
-                    and field.sql_type is not SqlType.NULL:
-                column = column.cast(field.sql_type)
-            columns.append(column)
-        return columns
-
-    chunks = run_morsels(ctx, child.num_rows, project_chunk,
-                         label="project") if ctx is not None else None
-    if chunks is None:
-        return Frame(op.fields, project_chunk(0, child.num_rows),
-                     child.num_rows)
-    columns = [Column.concat_many([c[i] for c in chunks])
-               for i in range(len(op.fields))]
+def _execute_project(op: LogicalProject, child: Frame) -> Frame:
+    columns = []
+    for (expr, _name), field in zip(op.exprs, op.fields):
+        column = evaluate(expr, child)
+        if column.sql_type is not field.sql_type \
+                and field.sql_type is not SqlType.NULL:
+            column = column.cast(field.sql_type)
+        columns.append(column)
     return Frame(op.fields, columns, child.num_rows)
 
 
@@ -275,23 +244,7 @@ def _equi_pairs(equi, left: Frame, right: Frame,
     right_keys = [evaluate(b, right) for _, b in equi]
     left_codes, right_codes, right_index = _encode_join_sides(
         left_keys, right_keys, ctx)
-    if ctx.options.parallel_morsels and right_index is None:
-        # Build the probe index once so every morsel shares it.
-        right_index = build_probe_index(right_codes, len(left_codes))
-
-    def probe_chunk(start: int, stop: int):
-        pairs_left, pairs_right = equi_join_pairs(
-            left_codes[start:stop], right_codes, right_index)
-        return pairs_left + start, pairs_right
-
-    chunks = run_morsels(ctx, len(left_codes), probe_chunk,
-                         label="join-probe")
-    if chunks is None:
-        return equi_join_pairs(left_codes, right_codes, right_index)
-    # Per-morsel pairs are grouped by left row in left-row order, so
-    # concatenating in morsel order preserves the global pair order.
-    return (np.concatenate([c[0] for c in chunks]),
-            np.concatenate([c[1] for c in chunks]))
+    return equi_join_pairs(left_codes, right_codes, right_index)
 
 
 def _execute_join(op: LogicalJoin, ctx: ExecutionContext) -> Frame:
@@ -455,7 +408,7 @@ def _execute_aggregate(op: LogicalAggregate, ctx: ExecutionContext) -> Frame:
         n_groups = 1
         key_slots = []
 
-    agg_slots = [compute_aggregate(spec.call, child, gids, n_groups, ctx)
+    agg_slots = [compute_aggregate(spec.call, child, gids, n_groups)
                  for spec in op.aggregates]
 
     internal_fields = internal_aggregate_fields(op, op.child.fields)

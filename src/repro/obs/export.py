@@ -67,15 +67,12 @@ _LOOP_KEYS = frozenset(
 _LOOP_KINDS = frozenset(
     {"iterative", "fixpoint", "mpp", "middleware", "procedure"})
 
-# Structured event kinds (zero-duration spans) carry a documented
-# attribute contract on top of the open attribute map; the validator
-# enforces presence so downstream tooling (repro-profile's decision
-# timeline, the trace diff) can rely on the keys.  ``decision`` events
-# additionally have a closed name set — each name is one decision the
-# runtime can take, with its own required attributes.
-_EVENT_REQUIRED_ATTRS = {
-    "morsel": frozenset({"morsels", "rows", "workers", "parallel"}),
-}
+# ``decision`` events (zero-duration spans) carry a documented attribute
+# contract on top of the open attribute map; the validator enforces
+# presence so downstream tooling (repro-profile's decision timeline, the
+# trace diff) can rely on the keys.  Their name set is closed — each
+# name is one decision the runtime can take, with its own required
+# attributes.
 _DECISION_COMMON_ATTRS = frozenset({"loop_id", "reason"})
 _DECISION_EVENT_ATTRS = {
     "strategy_selection": frozenset({"strategy"}),
@@ -151,18 +148,15 @@ def _validate_span(span, path: str) -> None:
         if value is not None and not isinstance(value,
                                                 (bool, int, float, str)):
             _fail(f"{path}.attributes[{key!r}] is not a scalar")
-    required = _EVENT_REQUIRED_ATTRS.get(span["kind"])
     if span["kind"] == "decision":
         required = _DECISION_EVENT_ATTRS.get(span["name"])
         if required is None:
             _fail(f"{path} is a decision event with unknown name "
                   f"{span['name']!r} (known: "
                   f"{sorted(DECISION_EVENT_NAMES)})")
-        required = required | _DECISION_COMMON_ATTRS
-    if required is not None:
-        missing = required - set(span["attributes"])
+        missing = (required | _DECISION_COMMON_ATTRS) - set(span["attributes"])
         if missing:
-            _fail(f"{path} ({span['kind']} event {span['name']!r}) is "
+            _fail(f"{path} (decision event {span['name']!r}) is "
                   f"missing required attributes {sorted(missing)}")
     if not isinstance(span["children"], list):
         _fail(f"{path}.children is not a list")

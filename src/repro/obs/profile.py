@@ -5,7 +5,7 @@ go".  This module folds one trace (the :class:`~repro.obs.export.Trace`
 JSON produced by ``Database.trace_json()``) into:
 
 * **Stack aggregation** — inclusive/exclusive wall time per span stack
-  (phase → step → kernel/morsel), with every ``iteration`` span of a
+  (phase → step → kernel), with every ``iteration`` span of a
   loop folded into one frame so a 60-trip loop reads as one hot stack
   with ``count=60`` instead of 60 near-identical stacks.
 * **Collapsed-stack export** — the ``a;b;c <weight>`` format flamegraph
@@ -36,7 +36,7 @@ from .export import validate_trace_dict
 
 # Zero-duration structured events: excluded from timing stacks (they
 # carry no time), collected separately for the decision timeline.
-_EVENT_KINDS = frozenset({"event", "morsel", "decision", "strategy"})
+_EVENT_KINDS = frozenset({"event", "decision", "strategy"})
 
 
 @dataclass

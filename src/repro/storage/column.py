@@ -9,7 +9,7 @@ observed — every consumer is required to respect the mask.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -200,28 +200,6 @@ class Column:
         data = np.concatenate([left.data, right.data])
         mask = np.concatenate([left.mask, right.mask])
         return Column(target, data, mask)
-
-    @classmethod
-    def concat_many(cls, parts: Sequence["Column"]) -> "Column":
-        """Concatenate many columns with a single allocation.
-
-        Pairwise ``concat`` over N segments copies the accumulated prefix N
-        times; this is the consolidation path segmented tables use to stay
-        O(total) instead.
-        """
-        from ..types import common_type
-        if not parts:
-            raise ValueError("concat_many of zero columns")
-        if len(parts) == 1:
-            return parts[0]
-        target = parts[0].sql_type
-        for part in parts[1:]:
-            target = common_type(target, part.sql_type)
-        casted = [p if p.sql_type is target else p.cast(target)
-                  for p in parts]
-        data = np.concatenate([p.data for p in casted])
-        mask = np.concatenate([p.mask for p in casted])
-        return cls(target, data, mask)
 
     def equals(self, other: "Column") -> np.ndarray:
         """Element-wise SQL equality as a boolean vector where NULL = NULL

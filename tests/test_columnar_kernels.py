@@ -4,9 +4,7 @@ Each kernel is checked against a deliberately naive row-at-a-time
 reference implementation over the same inputs — NULL-heavy, empty, and
 single-row columns included — so the vectorized paths must be
 bit-identical to first-principles row semantics, not merely
-self-consistent.  A second family of tests drives whole queries through
-the morsel scheduler at several chunk sizes (including degenerate
-1-row morsels) and asserts results never depend on morsel boundaries.
+self-consistent.
 """
 
 import numpy as np
@@ -14,8 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.database import Database
-from repro.execution import SessionOptions
 from repro.execution.kernels import (
     build_probe_index,
     distinct_indices,
@@ -219,22 +215,6 @@ class TestDirectAddressProbe:
         assert index.offsets.tolist() == [0, 1, 1, 3, 3]
         assert index.positions.tolist() == [2, 0, 3]
 
-    @settings(max_examples=50, deadline=None)
-    @given(code_arrays, code_arrays, st.integers(1, 7))
-    def test_morsels_sharing_one_index(self, left_codes, right_codes,
-                                       size):
-        index = build_probe_index(right_codes, len(left_codes))
-        chunks = [equi_join_pairs(left_codes[start:start + size],
-                                  right_codes, index)
-                  for start in range(0, len(left_codes), size)]
-        li = np.concatenate([c[0] + start for c, start in
-                             zip(chunks, range(0, len(left_codes), size))]
-                            + [np.empty(0, dtype=np.int64)])
-        ri = np.concatenate([c[1] for c in chunks]
-                            + [np.empty(0, dtype=np.int64)])
-        assert (li.tolist(), ri.tolist()) == nested_loop_pairs(
-            left_codes, right_codes)
-
     def test_sparse_mixed_radix_takes_the_search(self):
         # Two wide key columns: the mixed-radix space dwarfs the rows.
         left = [ints(*range(0, 4000, 100)), ints(*range(40))]
@@ -346,85 +326,3 @@ class TestSort:
     def test_empty(self):
         assert sort_indices([ints()], [True]).tolist() == []
 
-
-# -- morsel boundaries ---------------------------------------------------
-
-MORSEL_SQL = """
-SELECT e.src, e.dst, n.label, e.weight * 2.0 AS w2
-FROM edges e JOIN nodes n ON e.dst = n.id
-WHERE e.weight > 0.3
-ORDER BY e.src, e.dst"""
-
-
-def _morsel_db(**options) -> Database:
-    rng = np.random.default_rng(17)
-    db = Database(SessionOptions(**options))
-    db.create_table("edges", [("src", SqlType.INTEGER),
-                              ("dst", SqlType.INTEGER),
-                              ("weight", SqlType.FLOAT)])
-    db.create_table("nodes", [("id", SqlType.INTEGER),
-                              ("label", SqlType.TEXT)])
-    db.load_rows("edges", [
-        (int(rng.integers(1, 60)), int(rng.integers(1, 60)),
-         round(float(rng.uniform(0, 1)), 6))
-        for _ in range(500)])
-    db.load_rows("nodes", [(i, f"n{i}") for i in range(1, 60)])
-    return db
-
-
-class TestMorselBoundaries:
-    def test_results_independent_of_chunk_size(self, morsel_constants):
-        baseline = _morsel_db(parallel_morsels=False) \
-            .execute(MORSEL_SQL).rows()
-        assert len(baseline) > 0
-        for size in (1, 3, 64, 100_000):
-            morsel_constants(size=size, min_rows=0, workers=3)
-            db = _morsel_db(parallel_morsels=True)
-            assert db.execute(MORSEL_SQL).rows() == baseline, (
-                f"morsel size {size} changed query results")
-            if size < 500:
-                assert db.stats.morsel_batches > 0
-            else:
-                # Everything fits one chunk: the scheduler must step
-                # aside entirely rather than pay dispatch overhead.
-                assert db.stats.morsel_batches == 0
-
-    def test_parallel_dispatch_engages_above_threshold(
-            self, morsel_constants):
-        morsel_constants(size=64, min_rows=0, workers=3)
-        db = _morsel_db(parallel_morsels=True)
-        db.execute(MORSEL_SQL)
-        assert db.stats.morsel_batches > 0
-        assert db.stats.morsel_rows > 0
-
-    def test_below_row_threshold_runs_single_shot(self, morsel_constants):
-        # Small chunks would split this input, but it is below the row
-        # threshold, so the operators take their single-shot path: no
-        # batch is counted and the result is the unmorselled one.
-        baseline = _morsel_db(parallel_morsels=False) \
-            .execute(MORSEL_SQL).rows()
-        morsel_constants(size=64, min_rows=10_000, workers=3)
-        db = _morsel_db(parallel_morsels=True)
-        assert db.execute(MORSEL_SQL).rows() == baseline
-        assert db.stats.morsel_batches == 0
-        assert db.stats.morsel_rows == 0
-
-    def test_iterative_delta_path_unaffected_by_morsels(
-            self, morsel_constants):
-        from repro.workloads import sssp_query
-        from tests.conftest import SMALL_EDGES
-
-        def graph(**options):
-            db = Database(SessionOptions(enable_delta_iteration=True,
-                                         **options))
-            db.create_table("edges", [("src", SqlType.INTEGER),
-                                      ("dst", SqlType.INTEGER),
-                                      ("weight", SqlType.FLOAT)])
-            db.load_rows("edges", SMALL_EDGES)
-            return db
-
-        sql = sssp_query(source=1, iterations=6)
-        plain = graph().execute(sql).rows()
-        morsel_constants(size=2, min_rows=0, workers=2)
-        morsels = graph(parallel_morsels=True)
-        assert morsels.execute(sql).rows() == plain

@@ -65,9 +65,17 @@ def both(engines, sql):
     return ours, theirs
 
 
+def value_types(rows):
+    return [tuple(type(value) for value in row) for row in rows]
+
+
 def assert_agree(engines, sql):
     ours, theirs = both(engines, sql)
     assert ours == theirs, f"divergence on: {sql}"
+    # ``20 == 20.0``: compare the value types too, so an INTEGER SUM
+    # that came back FLOAT is a divergence.
+    assert value_types(ours) == value_types(theirs), \
+        f"type divergence on: {sql}"
 
 
 CORPUS = [
@@ -120,6 +128,11 @@ CORPUS = [
     "SELECT COUNT(*) FROM big",
     "WITH big (v) AS (SELECT b FROM t WHERE b >= 20) "
     "SELECT v FROM big WHERE v < 60",
+    # Group 3 of a % 4 holds only NULL b: SUM/AVG/MIN/MAX go NULL,
+    # COUNT(b) goes 0 while COUNT(*) counts the rows, SUM stays INTEGER.
+    "SELECT a % 4, COUNT(*), COUNT(b), SUM(b), AVG(b), MIN(b), MAX(b) "
+    "FROM t GROUP BY a % 4",
+    "SELECT c, COUNT(DISTINCT b), COUNT(b) FROM t GROUP BY c",
 ]
 
 
@@ -203,3 +216,59 @@ class TestGeneratedQueries:
     @settings(max_examples=40, deadline=None)
     def test_projection_arithmetic(self, engines, expr):
         assert_agree(engines, f"SELECT {expr}, a FROM t")
+
+
+# ---------------------------------------------------------------------------
+# Recursive CTEs: SQLite's WITH RECURSIVE as the fixed-point oracle
+# ---------------------------------------------------------------------------
+
+CLOSURE = ("WITH RECURSIVE r(a, b) AS (SELECT a, b FROM edge "
+           "UNION SELECT r.a, edge.b FROM r JOIN edge ON r.b = edge.a) ")
+
+RECURSIVE_QUERIES = {
+    "transitive_closure": CLOSURE + "SELECT a, b FROM r",
+    "reachability": (
+        "WITH RECURSIVE r(v) AS (SELECT 0 "
+        "UNION SELECT edge.b FROM r JOIN edge ON r.v = edge.a) "
+        "SELECT v FROM r"),
+    "closure_out_degree": CLOSURE + "SELECT a, COUNT(*) FROM r GROUP BY a",
+}
+
+# Duplicate edges and self-loops included: UNION must dedup the base arm.
+edge_lists = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
+                      max_size=40)
+
+
+def graph_engines(edges):
+    db = Database()
+    db.create_table("edge", [("a", SqlType.INTEGER),
+                             ("b", SqlType.INTEGER)])
+    db.load_rows("edge", edges)
+    lite = sqlite3.connect(":memory:")
+    lite.execute("CREATE TABLE edge (a int, b int)")
+    lite.executemany("INSERT INTO edge VALUES (?, ?)", edges)
+    return db, lite
+
+
+class TestRecursiveAgainstSqlite:
+    @pytest.mark.parametrize("name", sorted(RECURSIVE_QUERIES))
+    @given(edges=edge_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_fixed_point(self, name, edges):
+        db, lite = graph_engines(edges)
+        try:
+            assert_agree((db, lite), RECURSIVE_QUERIES[name])
+        finally:
+            lite.close()
+
+    @given(bound=st.integers(1, 20))
+    @settings(max_examples=20, deadline=None)
+    def test_bounded_union_all_counter(self, bound):
+        db, lite = graph_engines([])
+        try:
+            assert_agree((db, lite),
+                         "WITH RECURSIVE c(n) AS (SELECT 1 UNION ALL "
+                         f"SELECT n + 1 FROM c WHERE n < {bound}) "
+                         "SELECT n FROM c")
+        finally:
+            lite.close()

@@ -335,10 +335,11 @@ class TestCacheParity:
         on = _graph_db(rows, cache_on=True).execute(CLOSURE).table
         off = _graph_db(rows, cache_on=False).execute(CLOSURE).table
         assert _tables_equal(on, off)
-        # 5 init rows (merge dedup applies to deltas, not the init —
-        # seed-faithful) plus the derived (1, NULL); the delta's
-        # (NULL, NULL) is recognized as seen via nulls-match dedup.
-        assert on.num_rows == 6
+        # 4 distinct base rows (UNION dedups the base arm too, NULLs
+        # matching, as SQLite does) plus the derived (1, NULL); the
+        # delta's (NULL, NULL) is recognized as seen via nulls-match
+        # dedup.
+        assert on.num_rows == 5
 
     def test_pagerank_floats_bit_identical(self):
         edges = [(1, 2, 0.5), (1, 3, 0.5), (2, 3, 1.0), (3, 1, 1.0),

@@ -1,10 +1,10 @@
-"""Structured trace events: morsel events, decision events, and their
-schema contracts (repro.obs.export validation over real engine traces).
+"""Structured trace events: decision events and their schema contract
+(repro.obs.export validation over real engine traces).
 
 The trace schema stays at version 1 — these events are additive — but
-the validator enforces their attribute contracts: ``morsel`` events
-carry the batch shape, ``decision`` events have a closed name set with
-per-name required attributes on top of {loop_id, reason}.
+the validator enforces their attribute contract: ``decision`` events
+have a closed name set with per-name required attributes on top of
+{loop_id, reason}.
 """
 
 from __future__ import annotations
@@ -51,37 +51,6 @@ def events_of_kind(span: dict, kind: str) -> list[dict]:
     for child in span["children"]:
         found.extend(events_of_kind(child, kind))
     return found
-
-
-class TestMorselEvents:
-    @pytest.fixture
-    def morsel_trace(self, morsel_constants) -> dict:
-        morsel_constants(size=64, min_rows=128, workers=2)
-        db = traced_db(parallel_morsels=True)
-        db.execute("SELECT count(*) FROM edges WHERE weight > 0.01")
-        return json.loads(db.trace_json())
-
-    def test_morsel_events_round_trip_with_required_attrs(self,
-                                                          morsel_trace):
-        payload = morsel_trace
-        validate_trace_dict(payload)
-        events = events_of_kind(payload["root"], "morsel")
-        assert events, "expected morsels:<label> events in the trace"
-        for event in events:
-            assert event["name"].startswith("morsels:")
-            attrs = event["attributes"]
-            assert attrs["morsels"] >= 2
-            assert attrs["rows"] > 0
-            assert attrs["workers"] >= 1
-            assert isinstance(attrs["parallel"], bool)
-            assert event["seconds"] == 0.0  # events carry no time
-
-    def test_validator_requires_the_morsel_contract(self, morsel_trace):
-        payload = morsel_trace
-        event = events_of_kind(payload["root"], "morsel")[0]
-        del event["attributes"]["workers"]
-        with pytest.raises(ValueError, match="workers"):
-            validate_trace_dict(payload)
 
 
 class TestDecisionEvents:
