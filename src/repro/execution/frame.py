@@ -26,6 +26,7 @@ from ..plan.binding import resolve_column
 from ..plan.logical import Field
 from ..sql import ast
 from ..storage import Column, ColumnSchema, Schema, Table
+from ..storage.column import has_padding
 from ..types import SqlType
 
 
@@ -110,7 +111,9 @@ class Frame:
     # -- transforms -------------------------------------------------------------
 
     def take(self, indices: np.ndarray) -> "Frame":
-        return Frame(self.fields, [c.take(indices) for c in self.columns],
+        padded = has_padding(indices)
+        return Frame(self.fields,
+                     [c.take(indices, padded) for c in self.columns],
                      num_rows=len(indices))
 
     def filter(self, keep: np.ndarray) -> "Frame":
@@ -137,9 +140,15 @@ class Frame:
 
     def join_pairs(self, other: "Frame", left_idx: np.ndarray,
                    right_idx: np.ndarray) -> "Frame":
-        """Gather a joined frame from index pairs; -1 emits NULL (outer pad)."""
-        columns = [c.take(left_idx) for c in self.columns]
-        columns += [c.take(right_idx) for c in other.columns]
+        """Gather a joined frame from index pairs; -1 emits NULL (outer pad).
+
+        Each side's index vector is classified once, so a side with no
+        padding gathers every column on the pad-free path.
+        """
+        left_padded = has_padding(left_idx)
+        right_padded = has_padding(right_idx)
+        columns = [c.take(left_idx, left_padded) for c in self.columns]
+        columns += [c.take(right_idx, right_padded) for c in other.columns]
         fields = (*self.fields, *other.fields)
         return Frame(fields, columns, len(left_idx))
 

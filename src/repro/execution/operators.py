@@ -212,8 +212,11 @@ def _encode_join_sides(left_keys: list[Column], right_keys: list[Column],
     indexed once per loop) and binary-search the probe side's values in
     those dictionaries.  Probe values absent from the build dictionaries
     cannot match and encode as -1, so the resulting pairs are identical
-    to the joint-encoding fallback, which remains for mixed-radix
-    overflow and the cache-off configuration.
+    to the joint encoding.  The joint encoding runs whenever the cache
+    has no index for the build side: the cache-off configuration,
+    mixed-radix overflow, and the first sighting of every build side —
+    so a build side that is new on every trip (PageRank's
+    ``LEFT JOIN PageRank AS IncomingRank``) is jointly encoded every trip.
 
     Returns (left_codes, right_codes, right ProbeIndex-or-None).
     """
@@ -281,34 +284,37 @@ def _execute_join(op: LogicalJoin, ctx: ExecutionContext) -> Frame:
         right_idx = np.tile(np.arange(right.num_rows, dtype=np.int64),
                             left.num_rows)
 
-    pairs = left.join_pairs(right, left_idx, right_idx)
+    # The final (left_idx, right_idx) is worked out first and every output
+    # column gathered once at the end.  Only a residual predicate needs the
+    # matched pairs gathered early; an inner join then keeps that frame.
     if residual:
+        pairs = left.join_pairs(right, left_idx, right_idx)
         keep = evaluate_predicate(conjoin(residual), pairs)
-        pairs = pairs.filter(keep)
+        if op.kind is ast.JoinKind.INNER:
+            pairs = pairs.filter(keep)
+            ctx.stats.rows_joined += pairs.num_rows
+            return Frame(op.fields, pairs.columns, pairs.num_rows)
         left_idx = left_idx[keep]
         right_idx = right_idx[keep]
 
-    if op.kind is ast.JoinKind.INNER:
-        ctx.stats.rows_joined += pairs.num_rows
-        return Frame(op.fields, pairs.columns, pairs.num_rows)
+    if op.kind is not ast.JoinKind.INNER:
+        # LEFT / FULL outer padding.
+        matched_left = np.zeros(left.num_rows, dtype=np.bool_)
+        matched_left[left_idx] = True
+        pad_left = np.nonzero(~matched_left)[0]
+        pad_right = np.zeros(0, dtype=np.int64)
+        if op.kind is ast.JoinKind.FULL:
+            matched_right = np.zeros(right.num_rows, dtype=np.bool_)
+            matched_right[right_idx] = True
+            pad_right = np.nonzero(~matched_right)[0]
+        left_idx = np.concatenate(
+            [left_idx, pad_left,
+             np.full(len(pad_right), -1, dtype=np.int64)])
+        right_idx = np.concatenate(
+            [right_idx, np.full(len(pad_left), -1, dtype=np.int64),
+             pad_right])
 
-    # LEFT / FULL outer padding.
-    matched_left = np.zeros(left.num_rows, dtype=np.bool_)
-    matched_left[left_idx] = True
-    pad_left = np.nonzero(~matched_left)[0]
-    out_left_idx = np.concatenate([left_idx, pad_left])
-    out_right_idx = np.concatenate(
-        [right_idx, np.full(len(pad_left), -1, dtype=np.int64)])
-
-    if op.kind is ast.JoinKind.FULL:
-        matched_right = np.zeros(right.num_rows, dtype=np.bool_)
-        matched_right[right_idx] = True
-        pad_right = np.nonzero(~matched_right)[0]
-        out_left_idx = np.concatenate(
-            [out_left_idx, np.full(len(pad_right), -1, dtype=np.int64)])
-        out_right_idx = np.concatenate([out_right_idx, pad_right])
-
-    joined = left.join_pairs(right, out_left_idx, out_right_idx)
+    joined = left.join_pairs(right, left_idx, right_idx)
     ctx.stats.rows_joined += joined.num_rows
     return Frame(op.fields, joined.columns, joined.num_rows)
 

@@ -33,6 +33,11 @@ _FILL_VALUES = {
 }
 
 
+def has_padding(indices: np.ndarray) -> bool:
+    """True when a gather vector holds a negative (NULL-padding) index."""
+    return len(indices) > 0 and int(indices.min()) < 0
+
+
 class Column:
     """An immutable typed vector of SQL values with NULL tracking."""
 
@@ -130,13 +135,26 @@ class Column:
 
     # -- vector operations used by operators -------------------------------
 
-    def take(self, indices: np.ndarray) -> "Column":
+    def take(self, indices: np.ndarray,
+             padded: bool | None = None) -> "Column":
         """Gather rows by position.  Negative indices mean 'emit NULL'.
 
         The NULL-on-negative convention is what the left outer join uses to
-        pad unmatched probe rows.
+        pad unmatched probe rows.  ``padded`` says whether ``indices`` holds
+        a negative index (:func:`has_padding`); a caller gathering many
+        columns by one vector classifies it once and passes the answer.
+        Without padding the data is one ``ndarray.take`` and the mask is
+        gathered only when the column holds a NULL.
         """
         indices = np.asarray(indices, dtype=np.int64)
+        if padded is None:
+            padded = has_padding(indices)
+        if not padded and len(self.data):
+            if self.mask.any():
+                mask = self.mask.take(indices)
+            else:
+                mask = np.zeros(len(indices), dtype=np.bool_)
+            return Column(self.sql_type, self.data.take(indices), mask)
         null_out = indices < 0
         safe = np.where(null_out, 0, indices)
         if len(self.data):

@@ -133,12 +133,29 @@ CORPUS = [
     "SELECT a % 4, COUNT(*), COUNT(b), SUM(b), AVG(b), MIN(b), MAX(b) "
     "FROM t GROUP BY a % 4",
     "SELECT c, COUNT(DISTINCT b), COUNT(b) FROM t GROUP BY c",
+    # PageRank's shape: two outer joins feeding one grouped aggregate.
+    "SELECT t1.a, COUNT(u.y), SUM(t2.b) FROM t t1 "
+    "LEFT JOIN u ON t1.b = u.x LEFT JOIN t t2 ON t2.a = u.y "
+    "GROUP BY t1.a",
 ]
+
+# SQLite parses RIGHT and FULL OUTER JOIN from 3.39 on.
+JOIN_KINDS = ["JOIN", "LEFT JOIN"]
+if sqlite3.sqlite_version_info >= (3, 39):
+    JOIN_KINDS += ["RIGHT JOIN", "FULL JOIN"]
+JOIN_CONDITIONS = ["t.b = u.x", "t.a = u.y", "t.b = u.x AND u.y > 1"]
 
 
 @pytest.mark.parametrize("sql", CORPUS, ids=range(len(CORPUS)))
 def test_corpus_agrees_with_sqlite(engines, sql):
     assert_agree(engines, sql)
+
+
+@pytest.mark.parametrize("kind", JOIN_KINDS)
+@pytest.mark.parametrize("condition", JOIN_CONDITIONS)
+def test_join_kinds_agree_with_sqlite(engines, kind, condition):
+    assert_agree(engines,
+                 f"SELECT t.a, t.b, u.x, u.y FROM t {kind} u ON {condition}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +207,7 @@ class TestGeneratedQueries:
             engines,
             f"SELECT {key}, {agg} FROM t WHERE {pred} GROUP BY {key}")
 
-    @given(st.sampled_from(["JOIN", "LEFT JOIN"]),
-           st.sampled_from(["t.b = u.x", "t.a = u.y",
-                            "t.b = u.x AND u.y > 1"]),
+    @given(st.sampled_from(JOIN_KINDS), st.sampled_from(JOIN_CONDITIONS),
            predicate(depth=1))
     @settings(max_examples=60, deadline=None)
     def test_joins(self, engines, kind, condition, pred):

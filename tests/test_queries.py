@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import BindError, CatalogError
 from repro import Database
+from repro.storage import Column
 
 
 def rows(db, sql):
@@ -120,6 +121,51 @@ class TestJoins:
             JOIN edges e2 ON e1.dst = e2.src
             JOIN edges e3 ON e2.dst = e3.src""")
         assert result[0][0] > 0
+
+
+class TestJoinGathers:
+    """Each join output column is gathered once; only a residual
+    predicate over both sides may add an early gather of the pairs."""
+
+    WIDTH = 5  # t(a, b, c) joined with u(x, y)
+
+    @pytest.fixture
+    def joined_db(self, db):
+        db.execute("CREATE TABLE t (a int, b int, c int)")
+        db.execute("CREATE TABLE u (x int, y int)")
+        db.load_rows("t", [(1, 10, None), (2, 20, 5), (3, None, 5),
+                           (4, 40, None)])
+        db.load_rows("u", [(10, 1), (20, 2), (20, 3), (99, None)])
+        return db
+
+    @pytest.fixture
+    def gathers(self, monkeypatch):
+        count = [0]
+        take = Column.take
+
+        def counting_take(self, *args, **kwargs):
+            count[0] += 1
+            return take(self, *args, **kwargs)
+
+        monkeypatch.setattr(Column, "take", counting_take)
+        return count
+
+    @pytest.mark.parametrize("kind", ["JOIN", "LEFT JOIN", "RIGHT JOIN",
+                                      "FULL JOIN"])
+    def test_no_residual_gathers_each_column_once(self, joined_db, gathers,
+                                                  kind):
+        joined_db.execute(f"SELECT * FROM t {kind} u ON t.b = u.x")
+        assert gathers[0] == self.WIDTH
+
+    @pytest.mark.parametrize("kind,bound", [
+        ("JOIN", WIDTH), ("LEFT JOIN", 2 * WIDTH),
+        ("RIGHT JOIN", 2 * WIDTH), ("FULL JOIN", 2 * WIDTH)])
+    @pytest.mark.parametrize("condition", ["t.b = u.x AND t.a < u.y",
+                                           "t.a < u.y"])
+    def test_residual_gathers_at_most_twice(self, joined_db, gathers, kind,
+                                            bound, condition):
+        joined_db.execute(f"SELECT * FROM t {kind} u ON {condition}")
+        assert gathers[0] <= bound
 
 
 class TestAggregation:

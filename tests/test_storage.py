@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.errors import CatalogError, TypeCheckError
 from repro.storage import Catalog, Column, ResultRegistry, Schema, Table
+from repro.storage.column import has_padding
 from repro.storage.table import ColumnSchema, pretty_table
 from repro.types import SqlType
 
@@ -111,6 +112,93 @@ class TestColumn:
     def test_never_distinct_from_itself(self, values):
         column = Column.from_values(SqlType.INTEGER, values)
         assert not column.is_distinct_from(column).any()
+
+
+SAMPLES = {
+    SqlType.INTEGER: [3, None, -7],
+    SqlType.FLOAT: [1.5, None, -0.25],
+    SqlType.NUMERIC: [2.0, None, 9.75],
+    SqlType.BOOLEAN: [True, None, False],
+    SqlType.TEXT: ["x", None, "yz"],
+    SqlType.NULL: [None, None, None],
+}
+
+
+def reference_take(column, indices):
+    """The padded gather, written out: -1 reads row 0 and masks it."""
+    null_out = indices < 0
+    safe = np.where(null_out, 0, indices)
+    return column.data[safe], column.mask[safe] | null_out
+
+
+class TestColumnTake:
+    """The gather contract both paths of ``Column.take`` keep."""
+
+    @pytest.mark.parametrize("sql_type", list(SAMPLES))
+    def test_minus_one_pads_to_null_on_every_type(self, sql_type):
+        column = Column.from_values(sql_type, SAMPLES[sql_type])
+        taken = column.take(np.array([2, -1, 0, -1]))
+        assert taken.sql_type is sql_type
+        assert taken.data.dtype == column.data.dtype
+        expected = SAMPLES[sql_type]
+        assert taken.to_list() == [expected[2], None, expected[0], None]
+        assert taken.mask.tolist()[1::2] == [True, True]
+
+    @pytest.mark.parametrize("sql_type", list(SAMPLES))
+    def test_unpadded_gather_matches_reference(self, sql_type):
+        column = Column.from_values(sql_type, SAMPLES[sql_type])
+        indices = np.array([2, 1, 1, 0], dtype=np.int64)
+        taken = column.take(indices)
+        data, mask = reference_take(column, indices)
+        assert taken.data.dtype == data.dtype
+        assert taken.data.tolist() == data.tolist()
+        assert taken.mask.tolist() == mask.tolist()
+
+    def test_no_pad_no_null_mask_is_fresh(self):
+        column = Column.from_values(SqlType.INTEGER, [10, 20, 30])
+        taken = column.take(np.array([2, 0, 0]))
+        assert taken.to_list() == [30, 10, 10]
+        assert not taken.mask.any()
+        assert taken.mask.dtype == np.bool_
+        assert taken.mask.flags.writeable
+        assert not np.shares_memory(taken.mask, column.mask)
+
+    def test_null_survives_gather_without_pad(self):
+        column = Column.from_values(SqlType.FLOAT, [1.0, None, 3.0])
+        taken = column.take(np.array([1, 2, 1]))
+        assert taken.to_list() == [None, 3.0, None]
+        assert not np.shares_memory(taken.mask, column.mask)
+
+    @pytest.mark.parametrize("indices", [[0, 3], [-1, 3], [3, -1]])
+    def test_out_of_range_raises_on_both_paths(self, indices):
+        column = Column.from_values(SqlType.INTEGER, [1, 2, 3])
+        with pytest.raises(IndexError):
+            column.take(np.array(indices))
+
+    def test_empty_column(self):
+        column = Column.from_values(SqlType.TEXT, [])
+        assert column.take(np.array([-1, -1])).to_list() == [None, None]
+        assert len(column.take(np.array([], dtype=np.int64))) == 0
+        with pytest.raises(IndexError):
+            column.take(np.array([0]))
+
+    @pytest.mark.parametrize("indices", [[0, 1], [-1, 1]])
+    def test_result_has_fresh_version(self, indices):
+        column = Column.from_values(SqlType.INTEGER, [1, 2])
+        taken = column.take(np.array(indices))
+        assert taken.version > column.version
+
+    @given(values_with_nulls, st.lists(st.integers(-1, 29), max_size=40))
+    def test_bit_identical_to_padded_reference(self, values, raw):
+        assume(values)
+        column = Column.from_values(SqlType.INTEGER, values)
+        indices = np.array([i for i in raw if i < len(values)],
+                           dtype=np.int64)
+        data, mask = reference_take(column, indices)
+        for padded in (None, has_padding(indices)):
+            taken = column.take(indices, padded)
+            assert taken.data.tolist() == data.tolist()
+            assert taken.mask.tolist() == mask.tolist()
 
 
 class TestTable:
