@@ -2,9 +2,10 @@
 
 Not a paper figure: this measures the engine-side caching layer that the
 paper's one-plan argument enables.  Because an iterative CTE runs inside
-a single plan, loop-invariant state (column dictionaries, join build-side
-indexes, the UNION DISTINCT seen-row set) survives across iterations and
-can be reused instead of recomputed.
+a single plan, loop-invariant state (join build-side indexes, the UNION
+DISTINCT seen-row set) survives across iterations and can be reused
+instead of recomputed.  Columns computed from the CTE table are new on
+every trip and are never cached.
 
 Two multi-iteration workloads, cache on vs. off, identical results
 asserted bit-for-bit:

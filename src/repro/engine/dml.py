@@ -95,7 +95,7 @@ def _rows_from_values(rows: list[list[ast.Expr]], width: int):
 def execute_delete(stmt: ast.Delete, ctx: ExecutionContext,
                    plan_context: PlanContext) -> int:
     table = ctx.catalog.get(stmt.table)
-    # The replaced columns' cached dictionaries must never be served for
+    # The replaced columns' cached join indexes must never be served for
     # the table's new contents; new columns carry new versions, so this
     # is eager memory release as much as invalidation.
     ctx.kernel_cache.invalidate_tables(table)
@@ -150,7 +150,7 @@ def execute_update(stmt: ast.Update, ctx: ExecutionContext,
         columns[index], _ = scatter_update(columns[index], row_ids,
                                            evaluate(expr, matched))
 
-    # The replaced columns' cached dictionaries must never be served for
+    # The replaced columns' cached join indexes must never be served for
     # the new contents; new columns carry new versions, so this is eager
     # memory release as much as invalidation.
     ctx.kernel_cache.invalidate_columns(

@@ -28,8 +28,6 @@ class ExecutionStats:
     common_results_built: int = 0
     predicate_pushdowns: int = 0
     # Iteration-aware kernel cache (see repro.execution.kernel_cache).
-    kernel_cache_hits: int = 0
-    kernel_cache_misses: int = 0
     kernel_cache_invalidations: int = 0
     join_index_hits: int = 0
     join_index_misses: int = 0
@@ -99,10 +97,10 @@ class SessionOptions:
     # Fig. 10 — push final-query predicates into the non-iterative part
     # when safe (§V-B).
     enable_predicate_pushdown: bool = True
-    # Iteration-aware kernel cache: memoized column dictionaries, reusable
-    # join build-side indexes, and incremental UNION DISTINCT state (see
-    # repro.execution.kernel_cache).  Disabling it restores recompute-
-    # from-scratch kernels with bit-identical results.
+    # Iteration-aware kernel cache: reusable join build-side indexes and
+    # incremental UNION DISTINCT state (see repro.execution.kernel_cache).
+    # Disabling it restores recompute-from-scratch kernels with
+    # bit-identical results.
     enable_kernel_cache: bool = True
     # Record a span trace + per-iteration loop telemetry for every
     # statement, retrievable via Database.last_trace()/trace_json()

@@ -2,19 +2,11 @@
 iterations.
 
 DBSpinner's whole argument is that an iterative CTE runs as *one* plan,
-so per-iteration overheads dominate end-to-end time.  Three such
-overheads are pure recomputation of loop-invariant state, and this module
-removes them:
-
-* **Column dictionaries** — ``factorize``/``encode_keys`` re-ran
-  ``np.unique`` over the static build side of every join on every trip
-  around the loop.  :class:`KernelCache` memoizes the per-column
-  dictionary (sorted uniques + dense codes) keyed by the column's
-  :attr:`~repro.storage.column.Column.version`.  Columns are immutable —
-  every mutation in the engine constructs a new column with a fresh
-  version — so a version-keyed entry can never be stale.  DML still
-  *invalidates* the replaced table's entries eagerly (memory hygiene and
-  belt-and-braces; see :mod:`repro.engine.dml`).
+so per-iteration overheads dominate end-to-end time.  Two such overheads
+are pure recomputation of state that outlives one iteration, and this
+module removes them.  It keeps nothing else: a column computed from the
+CTE table is new on every trip, so its dictionary is built where it is
+used and freed with it.
 
 * **Join build-side indexes** — for an equi join the executor needs the
   build side factorized *and bucketed by code*.  When the build input is
@@ -24,6 +16,10 @@ removes them:
   bucket offsets — is cached keyed by the tuple of column versions and
   reused.  The probe side is encoded *against* the build dictionaries
   with a binary search instead of the concat-and-re-unique of both sides.
+  Columns are immutable — every mutation in the engine constructs a new
+  column with a fresh version — so a version-keyed entry can never be
+  stale.  DML still *invalidates* the replaced table's entries eagerly
+  (memory hygiene and belt-and-braces; see :mod:`repro.engine.dml`).
 
 * **Incremental distinct state** — UNION DISTINCT fixed-point loops
   deduplicated each candidate delta by re-encoding ``result ++
@@ -34,9 +30,9 @@ removes them:
   merge — amortized O(1) per row over the loop, the precursor of full
   semi-naive delta evaluation.
 
-All structures are observable: hits/misses/invalidations are counted on
-:class:`~repro.execution.context.ExecutionStats` and surfaced by EXPLAIN
-ANALYZE.
+All structures are observable: hits/misses/overflows/invalidations are
+counted on :class:`~repro.execution.context.ExecutionStats` and surfaced
+by EXPLAIN ANALYZE.
 """
 
 from __future__ import annotations
@@ -53,6 +49,9 @@ from .kernels import (ColumnDictionary, build_dictionary, build_probe_index,
 
 # Mixed-radix combination of per-column codes must stay inside int64.
 _RADIX_LIMIT = 1 << 62
+
+# Join indexes kept (LRU); four times as many candidate version tuples.
+MAX_INDEXES = 64
 
 
 def probe_dictionary(dictionary: ColumnDictionary,
@@ -106,23 +105,20 @@ class JoinIndex:
             int(a.nbytes) for a in self.probe_index if a is not None)
 
 
-def build_join_index(columns: Sequence[Column],
-                     cache: Optional["KernelCache"] = None
-                     ) -> Optional[JoinIndex]:
+def build_join_index(columns: Sequence[Column]) -> Optional[JoinIndex]:
     """Build an index over the build-side key columns.
 
     Returns None when the mixed-radix combination would overflow int64
     (the joint-encoding fallback re-densifies instead; see
     ``encode_keys``).
     """
-    dictionaries = [cache.dictionary(c) if cache is not None
-                    else build_dictionary(c) for c in columns]
+    dictionaries = [build_dictionary(c) for c in columns]
     radices = [max(d.cardinality, 1) for d in dictionaries]
     combined: Optional[np.ndarray] = None
     combined_card = 1
     for dictionary, radix in zip(dictionaries, radices):
         if combined is None:
-            combined = np.array(dictionary.codes)
+            combined = dictionary.codes
             combined_card = radix
             continue
         combined_card *= radix
@@ -136,52 +132,30 @@ def build_join_index(columns: Sequence[Column],
 
 
 class KernelCache:
-    """Version-keyed memoization of dictionaries and join indexes.
+    """Version-keyed memoization of join build-side indexes.
 
     Entries are LRU-evicted; correctness never depends on residency
     because a column version is never reused (an eviction or invalidation
     only costs a recompute).
 
     The cache is engine-level state shared by every session, so all map
-    mutations happen under one re-entrant lock (``join_index`` builds
-    dictionaries through ``dictionary`` while holding it).  Cached
-    payloads are immutable (read-only code arrays), so returning them
-    outside the lock is safe."""
+    mutations happen under one lock.  Cached payloads are immutable
+    (read-only code arrays), so returning them outside the lock is
+    safe."""
 
-    def __init__(self, stats=None, max_dictionaries: int = 256,
-                 max_indexes: int = 64):
+    def __init__(self, stats=None):
         self._lock = threading.RLock()
-        self._dictionaries: OrderedDict[int, ColumnDictionary] = \
-            OrderedDict()
         self._indexes: OrderedDict[tuple[int, ...], JoinIndex] = \
             OrderedDict()
         # Build-side version tuples seen exactly once.  An index is only
         # built on the *second* request for the same versions: a build
         # side that changes every iteration never repeats, so this skips
         # index construction for it entirely (it would never be reused).
+        # The value turns False once a build overflowed, so the doomed
+        # build is not retried on every later request.
         self._index_candidates: OrderedDict[tuple[int, ...], bool] = \
             OrderedDict()
-        self._max_dictionaries = max_dictionaries
-        self._max_indexes = max_indexes
         self.stats = stats
-
-    # -- per-column dictionaries -------------------------------------------
-
-    def dictionary(self, column: Column) -> ColumnDictionary:
-        with self._lock:
-            entry = self._dictionaries.get(column.version)
-            if entry is not None:
-                self._dictionaries.move_to_end(column.version)
-                if self.stats is not None:
-                    self.stats.kernel_cache_hits += 1
-                return entry
-            if self.stats is not None:
-                self.stats.kernel_cache_misses += 1
-            entry = build_dictionary(column)
-            self._dictionaries[column.version] = entry
-            while len(self._dictionaries) > self._max_dictionaries:
-                self._dictionaries.popitem(last=False)
-            return entry
 
     # -- join build-side indexes -------------------------------------------
 
@@ -196,27 +170,31 @@ class KernelCache:
                 return entry
             if self.stats is not None:
                 self.stats.join_index_misses += 1
-            if key not in self._index_candidates:
+            buildable = self._index_candidates.get(key)
+            if buildable is None:
                 # First sighting: loop-invariance unproven, let the
-                # caller use the one-shot joint encoding (see class
-                # docstring).
+                # caller use the one-shot joint encoding (see
+                # ``_index_candidates``).
                 self._index_candidates[key] = True
-                while len(self._index_candidates) > 4 * self._max_indexes:
+                while len(self._index_candidates) > 4 * MAX_INDEXES:
                     self._index_candidates.popitem(last=False)
                 return None
-            entry = build_join_index(columns, self)
+            if not buildable:
+                return None
+            entry = build_join_index(columns)
             if entry is None:
                 # Mixed-radix overflow: the combined key cardinality does
                 # not fit int64, so the caller must fall back to one-shot
-                # joint encoding.  Counted so EXPLAIN ANALYZE can surface
-                # how often this silent fallback fires (ROADMAP:
-                # repack-on-overflow).
+                # joint encoding.  Counted once per version tuple so
+                # EXPLAIN ANALYZE can surface how often this silent
+                # fallback fires (ROADMAP: repack-on-overflow).
+                self._index_candidates[key] = False
                 if self.stats is not None:
                     self.stats.join_index_overflows += 1
                 return None
             self._index_candidates.pop(key, None)
             self._indexes[key] = entry
-            while len(self._indexes) > self._max_indexes:
+            while len(self._indexes) > MAX_INDEXES:
                 self._indexes.popitem(last=False)
             return entry
 
@@ -227,9 +205,6 @@ class KernelCache:
         versions = {c.version for c in columns}
         dropped = 0
         with self._lock:
-            for version in versions:
-                if self._dictionaries.pop(version, None) is not None:
-                    dropped += 1
             for key in [k for k in self._indexes
                         if not versions.isdisjoint(k)]:
                 del self._indexes[key]
@@ -252,14 +227,12 @@ class KernelCache:
 
     def clear(self) -> None:
         with self._lock:
-            self._dictionaries.clear()
             self._indexes.clear()
             self._index_candidates.clear()
 
     def nbytes(self) -> int:
         with self._lock:
-            return (sum(d.nbytes() for d in self._dictionaries.values())
-                    + sum(i.nbytes() for i in self._indexes.values()))
+            return sum(i.nbytes() for i in self._indexes.values())
 
 
 # ---------------------------------------------------------------------------

@@ -5,23 +5,21 @@ a single int64 code per row via per-column factorization and mixed-radix
 combination.  Join keys encode NULL as -1 (never matches); grouping keys
 encode NULL as an ordinary bucket (SQL groups NULLs together).
 
-Every factorizing kernel takes an optional :class:`KernelCache`: when
-given, the per-column dictionary (the ``np.unique`` result) is memoized
-keyed by the column's version, so loop-invariant columns are factorized
-once per loop instead of once per iteration.  Cached code arrays are
-read-only; kernels that combine codes always allocate fresh output.
+Dictionaries are built per call: the columns these kernels see inside a
+loop are new on every iteration, so there is nothing to reuse.  The one
+loop-invariant consumer, a join's build side, keeps whole indexes in
+:class:`~repro.execution.kernel_cache.KernelCache` instead.  Code arrays
+may be read-only; kernels that combine codes always allocate fresh
+output.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..storage import Column
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .kernel_cache import KernelCache
 
 
 def comparable_values(values: np.ndarray) -> np.ndarray:
@@ -59,14 +57,12 @@ class ColumnDictionary:
     per-row codes (-1 for NULL).  ``codes`` is marked read-only because
     the same array is handed to every consumer."""
 
-    __slots__ = ("uniques", "codes", "has_nulls")
+    __slots__ = ("uniques", "codes")
 
-    def __init__(self, uniques: np.ndarray, codes: np.ndarray,
-                 has_nulls: bool):
+    def __init__(self, uniques: np.ndarray, codes: np.ndarray):
         codes.setflags(write=False)
         self.uniques = uniques
         self.codes = codes
-        self.has_nulls = has_nulls
 
     @property
     def cardinality(self) -> int:
@@ -77,18 +73,22 @@ class ColumnDictionary:
 
 
 def build_dictionary(column: Column) -> ColumnDictionary:
-    """Factorize one column (the uncached kernel)."""
-    count = len(column)
-    codes = np.full(count, -1, dtype=np.int64)
+    """Factorize one column."""
+    if not column.mask.any():
+        # No NULL: np.unique's inverse already is the codes.
+        uniques, inverse = np.unique(comparable_values(column.data),
+                                     return_inverse=True)
+        return ColumnDictionary(uniques,
+                                inverse.astype(np.int64, copy=False))
+    codes = np.full(len(column), -1, dtype=np.int64)
     valid = ~column.mask
-    has_nulls = bool(column.mask.any())
     if valid.any():
         values = comparable_values(column.data[valid])
         uniques, inverse = np.unique(values, return_inverse=True)
         codes[valid] = inverse
     else:
         uniques = np.empty(0, dtype=np.int64)
-    return ColumnDictionary(uniques, codes, has_nulls)
+    return ColumnDictionary(uniques, codes)
 
 
 class ProbeIndex(NamedTuple):
@@ -121,9 +121,8 @@ def build_probe_index(codes: np.ndarray, probe_rows: int = 0) -> ProbeIndex:
     return ProbeIndex(positions, offsets, None)
 
 
-def factorize(column: Column, nulls_match: bool,
-              cache: Optional[KernelCache] = None
-              ) -> tuple[np.ndarray, int]:
+def factorize(column: Column,
+              nulls_match: bool) -> tuple[np.ndarray, int]:
     """Per-column dense codes.
 
     Returns (codes, cardinality).  Valid values get codes in
@@ -133,34 +132,26 @@ def factorize(column: Column, nulls_match: bool,
     reserved when the column has NULLs, so ``cardinality < len(codes)``
     exactly when some code repeats (the §II duplicate-key check).
 
-    With a cache, the returned array may be shared (and read-only);
-    callers must not mutate it in place.
+    The returned array may be read-only; callers must not mutate it in
+    place.  It is copied only to write the NULL group code.
     """
-    if cache is not None:
-        dictionary = cache.dictionary(column)
-        n_unique = dictionary.cardinality
-        if nulls_match and dictionary.has_nulls:
-            codes = np.array(dictionary.codes)
-            codes[column.mask] = n_unique
-            return codes, n_unique + 1
-        return dictionary.codes, n_unique
     dictionary = build_dictionary(column)
     n_unique = dictionary.cardinality
-    codes = np.array(dictionary.codes)
-    if nulls_match and dictionary.has_nulls:
+    if nulls_match and column.mask.any():
+        codes = np.array(dictionary.codes)
         codes[column.mask] = n_unique
         return codes, n_unique + 1
-    return codes, n_unique
+    return dictionary.codes, n_unique
 
 
-def encode_keys(columns: Sequence[Column], nulls_match: bool,
-                cache: Optional[KernelCache] = None) -> np.ndarray:
+def encode_keys(columns: Sequence[Column],
+                nulls_match: bool) -> np.ndarray:
     """Combine key columns into one int64 code per row (-1 = no-match)."""
     if not columns:
         raise ValueError("encode_keys needs at least one column")
     combined = None
     for column in columns:
-        codes, cardinality = factorize(column, nulls_match, cache)
+        codes, cardinality = factorize(column, nulls_match)
         if combined is None:
             combined = codes
             combined_card = max(cardinality, 1)
@@ -240,12 +231,11 @@ def group_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inverse.astype(np.int64), first_index.astype(np.int64)
 
 
-def distinct_indices(columns: Sequence[Column],
-                     cache: Optional[KernelCache] = None) -> np.ndarray:
+def distinct_indices(columns: Sequence[Column]) -> np.ndarray:
     """Row indices keeping the first occurrence of each distinct row."""
     if not columns:
         return np.zeros(1, dtype=np.int64)
-    codes = encode_keys(columns, nulls_match=True, cache=cache)
+    codes = encode_keys(columns, nulls_match=True)
     _, first_index = group_ids(codes)
     return np.sort(first_index)
 
@@ -273,15 +263,14 @@ def scatter_update(old: Column, positions: np.ndarray,
 
 
 def sort_indices(key_columns: Sequence[Column],
-                 ascending: Sequence[bool],
-                 cache: Optional[KernelCache] = None) -> np.ndarray:
+                 ascending: Sequence[bool]) -> np.ndarray:
     """Stable multi-key sort order.  NULLs sort last under ASC and first
     under DESC (treated as the largest value, PostgreSQL's default)."""
     if not key_columns:
         return np.arange(0, dtype=np.int64)
     sort_keys = []
     for column, asc in zip(key_columns, ascending):
-        codes, cardinality = factorize(column, nulls_match=False, cache=cache)
+        codes, cardinality = factorize(column, nulls_match=False)
         # NULLs become the largest rank.
         ranks = np.where(codes < 0, cardinality, codes)
         if not asc:

@@ -101,8 +101,7 @@ def execute_plan(op: LogicalOp, ctx: ExecutionContext) -> Frame:
         child = execute_plan(op.child, ctx)
         keys = [evaluate(expr, child) for expr, _ in op.keys]
         ascending = [asc for _, asc in op.keys]
-        order = sort_indices(keys, ascending,
-                             cache=ctx.active_kernel_cache())
+        order = sort_indices(keys, ascending)
         return child.take(order)
     if isinstance(op, LogicalLimit):
         child = execute_plan(op.child, ctx)
@@ -233,8 +232,7 @@ def _encode_join_sides(left_keys: list[Column], right_keys: list[Column],
         index = cache.join_index(casted_right)
         if index is not None:
             return index.probe(casted_left), index.codes, index.probe_index
-    # Joint encoding: the concatenated key columns are ephemeral, so
-    # memoizing their dictionaries would only pollute the cache.
+    # Joint encoding: one dictionary over both sides, built per call.
     joint = [lk.concat(rk) for lk, rk in zip(casted_left, casted_right)]
     codes = encode_keys(joint, nulls_match=False)
     n_left = len(casted_left[0])
@@ -404,8 +402,7 @@ def _execute_aggregate(op: LogicalAggregate, ctx: ExecutionContext) -> Frame:
 
     if op.keys:
         key_columns = [evaluate(expr, child) for expr, _ in op.keys]
-        codes = encode_keys(key_columns, nulls_match=True,
-                            cache=ctx.active_kernel_cache())
+        codes = encode_keys(key_columns, nulls_match=True)
         gids, first_index = group_ids(codes)
         n_groups = len(first_index)
         key_slots = [column.take(first_index) for column in key_columns]

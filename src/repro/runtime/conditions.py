@@ -109,22 +109,20 @@ def _count_satisfying(table: Table, spec: LoopSpec,
 
 
 def count_changed_rows(previous: Table, current: Table,
-                       key_index: int, cache=None) -> int:
+                       key_index: int) -> int:
     """Rows of ``current`` whose non-key values differ from ``previous``.
 
     Rows are aligned by the key column; rows whose key is new (not present
     in ``previous``) count as changed.  NULL-to-NULL is *not* a change
     (IS DISTINCT FROM semantics).
 
-    With a kernel cache, the current key's dictionary (already memoized
-    by this iteration's duplicate check) is reused and the previous key
-    is probed against it, instead of concatenating and re-encoding
-    previous+current from scratch.  Keys present only in ``previous``
-    encode as -1, which is exactly right: they pair with nothing, and
-    only unmatched *current* rows count as changes.
+    The previous key is probed against the current key's dictionary.
+    Keys present only in ``previous``, and NULL keys, encode as -1, which
+    is exactly right: they pair with nothing, and only unmatched *current*
+    rows count as changes.
     """
     from ..execution.kernel_cache import probe_dictionary
-    from ..execution.kernels import encode_keys, equi_join_pairs
+    from ..execution.kernels import build_dictionary, equi_join_pairs
     from ..types import common_type
 
     if previous.num_rows == 0:
@@ -132,16 +130,9 @@ def count_changed_rows(previous: Table, current: Table,
     prev_key = previous.columns[key_index]
     cur_key = current.columns[key_index]
     target = common_type(cur_key.sql_type, prev_key.sql_type)
-    if cache is not None and cur_key.sql_type is target \
-            and prev_key.sql_type is target:
-        dictionary = cache.dictionary(cur_key)
-        cur_codes = dictionary.codes
-        prev_codes = probe_dictionary(dictionary, prev_key)
-    else:
-        joint = cur_key.concat(prev_key)
-        codes = encode_keys([joint], nulls_match=False)
-        cur_codes = codes[:current.num_rows]
-        prev_codes = codes[current.num_rows:]
+    dictionary = build_dictionary(cur_key.cast(target))
+    cur_codes = dictionary.codes
+    prev_codes = probe_dictionary(dictionary, prev_key.cast(target))
     cur_idx, prev_idx = equi_join_pairs(cur_codes, prev_codes)
 
     matched = np.zeros(current.num_rows, dtype=np.bool_)

@@ -150,8 +150,7 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
     # -- duplicate check (merge-by-key bodies only) -------------------------
     if step.dup_check:
         key = working.column(spec.key_column)
-        codes, cardinality = factorize(key, nulls_match=True,
-                                       cache=ctx.active_kernel_cache())
+        codes, cardinality = factorize(key, nulls_match=True)
         if len(codes) and cardinality < len(codes):
             raise DuplicateKeyError(
                 "the iterative part produced duplicate values for key "

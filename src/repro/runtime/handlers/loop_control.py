@@ -46,8 +46,7 @@ def run_count_updates(runner, step: CountUpdatesStep) -> Optional[int]:
     previous = ctx.registry.fetch(step.previous)
     current = ctx.registry.fetch(step.current)
     key_index = current.schema.index_of(step.key_column)
-    changed = count_changed_rows(previous, current, key_index,
-                                 ctx.active_kernel_cache())
+    changed = count_changed_rows(previous, current, key_index)
     runner.engine.record_updates(step.loop_id, changed)
     return None
 
@@ -57,8 +56,7 @@ def run_duplicate_check(runner, step: DuplicateCheckStep) -> Optional[int]:
     ctx = runner.ctx
     table = ctx.registry.fetch(step.result_name)
     key = table.column(step.key_column)
-    codes, cardinality = factorize(key, nulls_match=True,
-                                   cache=ctx.active_kernel_cache())
+    codes, cardinality = factorize(key, nulls_match=True)
     if len(codes) and cardinality < len(codes):
         raise DuplicateKeyError(
             "the iterative part produced duplicate values for key "

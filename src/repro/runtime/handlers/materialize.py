@@ -44,6 +44,6 @@ def run_drop(runner, step: DropStep) -> Optional[int]:
     cache = runner.ctx.active_kernel_cache()
     if cache is not None and dropped:
         # A dropped result's versions never recur: release its
-        # dictionaries and join indexes now, not at LRU eviction.
+        # join indexes now, not at LRU eviction.
         cache.invalidate_tables(*dropped)
     return None

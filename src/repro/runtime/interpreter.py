@@ -169,8 +169,6 @@ class ProgramRunner:
         state = ("on" if self.ctx.options.enable_kernel_cache else "off")
         return [
             f"kernel cache ({state}): "
-            f"hits={delta['kernel_cache_hits']}, "
-            f"misses={delta['kernel_cache_misses']}, "
             f"invalidations={delta['kernel_cache_invalidations']}",
             f"join index: hits={delta['join_index_hits']}, "
             f"misses={delta['join_index_misses']}, "

@@ -320,11 +320,9 @@ class LoopEngine:
 def _engine_record_fields(diff: dict) -> dict:
     """IterationRecord fields from an ExecutionStats counter diff."""
     return {
-        "kernel_cache_hits": (diff["kernel_cache_hits"]
-                              + diff["join_index_hits"]
+        "kernel_cache_hits": (diff["join_index_hits"]
                               + diff["merge_index_hits"]),
-        "kernel_cache_misses": (diff["kernel_cache_misses"]
-                                + diff["join_index_misses"]
+        "kernel_cache_misses": (diff["join_index_misses"]
                                 + diff["merge_index_rebuilds"]),
         "rows_moved": diff["rows_moved"],
         "bytes_moved": diff["bytes_moved"],

@@ -52,8 +52,8 @@ class Column:
         self.version = next(_column_versions)
 
     def bump_version(self) -> None:
-        """Mark the column as mutated: any cached derived state (codes,
-        dictionaries) keyed by the old version becomes unreachable.  The
+        """Mark the column as mutated: any cached derived state (join
+        indexes) keyed by the old version becomes unreachable.  The
         engine treats columns as immutable, so this only matters to code
         that mutates ``data``/``mask`` in place (none in-tree)."""
         self.version = next(_column_versions)

@@ -153,13 +153,12 @@ GUARDS: tuple[GuardSpec, ...] = (
         cls="KernelCache",
         lock_attr="_lock",
         level=LEVEL_CACHE,
-        attrs=("_dictionaries", "_indexes", "_index_candidates"),
+        attrs=("_indexes", "_index_candidates"),
         # Even lookups mutate (LRU move_to_end), so every access needs
         # the lock — this is the exact shape of the PR 9 check-then-
         # delete race the bench storm caught.
         mode="all",
-        write_methods=("dictionary", "join_index", "invalidate_columns",
-                       "clear"),
+        write_methods=("join_index", "invalidate_columns", "clear"),
         read_methods=("nbytes",),
     ),
     GuardSpec(

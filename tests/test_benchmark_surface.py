@@ -9,6 +9,8 @@ resolves the same targets the probe does, in tier-1.  Reads
 
 Session options exist as experiment arms: every one is set by some
 benchmark or example, so an option nothing measures cannot linger.
+Likewise every execution counter is incremented somewhere in ``src/``,
+so a counter nothing writes cannot outlive the code that fed it.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from repro.execution import SessionOptions
+from repro.execution import ExecutionStats, SessionOptions
 
 REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
 E2E = REPO / "benchmarks" / "e2e"
 
 # Options no experiment arm sets, each with the reason it stays.
@@ -86,3 +89,14 @@ def test_every_option_is_an_experiment_arm():
             unset.append(option.name)
     assert sorted(unset) == sorted(UNMEASURED_OPTIONS), \
         f"options no benchmark or example sets: {unset}"
+
+
+def test_every_counter_is_written():
+    sources = [path.read_text() for path in sorted(SRC.rglob("*.py"))]
+    unwritten = []
+    for counter in fields(ExecutionStats):
+        writer = re.compile(rf"""\.{counter.name}\s*\+=|"""
+                            rf"""_count\(["']{counter.name}["']\)""")
+        if not any(writer.search(text) for text in sources):
+            unwritten.append(counter.name)
+    assert unwritten == [], f"counters nothing increments: {unwritten}"

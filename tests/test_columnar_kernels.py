@@ -7,12 +7,15 @@ bit-identical to first-principles row semantics, not merely
 self-consistent.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.kernels import (
+    build_dictionary,
     build_probe_index,
     distinct_indices,
     encode_keys,
@@ -39,7 +42,9 @@ def texts(*values) -> Column:
     return Column.from_values(SqlType.TEXT, list(values))
 
 
-# Input corpus: NULL-heavy, empty, single-row, all-NULL, duplicates.
+# Input corpus: NULL-heavy, empty, single-row, all-NULL, duplicates, and
+# every SQL type with and without NULLs (build_dictionary has a separate
+# path for NULL-free columns).
 COLUMNS = {
     "null_heavy": ints(None, 3, None, 3, None, 7, None),
     "empty": ints(),
@@ -48,7 +53,28 @@ COLUMNS = {
     "all_null": ints(None, None, None),
     "duplicates": ints(5, 5, 5, 2, 2, 9),
     "floats": floats(1.5, None, -0.0, 0.0, 1.5, None),
+    "floats_no_null": floats(2.5, -1.0, 2.5, 0.0),
+    "numerics": Column.from_values(SqlType.NUMERIC, [1.25, None, 1.25, 3]),
+    "numerics_no_null": Column.from_values(SqlType.NUMERIC, [3, 1.25, 3]),
+    "booleans": Column.from_values(SqlType.BOOLEAN,
+                                   [True, None, False, True]),
+    "booleans_no_null": Column.from_values(SqlType.BOOLEAN,
+                                           [True, False, True]),
     "texts": texts("b", None, "a", "b", "", None),
+    "texts_no_null": texts("b", "a", "b", ""),
+    "texts_empty": texts(),
+    "texts_all_null": texts(None, None),
+    "null_typed": Column.nulls(SqlType.NULL, 2),
+}
+
+# NaN is a value, not NULL (the mask carries nullness): np.unique
+# collapses NaNs into one slot after every other value.
+NAN_COLUMNS = {
+    "floats_nan": Column.from_numpy(
+        SqlType.FLOAT, np.array([np.nan, 1.0, np.nan, -2.0])),
+    "floats_nan_and_null": Column.from_numpy(
+        SqlType.FLOAT, np.array([np.nan, 1.0, 0.0, np.nan]),
+        np.array([False, False, True, False])),
 }
 
 
@@ -100,15 +126,41 @@ class TestFactorize:
                     f"rows {i} ({vi!r}) and {j} ({vj!r})")
 
     @pytest.mark.parametrize("name", sorted(COLUMNS), ids=sorted(COLUMNS))
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_nulls_match_cardinality_counts_codes(self, name, cached):
+    @pytest.mark.parametrize("nulls_match", [False, True])
+    def test_nulls_match_cardinality_counts_codes(self, name, nulls_match):
         # The §II duplicate check reads `cardinality < len(codes)`, so
         # no code may be reserved for NULLs the column does not have.
-        from repro.execution.kernel_cache import KernelCache
         column = COLUMNS[name]
-        cache = KernelCache() if cached else None
-        codes, cardinality = factorize(column, True, cache)
-        assert cardinality == len(set(codes.tolist()))
+        codes, cardinality = factorize(column, nulls_match)
+        assert cardinality == len({c for c in codes.tolist() if c >= 0})
+
+    @pytest.mark.parametrize("name", sorted(COLUMNS) + sorted(NAN_COLUMNS))
+    def test_build_dictionary_matches_reference(self, name):
+        column = {**COLUMNS, **NAN_COLUMNS}[name]
+        values = [None if null else value for value, null
+                  in zip(column.data.tolist(), column.mask.tolist())]
+
+        def is_nan(value):
+            return isinstance(value, float) and math.isnan(value)
+
+        ordered = sorted({v for v in values
+                          if v is not None and not is_nan(v)})
+        if any(is_nan(v) for v in values):
+            ordered.append(math.nan)
+        expected_codes = [-1 if v is None
+                          else len(ordered) - 1 if is_nan(v)
+                          else ordered.index(v) for v in values]
+
+        dictionary = build_dictionary(column)
+        assert dictionary.codes.dtype == np.int64
+        assert dictionary.codes.tolist() == expected_codes
+        assert dictionary.cardinality == len(ordered)
+        uniques = dictionary.uniques.tolist()
+        assert len(uniques) == len(ordered)
+        assert all(u == o or (is_nan(u) and is_nan(o))
+                   for u, o in zip(uniques, ordered))
+        with pytest.raises(ValueError):
+            dictionary.codes[:1] = 0
 
 
 class TestEncodeKeys:

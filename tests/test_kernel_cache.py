@@ -1,12 +1,13 @@
-"""Kernel-cache tests: version-keyed dictionary memoization, the
+"""Kernel-cache tests: version-keyed join-index memoization, the
 second-touch join-index policy, incremental UNION DISTINCT state, DML
-invalidation, and cache-on/cache-off result parity."""
+invalidation, retained bytes, and cache-on/cache-off result parity."""
 
 import numpy as np
 import pytest
 
 from repro import Database
 from repro.datasets import dblp_like, generate_edges, generate_vertex_status
+from repro.execution import kernel_cache as kernel_cache_module
 from repro.execution.kernel_cache import (
     IncrementalDistinctIndex,
     KernelCache,
@@ -45,44 +46,56 @@ def _tables_equal(left, right):
         for lc, rc in zip(left.columns, right.columns))
 
 
+def _built_index(cache, columns):
+    """The join index for ``columns``, built on the second sighting."""
+    assert cache.join_index(columns) is None
+    index = cache.join_index(columns)
+    assert index is not None
+    return index
+
+
 class TestColumnDictionary:
     def test_hit_on_same_column(self):
         cache = KernelCache()
         column = Column.from_values(SqlType.INTEGER, [3, 1, 3, None])
-        first = cache.dictionary(column)
-        second = cache.dictionary(column)
-        assert first is second
-        assert first.cardinality == 2
-        assert first.has_nulls
+        first = _built_index(cache, [column])
+        assert cache.join_index([column]) is first
+        dictionary, = first.dictionaries
+        assert dictionary.cardinality == 2
+        assert dictionary.codes.tolist() == [1, 0, 1, -1]
 
     def test_miss_on_equal_but_distinct_column(self):
         cache = KernelCache()
         a = Column.from_values(SqlType.INTEGER, [1, 2])
         b = Column.from_values(SqlType.INTEGER, [1, 2])
         assert a.version != b.version
-        assert cache.dictionary(a) is not cache.dictionary(b)
+        assert _built_index(cache, [a]) is not _built_index(cache, [b])
 
     def test_cached_codes_are_read_only(self):
-        cache = KernelCache()
         column = Column.from_values(SqlType.INTEGER, [1, 2, 1])
-        entry = cache.dictionary(column)
+        entry = build_dictionary(column)
         with pytest.raises(ValueError):
             entry.codes[0] = 99
+        index = _built_index(KernelCache(), [column])
+        with pytest.raises(ValueError):
+            index.codes[0] = 99
 
     def test_invalidate_drops_entry(self):
         cache = KernelCache()
         column = Column.from_values(SqlType.INTEGER, [1, 2])
-        cache.dictionary(column)
+        _built_index(cache, [column])
         assert cache.invalidate_columns([column]) == 1
         assert cache.invalidate_columns([column]) == 0
+        assert cache.nbytes() == 0
 
-    def test_lru_eviction(self):
-        cache = KernelCache(max_dictionaries=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(kernel_cache_module, "MAX_INDEXES", 2)
+        cache = KernelCache()
         columns = [Column.from_values(SqlType.INTEGER, [i])
                    for i in range(3)]
         for column in columns:
-            cache.dictionary(column)
-        assert len(cache._dictionaries) == 2
+            _built_index(cache, [column])
+        assert list(cache._indexes) == [(c.version,) for c in columns[1:]]
 
     def test_probe_absent_and_null_is_minus_one(self):
         build = Column.from_values(SqlType.INTEGER, [10, 20, 30])
@@ -147,9 +160,7 @@ class TestJoinIndexPolicy:
                     + index.codes.nbytes + probe_index.positions.nbytes
                     + probe_index.offsets.nbytes)
         assert index.nbytes() == expected
-        # The cache adds its own dictionary map to every index it holds.
-        assert cache.nbytes() == expected + sum(
-            d.nbytes() for d in index.dictionaries)
+        assert cache.nbytes() == expected
 
 
 class TestIncrementalDistinctIndex:
@@ -266,9 +277,8 @@ class TestDropInvalidation:
     def test_dropped_temp_results_release_their_entries(self, monkeypatch):
         # Every run materializes fresh temp results (COMMON#1, whose join
         # index the delta trips build, and the CTE tables).  Dropping them
-        # must release their dictionaries, join indexes and candidates at
-        # once, so the indexes do not pile up run after run until LRU
-        # eviction.
+        # must release their join indexes and candidates at once, so the
+        # indexes do not pile up run after run until LRU eviction.
         spec = dblp_like(nodes=300, seed=4)
         db = Database()
         db.set_option("enable_delta_iteration", True)
@@ -300,10 +310,29 @@ class TestDropInvalidation:
             db.execute(sql)
             assert {key: entry.nbytes()
                     for key, entry in cache._indexes.items()} == indexes
-            held = set(cache._dictionaries).union(
-                *cache._indexes, *cache._index_candidates)
+            held = set().union(*cache._indexes, *cache._index_candidates)
             assert not held & dropped
         assert db.stats.delta_iterations > 0
+
+
+class TestRetainedBytes:
+    def test_repeated_pagerank_retains_a_fixed_size(self):
+        # Only loop-invariant build sides stay cached: once the base
+        # table's join indexes exist (second run), further runs add
+        # nothing, because every per-trip column is new and never kept.
+        spec = dblp_like(nodes=200, seed=2)
+        db = Database()
+        db.create_table("edges", [("src", SqlType.INTEGER),
+                                  ("dst", SqlType.INTEGER),
+                                  ("weight", SqlType.FLOAT)])
+        db.load_rows("edges", generate_edges(spec))
+        sql = pagerank_query(iterations=5)
+        retained = []
+        for _ in range(4):
+            db.execute(sql)
+            retained.append(db.kernel_cache.nbytes())
+        assert retained[1] > 0
+        assert retained[3] == retained[1]
 
 
 class TestCacheParity:
@@ -398,19 +427,10 @@ class TestObservability:
         assert db.stats.merge_index_rebuilds == 1
         assert db.stats.merge_index_hits > 0
 
-    def test_dictionary_hits_across_statements(self):
-        db = _graph_db([(1, 2), (1, 3), (2, 3)])
-        sql = "SELECT a, COUNT(*) FROM edge GROUP BY a"
-        db.execute(sql)  # miss: builds the grouping key's dictionary
-        before = db.stats.kernel_cache_hits
-        db.execute(sql)  # same column object: version-keyed hit
-        assert db.stats.kernel_cache_hits > before
-
     def test_disabled_cache_stays_cold(self):
         db = _graph_db([(1, 2), (2, 3), (3, 4)], cache_on=False)
         db.execute(CLOSURE)
-        assert db.stats.kernel_cache_hits == 0
-        assert db.stats.kernel_cache_misses == 0
         assert db.stats.join_index_hits == 0
+        assert db.stats.join_index_misses == 0
         assert db.stats.merge_index_hits == 0
         assert db.kernel_cache.nbytes() == 0

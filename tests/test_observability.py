@@ -225,6 +225,9 @@ class TestOverflowCounters:
         assert stats.join_index_overflows == 0
         assert cache.join_index(columns) is None  # build attempt fails
         assert stats.join_index_overflows == 1
+        # The overflow is remembered: no doomed rebuild, no recount.
+        assert cache.join_index(columns) is None
+        assert stats.join_index_overflows == 1
 
     def test_merge_index_bit_budget_exhaustion_repacks(self, db):
         # 8 columns leave 62 // 8 = 7 bits (128 codes) per column in the

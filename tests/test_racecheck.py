@@ -72,10 +72,10 @@ import threading
 class KernelCache:
     def __init__(self):
         self._lock = threading.RLock()
-        self._dictionaries = {}
+        self._indexes = {}
 
     def poison(self, version, entry):
-        self._dictionaries[version] = entry
+        self._indexes[version] = entry
 '''
 
 SEED_CROSS_MODULE = '''\
@@ -193,7 +193,7 @@ class TestSeededViolations:
 
         expected = {
             ("execution/kernel_cache.py",
-             _line_of(SEED_KERNEL_CACHE, "self._dictionaries[version]"),
+             _line_of(SEED_KERNEL_CACHE, "self._indexes[version]"),
              "unguarded-mutation"),
             ("verify/storage_helper.py",
              _line_of(SEED_CROSS_MODULE, "table._segments.append"),
@@ -238,10 +238,10 @@ class TestSeededViolations:
     def test_guarded_mutation_is_silent(self, tmp_path):
         guarded = SEED_KERNEL_CACHE.replace(
             "    def poison(self, version, entry):\n"
-            "        self._dictionaries[version] = entry\n",
+            "        self._indexes[version] = entry\n",
             "    def poison(self, version, entry):\n"
             "        with self._lock:\n"
-            "            self._dictionaries[version] = entry\n")
+            "            self._indexes[version] = entry\n")
         root = _tree(tmp_path, {"execution/kernel_cache.py": guarded})
         assert run_static(root) == []
 
