@@ -3,7 +3,7 @@ simulation (no paper figure; the substrate behind §III's cluster model).
 
 Distributed PageRank and SSSP against 1/2/4 resident workers
 (:class:`repro.mpp.WorkerPool`: partitions owned by worker processes,
-columnar batches over pipes/shared memory, compute overlapping motion),
+columnar batches over pipes, compute overlapping motion),
 with the inline simulation of the same superstep program as baseline.
 
 Three contracts are asserted, not just reported:

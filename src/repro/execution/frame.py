@@ -10,8 +10,7 @@ This module also owns the typed columnar **wire format**
 (:func:`table_to_wire` / :func:`table_from_wire`) used by the MPP
 exchange operators: a batch decomposes into a small picklable header
 plus one raw ndarray block per column buffer (data and validity mask),
-so the transport can ship the blocks however it likes — inline over a
-pipe, or zero-copy through shared memory — without re-serializing.
+which the pipe transport pickles as contiguous buffers.
 """
 
 from __future__ import annotations
@@ -161,10 +160,7 @@ class Frame:
 # (column names/types, row count, per-column encoding) and ``blocks`` is
 # a flat list of buffers — for a fixed-width column its data ndarray
 # followed by its mask ndarray; for a TEXT (object-dtype) column a
-# pickled bytes payload followed by the mask ndarray.  Keeping the
-# buffers out of the header lets the transport choose per block between
-# inline pickling (small) and a shared-memory handle (large) without
-# this layer knowing.
+# pickled bytes payload followed by the mask ndarray.
 
 _WIRE_NDARRAY = "ndarray"
 _WIRE_PICKLE = "pickle"

@@ -11,7 +11,7 @@ either substrate:
   anything — placement and motion modelling, as before;
 * a real :class:`~repro.mpp.workers.WorkerPool` (``pool=``): each
   worker owns its hash partitions, batches cross worker boundaries over
-  pipes/shared memory, compute overlaps motion, and ``delta_shuffle``
+  pipes, compute overlaps motion, and ``delta_shuffle``
   genuinely suppresses wire traffic.  Results, motion counters, and
   trace shapes are bit-identical to the inline run (pinned in tests).
 

@@ -17,17 +17,17 @@ Two runners execute the same spec:
   the motion counters.
 * :func:`superstep_pool` — real shared-nothing execution on a
   :class:`~repro.mpp.workers.WorkerPool`: each worker owns its
-  partitions, ships typed columnar batches to its peers over pipes (or
-  shared memory), and overlaps its pre-apply compute with the outbound
-  drain.  The coordinator only aggregates measured stats and grafts the
-  worker spans back, so traces and counters come out identical to the
-  inline runner.
+  partitions, ships typed columnar batches to its peers over pipes,
+  and overlaps its pre-apply compute with the outbound drain.  The
+  coordinator only aggregates measured stats and grafts the worker
+  spans back, so traces and counters come out identical to the inline
+  runner.
 
 Bit-identity between the two rests on three invariants: both run the
 *same* produce/apply callables; each receiver assembles its incoming
 pieces in origin order (its own piece at its own index, empty pieces
 skipped) exactly like the inline loop appends them; and measured motion
-is always the piece's ``nbytes()`` regardless of transport.
+is always the piece's ``nbytes()``.
 """
 
 from __future__ import annotations

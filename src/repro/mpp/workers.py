@@ -19,7 +19,8 @@ Two substrates, one contract:
   arrival order, which is what keeps float accumulation bit-identical
   to the inline simulation.  No send ever blocks a receive (they run
   on different threads), so pipe back-pressure cannot deadlock the
-  fleet.
+  fleet.  A worker dies with its coordinator: a watchdog thread exits
+  the process once its parent is gone, however the parent ended.
 
 Tracing across the process boundary works by capture/buffer/merge: the
 parent captures one ``TraceContext`` at the span where segment work
@@ -32,6 +33,7 @@ context and the workers skip span buffering entirely.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -98,8 +100,7 @@ class WorkerReply:
 
 def _run_superstep(index: int, segments: int, spec, strategy,
                    registers: dict, recv_cache: dict, outs: dict,
-                   ins: dict, shm_threshold: int,
-                   context_data: Optional[dict]) -> tuple:
+                   ins: dict, context_data: Optional[dict]) -> tuple:
     """One superstep, worker side: produce → ship/overlap → apply.
 
     The incoming pieces are assembled in origin order with this worker's
@@ -135,7 +136,7 @@ def _run_superstep(index: int, segments: int, spec, strategy,
                 piece = pieces[dest]
                 kind = strategy.classify((index, dest), piece)
                 if kind == SEND:
-                    wire.send_piece(outs[dest], piece, shm_threshold)
+                    wire.send_piece(outs[dest], piece)
                 elif kind == UNCHANGED:
                     wire.send_unchanged(outs[dest])
                 else:
@@ -176,9 +177,27 @@ def _run_superstep(index: int, segments: int, spec, strategy,
             apply_tracer.export_spans() if apply_tracer else [])
 
 
+# How often a worker checks that its coordinator is still alive.
+ORPHAN_POLL_SECONDS = 0.5
+
+
+def _exit_when_orphaned(coordinator: int) -> None:
+    """Watchdog: end this worker once ``coordinator`` is no longer its
+    parent.  Every worker inherits every pipe end, the coordinator's
+    own included, so a dead coordinator never shows up as EOF; and the
+    main thread may be blocked on a peer's pipe rather than on the
+    command pipe.  A worker holds nothing outside its pipes, so
+    ``os._exit`` loses nothing."""
+    while os.getppid() == coordinator:
+        time.sleep(ORPHAN_POLL_SECONDS)
+    os._exit(1)
+
+
 def _worker_main(index: int, segments: int, cmd, outs: dict, ins: dict,
-                 shm_threshold: int) -> None:
+                 coordinator: int) -> None:
     """Resident worker loop: owns its partitions, executes commands."""
+    threading.Thread(target=_exit_when_orphaned, args=(coordinator,),
+                     name=f"mpp-watchdog-{index}", daemon=True).start()
     registers: dict = {}
     spec = None
     strategy = None
@@ -205,7 +224,7 @@ def _worker_main(index: int, segments: int, cmd, outs: dict, ins: dict,
             elif tag == "superstep":
                 reply = _run_superstep(
                     index, segments, spec, strategy, registers,
-                    recv_cache, outs, ins, shm_threshold, message[1])
+                    recv_cache, outs, ins, message[1])
                 cmd.send(("done",) + reply)
             else:
                 cmd.send(("error", tag, f"unknown command {tag!r}"))
@@ -231,18 +250,17 @@ class WorkerPool:
     ``timeout`` and watches the worker's liveness; a death or stall
     raises :class:`~repro.errors.MppWorkerError` attributing the
     segment, superstep, and operation, after force-stopping the rest of
-    the fleet so no orphan survives the error.
+    the fleet so no orphan survives the error.  Workers also exit on
+    their own once the coordinator dies without calling
+    :meth:`shutdown`.
     """
 
-    def __init__(self, workers: int, start_method: Optional[str] = None,
-                 shm_threshold: int = wire.SHM_THRESHOLD,
-                 timeout: float = 120.0):
+    def __init__(self, workers: int, timeout: float = 120.0):
         if workers < 1:
             raise ValueError("a worker pool needs at least one worker")
         methods = multiprocessing.get_all_start_methods()
-        method = start_method or (
+        context = multiprocessing.get_context(
             "fork" if "fork" in methods else methods[0])
-        context = multiprocessing.get_context(method)
         self.workers = workers
         self.timeout = timeout
         self._trip = 0
@@ -269,7 +287,7 @@ class WorkerPool:
             process = context.Process(
                 target=_worker_main,
                 args=(i, workers, child_cmds[i], send_map[i],
-                      recv_map[i], shm_threshold),
+                      recv_map[i], os.getpid()),
                 daemon=True, name=f"mpp-worker-{i}")
             process.start()
             self._procs.append(process)

@@ -5,11 +5,17 @@ Also wires the dynamic lockset race detector: running the suite with
 session and writes the collected report (even when empty) to
 ``$REPRO_RACECHECK_REPORT`` (default ``RACECHECK_REPORT.json``) at
 session end, for ``repro-racecheck --replay``.
+
+At session end, any live descendant process of the test session fails
+the run: it is named and killed, so a test that leaks a worker cannot
+pass unnoticed.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import sys
 
 import pytest
 
@@ -25,12 +31,58 @@ def pytest_configure(config):
         enable_racecheck()
 
 
+def _live_descendants(root: int) -> list[int]:
+    """Pids of every non-zombie descendant of ``root``, from ``/proc``."""
+    children: dict[int, list[int]] = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rpartition(")")[2].split()
+        except OSError:
+            continue
+        if fields[0] != "Z":
+            children.setdefault(int(fields[1]), []).append(int(entry))
+    found, frontier = [], [root]
+    while frontier:
+        kids = children.get(frontier.pop(), [])
+        found.extend(kids)
+        frontier.extend(kids)
+    return found
+
+
+def _command_line(pid: int) -> str:
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as handle:
+            return handle.read().replace(b"\0", b" ").decode().strip()
+    except OSError:
+        return "?"
+
+
 def pytest_sessionfinish(session, exitstatus):
     if _RACECHECK:
         from repro.verify.concurrency import write_report
         path = os.environ.get("REPRO_RACECHECK_REPORT",
                               "RACECHECK_REPORT.json")
         write_report(path)
+    if not os.path.isdir("/proc"):
+        return
+    leaked = _live_descendants(os.getpid())
+    for pid in leaked:
+        print(f"\nkilled leaked process {pid}: {_command_line(pid)}",
+              file=sys.stderr)
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
+    for pid in leaked:
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass
+    if leaked:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 # A small weighted digraph used across tests:
 #

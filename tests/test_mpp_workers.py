@@ -11,15 +11,21 @@ behind.
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro.datasets import dblp_like, generate_edges
 from repro.errors import MppWorkerError
 from repro.mpp import (Cluster, WorkerPool, distributed_pagerank,
-                       distributed_sssp, pagerank_superstep_spec)
+                       distributed_sssp, hash_partition_indices,
+                       pagerank_superstep_spec)
 from repro.obs import Tracer, build_trace, validate_trace_dict
+from repro.storage import Column
+from repro.types import SqlType
 from tests.test_trace_context import shape
 
 EDGES = generate_edges(dblp_like(nodes=120, seed=7))
@@ -66,15 +72,6 @@ class TestPoolParity:
         assert first.ranks == again.ranks
         assert sssp.iterations > 1
 
-    def test_shared_memory_fast_path(self):
-        # Force every block over shm: results must not change.
-        inline = distributed_pagerank(Cluster(2), EDGES, iterations=4)
-        with WorkerPool(2, shm_threshold=1) as pool:
-            pooled = distributed_pagerank(Cluster(2), EDGES,
-                                          iterations=4, pool=pool)
-        assert pooled.ranks == inline.ranks
-        assert pooled.bytes_moved == inline.bytes_moved
-
     def test_trace_shape_matches_inline(self):
         def traced(pool):
             tracer = Tracer("trace")
@@ -89,6 +86,57 @@ class TestPoolParity:
         assert shape(pool_trace.root) == shape(inline_trace.root)
         validate_trace_dict(json.loads(inline_trace.to_json()))
         validate_trace_dict(json.loads(pool_trace.to_json()))
+
+
+class TestPiecesLargerThanThePipe:
+    """Every cross-segment piece is several times Linux's 64 KiB pipe
+    capacity, so each send blocks until its receiver drains it: only
+    the sender thread keeps the fleet from deadlocking."""
+
+    WORKERS = 3
+    NODES = 30_000
+    OUT_DEGREE = 6
+    PIECE_FLOOR = 1 << 18  # 256 KiB, 4x the pipe capacity
+
+    @classmethod
+    def edges(cls):
+        rng = np.random.default_rng(3)
+        src = np.repeat(np.arange(1, cls.NODES + 1), cls.OUT_DEGREE)
+        dst = rng.integers(1, cls.NODES + 1, size=len(src))
+        return src, dst, [(int(s), int(d), 1.0 / cls.OUT_DEGREE)
+                          for s, d in zip(src, dst)]
+
+    @pytest.mark.parametrize("delta_shuffle", [False, True])
+    def test_pagerank_bit_identical_to_inline(self, delta_shuffle):
+        src, dst, edges = self.edges()
+        # Edges live on the segment of their src and route on dst; a
+        # routed row carries an int64 dst and a float64 contribution.
+        origin = hash_partition_indices(
+            Column.from_numpy(SqlType.INTEGER, src), self.WORKERS)
+        target = hash_partition_indices(
+            Column.from_numpy(SqlType.INTEGER, dst), self.WORKERS)
+        for i in range(self.WORKERS):
+            for j in range(self.WORKERS):
+                if i != j:
+                    rows = int(np.sum((origin == i) & (target == j)))
+                    assert rows * 16 > self.PIECE_FLOOR
+
+        inline = distributed_pagerank(Cluster(self.WORKERS), edges,
+                                      iterations=3,
+                                      delta_shuffle=delta_shuffle)
+        timeout = 60.0
+        started = time.monotonic()
+        with WorkerPool(self.WORKERS, timeout=timeout) as pool:
+            pooled = distributed_pagerank(Cluster(self.WORKERS), edges,
+                                          iterations=3, pool=pool,
+                                          delta_shuffle=delta_shuffle)
+        assert time.monotonic() - started < timeout
+        assert pooled.ranks == inline.ranks
+        assert pooled.rows_moved == inline.rows_moved
+        assert pooled.bytes_moved == inline.bytes_moved
+        assert pooled.shuffles == inline.shuffles
+        assert pooled.suppressed_bytes == inline.suppressed_bytes
+        assert pooled.suppressed_batches == inline.suppressed_batches
 
 
 class TestDeltaShuffleOnTheWire:
@@ -180,6 +228,57 @@ class TestFailureContainment:
         finally:
             pool.shutdown(force=True)
         _assert_no_orphans(pool)
+
+    # A coordinator in its own session: runs a PageRank on a two-worker
+    # pool, reports the worker pids, then dies without shutdown().
+    COORDINATOR = """
+import os, signal
+from repro.datasets import dblp_like, generate_edges
+from repro.mpp import Cluster, WorkerPool, distributed_pagerank
+pool = WorkerPool(2)
+distributed_pagerank(Cluster(2), generate_edges(dblp_like(120, seed=7)),
+                     iterations=2, pool=pool)
+print(*(process.pid for process in pool._procs), flush=True)
+os.kill(os.getpid(), signal.{})
+"""
+
+    @staticmethod
+    def _alive(pid: int) -> bool:
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                state = handle.read().rpartition(")")[2].split()[0]
+        except OSError:
+            return False
+        return state != "Z"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    @pytest.mark.parametrize("signame", ["SIGKILL", "SIGTERM"])
+    def test_workers_exit_when_coordinator_dies(self, signame):
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", self.COORDINATOR.format(signame)],
+            stdout=subprocess.PIPE, text=True, start_new_session=True)
+        pids: list[int] = []
+        try:
+            pids = [int(pid)
+                    for pid in coordinator.stdout.readline().split()]
+            assert len(pids) == 2
+            assert coordinator.wait(timeout=10.0) \
+                == -getattr(signal, signame)
+            deadline = time.monotonic() + 10.0
+            while any(map(self._alive, pids)) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.1)
+            survivors = [pid for pid in pids if self._alive(pid)]
+            assert not survivors, \
+                f"workers {survivors} outlived their coordinator"
+        finally:
+            for pid in pids:
+                if self._alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            if coordinator.poll() is None:
+                coordinator.kill()
+            coordinator.wait()
+            coordinator.stdout.close()
 
     def test_clean_shutdown_is_idempotent(self):
         pool = WorkerPool(2)
