@@ -12,7 +12,6 @@ from ..runtime import (
     LoopState,
     ProgramRunner,
     count_changed_rows,
-    run_program,
     should_continue,
 )
 from .rewrite import compile_statement
@@ -23,5 +22,4 @@ __all__ = [
     "should_continue",
     "compile_statement",
     "ProgramRunner",
-    "run_program",
 ]

@@ -13,11 +13,9 @@ from .generators import (
     web_google_like,
 )
 from .io import (
-    load_delimited,
     load_edge_file,
     normalize_weights,
     read_snap_edge_list,
-    write_snap_edge_list,
 )
 from .loader import fresh_database, load_graph
 
@@ -34,9 +32,7 @@ __all__ = [
     "web_google_like",
     "fresh_database",
     "load_graph",
-    "load_delimited",
     "load_edge_file",
     "normalize_weights",
     "read_snap_edge_list",
-    "write_snap_edge_list",
 ]

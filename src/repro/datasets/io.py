@@ -1,4 +1,4 @@
-"""Dataset file IO: SNAP edge lists and delimited files.
+"""Dataset file IO: SNAP edge lists.
 
 The paper evaluates on SNAP graphs (DBLP, Pokec, web-Google).  We cannot
 redistribute those, but anyone who downloads them can load the files
@@ -6,16 +6,12 @@ directly: :func:`read_snap_edge_list` parses the SNAP text format
 (``#``-comment header, whitespace-separated ``FromNodeId ToNodeId``
 pairs) and :func:`load_edge_file` puts the result into a Database with
 the out-degree-normalized weights the PR query expects.
-
-A small delimited-file loader covers CSV/TSV side tables (for example a
-real vertex-status table).
 """
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,72 +82,4 @@ def load_edge_file(db: Database, path: str | Path,
     db.create_table(table, [("src", SqlType.INTEGER),
                             ("dst", SqlType.INTEGER),
                             ("weight", SqlType.FLOAT)])
-    return db.load_rows(table, rows)
-
-
-def write_snap_edge_list(edges: Iterable[tuple[int, int, float]],
-                         path: str | Path,
-                         comment: Optional[str] = None) -> int:
-    """Write (src, dst[, weight]) edges in SNAP format (weights dropped).
-
-    Lets the synthetic generators feed external tools; returns the number
-    of edges written.
-    """
-    path = Path(path)
-    count = 0
-    with path.open("w") as handle:
-        if comment:
-            for line in comment.splitlines():
-                handle.write(f"# {line}\n")
-        handle.write("# FromNodeId\tToNodeId\n")
-        for edge in edges:
-            handle.write(f"{edge[0]}\t{edge[1]}\n")
-            count += 1
-    return count
-
-
-_TYPE_PARSERS = {
-    SqlType.INTEGER: int,
-    SqlType.FLOAT: float,
-    SqlType.NUMERIC: float,
-    SqlType.TEXT: str,
-    SqlType.BOOLEAN: lambda v: v.strip().lower() in ("1", "t", "true"),
-}
-
-
-def load_delimited(db: Database, path: str | Path, table: str,
-                   columns: Sequence[tuple[str, SqlType]],
-                   delimiter: str = ",", header: bool = True,
-                   null_token: str = "") -> int:
-    """Load a CSV/TSV file into a new table with the given schema.
-
-    Empty fields (or ``null_token``) become NULL.  Returns rows loaded.
-    """
-    parsers = [_TYPE_PARSERS[sql_type] for _, sql_type in columns]
-    rows = []
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        for line_number, record in enumerate(reader, start=1):
-            if header and line_number == 1:
-                continue
-            if not record:
-                continue
-            if len(record) != len(columns):
-                raise ReproError(
-                    f"{path.name}:{line_number}: expected "
-                    f"{len(columns)} fields, got {len(record)}")
-            row = []
-            for value, parser in zip(record, parsers):
-                if value == null_token:
-                    row.append(None)
-                    continue
-                try:
-                    row.append(parser(value))
-                except ValueError as error:
-                    raise ReproError(
-                        f"{path.name}:{line_number}: cannot parse "
-                        f"{value!r}") from error
-            rows.append(tuple(row))
-    db.create_table(table, columns)
     return db.load_rows(table, rows)

@@ -475,7 +475,7 @@ class Session:
             norm = normalize_statement(statement)
             if not cache_probed:
                 program = self._engine.plan_cache.get_normalized(
-                    norm, fingerprint, snapshot.catalog_version)
+                    norm, fingerprint, snapshot.catalog_version, sql_text)
             if program is not None and tracer.enabled:
                 tracer.event("plan_cache_hit", kind="decision",
                              level="normalized",

@@ -81,22 +81,41 @@ def _valid_counts(values: Column, gids: np.ndarray,
 def _sum(values: Column, gids: np.ndarray, n_groups: int) -> Column:
     if not values.sql_type.is_numeric and values.sql_type is not SqlType.NULL:
         raise TypeCheckError("SUM requires a numeric argument")
-    result_type = (SqlType.INTEGER if values.sql_type is SqlType.INTEGER
-                   else SqlType.FLOAT)
     counts = _valid_counts(values, gids, n_groups)
     valid = ~values.mask
+    mask = counts == 0
+    if values.sql_type is SqlType.INTEGER:
+        return Column(SqlType.INTEGER,
+                      _exact_int_sums(values.data[valid], gids[valid],
+                                      n_groups), mask)
     sums = np.zeros(n_groups, dtype=np.float64)
     if valid.any():
         sums = np.bincount(
             gids[valid],
             weights=values.data[valid].astype(np.float64),
             minlength=n_groups)
-    mask = counts == 0
-    if result_type is SqlType.INTEGER:
-        data = np.round(sums).astype(np.int64)
-    else:
-        data = sums
-    return Column(result_type, data, mask)
+    return Column(SqlType.FLOAT, sums, mask)
+
+
+def _exact_int_sums(data: np.ndarray, gids: np.ndarray,
+                    n_groups: int) -> np.ndarray:
+    """Per-group int64 sums, exact, raising where a sum leaves int64.
+
+    Each value splits into a signed high and an unsigned low 32-bit
+    half; neither half's per-group total can overflow int64 below 2^31
+    rows per group, and recombining them tells an in-range sum from one
+    that would wrap.  Overflow is judged on the group's total, so unlike
+    SQLite (which fails as soon as a running sum leaves int64) a group
+    whose partial sums overflow and come back still succeeds."""
+    data = data.astype(np.int64, copy=False)
+    low = np.zeros(n_groups, dtype=np.int64)
+    high = np.zeros(n_groups, dtype=np.int64)
+    np.add.at(low, gids, data & 0xFFFFFFFF)
+    np.add.at(high, gids, data >> 32)
+    high += low >> 32
+    if ((high < -(1 << 31)) | (high >= (1 << 31))).any():
+        raise ExecutionError("integer overflow in SUM")
+    return (high << 32) | (low & 0xFFFFFFFF)
 
 
 def _extreme(values: Column, gids: np.ndarray, n_groups: int,

@@ -100,7 +100,7 @@ class WorkerReply:
 
 def _run_superstep(index: int, segments: int, spec, strategy,
                    registers: dict, recv_cache: dict, outs: dict,
-                   ins: dict, context_data: Optional[dict]) -> tuple:
+                   ins: dict, context: Optional[TraceContext]) -> tuple:
     """One superstep, worker side: produce → ship/overlap → apply.
 
     The incoming pieces are assembled in origin order with this worker's
@@ -110,8 +110,7 @@ def _run_superstep(index: int, segments: int, spec, strategy,
     bit-identical across substrates.
     """
     produce_tracer = apply_tracer = None
-    if context_data is not None:
-        context = TraceContext.from_dict(context_data)
+    if context is not None:
         produce_tracer = ContextTracer(context)
         apply_tracer = ContextTracer(context)
 
@@ -323,12 +322,13 @@ class WorkerPool:
     def superstep(self, tracer=None) -> list[WorkerReply]:
         """Run one superstep on every worker; replies in segment order."""
         self._trip += 1
-        context_data = None
+        # Workers only read the trace id; the coordinator grafts their
+        # spans under its own capture points (see superstep.py).
+        context = None
         if tracer is not None and getattr(tracer, "enabled", False):
-            context_data = {"trace_id": tracer.trace_id,
-                            "context_id": 0, "path": []}
+            context = TraceContext(tracer.trace_id, 0)
         for connection in self._cmd:
-            connection.send(("superstep", context_data))
+            connection.send(("superstep", context))
         replies = []
         for segment in range(self.workers):
             message = self._await(segment, "done", "superstep")

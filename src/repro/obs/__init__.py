@@ -38,7 +38,6 @@ from .trace import (
     Span,
     TraceContext,
     Tracer,
-    render_span_tree,
     span_from_dict,
 )
 
@@ -69,6 +68,5 @@ __all__ = [
     "Span",
     "TraceContext",
     "Tracer",
-    "render_span_tree",
     "span_from_dict",
 ]

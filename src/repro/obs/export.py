@@ -69,11 +69,11 @@ _LOOP_KINDS = frozenset(
 
 # ``decision`` events (zero-duration spans) carry a documented attribute
 # contract on top of the open attribute map; the validator enforces
-# presence so downstream tooling (repro-profile's decision timeline, the
-# trace diff) can rely on the keys.  Their name set is closed — each
-# name is one decision the runtime can take, with its own required
+# presence so the decision timeline (printed by repro-profile and by
+# EXPLAIN ANALYZE) can rely on the keys.  Their name set is closed —
+# each name is one decision the runtime can take, with its own required
 # attributes.
-_DECISION_COMMON_ATTRS = frozenset({"loop_id", "reason"})
+_DECISION_COMMON_ATTRS = frozenset({"loop_id", "cte", "reason"})
 _DECISION_EVENT_ATTRS = {
     "strategy_selection": frozenset({"strategy"}),
     "strategy_demotion": frozenset(
@@ -82,8 +82,7 @@ _DECISION_EVENT_ATTRS = {
     "strategy_promotion": frozenset(
         {"from_strategy", "to_strategy", "iteration", "frontier",
          "total", "budget_frontier"}),
-    "loop_estimate": frozenset(
-        {"cte", "estimated_iterations", "basis"}),
+    "loop_estimate": frozenset({"estimated_iterations", "basis"}),
 }
 DECISION_EVENT_NAMES = frozenset(_DECISION_EVENT_ATTRS)
 

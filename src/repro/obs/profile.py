@@ -134,6 +134,14 @@ def collect_events(root: dict, kinds: Iterable[str]) -> list[dict]:
     return found
 
 
+def decision_events(root: dict) -> list[dict]:
+    """The strategy decisions of a span tree, in the order taken (the
+    cost model's ``loop_estimate`` events feed the loop rollups
+    instead)."""
+    return [event for event in collect_events(root, ("decision",))
+            if event["name"] != "loop_estimate"]
+
+
 def _loop_rollups(trace: dict) -> list[LoopRollup]:
     estimates = {event["attributes"].get("cte"): event["attributes"]
                  for event in collect_events(trace["root"], ("decision",))
@@ -168,9 +176,7 @@ def aggregate_profile(trace: dict) -> Profile:
     profile.total_seconds = float(root["seconds"])
     _fold_spans(root, (), profile.entries)
     profile.loops = _loop_rollups(trace)
-    profile.decisions = [
-        event for event in collect_events(root, ("decision",))
-        if event["name"] != "loop_estimate"]
+    profile.decisions = decision_events(root)
     return profile
 
 
@@ -195,31 +201,25 @@ def collapsed_stacks(trace: dict) -> list[str]:
 
 
 def render_decision_timeline(decisions: list[dict]) -> list[str]:
-    """One line per runtime decision, in the order they were taken."""
+    """One line per strategy decision (see :func:`decision_events`), in
+    the order they were taken — the same lines in ``repro-profile`` and
+    in EXPLAIN ANALYZE."""
     if not decisions:
         return []
     lines = ["decision timeline:"]
     for event in decisions:
         attrs = event["attributes"]
-        name = event["name"]
-        if name == "strategy_selection":
-            lines.append(
-                f"  loop {attrs['loop_id']}: selected "
-                f"{attrs['strategy']} — {attrs['reason']}")
-        elif name in ("strategy_demotion", "strategy_promotion"):
-            verb = ("demoted" if name == "strategy_demotion"
-                    else "promoted")
-            lines.append(
-                f"  loop {attrs['loop_id']}: {verb} "
-                f"{attrs['from_strategy']} -> {attrs['to_strategy']} "
-                f"after iteration {attrs['iteration']} "
-                f"(measured frontier {attrs['frontier']}/{attrs['total']}"
-                f" vs budget {attrs['budget_frontier']}) — "
-                f"{attrs['reason']}")
-        else:
-            detail = ", ".join(f"{key}={value}" for key, value
-                               in sorted(attrs.items()))
-            lines.append(f"  {name}: {detail}")
+        if event["name"] == "strategy_selection":
+            lines.append(f"  loop {attrs['cte']}: selected "
+                         f"{attrs['strategy']} — {attrs['reason']}")
+            continue
+        verb = ("demoted" if event["name"] == "strategy_demotion"
+                else "promoted")
+        lines.append(
+            f"  loop {attrs['cte']}: {verb} {attrs['from_strategy']} -> "
+            f"{attrs['to_strategy']} after iteration {attrs['iteration']} "
+            f"(frontier {attrs['frontier']}/{attrs['total']} rows vs "
+            f"budget {attrs['budget_frontier']})")
     return lines
 
 

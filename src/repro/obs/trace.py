@@ -25,7 +25,7 @@ import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 
 def _scalar(value):
@@ -101,38 +101,20 @@ def span_from_dict(data: dict) -> Span:
 
 @dataclass(frozen=True)
 class TraceContext:
-    """A serializable handle onto one open span of a parent trace.
+    """A picklable handle onto one open span of a parent trace.
 
-    Child workers (threads today, ``multiprocessing`` workers for the
-    real shared-nothing executor) cannot share a :class:`Tracer`: spans
-    are mutable and the open-span stack is single-owner.  Instead the
-    parent captures a ``TraceContext`` at the point in the tree where
-    the child's work belongs, ships it across the process boundary
-    (it is a frozen dataclass of scalars — picklable and JSON-safe),
-    and the child builds a :class:`ContextTracer` from it.  The child's
-    spans buffer locally; on join the parent grafts them back with
-    :meth:`Tracer.merge`, so the merged trace is shaped exactly as if
-    the work had run inline.
-
-    ``path`` (root → capture point span names) re-anchors the merge when
-    the capturing tracer object is gone — e.g. a coordinator process
-    that itself reports to a remote parent.
+    Child workers (the in-process segment tasks and the pool's worker
+    processes) cannot share a :class:`Tracer`: spans are mutable and the
+    open-span stack is single-owner.  Instead the parent captures a
+    ``TraceContext`` at the point in the tree where the child's work
+    belongs, hands it to the child, and the child builds a
+    :class:`ContextTracer` from it.  The child's spans buffer locally;
+    on join the parent grafts them back with :meth:`Tracer.merge`, so
+    the merged trace is shaped exactly as if the work had run inline.
     """
 
     trace_id: str
     context_id: int
-    path: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {"trace_id": self.trace_id,
-                "context_id": self.context_id,
-                "path": list(self.path)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceContext":
-        return cls(trace_id=data["trace_id"],
-                   context_id=int(data["context_id"]),
-                   path=tuple(data["path"]))
 
 
 class Tracer:
@@ -201,15 +183,13 @@ class Tracer:
     # -- process-safe contexts ----------------------------------------------
 
     def context(self) -> TraceContext:
-        """Capture the current span as a serializable merge target.
+        """Capture the current span as a merge target.
 
-        The returned :class:`TraceContext` can cross a process boundary;
-        the capture span itself is pinned locally so :meth:`merge` grafts
-        exported worker spans under it later, open or closed."""
+        The capture span itself is pinned locally so :meth:`merge`
+        grafts exported worker spans under it later, open or closed."""
         context_id = len(self._context_spans)
         self._context_spans[context_id] = self.current
-        path = tuple(span.name for span in self._stack)
-        return TraceContext(self.trace_id, context_id, path)
+        return TraceContext(self.trace_id, context_id)
 
     def merge(self, context: TraceContext,
               spans: Iterable[dict]) -> None:
@@ -217,33 +197,14 @@ class Tracer:
 
         ``spans`` is what :meth:`ContextTracer.export_spans` returned on
         the worker side.  A context from another trace id is rejected —
-        merging foreign spans would silently corrupt attribution.  If the
-        capture span is unknown (a context re-created from its dict in a
-        different process), the span ``path`` re-anchors the merge, falling
-        back to the root."""
+        merging foreign spans would silently corrupt attribution."""
         if context.trace_id != self.trace_id:
             raise ValueError(
                 f"cannot merge context of trace {context.trace_id!r} "
                 f"into trace {self.trace_id!r}")
-        anchor = self._context_spans.get(context.context_id)
-        if anchor is None:
-            anchor = self._span_at_path(context.path)
+        anchor = self._context_spans[context.context_id]
         for data in spans:
             anchor.children.append(span_from_dict(data))
-
-    def _span_at_path(self, path: tuple[str, ...]) -> Span:
-        """The first span matching a root→target name path (the merge
-        fallback when the capture span object is unavailable)."""
-        if not path or path[0] != self.root.name:
-            return self.root
-        cursor = self.root
-        for name in path[1:]:
-            child = next((c for c in cursor.children if c.name == name),
-                         None)
-            if child is None:
-                return cursor
-            cursor = child
-        return cursor
 
 
 class _NullSpan:
@@ -272,8 +233,7 @@ _NULL_SPAN = _NullSpan()
 
 
 class ContextTracer(Tracer):
-    """The worker-side tracer built from a serialized
-    :class:`TraceContext`.
+    """The worker-side tracer built from a :class:`TraceContext`.
 
     Spans buffer under a synthetic local root; :meth:`export_spans`
     closes them and returns their serialized forms for the parent to
@@ -284,7 +244,6 @@ class ContextTracer(Tracer):
     def __init__(self, context: TraceContext):
         super().__init__(f"worker:{context.trace_id}",
                          trace_id=context.trace_id)
-        self.context = context
 
     def export_spans(self) -> list[dict]:
         """Close all buffered spans and serialize them for the merge."""
@@ -323,17 +282,3 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
-
-
-def render_span_tree(span: Span, indent: int = 0) -> str:
-    """Human-readable tree: ``name [kind] 1.23ms {attr=value, ...}``."""
-    pieces = [f"{'  ' * indent}{span.name} [{span.kind}] "
-              f"{span.seconds * 1000:.2f}ms"]
-    if span.attributes:
-        inner = ", ".join(f"{key}={value}" for key, value
-                          in span.attributes.items())
-        pieces.append(f" {{{inner}}}")
-    lines = ["".join(pieces)]
-    for child in span.children:
-        lines.append(render_span_tree(child, indent + 1))
-    return "\n".join(lines)

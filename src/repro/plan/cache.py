@@ -9,7 +9,9 @@ sessions.  The cache is engine-level state (one per
 holds two maps:
 
 * **text memo** — exact statement text → its normalized identity, so a
-  replayed statement skips even the parse;
+  replayed statement skips even the parse (least recently used texts
+  are evicted first; a text that missed the memo but hit after the
+  parse is remembered);
 * **program store** — ``(shape, literals, options fingerprint)`` →
   compiled :class:`~repro.plan.program.Program`, so two texts that
   differ only in whitespace or identifier case still share one program.
@@ -67,8 +69,11 @@ class PlanCache:
         hits nor misses by itself — a text miss may still become a
         shape-level hit after the parse; :meth:`get_normalized` does
         the counting."""
+        key = (sql_text, fingerprint)
         with self._lock:
-            norm = self._texts.get((sql_text, fingerprint))
+            norm = self._texts.get(key)
+            if norm is not None:
+                self._texts.move_to_end(key)
         if norm is None:
             return None
         return self.get_normalized(norm, fingerprint, catalog_version)
@@ -80,23 +85,30 @@ class PlanCache:
             return (sql_text, fingerprint) in self._texts
 
     def get_normalized(self, norm: NormalizedStatement, fingerprint: tuple,
-                       catalog_version: int):
-        """Program for a normalized statement, or None (counted)."""
+                       catalog_version: int,
+                       sql_text: Optional[str] = None):
+        """Program for a normalized statement, or None (counted).
+
+        On a hit, ``sql_text`` (the text that was parsed to ``norm``)
+        joins the text memo so its next run skips the parse."""
         key = (norm.shape, norm.literals, fingerprint)
+        program = None
         with self._lock:
             entry = self._programs.get(key)
-            if entry is not None:
-                program, version = entry
-                if version == catalog_version:
-                    self._programs.move_to_end(key)
-                    self._count("plan_cache_hits")
-                    return program
-                del self._programs[key]
-                self._count("plan_cache_invalidations")
-            if (norm.shape, fingerprint) in self._shapes:
-                self._count("plan_cache_shape_hits")
-            self._count("plan_cache_misses")
-        return None
+            if entry is not None and entry[1] == catalog_version:
+                program = entry[0]
+                self._programs.move_to_end(key)
+                self._count("plan_cache_hits")
+            else:
+                if entry is not None:
+                    del self._programs[key]
+                    self._count("plan_cache_invalidations")
+                if (norm.shape, fingerprint) in self._shapes:
+                    self._count("plan_cache_shape_hits")
+                self._count("plan_cache_misses")
+        if program is not None and sql_text is not None:
+            self._remember_text(sql_text, fingerprint, norm)
+        return program
 
     # -- population ----------------------------------------------------------
 
@@ -110,10 +122,19 @@ class PlanCache:
             while len(self._programs) > self._max_programs:
                 self._programs.popitem(last=False)
             self._shapes.add((norm.shape, fingerprint))
-            if sql_text is not None:
-                self._texts[(sql_text, fingerprint)] = norm
-                while len(self._texts) > self._max_texts:
-                    self._texts.popitem(last=False)
+        if sql_text is not None:
+            self._remember_text(sql_text, fingerprint, norm)
+
+    def _remember_text(self, sql_text: str, fingerprint: tuple,
+                       norm: NormalizedStatement) -> None:
+        """Put a text at the recent end of the memo, evicting the least
+        recently used beyond ``max_texts``."""
+        key = (sql_text, fingerprint)
+        with self._lock:
+            self._texts[key] = norm
+            self._texts.move_to_end(key)
+            while len(self._texts) > self._max_texts:
+                self._texts.popitem(last=False)
 
     # -- maintenance ---------------------------------------------------------
 

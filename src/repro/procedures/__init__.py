@@ -6,7 +6,6 @@ from .language import (
     Procedure,
     ProcedureOp,
     ReturnQuery,
-    iterative_procedure,
 )
 from .runner import CallReport, ProcedureCatalog
 
@@ -16,7 +15,6 @@ __all__ = [
     "Procedure",
     "ProcedureOp",
     "ReturnQuery",
-    "iterative_procedure",
     "CallReport",
     "ProcedureCatalog",
 ]

@@ -45,29 +45,3 @@ class Procedure:
 
     name: str
     ops: list[ProcedureOp] = field(default_factory=list)
-
-    def statement_count(self) -> int:
-        """Statements executed per call (loops expanded)."""
-
-        def count(ops: list[ProcedureOp]) -> int:
-            total = 0
-            for op in ops:
-                if isinstance(op, Loop):
-                    total += op.count * count(op.body)
-                else:
-                    total += 1
-            return total
-
-        return count(self.ops)
-
-
-def iterative_procedure(name: str, setup: list[str], init: str,
-                        body: list[str], iterations: int,
-                        final: str, teardown: list[str]) -> Procedure:
-    """The §VII-E shape: setup DDL, R0 once, loop Ri N times, Qf."""
-    ops: list[ProcedureOp] = [ExecuteSql(sql) for sql in setup]
-    ops.append(ExecuteSql(init))
-    ops.append(Loop(iterations, [ExecuteSql(sql) for sql in body]))
-    ops.append(ReturnQuery(final))
-    ops.extend(ExecuteSql(sql) for sql in teardown)
-    return Procedure(name, ops)

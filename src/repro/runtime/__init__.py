@@ -16,7 +16,7 @@ One execution path for every iterative construct in the system:
 """
 
 from .conditions import LoopState, count_changed_rows, should_continue
-from .interpreter import ProgramRunner, StepProfile, run_program
+from .interpreter import ProgramRunner, StepProfile
 from .loop_engine import LoopEngine, LoopRun
 from .registry import HANDLERS, dispatch, handles
 from .strategies import (
@@ -54,6 +54,5 @@ __all__ = [
     "dispatch",
     "handles",
     "make_exchange_strategy",
-    "run_program",
     "should_continue",
 ]

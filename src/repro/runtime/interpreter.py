@@ -17,6 +17,7 @@ from typing import Optional
 
 from ..errors import IterationLimitError
 from ..execution import ExecutionContext
+from ..obs.profile import decision_events, render_decision_timeline
 from ..obs.telemetry import LoopTelemetry, render_iteration_table
 from ..plan.program import InitLoopStep, LoopStep, Program, Step
 from ..storage import Table
@@ -155,7 +156,9 @@ class ProgramRunner:
                 lines.append(f"     loop {spec.annotation()}")
         lines.extend(self._cache_report())
         lines.extend(self._strategy_report())
-        lines.extend(self._decision_report())
+        if self.ctx.tracer.enabled:
+            lines.extend(render_decision_timeline(
+                decision_events(self.ctx.tracer.root.to_dict())))
         loop_telemetry = self.loop_telemetry
         for loop_id in sorted(loop_telemetry):
             lines.extend(render_iteration_table(loop_telemetry[loop_id]))
@@ -196,22 +199,6 @@ class ProgramRunner:
             lines.append(line)
         return lines
 
-    def _decision_report(self) -> list[str]:
-        """The run's strategy decisions in the order they were taken —
-        the text twin of the trace's decision events."""
-        engine = self.engine
-        if not engine.selections:
-            return []
-        lines = ["decision timeline:"]
-        for loop_id in sorted(engine.selections):
-            spec = self._program.loops.get(loop_id)
-            cte = spec.cte_name if spec is not None else str(loop_id)
-            name, reason = engine.selections[loop_id]
-            lines.append(f"  loop {cte}: selected {name} — {reason}")
-            for record in engine.switches.get(loop_id, ()):
-                lines.append(f"  loop {cte}: {record.describe()}")
-        return lines
-
     def loop_iteration_counts(self) -> dict[str, int]:
         """Measured iteration count per CTE name from the last run.
 
@@ -223,8 +210,3 @@ class ProgramRunner:
             if spec is not None and state.iterations:
                 counts[spec.cte_name] = state.iterations
         return counts
-
-
-def run_program(program: Program, ctx: ExecutionContext) -> Optional[Table]:
-    """Execute a plan program; returns the ReturnStep's table (if any)."""
-    return ProgramRunner(program, ctx).run()

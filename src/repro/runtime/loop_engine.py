@@ -145,9 +145,6 @@ class LoopEngine:
         self.delta_runtimes: dict[int, DeltaLoopRuntime] = {}
         # Mid-loop demotions and promotions per loop, in the order taken.
         self.switches: dict[int, list[StrategySwitch]] = {}
-        # (strategy name, selection reason) per loop, for the decision
-        # timeline in EXPLAIN ANALYZE.
-        self.selections: dict[int, tuple[str, str]] = {}
         self._runs: dict[int, LoopRun] = {}
 
     def begin_run(self) -> None:
@@ -156,7 +153,6 @@ class LoopEngine:
         self.strategies = {}
         self.delta_runtimes = {}
         self.switches = {}
-        self.selections = {}
         self._runs = {}
 
     # -- loop control --------------------------------------------------------
@@ -167,12 +163,11 @@ class LoopEngine:
             else self.delta_runtime(spec.delta)
         strategy = choose_strategy(spec, runtime)
         self.strategies[spec.loop_id] = strategy
-        self.selections[spec.loop_id] = (strategy.name, strategy.reason)
         tracer = self._ctx.tracer
         if tracer.enabled:
             tracer.event("strategy_selection", kind="decision",
-                         loop_id=spec.loop_id, strategy=strategy.name,
-                         reason=strategy.reason)
+                         loop_id=spec.loop_id, cte=spec.cte_name,
+                         strategy=strategy.name, reason=strategy.reason)
 
     def state(self, loop_id: int) -> LoopState:
         state = self.states.get(loop_id)
@@ -233,7 +228,8 @@ class LoopEngine:
             kind=kind,
             iteration=(state.iterations + 1) if state is not None else 0,
             from_name=from_strategy.name, to_name=to_strategy.name,
-            frontier=frontier, total=total)
+            frontier=frontier, total=total,
+            budget_frontier=budget_frontier)
         self.switches.setdefault(loop_id, []).append(record)
         if kind == "demotion":
             self._ctx.stats.strategy_demotions += 1
@@ -243,6 +239,7 @@ class LoopEngine:
         if tracer.enabled:
             tracer.event(f"strategy_{kind}", kind="decision",
                          loop_id=loop_id,
+                         cte=self._program.loops[loop_id].cte_name,
                          from_strategy=record.from_name,
                          to_strategy=record.to_name,
                          iteration=record.iteration,

@@ -333,12 +333,13 @@ class StrategySwitch:
     to_name: str
     frontier: int
     total: int
+    budget_frontier: int
 
     def describe(self) -> str:
         verb = "demoted" if self.kind == "demotion" else "promoted"
         return (f"{verb} {self.from_name} -> {self.to_name} after "
                 f"iteration {self.iteration} (frontier {self.frontier}"
-                f"/{self.total} rows)")
+                f"/{self.total} rows vs budget {self.budget_frontier})")
 
 
 # ---------------------------------------------------------------------------

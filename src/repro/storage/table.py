@@ -164,10 +164,6 @@ class Table:
                         if self.schema.primary_key in names else None)
         return Table(schema, self.columns)
 
-    def with_primary_key(self, key: str | None) -> "Table":
-        schema = Schema(self.schema.columns, key)
-        return Table(schema, self.columns)
-
     def concat(self, other: "Table") -> "Table":
         """UNION ALL two compatible tables; keeps this table's names."""
         if len(self.schema) != len(other.schema):

@@ -169,8 +169,8 @@ GUARDS: tuple[GuardSpec, ...] = (
         level=LEVEL_CACHE,
         attrs=("_programs", "_texts", "_shapes"),
         mode="all",
-        write_methods=("get_normalized", "store", "clear"),
-        read_methods=("get_text", "knows_text", "snapshot"),
+        write_methods=("get_text", "get_normalized", "store", "clear"),
+        read_methods=("knows_text", "snapshot"),
     ),
     GuardSpec(
         name="MetricsRegistry",

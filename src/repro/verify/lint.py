@@ -1,13 +1,9 @@
 """Engine lint: AST-based repo-specific rules (the ``repro-lint`` CLI).
 
-Four rule families, each encoding a convention a refactor established
-but nothing enforced:
+Three rule families, each encoding a convention a refactor established
+but nothing else enforces (each was kept because a mutant of its bug
+class passes the test suite and only this lint flags it):
 
-* **handler-coverage** — every ``Step`` subclass declared in
-  :mod:`repro.plan.program` has a ``@handles(...)`` registration in
-  :mod:`repro.runtime.handlers`, and every registration names a real
-  ``Step`` subclass.  A step without a handler fails at run time with an
-  ``unknown step type`` dispatch error; this catches it statically.
 * **mutation-api** — handler modules touch ``ctx.registry`` only through
   the documented mutation API (store/fetch/exists/rename/drop) and the
   catalog only through read accessors (get/peek/exists); private
@@ -38,7 +34,7 @@ import ast
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 _PACKAGE_ROOT = Path(__file__).resolve().parents[1]  # src/repro
 
@@ -133,49 +129,7 @@ class Linter:
     def _rel(self, path: Path) -> str:
         return _relative(path, self.root).replace("\\", "/")
 
-    # -- rule 1: handler coverage ------------------------------------------
-
-    def check_handler_coverage(self) -> None:
-        program = self.root / "plan" / "program.py"
-        tree = self._trees.get(program)
-        if tree is None:
-            self._note(program, 1, "handler-coverage",
-                       "repro/plan/program.py not found")
-            return
-        steps: dict[str, int] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and any(
-                    isinstance(base, ast.Name) and base.id == "Step"
-                    for base in node.bases):
-                steps[node.name] = node.lineno
-
-        handled: dict[str, tuple[Path, int]] = {}
-        for path, module in self._trees.items():
-            if "runtime/handlers" not in self._rel(path):
-                continue
-            for node in ast.walk(module):
-                if not isinstance(node, ast.FunctionDef):
-                    continue
-                for decorator in node.decorator_list:
-                    if isinstance(decorator, ast.Call) and isinstance(
-                            decorator.func, ast.Name) \
-                            and decorator.func.id == "handles":
-                        for arg in decorator.args:
-                            if isinstance(arg, ast.Name):
-                                handled[arg.id] = (path, decorator.lineno)
-
-        for name, line in sorted(steps.items()):
-            if name not in handled:
-                self._note(program, line, "handler-coverage",
-                           f"Step subclass {name} has no @handles "
-                           "registration in repro.runtime.handlers")
-        for name, (path, line) in sorted(handled.items()):
-            if name not in steps:
-                self._note(path, line, "handler-coverage",
-                           f"@handles({name}) names no Step subclass "
-                           "in repro.plan.program")
-
-    # -- rule 2: handler mutation API --------------------------------------
+    # -- rule 1: handler mutation API --------------------------------------
 
     def check_mutation_api(self) -> None:
         for path, module in self._trees.items():
@@ -204,7 +158,7 @@ class Linter:
                                "read-only accessors handlers may use "
                                f"({'/'.join(sorted(_CATALOG_API))})")
 
-    # -- rule 3: tracer discipline -----------------------------------------
+    # -- rule 2: tracer discipline -----------------------------------------
 
     def _in_obs(self, path: Path) -> bool:
         return self._rel(path).startswith("obs/")
@@ -259,7 +213,7 @@ class Linter:
             cursor = parents.get(cursor)
         return False
 
-    # -- rule 4: engine layering -------------------------------------------
+    # -- rule 3: engine layering -------------------------------------------
 
     def check_engine_layering(self) -> None:
         """The shared Engine must not hold (or structurally depend on)
@@ -299,7 +253,6 @@ class Linter:
     # -- entry point -------------------------------------------------------
 
     def run(self) -> list[LintIssue]:
-        self.check_handler_coverage()
         self.check_mutation_api()
         self.check_tracer_discipline()
         self.check_engine_layering()
@@ -318,9 +271,8 @@ def run_lint(root: Optional[Path] = None) -> list[LintIssue]:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="AST-based engine lint (handler coverage, mutation "
-                    "API, tracer discipline, "
-                    "engine layering).")
+        description="AST-based engine lint (mutation API, tracer "
+                    "discipline, engine layering).")
     parser.add_argument("--root", type=Path, default=None,
                         help="package root to lint (default: the "
                              "installed repro package)")
@@ -334,7 +286,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"repro-lint: {len(issues)} issue(s) in "
               f"{linter.file_count} files")
         return 1
-    print(f"repro-lint: ok ({linter.file_count} files, 4 rule families)")
+    print(f"repro-lint: ok ({linter.file_count} files, 3 rule families)")
     return 0
 
 

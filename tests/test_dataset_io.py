@@ -1,20 +1,15 @@
-"""Dataset IO tests: SNAP edge lists, weight normalization, CSV loading,
-and EXPLAIN ANALYZE output."""
+"""Dataset IO tests: SNAP edge lists, weight normalization, and EXPLAIN
+ANALYZE output."""
 
 import pytest
 
 from repro import Database
 from repro.datasets import (
-    dblp_like,
-    generate_edges,
-    load_delimited,
     load_edge_file,
     normalize_weights,
     read_snap_edge_list,
-    write_snap_edge_list,
 )
 from repro.errors import ReproError
-from repro.types import SqlType
 
 
 SNAP_SAMPLE = """\
@@ -56,14 +51,6 @@ class TestSnapReader:
         with pytest.raises(ReproError):
             read_snap_edge_list(path)
 
-    def test_roundtrip_with_writer(self, tmp_path):
-        edges = generate_edges(dblp_like(nodes=50))
-        path = tmp_path / "out.txt"
-        written = write_snap_edge_list(edges, path, comment="synthetic")
-        assert written == len(edges)
-        read_back = read_snap_edge_list(path)
-        assert read_back == [(s, d) for s, d, _ in edges]
-
 
 class TestWeightNormalization:
     def test_weights_sum_to_one_per_source(self):
@@ -98,41 +85,6 @@ class TestLoadEdgeFile:
         reference = reference_pagerank(edges, iterations=5)
         for node, rank in rows.items():
             assert rank == pytest.approx(reference[node])
-
-
-class TestDelimitedLoader:
-    def test_csv_with_header_and_nulls(self, tmp_path, db):
-        path = tmp_path / "status.csv"
-        path.write_text("node,status\n1,1\n2,\n3,0\n")
-        count = load_delimited(db, path, "vertexstatus",
-                               [("node", SqlType.INTEGER),
-                                ("status", SqlType.INTEGER)])
-        assert count == 3
-        rows = db.execute(
-            "SELECT node, status FROM vertexstatus ORDER BY node").rows()
-        assert rows == [(1, 1), (2, None), (3, 0)]
-
-    def test_tsv_without_header(self, tmp_path, db):
-        path = tmp_path / "data.tsv"
-        path.write_text("1\tx\n2\ty\n")
-        count = load_delimited(db, path, "t",
-                               [("id", SqlType.INTEGER),
-                                ("label", SqlType.TEXT)],
-                               delimiter="\t", header=False)
-        assert count == 2
-
-    def test_field_count_mismatch(self, tmp_path, db):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1\n")
-        with pytest.raises(ReproError):
-            load_delimited(db, path, "t", [("a", SqlType.INTEGER),
-                                           ("b", SqlType.INTEGER)])
-
-    def test_unparsable_value(self, tmp_path, db):
-        path = tmp_path / "bad.csv"
-        path.write_text("a\nnot_a_number\n")
-        with pytest.raises(ReproError):
-            load_delimited(db, path, "t", [("a", SqlType.INTEGER)])
 
 
 class TestExplainAnalyze:

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database
+from repro.errors import ExecutionError
 from repro.types import SqlType
 
 ROWS_T = [
@@ -285,5 +286,44 @@ class TestRecursiveAgainstSqlite:
                          "WITH RECURSIVE c(n) AS (SELECT 1 UNION ALL "
                          f"SELECT n + 1 FROM c WHERE n < {bound}) "
                          "SELECT n FROM c")
+        finally:
+            lite.close()
+
+
+def sum_engines(rows):
+    db = Database()
+    db.create_table("big", [("g", SqlType.INTEGER), ("v", SqlType.INTEGER)])
+    db.load_rows("big", rows)
+    lite = sqlite3.connect(":memory:")
+    lite.execute("CREATE TABLE big (g int, v int)")
+    lite.executemany("INSERT INTO big VALUES (?, ?)", rows)
+    return db, lite
+
+
+class TestIntegerSumAgainstSqlite:
+    """INTEGER SUM is exact int64 arithmetic, as in SQLite: no detour
+    through float64 (which drops the low bits past 2^53) and no silent
+    wrap-around past 2^63."""
+
+    def test_sums_past_2_pow_53_are_exact(self):
+        db, lite = sum_engines([(1, 2**53 + 1), (1, 1), (2, -(2**62)),
+                                (2, -(2**62)), (3, 2**62), (3, None)])
+        try:
+            assert_agree((db, lite), "SELECT g, SUM(v) FROM big GROUP BY g")
+            assert_agree((db, lite), "SELECT SUM(v) FROM big WHERE g = 1")
+            assert db.execute(
+                "SELECT SUM(v) FROM big WHERE g = 1").scalar() == 2**53 + 2
+        finally:
+            lite.close()
+
+    def test_overflowing_group_raises_on_both_sides(self):
+        db, lite = sum_engines([(1, 2**62), (1, 2**62), (2, 5)])
+        sql = "SELECT g, SUM(v) FROM big GROUP BY g"
+        try:
+            with pytest.raises(sqlite3.OperationalError,
+                               match="integer overflow"):
+                lite.execute(sql).fetchall()
+            with pytest.raises(ExecutionError, match="integer overflow"):
+                db.execute(sql)
         finally:
             lite.close()

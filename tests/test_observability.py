@@ -26,7 +26,6 @@ from repro.obs import (
     NULL_TRACER,
     Tracer,
     build_trace,
-    render_span_tree,
     validate_bench_dict,
     validate_trace_dict,
 )
@@ -124,13 +123,6 @@ class TestTraceGoldenShape:
         assert json.loads(db.trace_json(indent=2))["engine"] \
             == "repro-dbspinner"
         assert db.last_trace().metrics["statements"] == 1
-
-    def test_render_span_tree_is_textual(self):
-        db = traced_db()
-        db.execute(ITERATIVE_COUNT)
-        text = render_span_tree(db.last_trace().root)
-        assert "statement [query]" in text
-        assert "loop:r [loop]" in text
 
 
 class TestTracingDisabledByDefault:

@@ -13,6 +13,7 @@ from repro import Database
 from repro.engine import Engine
 from repro.errors import ReproError
 from repro.execution import SessionOptions
+from repro.plan.cache import PlanCache
 from repro.sql import parse
 from repro.sql.normalize import normalize_statement
 from repro.storage import ColumnSchema, Schema, Table
@@ -103,6 +104,40 @@ class TestCacheCounters:
             "SELECT name FROM people WHERE age > 40")
         assert "plan cache:" in report
         assert "misses" in report
+
+
+class TestTextMemo:
+    """The text memo is LRU: a text read often stays, whatever the churn
+    of texts around it, and a text that hits after its parse joins."""
+
+    FINGERPRINT = ("options",)
+
+    @staticmethod
+    def _norm(sql):
+        return normalize_statement(parse(sql))
+
+    def test_hot_text_survives_max_texts_cold_inserts(self):
+        cache = PlanCache(max_texts=4)
+        hot = "SELECT name FROM people WHERE age > 1"
+        cache.store(hot, self._norm(hot), self.FINGERPRINT, 0, "hot")
+        for index in range(4):
+            cold = f"SELECT age FROM people WHERE age < {index}"
+            cache.store(cold, self._norm(cold), self.FINGERPRINT, 0,
+                        "cold")
+            assert cache.get_text(hot, self.FINGERPRINT, 0) == "hot"
+        assert cache.snapshot()["texts"] == 4
+
+    def test_normalized_hit_refills_the_text_memo(self, people_db):
+        sql = "SELECT name FROM people WHERE age > 40"
+        spaced = "select  name from PEOPLE where AGE > 40"
+        people_db.execute(sql)
+        people_db.execute(spaced)  # parsed, then a normalized hit
+        assert people_db.stats.plan_cache_hits == 1
+        cache = people_db.engine.plan_cache
+        fingerprint = people_db.options.compile_fingerprint()
+        assert cache.knows_text(spaced, fingerprint)
+        assert cache.get_text(spaced, fingerprint,
+                              people_db.catalog.version) is not None
 
 
 class TestInvalidation:

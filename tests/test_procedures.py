@@ -11,34 +11,33 @@ from repro.procedures import (
     Procedure,
     ProcedureCatalog,
     ReturnQuery,
-    iterative_procedure,
 )
 from repro.workloads import friends, pagerank, pagerank_query, sssp
 
 SPEC = dblp_like(nodes=120, seed=5)
 
 
+def _statements_executed(db, procedure):
+    catalog = ProcedureCatalog(db)
+    catalog.register(procedure)
+    catalog.call(procedure.name)
+    return catalog.last_report.statements_executed
+
+
 class TestProcedureIr:
-    def test_statement_count_expands_loops(self):
+    def test_statement_count_expands_loops(self, db):
         procedure = Procedure("p", [
             ExecuteSql("SELECT 1"),
             Loop(5, [ExecuteSql("SELECT 2"), ExecuteSql("SELECT 3")]),
             ReturnQuery("SELECT 4"),
         ])
-        assert procedure.statement_count() == 1 + 5 * 2 + 1
+        assert _statements_executed(db, procedure) == 1 + 5 * 2 + 1
 
-    def test_nested_loops(self):
+    def test_nested_loops(self, db):
         procedure = Procedure("p", [
             Loop(3, [Loop(2, [ExecuteSql("SELECT 1")])]),
         ])
-        assert procedure.statement_count() == 6
-
-    def test_iterative_procedure_shape(self):
-        procedure = iterative_procedure(
-            "pr", setup=["CREATE TABLE x (a int)"], init="SELECT 1",
-            body=["SELECT 2", "SELECT 3"], iterations=4,
-            final="SELECT 4", teardown=["DROP TABLE x"])
-        assert procedure.statement_count() == 1 + 1 + 4 * 2 + 1 + 1
+        assert _statements_executed(db, procedure) == 6
 
 
 class TestRunner:

@@ -27,14 +27,19 @@ from repro.workloads import pagerank_query, sssp_query
 EDGES = generate_edges(dblp_like(nodes=200, seed=21))
 
 
-def traced_trace(sql, **options) -> dict:
+def explained(sql, **options) -> tuple[str, dict]:
+    """The EXPLAIN ANALYZE report of ``sql`` and the trace it stored."""
     db = Database(SessionOptions(**options))
     db.create_table("edges", [("src", SqlType.INTEGER),
                               ("dst", SqlType.INTEGER),
                               ("weight", SqlType.FLOAT)])
     db.load_rows("edges", EDGES)
-    db.explain_analyze(sql)
-    return json.loads(db.trace_json())
+    report = db.explain_analyze(sql)
+    return report, json.loads(db.trace_json())
+
+
+def traced_trace(sql, **options) -> dict:
+    return explained(sql, **options)[1]
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +122,16 @@ class TestRendering:
         demotions = [line for line in lines if "demoted" in line]
         assert demotions
         assert "vs budget" in demotions[0]
+
+    def test_explain_analyze_prints_the_same_timeline(self):
+        report, trace = explained(pagerank_query(iterations=8),
+                                  enable_delta_iteration=True)
+        lines = render_decision_timeline(
+            aggregate_profile(trace).decisions)
+        assert any("demoted" in line for line in lines)
+        start = report.splitlines().index("decision timeline:")
+        assert report.splitlines()[start:start + len(lines)] == lines
+        assert render_profile(trace).splitlines()[-len(lines):] == lines
 
     def test_sssp_without_demotion_still_has_selection(self):
         trace = traced_trace(sssp_query(source=1, iterations=5),

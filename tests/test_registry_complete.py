@@ -1,9 +1,9 @@
 """Every Step subclass dispatches through the runtime registry.
 
-The static half of this guarantee is the engine lint's handler-coverage
-rule (AST-level); this is the dynamic half: import the real handler
-modules, enumerate the actual ``Step`` subclasses, and check the
-registry resolves each one without the ``unknown step type`` fallback.
+Import the real handler modules, enumerate the actual ``Step``
+subclasses, and check the registry resolves each one without the
+``unknown step type`` fallback.  A ``@handles(...)`` naming a class that
+does not exist fails at import, so this covers both directions.
 """
 
 import inspect

@@ -235,13 +235,13 @@ class TestStrategySwitchLog:
                     and "moted " in line]
         assert timeline == [
             "demoted semi-naive-delta -> rename-in-place after "
-            "iteration 2 (frontier 205/213 rows)",
+            "iteration 2 (frontier 205/213 rows vs budget 170)",
             "promoted rename-in-place -> semi-naive-delta after "
-            "iteration 5 (frontier 4/213 rows)",
+            "iteration 5 (frontier 4/213 rows vs budget 106)",
             "demoted semi-naive-delta -> rename-in-place after "
-            "iteration 7 (frontier 201/213 rows)",
+            "iteration 7 (frontier 201/213 rows vs budget 170)",
             "promoted rename-in-place -> semi-naive-delta after "
-            "iteration 10 (frontier 0/213 rows)",
+            "iteration 10 (frontier 0/213 rows vs budget 106)",
         ]
         strategy_line = next(line for line in report.splitlines()
                              if line.startswith("loop sssp: strategy"))

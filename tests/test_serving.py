@@ -10,11 +10,13 @@ import threading
 import pytest
 
 from repro import Database
+from repro.datasets import dblp_like, generate_edges
 from repro.engine import Engine
 from repro.errors import AdmissionError, CatalogError, ReproError
 from repro.execution import SessionOptions
 from repro.server import DatabaseServer, serve
 from repro.types import SqlType
+from repro.workloads import pagerank_query, sssp_query
 
 REACH_SQL = """
 WITH ITERATIVE r (node, v) AS (
@@ -88,6 +90,42 @@ class TestEngineSessions:
         writer.execute("INSERT INTO t VALUES (2)")
         assert reader.execute("SELECT COUNT(*) FROM t").scalar() == 2
         assert reader.last_snapshot.watermarks()["t"] == 2
+
+    def test_sessions_do_not_share_intermediate_results(self):
+        # Loops name their intermediate results per run (the CTE, its
+        # rename target, COMMON#n); sessions sharing one result registry
+        # would read, overwrite or drop each other's mid-loop.
+        engine = Engine()
+        loader = engine.create_session()
+        loader.create_table("edges", [("src", SqlType.INTEGER),
+                                      ("dst", SqlType.INTEGER),
+                                      ("weight", SqlType.FLOAT)])
+        loader.load_rows("edges", generate_edges(dblp_like(nodes=300)))
+        queries = [pagerank_query(iterations=8),
+                   sssp_query(source=1, iterations=8)]
+        expected = [loader.execute(sql).rows() for sql in queries]
+        failures = []
+
+        def client(offset):
+            session = engine.create_session()
+            for trip in range(15):
+                index = (trip + offset) % 2
+                try:
+                    rows = session.execute(queries[index]).rows()
+                except ReproError as exc:
+                    failures.append(f"query {index}: {exc!r}")
+                    continue
+                if rows != expected[index]:
+                    failures.append(f"query {index}: wrong rows")
+
+        threads = [threading.Thread(target=client, args=(offset,))
+                   for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert failures == []
 
 
 class TestServerBasics:
