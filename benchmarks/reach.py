@@ -1,4 +1,4 @@
-"""Which functions of ``src/repro`` do the workloads, benches and examples
+"""Which functions of ``src/repro`` do the workloads, figures and examples
 reach?  (The reach table of the ROADMAP's prune items.)
 
 Runs every target in its own child process under a ``sys.setprofile``
@@ -9,15 +9,13 @@ function no target entered.  The targets are:
 
 * the four ``benchmarks/e2e/run.py`` workloads at ``--scale 0.05``, with
   ``sssp_delta`` run traced (``--trace 1``);
-* every ``benchmarks/bench_*.py`` ``__main__`` at
-  ``REPRO_BENCH_SCALE=0.05`` (``bench_serving.py`` at 1.0, whose
-  hit-rate floor needs the full request mix);
+* every arm of ``benchmarks/figures.py`` at ``--scale 0.05`` (the
+  fixed-size engine ablations run at full size);
 * every ``examples/*.py``.
 
-Bench mains run with a fresh temporary directory as their working
-directory, because they write ``BENCH_<name>.json`` into it; nothing in
-the checkout is written except what ``run.py --trace 1`` puts under the
-ignored ``benchmarks/e2e/out/``.
+Each target runs with a fresh temporary directory as its working
+directory; nothing in the checkout is written except what ``run.py
+--trace 1`` puts under the ignored ``benchmarks/e2e/out/``.
 
 Limits: forked pool workers (``repro.mpp.workers``) inherit the hook
 but never report back, so code that runs only inside a worker counts as
@@ -30,8 +28,8 @@ ones.
 Each child runs in its own process group, which is killed once the
 child has exited or timed out, so no target leaves a process behind.
 
-    python3 benchmarks/reach.py               # everything (~10 min)
-    python3 benchmarks/reach.py --only bench_ # just the bench mains
+    python3 benchmarks/reach.py                # everything (~10 min)
+    python3 benchmarks/reach.py --only figures # just the figures
 """
 
 from __future__ import annotations
@@ -55,8 +53,8 @@ PACKAGE = SRC / "repro"
 TIMEOUT_S = 1800
 
 
-def targets(seconds: float) -> list[tuple[str, list[str], dict]]:
-    """``(label, argv, extra environment)`` of every target."""
+def targets(seconds: float) -> list[tuple[str, list[str]]]:
+    """``(label, argv)`` of every target."""
     runs = []
     for workload in ("pr_full", "sssp_delta", "serve_mixed", "mpp_pr"):
         traced = "1" if workload == "sssp_delta" else "0"
@@ -64,13 +62,11 @@ def targets(seconds: float) -> list[tuple[str, list[str], dict]]:
                      [str(ROOT / "benchmarks" / "e2e" / "run.py"),
                       "--workload", workload, "--seed", "1",
                       "--seconds", str(seconds), "--scale", "0.05",
-                      "--trace", traced], {}))
-    for bench in sorted((ROOT / "benchmarks").glob("bench_*.py")):
-        scale = "1.0" if bench.name == "bench_serving.py" else "0.05"
-        runs.append((bench.name, [str(bench)],
-                     {"REPRO_BENCH_SCALE": scale}))
+                      "--trace", traced]))
+    runs.append(("figures.py", [str(ROOT / "benchmarks" / "figures.py"),
+                                "--scale", "0.05"]))
     for example in sorted((ROOT / "examples").glob("*.py")):
-        runs.append((f"examples/{example.name}", [str(example)], {}))
+        runs.append((f"examples/{example.name}", [str(example)]))
     return runs
 
 
@@ -150,14 +146,14 @@ def run_targets(selected, workdir: Path) -> set[tuple[str, int]]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    for index, (label, argv, extra) in enumerate(selected):
+    for index, (label, argv) in enumerate(selected):
         out = workdir / f"reached-{index}.json"
         cwd = workdir / f"cwd-{index}"
         cwd.mkdir()
         child = subprocess.Popen(
             [sys.executable, str(Path(__file__).resolve()), "--child",
              str(out), *argv],
-            cwd=cwd, env={**env, **extra}, start_new_session=True,
+            cwd=cwd, env=env, start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         try:
             _, stderr = child.communicate(timeout=TIMEOUT_S)

@@ -9,12 +9,10 @@ validated by :func:`validate_trace_dict`.
 """
 
 from .export import (
-    BENCH_SCHEMA_VERSION,
     DECISION_EVENT_NAMES,
     TRACE_SCHEMA_VERSION,
     Trace,
     build_trace,
-    validate_bench_dict,
     validate_trace_dict,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -42,12 +40,10 @@ from .trace import (
 )
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
     "DECISION_EVENT_NAMES",
     "TRACE_SCHEMA_VERSION",
     "Trace",
     "build_trace",
-    "validate_bench_dict",
     "validate_trace_dict",
     "Counter",
     "Gauge",

@@ -1,8 +1,8 @@
-"""Stable machine-readable run artifacts: trace JSON and BENCH JSON.
+"""Stable machine-readable run artifact: trace JSON.
 
-Two documented schemas live here, each with a validator used by the
-tests.  Both schemas are versioned with a top-level integer
-``schema_version``; any key removal or type change bumps it.
+One documented schema lives here, with a validator used by the tests.
+It is versioned with a top-level integer ``schema_version``; any key
+removal or type change bumps it.
 
 **Trace schema** (``Database.trace_json()``, version 1)::
 
@@ -29,20 +29,6 @@ tests.  Both schemas are versioned with a top-level integer
                           "working_rows", "total_rows",
                           "kernel_cache_hits", "kernel_cache_misses",
                           "rows_moved", "bytes_moved", "shuffles"}
-
-**Bench schema** (``harness.write_bench_artifact``, version 1)::
-
-    {
-      "schema_version": 1,
-      "benchmark": str,
-      "created_unix": float,
-      "measurements": [{"label", "seconds", "repeats", "stdev",
-                        "all_seconds"}, ...],
-      "comparisons": [{"name", "baseline": <measurement>,
-                       "optimized": <measurement>,
-                       "speedup", "improvement_pct"}, ...],
-      "extra": {...}
-    }
 """
 
 from __future__ import annotations
@@ -55,7 +41,6 @@ from .telemetry import ITERATION_RECORD_KEYS, LoopTelemetry
 from .trace import Span, Tracer
 
 TRACE_SCHEMA_VERSION = 1
-BENCH_SCHEMA_VERSION = 1
 ENGINE_NAME = "repro-dbspinner"
 
 _TRACE_KEYS = frozenset(
@@ -217,49 +202,3 @@ def validate_trace_dict(data) -> None:
     for key, value in data["metrics"].items():
         if not isinstance(key, str) or not isinstance(value, (int, float)):
             _fail(f"metrics[{key!r}] is not a numeric scalar")
-
-
-_MEASUREMENT_KEYS = frozenset(
-    {"label", "seconds", "repeats", "stdev", "all_seconds"})
-_COMPARISON_KEYS = frozenset(
-    {"name", "baseline", "optimized", "speedup", "improvement_pct"})
-_BENCH_KEYS = frozenset(
-    {"schema_version", "benchmark", "created_unix", "measurements",
-     "comparisons", "extra"})
-
-
-def _validate_measurement(record, path: str) -> None:
-    if not isinstance(record, dict) or set(record) != _MEASUREMENT_KEYS:
-        _fail(f"{path} is not a measurement record")
-    if not isinstance(record["label"], str):
-        _fail(f"{path}.label is not a string")
-    if not isinstance(record["seconds"], (int, float)):
-        _fail(f"{path}.seconds is not a number")
-    if not isinstance(record["all_seconds"], list):
-        _fail(f"{path}.all_seconds is not a list")
-
-
-def validate_bench_dict(data) -> None:
-    """Raise ``ValueError`` unless ``data`` matches the bench schema."""
-    if not isinstance(data, dict):
-        _fail("bench top level is not an object")
-    if set(data) != _BENCH_KEYS:
-        _fail(f"bench top-level keys {sorted(data)} != "
-              f"{sorted(_BENCH_KEYS)}")
-    if data["schema_version"] != BENCH_SCHEMA_VERSION:
-        _fail(f"bench schema_version {data['schema_version']!r} != "
-              f"{BENCH_SCHEMA_VERSION}")
-    if not isinstance(data["benchmark"], str):
-        _fail("bench benchmark is not a string")
-    if not isinstance(data["created_unix"], (int, float)):
-        _fail("bench created_unix is not a number")
-    for index, record in enumerate(data["measurements"]):
-        _validate_measurement(record, f"measurements[{index}]")
-    for index, record in enumerate(data["comparisons"]):
-        path = f"comparisons[{index}]"
-        if not isinstance(record, dict) or set(record) != _COMPARISON_KEYS:
-            _fail(f"{path} is not a comparison record")
-        _validate_measurement(record["baseline"], f"{path}.baseline")
-        _validate_measurement(record["optimized"], f"{path}.optimized")
-    if not isinstance(data["extra"], dict):
-        _fail("bench extra is not an object")

@@ -3,9 +3,9 @@ kernel cache must never make it slower than a generous multiple of the
 uncached run.
 
 This is a guard against accidental complexity regressions in the loop
-hot path (the full measurement lives in benchmarks/bench_kernel_cache.py,
-which is not part of tier-1); the thresholds are deliberately loose so CI
-noise cannot flake it.
+hot path (the full measurement is the ``kernel_cache`` arm of
+benchmarks/figures.py, which is not part of tier-1); the thresholds are
+deliberately loose so CI noise cannot flake it.
 """
 
 import time

@@ -1,11 +1,9 @@
-"""Database façade tests: results, scripts, options, stats, harness."""
+"""Database façade tests: results, scripts, options, stats."""
 
 import pytest
 
 from repro import Database
 from repro.errors import ReproError
-from repro.harness import Comparison, Measurement, time_callable, time_query
-from repro.harness.reporting import format_table, print_series
 from repro.types import SqlType
 
 
@@ -102,32 +100,3 @@ class TestLoaders:
         db.load_rows("t", [(1,)])
         db.load_rows("t", [(2,)])
         assert db.execute("SELECT COUNT(*) FROM t").scalar() == 2
-
-
-class TestHarness:
-    def test_time_callable(self):
-        measurement = time_callable("noop", lambda: None, repeats=3,
-                                    warmup=1)
-        assert measurement.repeats == 3
-        assert measurement.seconds >= 0
-        assert len(measurement.all_seconds) == 3
-
-    def test_time_query(self, db):
-        measurement = time_query(db, "SELECT 1", repeats=2, warmup=0)
-        assert measurement.seconds >= 0
-
-    def test_comparison_metrics(self):
-        baseline = Measurement("base", 2.0, 1)
-        optimized = Measurement("opt", 1.0, 1)
-        comparison = Comparison("x", baseline, optimized)
-        assert comparison.improvement_pct == pytest.approx(50.0)
-        assert comparison.speedup == pytest.approx(2.0)
-
-    def test_format_table(self):
-        text = format_table(["a", "b"], [[1, 2.5], ["xx", "y"]])
-        assert "a" in text and "2.5000" in text
-
-    def test_print_series(self, capsys):
-        print_series("demo", ["x"], [[1]], paper_claim="n/a")
-        captured = capsys.readouterr().out
-        assert "demo" in captured and "paper claim" in captured

@@ -80,6 +80,15 @@ class TestFigureFive:
         assert "COMMON#1" in text
         assert "vertexStatus" in text or "vertexstatus" in text
 
+    def test_common_block_built_once_per_query(self, graph_vs_db):
+        sql = pagerank_query(iterations=5, with_vertex_status=True)
+        graph_vs_db.execute(sql)
+        assert graph_vs_db.stats.common_results_built == 1
+        graph_vs_db.set_option("enable_common_results", False)
+        graph_vs_db.reset_stats()
+        graph_vs_db.execute(sql)
+        assert graph_vs_db.stats.common_results_built == 0
+
     def test_disabled_option_removes_common_block(self, graph_vs_db):
         graph_vs_db.set_option("enable_common_results", False)
         text = graph_vs_db.explain(
@@ -123,3 +132,14 @@ class TestPushdownVisibility:
             ff_query(iterations=5, selectivity_mod=100), verbose=True)
         head = text.split("Initialize")[0]
         assert "MOD" not in head
+
+    def test_pushdown_counted_once_and_results_unchanged(self, graph_db):
+        sql = ff_query(iterations=5, selectivity_mod=2,
+                       order_and_limit=False)
+        pushed = sorted(graph_db.execute(sql).rows())
+        assert pushed
+        assert graph_db.stats.predicate_pushdowns == 1
+        graph_db.set_option("enable_predicate_pushdown", False)
+        graph_db.reset_stats()
+        assert sorted(graph_db.execute(sql).rows()) == pushed
+        assert graph_db.stats.predicate_pushdowns == 0

@@ -422,10 +422,9 @@ class TestObservability:
         # 12 iterations: the edge build side repeats, so the join index
         # is built on its second sighting and hit from the third on; the
         # merge index is rebuilt once and hit every later iteration.
-        assert db.stats.join_index_hits > 0
-        assert db.stats.join_index_misses >= 2
+        assert db.stats.join_index_hits > db.stats.join_index_misses >= 2
         assert db.stats.merge_index_rebuilds == 1
-        assert db.stats.merge_index_hits > 0
+        assert db.stats.merge_index_hits >= db.stats.join_index_hits - 2
 
     def test_disabled_cache_stays_cold(self):
         db = _graph_db([(1, 2), (2, 3), (3, 4)], cache_on=False)

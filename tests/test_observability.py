@@ -26,7 +26,6 @@ from repro.obs import (
     NULL_TRACER,
     Tracer,
     build_trace,
-    validate_bench_dict,
     validate_trace_dict,
 )
 from repro.storage import Column
@@ -337,21 +336,3 @@ class TestValidators:
         payload["root"]["attributes"]["bad"] = {"nested": True}
         with pytest.raises(ValueError):
             validate_trace_dict(payload)
-
-    def test_bench_validator(self, tmp_path):
-        from repro.harness import (Comparison, Measurement,
-                                   write_bench_artifact)
-        comparison = Comparison(
-            "demo", Measurement("base", 2.0, 1, [2.0]),
-            Measurement("opt", 1.0, 1, [1.0]))
-        path = write_bench_artifact(
-            "demo", comparisons=[comparison],
-            measurements=[comparison.baseline],
-            extra={"note": "test"}, directory=str(tmp_path))
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        validate_bench_dict(payload)
-        assert payload["comparisons"][0]["speedup"] == 2.0
-        payload["measurements"][0].pop("stdev")
-        with pytest.raises(ValueError):
-            validate_bench_dict(payload)

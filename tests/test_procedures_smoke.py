@@ -1,10 +1,10 @@
 """Tier-1 stored-procedure smoke: the Fig. 11 baseline must keep running
 and keep agreeing with the native iterative-CTE path.
 
-The full Fig. 11 benchmark lives in
-``benchmarks/bench_fig11_stored_procedures.py``; this guard compiles the
-same procedure scripts against the tiny shared graph so a regression in
-the procedure runtime (ProcedureCatalog / ExecuteSql / ReturnQuery) or a
+The full Fig. 11 measurement is the ``fig11`` arm of
+``benchmarks/figures.py``; this guard compiles the same procedure
+scripts against the tiny shared graph so a regression in the procedure
+runtime (ProcedureCatalog / ExecuteSql / ReturnQuery) or a
 divergence between the two implementations fails on every change, not
 just when the benchmarks are run.
 
@@ -88,6 +88,7 @@ def test_procedure_statements_bypass_loop_optimizations():
     db = _graph_db()
     db.reset_stats()
     _run_procedure(db, script, final_sql, cleanup)
+    assert db.workload.units_admitted > 3 * ITERATIONS
     assert db.stats.renames == 0
     assert db.stats.delta_iterations == 0
     assert db.stats.common_results_built == 0
