@@ -13,9 +13,11 @@ pass unnoticed.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import signal
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +128,19 @@ def graph_vs_db(graph_db: Database) -> Database:
                                            ("status", SqlType.INTEGER)])
     graph_db.load_rows("vertexStatus", SMALL_STATUS)
     return graph_db
+
+
+@pytest.fixture
+def figures(monkeypatch):
+    """``benchmarks/figures.py`` loaded as a module; the ``sys.path``
+    entries it adds at import are undone after the test."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "figures.py"
+    spec = importlib.util.spec_from_file_location("figures", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "figures", module)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

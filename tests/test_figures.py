@@ -3,7 +3,6 @@ where ``--out`` points, its document carries every sample with each
 side's median and quartiles, the checks and the floor verdicts, and a
 floor below the scale it needs reads unchecked, never passed."""
 
-import importlib.util
 import json
 import subprocess
 import sys
@@ -58,14 +57,9 @@ def test_document_has_samples_quartiles_and_verdicts(tmp_path):
                for floor in floors)
 
 
-def test_wide_pr_vs_computes_pr_vs(graph_vs_db, monkeypatch):
+def test_wide_pr_vs_computes_pr_vs(graph_vs_db, figures):
     """The common-size arm's extra invariant joins change neither the
     answer nor its agreement across the common-result switch."""
-    spec = importlib.util.spec_from_file_location("figures", FIGURES)
-    figures = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "figures", figures)
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec.loader.exec_module(figures)
     wide_sql = figures.wide_pr_vs(iterations=3, extra_invariant_joins=2)
     wide = sorted(graph_vs_db.execute(wide_sql).rows())
     narrow = sorted(graph_vs_db.execute(

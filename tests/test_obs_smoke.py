@@ -1,11 +1,17 @@
 """Tier-1 observability smoke: a traced iterative query must produce
-schema-valid trace JSON.
+schema-valid trace JSON, and the checked-in ``FIGURES.json`` artifact
+must parse with every median, quartile and speedup agreeing with its
+samples.
 
 Fast by construction (tiny graph, few iterations) so the guard can run
 on every change alongside the bench smoke.
 """
 
 import json
+import statistics
+from pathlib import Path
+
+import pytest
 
 from repro import Database
 from repro.execution import SessionOptions
@@ -30,3 +36,23 @@ def test_traced_iterative_query_emits_valid_trace():
     assert len(loop["iterations"]) == 5
     assert payload["root"]["seconds"] >= 0.0
 
+
+
+def test_bench_artifact_is_parseable():
+    path = Path(__file__).resolve().parent.parent / "FIGURES.json"
+    document = json.loads(path.read_text(encoding="utf-8"))
+    assert document["arms"]
+    for name, arm in document["arms"].items():
+        assert arm["cases"], name
+        assert all(arm["checks"].values()), name
+        assert all(f["verdict"] != "fail" for f in arm["floors"]), name
+        for case in arm["cases"]:
+            assert list(case["sides"]) == arm["sides"]
+            for side in case["sides"].values():
+                assert [side["q1"], side["median"], side["q3"]] == \
+                    statistics.quantiles(side["samples"], n=4,
+                                         method="inclusive")
+            if len(arm["sides"]) == 2:
+                first, second = (side["median"]
+                                 for side in case["sides"].values())
+                assert case["speedup"] == pytest.approx(first / second)

@@ -336,3 +336,17 @@ class TestValidators:
         payload["root"]["attributes"]["bad"] = {"nested": True}
         with pytest.raises(ValueError):
             validate_trace_dict(payload)
+
+    def test_bench_validator(self, figures):
+        """A figures case reports the baseline median over the optimized
+        one, and a single-sided case reports no speedup."""
+        case = figures.Case("demo", {"base": [2.0, 2.5, 2.0, 1.5],
+                                     "opt": [1.0, 1.0, 0.5, 1.5]})
+        payload = case.to_json()
+        assert payload["speedup"] == 2.0
+        assert payload["gain_pct"] == 50.0
+        base = payload["sides"]["base"]
+        assert base["q1"] <= base["median"] == 2.0 <= base["q3"]
+        assert base["samples"] == [2.0, 2.5, 2.0, 1.5]
+        alone = figures.Case("alone", {"compile": [1.0, 2.0, 3.0]}).to_json()
+        assert "speedup" not in alone and "gain_pct" not in alone
