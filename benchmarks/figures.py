@@ -62,7 +62,7 @@ from repro import Database  # noqa: E402
 from repro.core.rewrite import compile_statement  # noqa: E402
 from repro.datasets import (dblp_like, fresh_database,  # noqa: E402
                             generate_edges, load_graph, pokec_like)
-from repro.execution import ExecutionStats, SessionOptions  # noqa: E402
+from repro.execution import SessionOptions  # noqa: E402
 from repro.middleware import MiddlewareDriver  # noqa: E402
 from repro.mpp import (Cluster, WorkerPool, distributed_pagerank,  # noqa: E402
                        distributed_sssp)
@@ -356,7 +356,7 @@ def table1(arm):
 
     def compile_pr(_):
         return compile_statement(parse(sql), PlanContext(db.catalog),
-                                 SessionOptions(), ExecutionStats())
+                                 SessionOptions())
 
     case, (program,) = arm.time("PR x10 plan compile", lambda on: None,
                                 compile_pr, samples=5)
@@ -409,8 +409,14 @@ def fig9(arm):
     for dataset, db in paper_graphs(arm).items():
         for label, sql in sqls.items():
             name = f"{label} {dataset}"
-            case, _ = arm.time(name, toggle(db, "enable_common_results"),
-                               query(sql), same=same_tables)
+            case, last = arm.time(
+                name, toggle(db, "enable_common_results"),
+                query(sql, "common_results_built"), same=same_tables)
+            case.counters = {"baseline": last[0][1], "common": last[1][1]}
+            arm.check(f"{name}: the warm run materializes COMMON#1 once, "
+                      "the baseline never",
+                      last[1][1]["common_results_built"] == 1
+                      and last[0][1]["common_results_built"] == 0)
             arm.floor(f"{name} gain %", case.gain, ">", 0)
 
 
@@ -423,9 +429,15 @@ def fig10(arm):
     for mod in (2, 4, 10, 20, 100):
         sql = ff_query(iterations=ITERATIONS, selectivity_mod=mod,
                        order_and_limit=False)
-        case, _ = arm.time(f"MOD(node, {mod}) = 0 ({100 / mod:g} %)",
-                           toggle(db, "enable_predicate_pushdown"),
-                           query(sql), same=same_rows)
+        name = f"MOD(node, {mod}) = 0 ({100 / mod:g} %)"
+        case, last = arm.time(name, toggle(db, "enable_predicate_pushdown"),
+                              query(sql, "predicate_pushdowns"),
+                              same=same_rows)
+        case.counters = {"baseline": last[0][1], "pushed": last[1][1]}
+        arm.check(f"{name}: the warm run pushes the predicate once, the "
+                  "baseline never",
+                  last[1][1]["predicate_pushdowns"] == 1
+                  and last[0][1]["predicate_pushdowns"] == 0)
         cases.append(case)
     baselines = [case.median(0) for case in cases]
     arm.floor("baseline max/min across selectivities",

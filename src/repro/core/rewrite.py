@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 from ..errors import PlanError
-from ..execution import ExecutionStats, SessionOptions
+from ..execution import SessionOptions
 from ..plan import (
     CteBinding,
     LogicalFilter,
@@ -77,7 +77,6 @@ class CompilerState:
 
     context: PlanContext
     options: SessionOptions
-    stats: ExecutionStats
     estimator: object = None  # repro.stats.CardinalityEstimator or None
     tracer: object = None     # repro.obs.Tracer or None (untraced)
     steps: list[Step] = dataclass_field(default_factory=list)
@@ -91,7 +90,6 @@ class CompilerState:
 
 def compile_statement(stmt: ast.SelectLike, context: PlanContext,
                       options: SessionOptions,
-                      stats: ExecutionStats,
                       estimator=None, tracer=None) -> Program:
     """Compile a SELECT (possibly with iterative/recursive CTEs) into a
     runnable program ending in a ReturnStep.
@@ -101,7 +99,7 @@ def compile_statement(stmt: ast.SelectLike, context: PlanContext,
     """
     context.tracer = tracer if tracer is not None \
         and getattr(tracer, "enabled", False) else None
-    state = CompilerState(context=context, options=options, stats=stats,
+    state = CompilerState(context=context, options=options,
                           estimator=estimator, tracer=context.tracer)
 
     final = copy.copy(stmt)
@@ -181,11 +179,12 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
 
     # -- §V-B: push final-query predicates into R0 -------------------------
     init_plan = rename_outputs(init_raw, columns, cte_name)
+    init_counts = ""
     if options.enable_predicate_pushdown:
         pushed = _push_final_predicates(final, cte, columns)
         if pushed is not None:
             init_plan = LogicalFilter(init_plan, pushed)
-            state.stats.predicate_pushdowns += 1
+            init_counts = "pushdown"
     init_plan = optimize_plan(init_plan, options, state.estimator,
                               state.tracer, context.catalog)
 
@@ -200,9 +199,9 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
         for block in blocks:
             common_steps.append(MaterializeStep(
                 block.result_name, block.plan, block.column_names,
-                comment="loop-invariant common result (§V-A)"))
+                comment="loop-invariant common result (§V-A)",
+                counts="common"))
             state.temp_results.append(block.result_name)
-            state.stats.common_results_built += 1
 
     # -- assemble the step program -----------------------------------------
     has_where = isinstance(cte.step, ast.Select) \
@@ -240,7 +239,7 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
     steps = state.steps
     steps.append(MaterializeStep(
         cte_result, init_plan, columns,
-        comment=f"non-iterative part of {cte.name}"))
+        comment=f"non-iterative part of {cte.name}", counts=init_counts))
     steps.extend(common_steps)
     steps.append(InitLoopStep(spec))
 

@@ -17,7 +17,7 @@ from ..execution.operators import execute_plan
 from ..plan import Field, LogicalTempScan, PlanContext, build_relation
 from ..sql import ast
 from ..storage import Column, SegmentedTable, Table
-from ..types import SqlType
+from ..types import SqlType, can_cast
 
 
 def execute_insert(stmt: ast.Insert, ctx: ExecutionContext,
@@ -27,41 +27,49 @@ def execute_insert(stmt: ast.Insert, ctx: ExecutionContext,
 
     ``select_runner`` runs a SELECT statement and returns a Table (the
     engine provides its full pipeline so INSERT ... SELECT supports
-    iterative CTEs too).
+    iterative CTEs too).  The appended table is built column by column:
+    a SELECT's column cast to the target type, a VALUES position through
+    :meth:`Column.from_values`, and NULLs for columns not listed.
     """
     table = ctx.catalog.get(stmt.table)
-    target_names = [c.name for c in table.schema.columns]
     if stmt.columns is not None:
         provided = [c.lower() for c in stmt.columns]
-        unknown = set(provided) - {n.lower() for n in target_names}
+        unknown = set(provided) - {c.name.lower()
+                                   for c in table.schema.columns}
         if unknown:
             raise CatalogError(
                 f"unknown column(s) in INSERT: {sorted(unknown)}")
     else:
-        provided = [n.lower() for n in target_names]
+        provided = [c.name.lower() for c in table.schema.columns]
+    position = {name: i for i, name in enumerate(provided)}
 
     if isinstance(stmt.source, list):
         rows = _rows_from_values(stmt.source, len(provided))
+        count = len(rows)
+
+        def source_column(index, sql_type):
+            return Column.from_values(sql_type, [row[index] for row in rows])
     else:
         source = select_runner(stmt.source)
         if len(source.schema) != len(provided):
             raise TypeCheckError(
                 f"INSERT provides {len(provided)} columns but the query "
                 f"produces {len(source.schema)}")
-        rows = source.rows()
+        count = source.num_rows
 
-    full_rows = []
-    position = {name.lower(): i for i, name in enumerate(provided)}
-    for row in rows:
-        full = []
-        for name in target_names:
-            index = position.get(name.lower())
-            full.append(None if index is None else row[index])
-        full_rows.append(tuple(full))
+        def source_column(index, sql_type):
+            return _assign(source.columns[index], sql_type)
 
-    appended = Table.from_rows(table.schema, full_rows)
+    columns = []
+    for col_schema in table.schema.columns:
+        index = position.get(col_schema.name.lower())
+        columns.append(Column.nulls(col_schema.sql_type, count)
+                       if index is None
+                       else source_column(index, col_schema.sql_type))
+    appended = Table(table.schema, columns)
+
     ctx.kernel_cache.invalidate_tables(table)
-    if table.num_rows and full_rows:
+    if table.num_rows and count:
         # Append a segment in O(|inserted|) instead of copying the whole
         # table; scans consolidate lazily.  The pre-append schema lets
         # the catalog detect in-place widening (wrap may alias `table`).
@@ -69,12 +77,27 @@ def execute_insert(stmt: ast.Insert, ctx: ExecutionContext,
         segmented = SegmentedTable.wrap(table)
         segmented.append(appended)
         ctx.catalog.put(stmt.table, segmented, prior_schema=prior_schema)
-    elif full_rows:
+    elif count:
         ctx.catalog.put(stmt.table, appended)
     else:
         ctx.catalog.put(stmt.table, table)
-    ctx.stats.rows_moved += len(full_rows)
-    return len(full_rows)
+    ctx.stats.rows_moved += count
+    return count
+
+
+def _assign(column: Column, target: SqlType) -> Column:
+    """A SELECT's output column as a value of a ``target`` column.
+
+    NaN never enters a table (the mask carries nullness), and assignment
+    is looser than CAST where CAST is undefined: ``'t'`` fills a BOOLEAN
+    column, as the per-value coercion of ``INSERT ... VALUES`` allows."""
+    if column.data.dtype.kind == "f":
+        nan = np.isnan(column.data)
+        if nan.any():
+            column = Column(column.sql_type, column.data, column.mask | nan)
+    if not can_cast(column.sql_type, target):
+        return Column.from_values(target, column.to_list())
+    return column.cast(target)
 
 
 def _rows_from_values(rows: list[list[ast.Expr]], width: int):

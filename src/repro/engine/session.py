@@ -417,8 +417,7 @@ class Session:
         with tracer.span("compile", kind="phase") as span:
             program = compile_statement(statement,
                                         self._plan_context(catalog),
-                                        self.options, self.stats,
-                                        estimator, tracer)
+                                        self.options, estimator, tracer)
             if tracer.enabled:
                 span.set(steps=len(program.steps))
                 if program.verifier_verdict is not None:

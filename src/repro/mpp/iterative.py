@@ -187,26 +187,39 @@ class DistributedPageRankResult(DistributedLoopResult):
     ranks: dict[int, float] = field(default_factory=dict)
 
 
-def _state_table(nodes: list[int]) -> Table:
+_EDGE_SCHEMA = Schema((ColumnSchema("src", SqlType.INTEGER),
+                       ColumnSchema("dst", SqlType.INTEGER),
+                       ColumnSchema("weight", SqlType.FLOAT)))
+
+
+def _state_table(nodes: np.ndarray) -> Table:
     schema = Schema((ColumnSchema("node", SqlType.INTEGER),
                      ColumnSchema("rank", SqlType.FLOAT),
                      ColumnSchema("delta", SqlType.FLOAT)))
     count = len(nodes)
     return Table(schema, [
-        Column.from_values(SqlType.INTEGER, nodes),
-        Column.from_values(SqlType.FLOAT, [0.0] * count),
-        Column.from_values(SqlType.FLOAT, [BASE_DELTA] * count),
+        Column.from_numpy(SqlType.INTEGER, nodes),
+        Column.from_numpy(SqlType.FLOAT, np.zeros(count)),
+        Column.from_numpy(SqlType.FLOAT, np.full(count, BASE_DELTA)),
     ])
 
 
 def _edges_table(edges: list[tuple[int, int, float]]) -> Table:
-    return Table(
-        Schema((ColumnSchema("src", SqlType.INTEGER),
-                ColumnSchema("dst", SqlType.INTEGER),
-                ColumnSchema("weight", SqlType.FLOAT))),
-        [Column.from_values(SqlType.INTEGER, [e[0] for e in edges]),
-         Column.from_values(SqlType.INTEGER, [e[1] for e in edges]),
-         Column.from_values(SqlType.FLOAT, [e[2] for e in edges])])
+    return Table.from_rows(_EDGE_SCHEMA, edges)
+
+
+def _node_ids(edge_table: Table, *extra: int) -> np.ndarray:
+    """Every node id an edge names (plus ``extra``), sorted, unique.
+
+    Sort and drop repeats: on numpy 2.x, ``np.union1d``/``np.unique``
+    take a hash path that is several times slower for int64 ids."""
+    ids = np.concatenate([edge_table.column("src").data,
+                          edge_table.column("dst").data,
+                          np.array(extra, dtype=np.int64)])
+    ids.sort()
+    first = np.ones(len(ids), dtype=np.bool_)
+    first[1:] = ids[1:] != ids[:-1]
+    return ids[first]
 
 
 def _lookup_unsorted(keys: np.ndarray, probe: np.ndarray
@@ -322,18 +335,19 @@ def distributed_pagerank(cluster: Cluster,
     loop's exchange-bytes counters (``mpp.exchange.*``).
     """
     tracer = tracer if tracer is not None else NULL_TRACER
-    nodes = sorted({e[0] for e in edges} | {e[1] for e in edges})
+    edge_table = _edges_table(edges)
     spec = pagerank_superstep_spec(delta_shuffle)
 
     final, loop = _run_distributed_loop(
         cluster, spec,
-        {"edges": _edges_table(edges), "state": _state_table(nodes)},
+        {"edges": edge_table, "state": _state_table(_node_ids(edge_table))},
         iterations, tracer, pool, metrics=metrics,
         loop_name="pr_state")
 
     # Parity with the SQL query, which reports `rank` after the last
     # update (delta holds the not-yet-folded next increment).
-    ranks = {node: rank for node, rank, _ in final.rows()}
+    ranks = dict(zip(final.column("node").to_list(),
+                     final.column("rank").to_list()))
     return DistributedPageRankResult(ranks=ranks, **loop)
 
 
@@ -349,16 +363,15 @@ class DistributedSsspResult(DistributedLoopResult):
     distances: dict[int, float] = field(default_factory=dict)
 
 
-def _sssp_state_table(nodes: list[int], source: int) -> Table:
+def _sssp_state_table(nodes: np.ndarray, source: int) -> Table:
     schema = Schema((ColumnSchema("node", SqlType.INTEGER),
                      ColumnSchema("dist", SqlType.FLOAT),
                      ColumnSchema("changed", SqlType.INTEGER)))
-    dist = [0.0 if node == source else np.inf for node in nodes]
-    changed = [1 if node == source else 0 for node in nodes]
+    is_source = nodes == source
     return Table(schema, [
-        Column.from_values(SqlType.INTEGER, nodes),
-        Column.from_values(SqlType.FLOAT, dist),
-        Column.from_values(SqlType.INTEGER, changed),
+        Column.from_numpy(SqlType.INTEGER, nodes),
+        Column.from_numpy(SqlType.FLOAT, np.where(is_source, 0.0, np.inf)),
+        Column.from_numpy(SqlType.INTEGER, is_source.astype(np.int64)),
     ])
 
 
@@ -450,16 +463,16 @@ def distributed_sssp(cluster: Cluster,
     :func:`distributed_pagerank`.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
-    nodes = sorted({e[0] for e in edges} | {e[1] for e in edges}
-                   | {source})
+    edge_table = _edges_table(edges)
     spec = sssp_superstep_spec(delta_shuffle)
 
     final, loop = _run_distributed_loop(
         cluster, spec,
-        {"edges": _edges_table(edges),
-         "state": _sssp_state_table(nodes, source)},
+        {"edges": edge_table,
+         "state": _sssp_state_table(_node_ids(edge_table, source), source)},
         max_iterations, tracer, pool, metrics=metrics,
         until_converged=True, loop_name="sssp_state")
 
-    distances = {node: dist for node, dist, _ in final.rows()}
+    distances = dict(zip(final.column("node").to_list(),
+                         final.column("dist").to_list()))
     return DistributedSsspResult(distances=distances, **loop)

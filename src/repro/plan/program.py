@@ -40,6 +40,10 @@ class MaterializeStep(Step):
     plan: LogicalOp
     column_names: list[str]
     comment: str = ""
+    # What one run of the step counts in ExecutionStats: "common" (a
+    # §V-A block) or "pushdown" (an R0 carrying a pushed predicate).
+    # Counted when the step runs, so a cached program counts too.
+    counts: str = ""
 
     def describe(self) -> str:
         suffix = f" — {self.comment}" if self.comment else ""

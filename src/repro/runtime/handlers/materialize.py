@@ -18,6 +18,10 @@ from ..registry import handles
 def run_materialize(runner, step: MaterializeStep) -> Optional[int]:
     table = execute_to_table(step.plan, runner.ctx, step.column_names)
     runner.ctx.registry.store(step.result_name, table)
+    if step.counts == "common":
+        runner.ctx.stats.common_results_built += 1
+    elif step.counts == "pushdown":
+        runner.ctx.stats.predicate_pushdowns += 1
     return None
 
 

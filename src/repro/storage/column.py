@@ -13,7 +13,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from ..errors import TypeCheckError
+from ..errors import ExecutionError, TypeCheckError
 from ..types import SqlType, coerce_scalar, is_null
 
 # Monotonic version source shared by every column.  A version uniquely
@@ -31,6 +31,36 @@ _FILL_VALUES = {
     SqlType.TEXT: None,
     SqlType.NULL: None,
 }
+
+
+_TWO_63 = 2.0 ** 63
+_INT64 = np.dtype(np.int64)
+_FLOAT64 = np.dtype(np.float64)
+# Inferred dtypes whose values the per-value coercion leaves unchanged
+# (up to int -> float widening, which numpy rounds as float() does).
+_WHOLE_DTYPES = {
+    SqlType.INTEGER: (_INT64,),
+    SqlType.FLOAT: (_INT64, _FLOAT64),
+    SqlType.NUMERIC: (_INT64, _FLOAT64),
+    SqlType.BOOLEAN: (np.dtype(np.bool_),),
+}
+
+
+def _convert_whole(sql_type: SqlType, values: list) -> np.ndarray | None:
+    """``values`` as one array of ``sql_type``'s dtype when one pass is
+    provably what per-value coercion gives with no NULL, else None."""
+    accepted = _WHOLE_DTYPES.get(sql_type)
+    if accepted is None or not values:
+        return None
+    try:
+        data = np.array(values)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if data.ndim != 1 or data.dtype not in accepted:
+        return None
+    if data.dtype == _FLOAT64 and np.isnan(data).any():
+        return None  # NaN is NULL: the per-value path masks it
+    return data.astype(sql_type.numpy_dtype, copy=False)
 
 
 def has_padding(indices: np.ndarray) -> bool:
@@ -55,8 +85,19 @@ class Column:
 
     @classmethod
     def from_values(cls, sql_type: SqlType, values: Iterable[Any]) -> "Column":
-        """Build a column from Python scalars, coercing to ``sql_type``."""
+        """Build a column from Python scalars, coercing to ``sql_type``.
+
+        One ``np.array`` pass builds a numeric or BOOLEAN column when the
+        inferred dtype proves that the per-value coercion below would give
+        the same data and no NULL (:func:`_convert_whole`); anything else
+        — NULLs, NaN, strings, out-of-range ints, cross-type values —
+        takes the per-value path, so values, masks and raised errors stay
+        its own.
+        """
         values = list(values)
+        data = _convert_whole(sql_type, values)
+        if data is not None:
+            return cls(sql_type, data, np.zeros(len(data), dtype=np.bool_))
         mask = np.fromiter((is_null(v) for v in values), dtype=np.bool_,
                            count=len(values))
         fill = _FILL_VALUES[sql_type]
@@ -199,7 +240,15 @@ class Column:
             values = [None if null else coerce_scalar(value, target)
                       for value, null in zip(raw, nulls)]
             return Column.from_values(target, values)
-        data = self.data.astype(target.numpy_dtype)
+        source = self.data
+        if target is SqlType.INTEGER and source.dtype.kind == "f":
+            if self.mask.any():
+                source = np.where(self.mask, 0.0, source)
+            # Float -> int64 truncates; outside [-2^63, 2^63), NaN and
+            # ±inf astype would wrap with only a RuntimeWarning.
+            if not ((source >= -_TWO_63) & (source < _TWO_63)).all():
+                raise ExecutionError("integer out of range")
+        data = source.astype(target.numpy_dtype)
         return Column(target, data, self.mask.copy())
 
     def concat(self, other: "Column") -> "Column":

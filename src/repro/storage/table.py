@@ -101,11 +101,10 @@ class Table:
                   rows: Iterable[Sequence[Any]]) -> "Table":
         """Build a table from an iterable of row tuples."""
         rows = list(rows)
-        columns = []
-        for i, col_schema in enumerate(schema):
-            columns.append(Column.from_values(
-                col_schema.sql_type, (row[i] for row in rows)))
-        return cls(schema, columns)
+        # One list comprehension per column: faster than ``zip(*rows)``.
+        return cls(schema, [
+            Column.from_values(col_schema.sql_type, [row[i] for row in rows])
+            for i, col_schema in enumerate(schema)])
 
     @classmethod
     def from_columns(cls, names_types_values) -> "Table":

@@ -183,7 +183,7 @@ class TestIterationEstimation:
 class TestProgramCosting:
     def test_iterative_program_report(self, analyzed_db):
         from repro.core.rewrite import compile_statement
-        from repro.execution import ExecutionStats, SessionOptions
+        from repro.execution import SessionOptions
         sql = """
         WITH ITERATIVE r (k, v) AS (
           SELECT k, v FROM facts ITERATE SELECT k, v * 2 FROM r
@@ -191,7 +191,7 @@ class TestProgramCosting:
         ) SELECT SUM(v) FROM r"""
         program = compile_statement(parse(sql),
                                     PlanContext(analyzed_db.catalog),
-                                    SessionOptions(), ExecutionStats())
+                                    SessionOptions())
         report = estimate_program(program, analyzed_db.statistics)
         assert len(report.loop_estimates) == 1
         assert report.loop_estimates[0].iterations == 25
@@ -208,11 +208,10 @@ class TestProgramCosting:
               UNTIL {n} ITERATIONS
             ) SELECT SUM(v) FROM r"""
             from repro.core.rewrite import compile_statement
-            from repro.execution import ExecutionStats, SessionOptions
+            from repro.execution import SessionOptions
             program = compile_statement(parse(sql),
                                         PlanContext(analyzed_db.catalog),
-                                        SessionOptions(),
-                                        ExecutionStats())
+                                        SessionOptions())
             costs[n] = estimate_program(
                 program, analyzed_db.statistics).total_cost
         assert costs[50] > costs[5]
@@ -228,7 +227,7 @@ class TestProgramCosting:
 
     def test_rename_costs_less_than_copy(self, analyzed_db):
         from repro.core.rewrite import compile_statement
-        from repro.execution import ExecutionStats, SessionOptions
+        from repro.execution import SessionOptions
         sql = """
         WITH ITERATIVE r (k, v) AS (
           SELECT k, v FROM facts ITERATE SELECT k, v * 2 FROM r
@@ -239,7 +238,7 @@ class TestProgramCosting:
             options = SessionOptions(enable_rename=rename)
             program = compile_statement(parse(sql),
                                         PlanContext(analyzed_db.catalog),
-                                        options, ExecutionStats())
+                                        options)
             costs[rename] = estimate_program(
                 program, analyzed_db.statistics).total_cost
         # The cost model prices the Fig. 8 trade-off correctly.

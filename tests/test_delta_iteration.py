@@ -137,13 +137,11 @@ class TestTerminationFamilies:
 class TestProgramShape:
     def _program(self, sql, delta_on, **options):
         from repro.core.rewrite import compile_statement
-        from repro.execution import ExecutionStats
         from repro.plan import PlanContext
         from repro.sql import parse
         db = graph_db(EDGES, delta_on=delta_on, **options)
         return compile_statement(
-            parse(sql), PlanContext(db.catalog), db.options,
-            ExecutionStats())
+            parse(sql), PlanContext(db.catalog), db.options)
 
     def test_fused_delta_step_emitted_when_safe_and_enabled(self):
         program = self._program(sssp_query(source=1, iterations=5), True)

@@ -18,7 +18,7 @@ from repro.plan.program import (
 )
 from repro.core.rewrite import compile_statement
 from repro.plan import PlanContext
-from repro.execution import ExecutionStats, SessionOptions
+from repro.execution import SessionOptions
 from repro.sql import parse
 
 
@@ -26,8 +26,7 @@ def compile_program(db, sql, **option_overrides):
     options = SessionOptions()
     for key, value in option_overrides.items():
         setattr(options, key, value)
-    return compile_statement(parse(sql), PlanContext(db.catalog), options,
-                             ExecutionStats())
+    return compile_statement(parse(sql), PlanContext(db.catalog), options)
 
 
 SIMPLE = """

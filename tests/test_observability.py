@@ -190,7 +190,7 @@ class TestRunnerSnapshotHygiene:
 
         program = compile_statement(parse(RECURSIVE_REACH),
                                     PlanContext(graph_db.catalog),
-                                    graph_db.options, graph_db.stats)
+                                    graph_db.options)
         ctx = ExecutionContext(graph_db.catalog, graph_db.registry,
                                graph_db.options, graph_db.stats,
                                graph_db.kernel_cache)

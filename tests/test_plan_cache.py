@@ -10,6 +10,7 @@ changes) must invalidate.  The counters surface through
 import pytest
 
 from repro import Database
+from repro.datasets import dblp_like, fresh_database
 from repro.engine import Engine
 from repro.errors import ReproError
 from repro.execution import SessionOptions
@@ -18,6 +19,7 @@ from repro.sql import parse
 from repro.sql.normalize import normalize_statement
 from repro.storage import ColumnSchema, Schema, Table
 from repro.types import SqlType
+from repro.workloads import ff_query, pagerank_query
 
 
 class TestNormalizer:
@@ -98,6 +100,22 @@ class TestCacheCounters:
         gauges = people_db.metrics_snapshot()["gauges"]
         assert gauges["stats.plan_cache_hits"] == 1
         assert gauges["stats.plan_cache_misses"] == 1
+
+    @pytest.mark.parametrize("sql, counter", [
+        (pagerank_query(iterations=3, with_vertex_status=True),
+         "common_results_built"),
+        (ff_query(iterations=3, selectivity_mod=2, order_and_limit=False),
+         "predicate_pushdowns"),
+    ], ids=["common", "pushdown"])
+    def test_rewrite_counters_count_cached_runs(self, sql, counter):
+        # Counted when the COMMON#k / pushed-filter step runs, not when
+        # the program is compiled, so a plan-cache hit counts too.
+        db = fresh_database(dblp_like(nodes=60), with_vertex_status=True)
+        first = db.execute(sql).rows()
+        assert db.execute(sql).rows() == first
+        assert db.stats.plans_built == 1
+        assert db.stats.plan_cache_hits == 1
+        assert getattr(db.stats, counter) == 2
 
     def test_explain_analyze_reports_plan_cache(self, people_db):
         report = people_db.explain_analyze(

@@ -82,7 +82,7 @@ def _compile(db, sql):
     from repro.plan import PlanContext
     from repro.sql import parse
     return compile_statement(parse(sql), PlanContext(db.catalog),
-                             db.options, db.stats)
+                             db.options)
 
 
 class TestStrategySelection:

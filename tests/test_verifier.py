@@ -57,7 +57,7 @@ def _graph_db(**options) -> Database:
 
 def _compile(db, sql):
     return compile_statement(parse(sql), PlanContext(db.catalog),
-                             db.options, db.stats)
+                             db.options)
 
 
 def _fresh(shape):
@@ -567,8 +567,8 @@ class TestExchangePlanVerifier:
         # The plan, not the caller, says what each register holds: a
         # table whose columns disagree is refused before partitioning.
         from repro.mpp import Cluster, pagerank_superstep_spec
-        from repro.mpp.iterative import (_edges_table, _run_distributed_loop,
-                                         _state_table)
+        from repro.mpp.iterative import (_edges_table, _node_ids,
+                                         _run_distributed_loop, _state_table)
         from repro.obs.trace import NULL_TRACER
 
         cluster = Cluster(2)
@@ -581,6 +581,6 @@ class TestExchangePlanVerifier:
         assert "declares columns" in str(excinfo.value)
         _, loop = _run_distributed_loop(
             cluster, pagerank_superstep_spec(),
-            {"edges": edges, "state": _state_table([1, 2])}, 1,
+            {"edges": edges, "state": _state_table(_node_ids(edges))}, 1,
             NULL_TRACER, None)
         assert loop["iterations"] == 1
