@@ -18,6 +18,8 @@ from typing import Iterator
 
 import numpy as np
 
+from ..execution.kernels import unique_sorted
+
 
 @dataclasses.dataclass(frozen=True)
 class GraphSpec:
@@ -86,7 +88,7 @@ def generate_edges(spec: GraphSpec,
     keep = sources != targets
     sources, targets = sources[keep], targets[keep]
     pair_codes = sources.astype(np.int64) * n + targets
-    _, unique_index = np.unique(pair_codes, return_index=True)
+    _, unique_index = unique_sorted(pair_codes, return_index=True)
     unique_index = np.sort(unique_index)
     sources, targets = sources[unique_index], targets[unique_index]
 
@@ -96,7 +98,7 @@ def generate_edges(spec: GraphSpec,
     sources = np.concatenate([sources, chain_src])
     targets = np.concatenate([targets, chain_dst])
     pair_codes = sources * np.int64(n) + targets
-    _, unique_index = np.unique(pair_codes, return_index=True)
+    _, unique_index = unique_sorted(pair_codes, return_index=True)
     unique_index = np.sort(unique_index)
     sources, targets = sources[unique_index], targets[unique_index]
 
@@ -127,7 +129,7 @@ def edge_list_stats(edges: list[tuple[int, int, float]]) -> dict[str, float]:
     """Quick shape summary used by tests and example scripts."""
     sources = np.array([e[0] for e in edges])
     targets = np.array([e[1] for e in edges])
-    nodes = np.union1d(sources, targets)
+    nodes = unique_sorted(np.concatenate([sources, targets]))
     out_degrees = np.bincount(sources, minlength=int(nodes.max()) + 1)
     return {
         "nodes": int(len(nodes)),

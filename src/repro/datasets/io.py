@@ -17,6 +17,7 @@ import numpy as np
 
 from ..engine import Database
 from ..errors import ReproError
+from ..execution.kernels import unique_sorted
 from ..types import SqlType
 
 
@@ -60,7 +61,7 @@ def normalize_weights(edges: Sequence[tuple[int, int]]
     if not edges:
         return []
     sources = np.array([e[0] for e in edges], dtype=np.int64)
-    unique, inverse = np.unique(sources, return_inverse=True)
+    _, inverse = unique_sorted(sources, return_inverse=True)
     outdegree = np.bincount(inverse)
     weights = 1.0 / outdegree[inverse]
     return [(int(s), int(d), float(w))

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import CatalogError, ExecutionError, TypeCheckError
 from ..execution import ExecutionContext, Frame, evaluate, evaluate_predicate
-from ..execution.kernels import scatter_update
+from ..execution.kernels import scatter_update, unique_sorted
 from ..execution.operators import execute_plan
 from ..plan import Field, LogicalTempScan, PlanContext, build_relation
 from ..sql import ast
@@ -155,7 +155,7 @@ def execute_update(stmt: ast.Update, ctx: ExecutionContext,
         # (deterministic here; PostgreSQL leaves it unspecified).  NumPy
         # does not order repeated-index assignment, so keep only each
         # row's last match before scattering.
-        _, from_end = np.unique(row_ids[::-1], return_index=True)
+        _, from_end = unique_sorted(row_ids[::-1], return_index=True)
         last = len(row_ids) - 1 - from_end
         matched, row_ids = matched.take(last), row_ids[last]
 

@@ -15,7 +15,7 @@ from ..storage import Column
 from ..types import SqlType
 from .expressions import evaluate
 from .frame import Frame
-from .kernels import factorize
+from .kernels import factorize, unique_sorted
 
 
 def compute_aggregate(call: ast.FunctionCall, frame: Frame,
@@ -60,7 +60,7 @@ def _count(call: ast.FunctionCall, frame: Frame, gids: np.ndarray,
             data = np.zeros(n_groups, dtype=np.int64)
         else:
             pairs = gids[valid] * (codes.max() + 1) + codes[valid]
-            unique_pairs = np.unique(pairs)
+            unique_pairs = unique_sorted(pairs)
             pair_gids = unique_pairs // (codes.max() + 1)
             data = np.bincount(pair_gids,
                                minlength=n_groups).astype(np.int64)

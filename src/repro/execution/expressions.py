@@ -21,6 +21,7 @@ from ..sql import ast
 from ..storage import Column
 from ..types import SqlType, common_type
 from .frame import Frame
+from .kernels import unique_sorted
 
 
 def evaluate(expr: ast.Expr, frame: Frame) -> Column:
@@ -394,7 +395,7 @@ def _fn_round(args: list[Column], count: int) -> Column:
     if len(args) == 2:
         if args[1].mask.any():
             raise ExecutionError("ROUND digit count must not be NULL")
-        unique = np.unique(args[1].data)
+        unique = unique_sorted(args[1].data)
         if len(unique) != 1:
             # Per-row digit counts: bulk-convert once, round per row
             # (Python round keeps the decimal semantics of the scalar

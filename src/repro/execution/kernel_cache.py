@@ -45,7 +45,7 @@ import numpy as np
 
 from ..storage import Column
 from .kernels import (ColumnDictionary, build_dictionary, build_probe_index,
-                      comparable_values, lookup_sorted)
+                      comparable_values, lookup_sorted, unique_sorted)
 
 # Mixed-radix combination of per-column codes must stay inside int64.
 _RADIX_LIMIT = 1 << 62
@@ -261,7 +261,7 @@ class _ValueDictionary:
             return ids
         values = comparable_values(column.data[valid])
         if self.values is None or not len(self.values):
-            uniques, inverse = np.unique(values, return_inverse=True)
+            uniques, inverse = unique_sorted(values, return_inverse=True)
             assigned = self.next_id + np.arange(len(uniques),
                                                 dtype=np.int64)
             self.next_id += len(uniques)
@@ -273,8 +273,8 @@ class _ValueDictionary:
         batch = np.where(found, self.ids[positions], 0)
         missing = ~found
         if missing.any():
-            new_uniques, new_inverse = np.unique(values[missing],
-                                                 return_inverse=True)
+            new_uniques, new_inverse = unique_sorted(values[missing],
+                                                     return_inverse=True)
             assigned = self.next_id + np.arange(len(new_uniques),
                                                 dtype=np.int64)
             self.next_id += len(new_uniques)
@@ -365,9 +365,9 @@ class IncrementalDistinctIndex:
         return True
 
     def _insert(self, rows: np.ndarray) -> None:
+        """Merge strictly increasing ``rows`` none of which is seen."""
         if not len(rows):
             return
-        rows = np.sort(rows)
         positions = np.searchsorted(self._seen, rows)
         self._seen = np.insert(self._seen, positions, rows)
 
@@ -378,7 +378,7 @@ class IncrementalDistinctIndex:
         packed = self._pack(columns)
         if packed is None:
             return None
-        self._insert(np.unique(packed))
+        self._insert(unique_sorted(packed))
         self.rows_absorbed += num_rows
         return True
 
@@ -390,14 +390,13 @@ class IncrementalDistinctIndex:
         packed = self._pack(columns)
         if packed is None:
             return None
-        _, first_index = np.unique(packed, return_index=True)
-        first_mask = np.zeros(num_rows, dtype=np.bool_)
-        first_mask[first_index] = True
+        uniques, first_index = unique_sorted(packed, return_index=True)
         if len(self._seen):
-            positions, found = lookup_sorted(self._seen, packed)
-            new_mask = first_mask & ~found
-        else:
-            new_mask = first_mask
-        self._insert(packed[new_mask])
-        self.rows_absorbed += int(new_mask.sum())
+            # Probe with the batch's uniques, not every candidate row.
+            _, found = lookup_sorted(self._seen, uniques)
+            uniques, first_index = uniques[~found], first_index[~found]
+        new_mask = np.zeros(num_rows, dtype=np.bool_)
+        new_mask[first_index] = True
+        self._insert(uniques)
+        self.rows_absorbed += len(uniques)
         return new_mask

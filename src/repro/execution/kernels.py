@@ -5,6 +5,15 @@ a single int64 code per row via per-column factorization and mixed-radix
 combination.  Join keys encode NULL as -1 (never matches); grouping keys
 encode NULL as an ordinary bucket (SQL groups NULLs together).
 
+Integer keys within :func:`dense_span` (a span of at most twice their
+count plus 64) are factorized and looked up by direct addressing — a
+presence bitmap plus ``cumsum`` in :func:`unique_sorted`, a position
+table in :func:`lookup_sorted` — instead of sorting or searching.  The
+first index of each unique is ``np.minimum.at`` over the inverse on
+every path.  Everything in the package that would call ``np.unique``
+calls :func:`unique_sorted`: on numpy 2.x a plain ``np.unique`` takes a
+hash path several times slower than a sort.
+
 Dictionaries are built per call: the columns these kernels see inside a
 loop are new on every iteration, so there is nothing to reuse.  The one
 loop-invariant consumer, a join's build side, keeps whole indexes in
@@ -30,16 +39,99 @@ def comparable_values(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def dense_span(lo: int, hi: int, count: int) -> bool:
+    """Whether integers in ``[lo, hi]`` are dense enough for ``count``
+    items to address a table of ``hi - lo + 1`` slots directly: at most
+    two slots per item plus a constant.  Callers pass Python ints, so
+    the int64 extremes cannot overflow."""
+    return hi - lo + 1 <= 2 * count + 64
+
+
+def _offsets(values: np.ndarray, lo: int) -> np.ndarray:
+    """``values - lo`` as intp slots; the caller has bounded the span.
+    Narrow ints widen to int64 first so the difference cannot wrap."""
+    wide = values if values.dtype.itemsize == 8 else values.astype(np.int64)
+    return (wide - wide.dtype.type(lo)).astype(np.intp, copy=False)
+
+
+def unique_sorted(values: np.ndarray, return_index: bool = False,
+                  return_inverse: bool = False):
+    """Exactly what ``np.unique(values, return_index=, return_inverse=)``
+    returns for a 1-D array, without sorting where a sort is waste.
+
+    * Integers whose span is :func:`dense_span` of their count are
+      factorized by direct addressing: a presence bitmap over the span,
+      then a ``cumsum`` remap gives each value its rank — O(n + span).
+    * Other integers with nothing but the uniques requested are sorted
+      and deduplicated by an adjacent diff: numpy 2.x's plain
+      ``np.unique`` takes a hash path several times slower than a sort.
+    * Everything else (sparse integers with an index or inverse, floats,
+      strings, bools) is ``np.unique(return_inverse=True)``.
+
+    The first index of each unique comes from ``np.minimum.at`` over
+    the inverse on every path: no stable sort, and no reliance on the
+    order of repeated-index assignment.
+    """
+    values = np.asarray(values)
+    want_inverse = return_index or return_inverse
+    uniques = inverse = None
+    if values.dtype.kind in "iu" and len(values):
+        lo, hi = int(values.min()), int(values.max())
+        if dense_span(lo, hi, len(values)):
+            slots = _offsets(values, lo)
+            present = np.zeros(hi - lo + 1, dtype=np.bool_)
+            present[slots] = True
+            occupied = np.flatnonzero(present)
+            uniques = (occupied.astype(values.dtype)
+                       + values.dtype.type(lo))
+            if want_inverse:
+                rank = np.cumsum(present, dtype=np.intp) - 1
+                inverse = rank[slots]
+        elif not want_inverse:
+            uniques = np.sort(values)
+            keep = np.ones(len(uniques), dtype=np.bool_)
+            np.not_equal(uniques[1:], uniques[:-1], out=keep[1:])
+            uniques = uniques[keep]
+    if uniques is None:
+        uniques, inverse = np.unique(values, return_inverse=True)
+    if not want_inverse:
+        return uniques
+    result = (uniques,)
+    if return_index:
+        first = np.full(len(uniques), len(values), dtype=np.intp)
+        np.minimum.at(first, inverse, np.arange(len(values), dtype=np.intp))
+        result += (first,)
+    if return_inverse:
+        result += (inverse,)
+    return result
+
+
 def lookup_sorted(haystack: np.ndarray,
                   needles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of ``needles`` in the sorted ``haystack`` plus a found
-    mask; positions of needles not found are unspecified but in range.
-    NaN probes match a NaN entry (np.unique collapses NaNs to one slot at
-    the end, matching the joint-encoding behaviour this replaces).
+    """Positions of ``needles`` in the strictly increasing ``haystack``
+    plus a found mask; positions of needles not found are unspecified
+    but in range.
+
+    An integer haystack whose span is :func:`dense_span` of both sides'
+    lengths builds a position table and indexes it; everything else
+    binary-searches.  NaN probes match a NaN entry (np.unique collapses
+    NaNs to one slot at the end, matching the joint-encoding behaviour
+    this replaces).
     """
     if not len(haystack):
         return (np.zeros(len(needles), dtype=np.int64),
                 np.zeros(len(needles), dtype=np.bool_))
+    if haystack.dtype.kind == "i" and needles.dtype.kind == "i":
+        lo, hi = int(haystack[0]), int(haystack[-1])
+        if dense_span(lo, hi, len(haystack) + len(needles)):
+            table = np.full(hi - lo + 1, -1, dtype=np.int64)
+            table[_offsets(haystack, lo)] = np.arange(len(haystack),
+                                                      dtype=np.int64)
+            probe = needles.astype(np.int64, copy=False)
+            inside = (probe >= lo) & (probe <= hi)
+            positions = table[_offsets(np.where(inside, probe, lo), lo)]
+            found = inside & (positions >= 0)
+            return np.where(found, positions, 0), found
     positions = np.searchsorted(haystack, needles)
     inside = positions < len(haystack)
     clipped = np.where(inside, positions, 0)
@@ -75,16 +167,16 @@ class ColumnDictionary:
 def build_dictionary(column: Column) -> ColumnDictionary:
     """Factorize one column."""
     if not column.mask.any():
-        # No NULL: np.unique's inverse already is the codes.
-        uniques, inverse = np.unique(comparable_values(column.data),
-                                     return_inverse=True)
+        # No NULL: the inverse already is the codes.
+        uniques, inverse = unique_sorted(comparable_values(column.data),
+                                         return_inverse=True)
         return ColumnDictionary(uniques,
                                 inverse.astype(np.int64, copy=False))
     codes = np.full(len(column), -1, dtype=np.int64)
     valid = ~column.mask
     if valid.any():
         values = comparable_values(column.data[valid])
-        uniques, inverse = np.unique(values, return_inverse=True)
+        uniques, inverse = unique_sorted(values, return_inverse=True)
         codes[valid] = inverse
     else:
         uniques = np.empty(0, dtype=np.int64)
@@ -105,15 +197,15 @@ class ProbeIndex(NamedTuple):
 def build_probe_index(codes: np.ndarray, probe_rows: int = 0) -> ProbeIndex:
     """Index a build side's codes (-1 = no match) so every iteration of a
     loop can share it.  Offsets cost a slot per code up to the largest;
-    past twice the rows of both sides (a sparse mixed-radix space) the
-    sorted codes are kept instead."""
+    past :func:`dense_span` of the rows of both sides (a sparse
+    mixed-radix space) the sorted codes are kept instead."""
     valid = codes >= 0
     positions = np.flatnonzero(valid)
     valid_codes = codes[valid]
     order = np.argsort(valid_codes, kind="stable")
     positions = positions[order]
     cardinality = int(valid_codes.max()) + 1 if len(valid_codes) else 0
-    if cardinality > 2 * (len(codes) + probe_rows):
+    if not dense_span(0, cardinality - 1, len(codes) + probe_rows):
         return ProbeIndex(positions, None, valid_codes[order])
     offsets = np.zeros(cardinality + 2, dtype=np.int64)
     np.cumsum(np.bincount(valid_codes, minlength=cardinality + 1),
@@ -164,7 +256,8 @@ def encode_keys(columns: Sequence[Column],
             # Mixed-radix overflow: re-densify before continuing.
             valid = combined >= 0
             if valid.any():
-                _, inverse = np.unique(combined[valid], return_inverse=True)
+                _, inverse = unique_sorted(combined[valid],
+                                           return_inverse=True)
                 combined = combined.copy()
                 combined[valid] = inverse
                 combined_card = int(inverse.max()) + 1 if len(inverse) else 1
@@ -225,9 +318,8 @@ def group_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``codes`` must have no -1 entries (use nulls_match=True encoding).
     """
-    uniques, first_index, inverse = np.unique(
+    _, first_index, inverse = unique_sorted(
         codes, return_index=True, return_inverse=True)
-    del uniques
     return inverse.astype(np.int64), first_index.astype(np.int64)
 
 

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import VerificationError
-from ..execution.kernels import lookup_sorted
+from ..execution.kernels import lookup_sorted, unique_sorted
 from ..obs.telemetry import LoopTelemetry, render_iteration_table
 from ..obs.trace import NULL_TRACER
 from ..runtime import LoopRun, make_exchange_strategy
@@ -209,17 +209,10 @@ def _edges_table(edges: list[tuple[int, int, float]]) -> Table:
 
 
 def _node_ids(edge_table: Table, *extra: int) -> np.ndarray:
-    """Every node id an edge names (plus ``extra``), sorted, unique.
-
-    Sort and drop repeats: on numpy 2.x, ``np.union1d``/``np.unique``
-    take a hash path that is several times slower for int64 ids."""
-    ids = np.concatenate([edge_table.column("src").data,
-                          edge_table.column("dst").data,
-                          np.array(extra, dtype=np.int64)])
-    ids.sort()
-    first = np.ones(len(ids), dtype=np.bool_)
-    first[1:] = ids[1:] != ids[:-1]
-    return ids[first]
+    """Every node id an edge names (plus ``extra``), sorted, unique."""
+    return unique_sorted(np.concatenate([edge_table.column("src").data,
+                                         edge_table.column("dst").data,
+                                         np.array(extra, dtype=np.int64)]))
 
 
 def _lookup_unsorted(keys: np.ndarray, probe: np.ndarray

@@ -18,7 +18,7 @@ from ...errors import DuplicateKeyError, ExecutionError
 from ...execution import execute_to_table
 from ...execution.kernels import (build_probe_index, comparable_values,
                                   expand_ranges, factorize, probe_buckets,
-                                  scatter_update)
+                                  scatter_update, unique_sorted)
 from ...plan.program import DeltaCaptureStep, DeltaFusedStep
 from ...storage import Table
 from ..registry import handles
@@ -134,7 +134,7 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
     code_sets = [frontier]
     for link in spec.influences:
         code_sets.append(_expand_influence(runner, solution, link, frontier))
-    positions = np.unique(solution.rows[np.concatenate(code_sets)])
+    positions = unique_sorted(solution.rows[np.concatenate(code_sets)])
     table = ctx.registry.fetch(spec.cte_result)
     partition = table.take(positions)
     # The delta body's anchor scan reads the partition by name.

@@ -123,7 +123,7 @@ def _merge_rescan(result: Table, candidate: Table):
     membership instead of a per-row set loop.  Produces exactly the masks
     of the incremental path."""
     from ...execution.kernels import (
-        build_probe_index, encode_keys, probe_buckets)
+        build_probe_index, encode_keys, probe_buckets, unique_sorted)
 
     joint = [rc.concat(cc) for rc, cc in
              zip(result.columns, candidate.columns)]
@@ -132,7 +132,7 @@ def _merge_rescan(result: Table, candidate: Table):
     _, seen = probe_buckets(cand_codes, build_probe_index(
         codes[:result.num_rows], candidate.num_rows))
 
-    _, first_index = np.unique(cand_codes, return_index=True)
+    _, first_index = unique_sorted(cand_codes, return_index=True)
     first_mask = np.zeros(candidate.num_rows, dtype=np.bool_)
     first_mask[first_index] = True
     return first_mask & (seen == 0)

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..execution.kernels import lookup_sorted
+from ..execution.kernels import lookup_sorted, unique_sorted
 from ..plan.program import DeltaSpec, LoopSpec
 
 
@@ -81,23 +81,22 @@ class FixpointIncremental(LoopStrategy):
 
 class SolutionSet:
     """The delta loop's one index over its unique CTE key column:
-    key -> dense code -> row.
+    key -> code -> row, where a key's code is its rank among the sorted
+    keys.
 
     Codes stay fixed for the life of the set, because a per-key
     independent body keeps the key set invariant.  Only code -> row
     changes, when the merge-by-key reorder moves rows (:meth:`permute`).
-    Integer keys whose span is at most twice their count (the bound
-    :func:`build_probe_index` uses) are addressed directly, code =
-    key - base.  Sparse integer, TEXT and FLOAT keys binary-search their
-    sorted values, code = rank.
+    Building and probing go through :func:`unique_sorted` and
+    :func:`lookup_sorted`, so dense integer keys are direct-addressed
+    there and every other key binary-searches.
     """
 
-    __slots__ = ("base", "sorted_keys", "rows", "links")
+    __slots__ = ("sorted_keys", "rows", "links")
 
-    def __init__(self, base, sorted_keys, rows):
-        self.base = base
+    def __init__(self, sorted_keys, rows):
         self.sorted_keys = sorted_keys
-        # Code -> row position; -1 marks an empty direct-address slot.
+        # Code -> row position.
         self.rows = rows
         # Base-table link -> ProbeIndex over its source codes whose
         # payload is the destination codes (see _expand_influence).
@@ -106,41 +105,19 @@ class SolutionSet:
     @classmethod
     def build(cls, keys: np.ndarray) -> Optional["SolutionSet"]:
         """Index comparable ``keys``; None when a key repeats."""
-        count = len(keys)
-        if count and keys.dtype.kind == "i":
-            base = int(keys.min())
-            span = int(keys.max()) - base + 1
-            if span <= 2 * count:
-                rows = np.full(span, -1, dtype=np.int64)
-                rows[keys - base] = np.arange(count, dtype=np.int64)
-                if np.count_nonzero(rows >= 0) < count:
-                    return None
-                return cls(base, None, rows)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        if count > 1 and (sorted_keys[1:] == sorted_keys[:-1]).any():
+        sorted_keys, rows = unique_sorted(keys, return_index=True)
+        if len(sorted_keys) < len(keys):
             return None
-        return cls(None, sorted_keys, order.astype(np.int64))
+        return cls(sorted_keys, rows.astype(np.int64, copy=False))
 
     def codes(self, keys: np.ndarray) -> np.ndarray:
         """Code of each comparable key, -1 for keys not in the set."""
-        if self.sorted_keys is None and keys.dtype.kind == "i":
-            slots = keys - self.base
-            inside = (slots >= 0) & (slots < len(self.rows))
-            slots = np.where(inside, slots, 0)
-            return np.where(inside & (self.rows[slots] >= 0), slots, -1)
-        if self.sorted_keys is None:
-            # Non-integer probes of a direct-addressed set.
-            occupied = np.flatnonzero(self.rows >= 0)
-            positions, found = lookup_sorted(occupied + self.base, keys)
-            return np.where(found, occupied[positions], -1)
         positions, found = lookup_sorted(self.sorted_keys, keys)
         return np.where(found, positions, -1)
 
     def permute(self, moved_to: np.ndarray) -> None:
         """Follow a reorder that moved old row ``r`` to ``moved_to[r]``."""
-        occupied = self.rows >= 0
-        self.rows = np.where(occupied, moved_to[self.rows], -1)
+        self.rows = moved_to[self.rows]
 
 
 class DeltaLoopRuntime:

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
+from ..execution.kernels import unique_sorted
 from ..storage import Catalog, Column, Table
 from ..types import SqlType
 
@@ -74,9 +73,9 @@ def analyze_column(column: Column) -> ColumnStatistics:
         return ColumnStatistics(1.0, 0, None, None)
     values = column.data[valid]
     if column.sql_type is SqlType.TEXT:
-        distinct = len(np.unique(values.astype(str)))
+        distinct = len(unique_sorted(values.astype(str)))
         return ColumnStatistics(null_fraction, distinct, None, None)
-    distinct = len(np.unique(values))
+    distinct = len(unique_sorted(values))
     if column.sql_type is SqlType.BOOLEAN:
         return ColumnStatistics(null_fraction, distinct, None, None)
     return ColumnStatistics(null_fraction, distinct,

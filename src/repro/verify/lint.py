@@ -1,6 +1,6 @@
 """Engine lint: AST-based repo-specific rules (the ``repro-lint`` CLI).
 
-Three rule families, each encoding a convention a refactor established
+Four rule families, each encoding a convention a refactor established
 but nothing else enforces (each was kept because a mutant of its bug
 class passes the test suite and only this lint flags it):
 
@@ -22,6 +22,12 @@ class passes the test suite and only this lint flags it):
   module level.  Session state reachable from the engine would be
   silently shared across connections — exactly the aliasing bug class
   the split exists to make impossible.
+* **unique-kernel** — ``np.unique``/``np.union1d`` appear only in
+  :mod:`repro.execution.kernels`; everything else calls
+  :func:`~repro.execution.kernels.unique_sorted`.  On numpy 2.x a plain
+  ``np.unique`` takes a hash path several times slower than a sort, and
+  ``return_index`` forces a stable sort, where bounded integer keys need
+  neither — one stray call puts a sort back on a loop's inner path.
 
 Run as ``repro-lint`` (see ``[project.scripts]``) or
 ``python -m repro.verify.lint``; exits non-zero on any finding.
@@ -67,6 +73,10 @@ _SESSION_SCOPED_ATTRS = frozenset({
     "last_snapshot",
     "snapshot",
 })
+
+# The one module allowed to call numpy's set routines directly.
+_UNIQUE_KERNEL_HOME = "execution/kernels.py"
+_UNIQUE_ROUTINES = frozenset({"unique", "union1d"})
 
 _REGISTRY_API = frozenset({"store", "fetch", "exists", "rename", "drop"})
 _CATALOG_API = frozenset({"get", "peek", "exists"})
@@ -250,12 +260,36 @@ class Linter:
                                 "state belongs on Session, never on "
                                 "the shared Engine")
 
+    # -- rule 4: one unique kernel -----------------------------------------
+
+    def check_unique_kernel(self) -> None:
+        for path, module in self._trees.items():
+            if self._rel(path) == _UNIQUE_KERNEL_HOME:
+                continue
+            for node in ast.walk(module):
+                name = None
+                if isinstance(node, ast.Attribute) \
+                        and node.attr in _UNIQUE_ROUTINES \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id in ("np", "numpy"):
+                    name = f"{node.value.id}.{node.attr}"
+                elif isinstance(node, ast.ImportFrom) \
+                        and node.module == "numpy":
+                    name = next((alias.name for alias in node.names
+                                 if alias.name in _UNIQUE_ROUTINES), None)
+                if name is not None:
+                    self._note(path, node.lineno, "unique-kernel",
+                               f"{name} outside execution/kernels.py; "
+                               "call kernels.unique_sorted, which skips "
+                               "the sort for bounded integer spans")
+
     # -- entry point -------------------------------------------------------
 
     def run(self) -> list[LintIssue]:
         self.check_mutation_api()
         self.check_tracer_discipline()
         self.check_engine_layering()
+        self.check_unique_kernel()
         return self.issues
 
     @property
@@ -272,7 +306,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="AST-based engine lint (mutation API, tracer "
-                    "discipline, engine layering).")
+                    "discipline, engine layering, unique kernel).")
     parser.add_argument("--root", type=Path, default=None,
                         help="package root to lint (default: the "
                              "installed repro package)")
@@ -286,7 +320,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"repro-lint: {len(issues)} issue(s) in "
               f"{linter.file_count} files")
         return 1
-    print(f"repro-lint: ok ({linter.file_count} files, 3 rule families)")
+    print(f"repro-lint: ok ({linter.file_count} files, 4 rule families)")
     return 0
 
 

@@ -18,7 +18,8 @@ from repro.datasets import dblp_like, generate_edges
 from repro.engine.database import Database
 from repro.errors import DuplicateKeyError
 from repro.execution import SessionOptions
-from repro.execution.kernels import comparable_values, expand_ranges
+from repro.execution.kernels import (comparable_values, dense_span,
+                                     expand_ranges)
 from repro.plan.program import DeltaCaptureStep, DeltaFusedStep
 from repro.runtime.handlers.delta import _expand_influence
 from repro.runtime.strategies import SolutionSet
@@ -192,7 +193,8 @@ class TestKeyIndex:
             if runtime.active:
                 fresh = SolutionSet.build(runtime.columns[0].data)
                 assert np.array_equal(runtime.solution.rows, fresh.rows)
-                assert runtime.solution.base == fresh.base
+                assert np.array_equal(runtime.solution.sorted_keys,
+                                      fresh.sorted_keys)
                 moved.append(not np.array_equal(before,
                                                 runtime.solution.rows))
             return result
@@ -332,20 +334,23 @@ class TestSsspVertexStatus:
 
 class TestSolutionSet:
     def test_dense_integer_keys_are_direct_addressed(self):
-        keys = np.array([7, -2, 3, 0, -1, 5])  # negative, span 10 <= 12
+        keys = np.array([7, -2, 3, 0, -1, 5])  # negative, span 10
+        # Dense enough for lookup_sorted's position table.
+        assert dense_span(-2, 7, len(keys))
         solution = SolutionSet.build(keys)
-        assert solution.sorted_keys is None and solution.base == -2
+        assert solution.sorted_keys.tolist() == [-2, -1, 0, 3, 5, 7]
         codes = solution.codes(np.array([3, -2, 4, 99, -9]))
         assert list(codes[2:]) == [-1, -1, -1]
         assert list(solution.rows[codes[:2]]) == [2, 1]
         # A FLOAT link column probing INTEGER keys.
         codes = solution.codes(np.array([3.0, 3.5, np.nan, 99.0]))
-        assert codes[0] == 3 - (-2) and list(codes[1:]) == [-1, -1, -1]
+        assert codes[0] == 3 and list(codes[1:]) == [-1, -1, -1]
 
     def test_gaps_wider_than_twice_the_rows_fall_back_to_search(self):
-        keys = np.array([0, 1000, -7, 5])  # span 1008 > 8
+        keys = np.array([0, 1000, -7, 5])  # span 1008 > 2 * 4 + 64
+        assert not dense_span(-7, 1000, len(keys))
         solution = SolutionSet.build(keys)
-        assert solution.sorted_keys is not None
+        assert solution.sorted_keys.tolist() == [-7, 0, 5, 1000]
         codes = solution.codes(np.array([1000, -7, 6]))
         assert list(solution.rows[codes[:2]]) == [1, 2]
         assert codes[2] == -1

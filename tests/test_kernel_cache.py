@@ -16,7 +16,8 @@ from repro.execution.kernel_cache import (
     probe_dictionary,
 )
 from repro.execution.kernels import encode_keys
-from repro.storage import Column, ResultRegistry
+from repro.runtime.handlers.merge import _merge_rescan
+from repro.storage import Column, ResultRegistry, Table
 from repro.types import SqlType
 from repro.workloads import sssp_query
 from repro.workloads.pagerank import pagerank_query
@@ -234,6 +235,55 @@ class TestIncrementalDistinctIndex:
         mask = index.filter_new(self._columns([(2, 2), (3, 3)]), 2)
         assert mask.tolist() == [False, True]
         assert index.rows_absorbed == 3
+
+
+def _random_batch(rng, kinds, rows):
+    """A candidate batch with in-batch duplicates and NULLs: values come
+    from a pool that widens with each batch, so ids keep growing."""
+    columns = []
+    for kind in kinds:
+        pool = int(rng.integers(2, 40))
+        values = [None if rng.random() < 0.1 else int(v)
+                  for v in rng.integers(-pool, pool, size=rows)]
+        if kind is SqlType.TEXT:
+            values = [None if v is None else f"t{v}" for v in values]
+        columns.append((f"c{len(columns)}", kind, values))
+    return Table.from_columns(columns)
+
+
+class TestFilterNewMatchesRescan:
+    """The incremental UNION DISTINCT path must produce exactly the
+    masks of the cache-off rescan, batch after batch."""
+
+    @pytest.mark.parametrize("kinds", [
+        (SqlType.INTEGER,),
+        (SqlType.TEXT,),
+        (SqlType.INTEGER, SqlType.INTEGER),
+        (SqlType.INTEGER, SqlType.TEXT, SqlType.INTEGER),
+    ], ids=["int", "text", "int-int", "int-text-int"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_masks_and_seen_set_match(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        first = _random_batch(rng, kinds, 30)
+        result = first.filter(_merge_rescan(first.slice(0, 0), first))
+        index = IncrementalDistinctIndex(len(kinds))
+        # A tiny per-column id budget forces at least one repack.
+        index._shifts = [3] * len(kinds)
+        assert index.absorb(result.columns, result.num_rows)
+        for _ in range(8):
+            candidate = _random_batch(rng, kinds, int(rng.integers(0, 60)))
+            mask = index.filter_new(candidate.columns, candidate.num_rows)
+            expected = _merge_rescan(result, candidate)
+            assert mask.tolist() == expected.tolist()
+            result = result.concat(candidate.filter(mask))
+        assert index.repacks >= 1
+        # The seen set holds exactly the accepted rows: one identity per
+        # (distinct) result row, and re-offering the result adds none.
+        rows = result.rows()
+        assert len(set(rows)) == len(rows) == len(index._seen)
+        seen_before = index._seen.copy()
+        assert not index.filter_new(result.columns, result.num_rows).any()
+        assert np.array_equal(index._seen, seen_before)
 
 
 class TestDmlInvalidation:

@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.kernels import (
+    dense_span,
     distinct_indices,
     encode_keys,
     equi_join_pairs,
     factorize,
     group_ids,
+    lookup_sorted,
     sort_indices,
+    unique_sorted,
 )
 from repro.storage import Column
 from repro.types import SqlType
@@ -191,3 +194,157 @@ class TestSort:
         column = Column.from_values(SqlType.INTEGER, values)
         order = sort_indices([column], [True])
         assert [column[i] for i in order] == sorted(values)
+
+
+# -- unique_sorted / lookup_sorted against numpy ------------------------------
+
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+FLAGS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def _as_tuple(result):
+    return result if isinstance(result, tuple) else (result,)
+
+
+def assert_unique_matches(values):
+    """unique_sorted equals np.unique for every return_* combination:
+    data (NaN-aware), dtype, first index and inverse."""
+    for return_index, return_inverse in FLAGS:
+        got = _as_tuple(unique_sorted(values, return_index=return_index,
+                                      return_inverse=return_inverse))
+        want = _as_tuple(np.unique(values, return_index=return_index,
+                                   return_inverse=return_inverse))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.shape == w.shape
+            assert np.array_equal(g, w, equal_nan=w.dtype.kind == "f")
+
+
+@st.composite
+def int64_arrays(draw):
+    """int64 arrays anywhere in the int64 range, with a span on either
+    side of unique_sorted's direct-addressing bound."""
+    n = draw(st.integers(0, 50))
+    span = draw(st.sampled_from([1, 2 * n + 64, 2 * n + 65, 10 ** 6,
+                                 2 ** 64]))
+    span = draw(st.integers(1, min(span, 2 ** 64)))
+    lo = draw(st.integers(INT64_MIN, INT64_MAX - span + 1))
+    offsets = draw(st.lists(st.integers(0, span - 1), min_size=n,
+                            max_size=n))
+    return np.array([lo + o for o in offsets], dtype=np.int64)
+
+
+class TestUniqueSorted:
+    @settings(max_examples=300, deadline=None)
+    @given(int64_arrays())
+    def test_int64_matches_numpy(self, values):
+        assert_unique_matches(values)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_spans_on_both_sides_of_the_bound(self, n, extra):
+        rng = np.random.default_rng(n + extra)
+        span = 2 * n + 64 + extra
+        assert dense_span(0, span - 1, n) == (extra == 0)
+        for lo in (-5000, 0, 12345, INT64_MIN, INT64_MAX - span + 1):
+            values = lo + rng.integers(0, span, size=n)
+            values[0], values[-1] = lo, lo + span - 1  # pin the span
+            assert_unique_matches(values)
+
+    @pytest.mark.parametrize("values", [
+        [INT64_MIN, INT64_MIN + 3, INT64_MIN, INT64_MIN + 1],
+        [INT64_MAX, INT64_MAX - 2, INT64_MAX, INT64_MAX - 2],
+        [INT64_MAX, INT64_MIN, 0, INT64_MIN, INT64_MAX],
+        [INT64_MIN], [INT64_MAX], [0], [],
+    ], ids=["min", "max", "both", "min1", "max1", "zero1", "empty"])
+    def test_int64_extremes_empty_and_single(self, values):
+        assert_unique_matches(np.array(values, dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8,
+                                       np.uint64])
+    def test_narrow_and_unsigned_ints(self, dtype):
+        info = np.iinfo(dtype)
+        values = np.array([info.max, info.min, info.max, info.min + 1,
+                           info.max - 1], dtype=dtype)
+        assert_unique_matches(values)
+        assert_unique_matches(np.arange(info.min, info.min + 40,
+                                        dtype=dtype)[::-3])
+
+    def test_read_only_input(self):
+        for values in (np.array([5, 3, 5, 4, 3]),
+                       np.array([10 ** 12, 3, 10 ** 12]),
+                       np.array([2.5, np.nan, 2.5])):
+            values.setflags(write=False)
+            assert_unique_matches(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf,
+                                     1.5, -2.25]), max_size=30))
+    def test_float_specials(self, values):
+        values = np.array(values, dtype=np.float64)
+        assert_unique_matches(values)
+        # build_dictionary's call: the signbit of each unique (which of
+        # 0.0 / -0.0 represents the zeros) is numpy's.
+        got, _ = unique_sorted(values, return_inverse=True)
+        want, _ = np.unique(values, return_inverse=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(max_size=3), max_size=30))
+    def test_strings(self, values):
+        assert_unique_matches(np.array(values, dtype=str))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.booleans(), max_size=20))
+    def test_bools(self, values):
+        assert_unique_matches(np.array(values, dtype=np.bool_))
+
+
+def searchsorted_lookup(haystack, needles):
+    """lookup_sorted's binary-search path, spelled out."""
+    if not len(haystack):
+        return np.zeros(len(needles), dtype=np.bool_)
+    positions = np.searchsorted(haystack, needles)
+    clipped = np.minimum(positions, len(haystack) - 1)
+    return (positions < len(haystack)) & (haystack[clipped] == needles)
+
+
+class TestLookupSortedTable:
+    def check(self, haystack, needles):
+        haystack = np.asarray(haystack, dtype=np.int64)
+        needles = np.asarray(needles, dtype=np.int64)
+        positions, found = lookup_sorted(haystack, needles)
+        assert positions.dtype == np.int64
+        assert found.tolist() == searchsorted_lookup(haystack,
+                                                     needles).tolist()
+        assert ((positions >= 0) & (positions < max(len(haystack), 1))).all()
+        assert (haystack[positions[found]] == needles[found]).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(int64_arrays(), st.lists(st.integers(-3, 3), max_size=20),
+           st.lists(st.integers(INT64_MIN, INT64_MAX), max_size=5))
+    def test_matches_binary_search(self, values, nudges, anywhere):
+        haystack = np.unique(values)
+        near = [int(v) + d for v in values[:len(nudges)]
+                for d in nudges if INT64_MIN <= int(v) + d <= INT64_MAX]
+        self.check(haystack, near + anywhere + [INT64_MIN, INT64_MAX])
+
+    @pytest.mark.parametrize("haystack", [
+        [INT64_MIN, INT64_MIN + 1, INT64_MIN + 5],
+        [INT64_MAX - 5, INT64_MAX - 1, INT64_MAX],
+        [-3, -1, 0, 2],
+        [7],
+    ], ids=["at-min", "at-max", "negative", "one"])
+    @pytest.mark.parametrize("needles", [
+        [], [INT64_MIN], [INT64_MAX], [-4, -3, -2, -1, 0, 1, 2, 3, 7, 8],
+        [INT64_MIN + 1, INT64_MAX - 1, INT64_MIN + 5, INT64_MAX - 5],
+    ], ids=["empty", "min", "max", "small", "near-extremes"])
+    def test_edges(self, haystack, needles):
+        assert dense_span(haystack[0], haystack[-1],
+                          len(haystack) + len(needles))
+        self.check(haystack, needles)
+
+    def test_empty_haystack(self):
+        self.check([], [1, INT64_MIN])
+        self.check([], [])

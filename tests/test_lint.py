@@ -18,6 +18,7 @@ class TestRealTree:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "repro-lint: ok (" in out
+        assert "4 rule families" in out
 
 
 def _tree(tmp_path, files):
@@ -161,6 +162,37 @@ class TestSeededViolations:
                 def __init__(self, engine):
                     self.transactions = object()
                     self.registry = object()
+            """
+        assert run_lint(_tree(tmp_path, files)) == []
+
+    def test_numpy_unique_outside_kernels_detected(self, tmp_path):
+        files = dict(_CLEAN)
+        files["runtime/handlers/core.py"] = """
+            import numpy as np
+            from numpy import union1d
+
+            def dedup(codes, other):
+                first = np.unique(codes, return_index=True)[1]
+                return first, union1d(codes, other), numpy.union1d
+            """
+        issues = run_lint(_tree(tmp_path, files))
+        assert _rules(issues) == {"unique-kernel"}
+        assert sorted(i.line for i in issues) == [3, 6, 7]
+        assert any("np.unique" in i.message for i in issues)
+
+    def test_unique_kernel_home_and_callers_are_clean(self, tmp_path):
+        files = dict(_CLEAN)
+        files["execution/kernels.py"] = """
+            import numpy as np
+
+            def unique_sorted(values):
+                return np.unique(values, return_inverse=True)[0]
+            """
+        files["execution/aggregate.py"] = """
+            from .kernels import unique_sorted
+
+            def count_distinct(values):
+                return len(unique_sorted(values))
             """
         assert run_lint(_tree(tmp_path, files)) == []
 
