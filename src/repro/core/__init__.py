@@ -11,14 +11,14 @@ re-exported here.
 from ..runtime import (
     LoopState,
     ProgramRunner,
-    count_changed_rows,
+    changed_rows,
     should_continue,
 )
 from .rewrite import compile_statement
 
 __all__ = [
     "LoopState",
-    "count_changed_rows",
+    "changed_rows",
     "should_continue",
     "compile_statement",
     "ProgramRunner",

@@ -105,7 +105,7 @@ def emit_recursive_cte(cte: ast.CommonTableExpr,
         candidate, step_plan, columns,
         comment=f"recursive step of {cte.name}"))
     steps.append(RecursiveMergeStep(cte_result, candidate, working,
-                                    distinct))
+                                    distinct, loop_id))
     steps.append(LoopStep(loop_id, loop_start))
 
     state.temp_results.extend([cte_result, working, candidate])

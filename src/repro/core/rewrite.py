@@ -286,12 +286,13 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
         else:
             steps.append(CopyStep(merge_result, cte_result))
 
-    if needs_update_count:
-        steps.append(CountUpdatesStep(previous, cte_result, key_column,
-                                      loop_id))
     if delta_spec is not None:
+        # The capture step's one diff also feeds the update counter.
         steps.append(DeltaCaptureStep(delta_spec, previous))
         fused.jump_to = len(steps)
+    elif needs_update_count:
+        steps.append(CountUpdatesStep(previous, cte_result, key_column,
+                                      loop_id))
     steps.append(IncrementLoopStep(loop_id))
     steps.append(LoopStep(loop_id, loop_start))
 

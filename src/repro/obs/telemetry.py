@@ -66,7 +66,7 @@ class LoopTelemetry:
     # "iterative" | "fixpoint" | "mpp" | "middleware" | "procedure"
     kind: str
     records: list[IterationRecord] = field(default_factory=list)
-    # The LoopStrategy that ran the loop (None for loop kinds without
+    # The strategy that ran the loop (None for loop kinds without
     # strategy selection); one "->next" per mid-loop strategy switch.
     strategy: Optional[str] = None
 

@@ -209,6 +209,7 @@ class RecursiveMergeStep(Step):
     candidate: str
     working: str
     distinct: bool
+    loop_id: int
 
     def describe(self) -> str:
         mode = "UNION" if self.distinct else "UNION ALL"

@@ -8,49 +8,38 @@ One execution path for every iterative construct in the system:
   dispatch table; each :class:`~repro.plan.program.Step` kind has one
   handler module.
 * :mod:`repro.runtime.loop_engine` — loop control, telemetry, and spans
-  for the SQL engine *and* the MPP / middleware / procedure drivers.
-* :mod:`repro.runtime.strategies` — the pluggable ``LoopStrategy``
-  implementations (full recompute, rename in place, semi-naive delta)
-  with cost-based, feedback-driven selection and mid-loop demotion.
-* :mod:`repro.runtime.conditions` — termination-condition evaluation.
+  for the SQL engine *and* the MPP / middleware / procedure drivers;
+  one :class:`LoopState` record per loop holds everything the loop owns.
+* :mod:`repro.runtime.strategies` — a loop's strategy as a pure
+  function of its spec and mode (full recompute, rename in place,
+  semi-naive delta, fixpoint), the frontier hysteresis behind mid-loop
+  demotion and promotion, and the distributed exchange strategies.
+* :mod:`repro.runtime.conditions` — termination-condition evaluation and
+  the changed-rows kernel.
 """
 
-from .conditions import LoopState, count_changed_rows, should_continue
+from .conditions import changed_rows, should_continue
 from .interpreter import ProgramRunner, StepProfile
-from .loop_engine import LoopEngine, LoopRun
+from .loop_engine import LoopEngine, LoopRun, LoopState
 from .registry import HANDLERS, dispatch, handles
 from .strategies import (
-    DeltaLoopRuntime,
     DeltaShuffleExchange,
     ExchangeStrategy,
-    FixpointIncremental,
-    FullRecompute,
-    LoopStrategy,
-    RenameInPlace,
-    SemiNaiveDelta,
     StrategySwitch,
-    choose_strategy,
     make_exchange_strategy,
 )
 
 __all__ = [
     "HANDLERS",
-    "DeltaLoopRuntime",
     "DeltaShuffleExchange",
     "ExchangeStrategy",
-    "FixpointIncremental",
-    "FullRecompute",
     "LoopEngine",
     "LoopRun",
     "LoopState",
-    "LoopStrategy",
     "ProgramRunner",
-    "RenameInPlace",
-    "SemiNaiveDelta",
     "StepProfile",
     "StrategySwitch",
-    "choose_strategy",
-    "count_changed_rows",
+    "changed_rows",
     "dispatch",
     "handles",
     "make_exchange_strategy",

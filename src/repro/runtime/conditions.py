@@ -12,14 +12,15 @@ family:
 * **Delta** — the number of rows changed by the current iteration relative
   to the previous one (``UNTIL DELTA <op> N``).
 
-This module is pure condition evaluation; the loop *engine* that owns the
-states, strategies and telemetry lives in
+This module is pure condition evaluation plus the one "which rows
+changed" kernel the UPDATES / DELTA counters and the delta capture step
+share; the loop *engine* that owns each loop's state lives in
 :mod:`repro.runtime.loop_engine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,19 +31,8 @@ from ..plan.program import LoopSpec
 from ..sql import ast
 from ..storage import Table
 
-
-@dataclass
-class LoopState:
-    """Mutable per-execution loop bookkeeping."""
-
-    spec: LoopSpec
-    iterations: int = 0
-    total_updates: int = 0
-    last_delta: int = 0
-
-    def record_updates(self, changed: int) -> None:
-        self.last_delta = changed
-        self.total_updates += changed
+if TYPE_CHECKING:
+    from .loop_engine import LoopState
 
 
 def should_continue(state: LoopState, ctx: ExecutionContext) -> bool:
@@ -108,9 +98,10 @@ def _count_satisfying(table: Table, spec: LoopSpec,
     return int(keep.sum())
 
 
-def count_changed_rows(previous: Table, current: Table,
-                       key_index: int) -> int:
-    """Rows of ``current`` whose non-key values differ from ``previous``.
+def changed_rows(previous: Table, current: Table,
+                 key_index: int) -> np.ndarray:
+    """Mask of ``current`` rows whose non-key values differ from
+    ``previous``.
 
     Rows are aligned by the key column; rows whose key is new (not present
     in ``previous``) count as changed.  NULL-to-NULL is *not* a change
@@ -126,19 +117,28 @@ def count_changed_rows(previous: Table, current: Table,
     from ..types import common_type
 
     if previous.num_rows == 0:
-        return current.num_rows
+        return np.ones(current.num_rows, dtype=np.bool_)
     prev_key = previous.columns[key_index]
     cur_key = current.columns[key_index]
     target = common_type(cur_key.sql_type, prev_key.sql_type)
     dictionary = build_dictionary(cur_key.cast(target))
     cur_codes = dictionary.codes
     prev_codes = probe_dictionary(dictionary, prev_key.cast(target))
-    cur_idx, prev_idx = equi_join_pairs(cur_codes, prev_codes)
+    valid = cur_codes >= 0
+    if dictionary.cardinality == int(valid.sum()):
+        # Unique current keys (the usual case): each code names one
+        # current row, so previous rows pair by direct lookup instead of
+        # a sorted join.
+        row_of_code = np.empty(dictionary.cardinality, dtype=np.int64)
+        row_of_code[cur_codes[valid]] = np.flatnonzero(valid)
+        prev_idx = np.flatnonzero(prev_codes >= 0)
+        cur_idx = row_of_code[prev_codes[prev_idx]]
+    else:
+        cur_idx, prev_idx = equi_join_pairs(cur_codes, prev_codes)
 
-    matched = np.zeros(current.num_rows, dtype=np.bool_)
-    matched[cur_idx] = True
-    changed = int((~matched).sum())  # new keys count as changes
-
+    # New keys count as changes.
+    changed = np.ones(current.num_rows, dtype=np.bool_)
+    changed[cur_idx] = False
     if len(cur_idx):
         differs = np.zeros(len(cur_idx), dtype=np.bool_)
         for i, (cur_col, prev_col) in enumerate(
@@ -148,9 +148,7 @@ def count_changed_rows(previous: Table, current: Table,
             pair_cur = cur_col.take(cur_idx)
             pair_prev = prev_col.take(prev_idx)
             differs |= pair_cur.is_distinct_from(pair_prev)
-        # A key matched by several previous rows would be double counted;
-        # collapse to per-current-row "any pairing differs".
-        per_row = np.zeros(current.num_rows, dtype=np.bool_)
-        np.logical_or.at(per_row, cur_idx, differs)
-        changed += int(per_row.sum())
+        # A key matched by several previous rows changed when any
+        # pairing differs.
+        changed[cur_idx[differs]] = True
     return changed

@@ -1,11 +1,10 @@
 """Semi-naive delta evaluation: the fused delta pass and delta capture.
 
-The handlers own the *mechanics* of the delta path; the decision of
-whether the loop should stay on it belongs to the
-:class:`~repro.runtime.strategies.SemiNaiveDelta` strategy, which every
-measured frontier is fed back into through
-:meth:`LoopEngine.note_frontier` — that is the channel mid-loop demotion
-rides on, and it works identically for traced and untraced runs.
+The handlers own the *mechanics* of the delta path and keep their state
+in the loop's :class:`~repro.runtime.loop_engine.LoopState`; whether the
+loop stays on the path is its ``mode``, which every measured frontier
+moves through :meth:`LoopEngine.note_frontier` — the channel mid-loop
+demotion and promotion ride on, identical for traced and untraced runs.
 """
 
 from __future__ import annotations
@@ -21,24 +20,26 @@ from ...execution.kernels import (build_probe_index, comparable_values,
                                   scatter_update, unique_sorted)
 from ...plan.program import DeltaCaptureStep, DeltaFusedStep
 from ...storage import Table
+from ..conditions import changed_rows
+from ..loop_engine import LoopState
 from ..registry import handles
-from ..strategies import DeltaLoopRuntime, SolutionSet
+from ..strategies import CAPTURE, DELTA, OFF, SolutionSet
 
 
-def _apply_delta(runner, step: DeltaFusedStep, runtime: DeltaLoopRuntime,
+def _apply_delta(runner, step: DeltaFusedStep, state: LoopState,
                  working: Table) -> int:
     """Scatter the recomputed partition back by key and derive the next
     frontier — the back half of the fused delta pass."""
     ctx = runner.ctx
     spec = step.spec
     engine = runner.engine
-    solution = runtime.solution
+    solution = state.solution
     w_codes = _known_codes(solution,
                            comparable_values(working.columns[0].data))
     positions = solution.rows[w_codes]
 
     if spec.guard_keyset and not np.array_equal(
-            np.sort(positions), runtime.pending_positions):
+            np.sort(positions), state.pending_positions):
         # INNER-join body without a WHERE clause: the full body may drop
         # keys whose join partners vanished, which the keyed scatter
         # cannot express.  Keys outside the partition are unaffected (no
@@ -46,34 +47,33 @@ def _apply_delta(runner, step: DeltaFusedStep, runtime: DeltaLoopRuntime,
         # keyset against the partition keyset is a complete check.  On
         # mismatch, permanently fall back to the always-compiled full
         # body and rerun this iteration through it.
-        runtime.disabled = True
-        runtime.active = False
-        runtime.pending_positions = None
+        state.mode = OFF
+        state.pending_positions = None
         ctx.stats.delta_guard_fallbacks += 1
         return step.jump_full
 
     changed = np.zeros(working.num_rows, dtype=np.bool_)
-    new_columns = list(runtime.columns)
+    new_columns = list(state.columns)
     for i in range(1, len(new_columns)):
         # scatter_update keeps the old column object when nothing
         # changed, so its version — and any kernel-cache state keyed by
         # it — survives.
         merged, col_changed = scatter_update(
-            runtime.columns[i], positions, working.columns[i])
+            state.columns[i], positions, working.columns[i])
         changed |= col_changed
         new_columns[i] = merged
     ctx.stats.rows_moved += working.num_rows
     ctx.stats.bytes_moved += working.nbytes()
 
-    runtime.frontier_codes = w_codes[changed]
-    runtime.last_frontier = int(changed.sum())
+    state.frontier_codes = w_codes[changed]
+    state.last_frontier = int(changed.sum())
 
     if spec.merge_by_key:
         # The full body's merge join emits matched (working) rows
         # first, then the rest; replicate that reordering from the
         # membership flags so delta iterations stay bit-identical.
-        in_working = runtime.in_working.copy()
-        in_working[runtime.pending_positions] = False
+        in_working = state.in_working.copy()
+        in_working[state.pending_positions] = False
         in_working[positions] = True
         perm = np.concatenate([np.flatnonzero(in_working),
                                np.flatnonzero(~in_working)])
@@ -87,17 +87,16 @@ def _apply_delta(runner, step: DeltaFusedStep, runtime: DeltaLoopRuntime,
             moved_to[perm] = np.arange(len(perm), dtype=perm.dtype)
             solution.permute(moved_to)
             ctx.stats.rows_moved += int(len(perm))
-        runtime.in_working = in_working
+        state.in_working = in_working
 
-    new_table = Table(runtime.schema, new_columns)
+    new_table = Table(state.schema, new_columns)
     ctx.registry.store(spec.cte_result, new_table)
-    runtime.columns = new_columns
-    runtime.pending_positions = None
+    state.columns = new_columns
+    state.pending_positions = None
     if engine.counts_updates(spec.loop_id):
-        engine.record_updates(spec.loop_id, runtime.last_frontier)
+        state.record_updates(state.last_frontier)
     ctx.stats.delta_iterations += 1
-    engine.note_frontier(spec.loop_id, runtime.last_frontier,
-                         new_table.num_rows)
+    engine.note_frontier(state, state.last_frontier, new_table.num_rows)
     return step.jump_to
 
 
@@ -111,24 +110,24 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
     ctx = runner.ctx
     engine = runner.engine
     spec = step.spec
-    runtime = engine.delta_runtime(spec)
+    state = engine.state(spec.loop_id)
 
     # -- gate ---------------------------------------------------------------
-    if runtime.disabled or not runtime.active:
+    if not state.active:
         return step.jump_full
-    if runtime.frontier_codes is None or not len(runtime.frontier_codes):
+    if state.frontier_codes is None or not len(state.frontier_codes):
         # Empty frontier: no input of any key changed last iteration,
         # so no output can change this iteration (or ever after) —
         # this iteration costs O(1).
-        runtime.last_frontier = 0
+        state.last_frontier = 0
         if engine.counts_updates(spec.loop_id):
-            engine.record_updates(spec.loop_id, 0)
+            state.record_updates(0)
         ctx.stats.delta_iterations += 1
         return step.jump_to
 
     # -- partition ----------------------------------------------------------
-    frontier = runtime.frontier_codes
-    solution = runtime.solution
+    frontier = state.frontier_codes
+    solution = state.solution
     # A changed key always influences itself (its own row is
     # recomputed); links add the keys reachable through base tables.
     code_sets = [frontier]
@@ -139,7 +138,7 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
     partition = table.take(positions)
     # The delta body's anchor scan reads the partition by name.
     ctx.registry.store(spec.partition, partition)
-    runtime.pending_positions = positions
+    state.pending_positions = positions
     ctx.stats.rows_moved += int(len(positions))
     ctx.stats.bytes_moved += partition.nbytes()
 
@@ -158,52 +157,54 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
                 "them (paper §II)")
 
     # -- apply --------------------------------------------------------------
-    return _apply_delta(runner, step, runtime, working)
+    return _apply_delta(runner, step, state, working)
 
 
 @handles(DeltaCaptureStep)
 def run_delta_capture(runner, step: DeltaCaptureStep) -> Optional[int]:
+    """After a full iteration: diff the CTE table against the previous
+    one by key, once, for the UPDATES/DELTA counter, the capture of
+    delta state (mode CAPTURE) and the promotion watch (mode DEMOTED)."""
     ctx = runner.ctx
     engine = runner.engine
     spec = step.spec
-    runtime = engine.delta_runtime(spec)
-    if runtime.disabled and not runtime.demoted:
-        return None
+    state = engine.state(spec.loop_id)
     table = ctx.registry.fetch(spec.cte_result)
-    key_column = table.columns[0]
-    values = comparable_values(key_column.data)
-    solution = None if key_column.mask.any() else SolutionSet.build(values)
-    if solution is None:
-        # NULL or duplicate keys cannot be tracked by key: full path
-        # forever.
-        runtime.disabled = True
-        runtime.active = False
+    solution = None
+    if state.mode == CAPTURE:
+        key_column = table.columns[0]
+        keys = comparable_values(key_column.data)
+        solution = None if key_column.mask.any() \
+            else SolutionSet.build(keys)
+        if solution is None:
+            # NULL or duplicate keys cannot be tracked by key: full path
+            # forever.
+            state.mode = OFF
+    counts = engine.counts_updates(spec.loop_id)
+    if state.mode == OFF and not counts:
         return None
-    changed = _diff_by_key(table, ctx.registry.fetch(step.previous),
-                           solution)
-    if runtime.demoted:
-        # Demoted (not disqualified) loop: keep measuring the changed-row
-        # frontier of every full iteration without re-activating the
-        # delta machinery — the movement fallback's promotion watcher
-        # consumes these and hands the loop back to semi-naive delta
-        # when the frontier collapses.
-        engine.note_frontier(spec.loop_id, int(changed.sum()),
-                             table.num_rows)
-        return None
-    runtime.schema = table.schema
-    runtime.columns = list(table.columns)
-    runtime.solution = solution
-    runtime.frontier_codes = solution.codes(values[changed])
-    runtime.last_frontier = int(changed.sum())
-    if spec.merge_by_key:
-        working = ctx.registry.fetch(spec.working)
-        w_codes = solution.codes(comparable_values(working.columns[0].data))
-        flags = np.zeros(table.num_rows, dtype=np.bool_)
-        flags[solution.rows[w_codes[w_codes >= 0]]] = True
-        runtime.in_working = flags
-    runtime.active = True
-    engine.note_frontier(spec.loop_id, runtime.last_frontier,
-                         table.num_rows)
+    changed = changed_rows(ctx.registry.fetch(step.previous), table, 0)
+    frontier = int(changed.sum())
+    if counts:
+        state.record_updates(frontier)
+    if solution is not None:
+        state.schema = table.schema
+        state.columns = list(table.columns)
+        state.solution = solution
+        state.frontier_codes = solution.codes(keys[changed])
+        state.last_frontier = frontier
+        if spec.merge_by_key:
+            working = ctx.registry.fetch(spec.working)
+            w_codes = solution.codes(
+                comparable_values(working.columns[0].data))
+            flags = np.zeros(table.num_rows, dtype=np.bool_)
+            flags[solution.rows[w_codes[w_codes >= 0]]] = True
+            state.in_working = flags
+        state.mode = DELTA
+    # A demoted loop keeps measuring every full iteration's frontier
+    # without re-activating the delta machinery; that is what promotes
+    # it back once the frontier collapses.
+    engine.note_frontier(state, frontier, table.num_rows)
     return None
 
 
@@ -240,23 +241,3 @@ def _expand_influence(runner, solution: SolutionSet,
         solution.links[link] = index
     lo, counts = probe_buckets(frontier, index)
     return index.positions[expand_ranges(lo, counts)]
-
-
-def _diff_by_key(current: Table, previous: Table, solution: SolutionSet):
-    """Mask of ``current`` rows whose non-key values differ from the row
-    of ``previous`` with the same key (new keys count as changed).
-    ``solution`` indexes ``current``'s keys."""
-    changed = np.ones(current.num_rows, dtype=np.bool_)
-    prev_key = previous.columns[0]
-    codes = solution.codes(comparable_values(prev_key.data))
-    found = (codes >= 0) & ~prev_key.mask
-    if found.any():
-        idx_prev = np.flatnonzero(found)
-        idx_cur = solution.rows[codes[found]]
-        differs = np.zeros(len(idx_cur), dtype=np.bool_)
-        for i in range(1, len(current.columns)):
-            cur_col = current.columns[i].take(idx_cur)
-            prev_col = previous.columns[i].take(idx_prev)
-            differs |= cur_col.is_distinct_from(prev_col)
-        changed[idx_cur] = differs
-    return changed

@@ -18,7 +18,7 @@ from ...plan.program import (
     InitLoopStep,
     LoopStep,
 )
-from ..conditions import count_changed_rows
+from ..conditions import changed_rows
 from ..registry import handles
 
 
@@ -46,8 +46,8 @@ def run_count_updates(runner, step: CountUpdatesStep) -> Optional[int]:
     previous = ctx.registry.fetch(step.previous)
     current = ctx.registry.fetch(step.current)
     key_index = current.schema.index_of(step.key_column)
-    changed = count_changed_rows(previous, current, key_index)
-    runner.engine.record_updates(step.loop_id, changed)
+    changed = changed_rows(previous, current, key_index)
+    runner.engine.state(step.loop_id).record_updates(int(changed.sum()))
     return None
 
 

@@ -63,10 +63,10 @@ def _merge_incremental(runner, step: RecursiveMergeStep, result: Table,
     """Dedup the candidate delta against the persistent seen-row index
     instead of re-encoding ``result ++ candidate``.
 
-    The index lives for the duration of one program run, keyed by the
-    result name; it is rebuilt (one O(result) scan) whenever the result
-    table changed outside this merge step or the UNION's common column
-    types drifted."""
+    The index lives in the loop's state for the duration of one program
+    run; it is rebuilt (one O(result) scan) whenever the result table
+    changed outside this merge step or the UNION's common column types
+    drifted."""
     from ...execution.kernel_cache import IncrementalDistinctIndex
     from ...types import common_type
 
@@ -77,7 +77,8 @@ def _merge_incremental(runner, step: RecursiveMergeStep, result: Table,
         common_type(rc.sql_type, cc.sql_type)
         for rc, cc in zip(result.schema.columns,
                           candidate.schema.columns))
-    entry = runner.merge_indexes.get(step.result)
+    state = runner.engine.state(step.loop_id)
+    entry = state.distinct_index
     index = None
     repacks_before = 0
     if entry is not None:
@@ -96,11 +97,11 @@ def _merge_incremental(runner, step: RecursiveMergeStep, result: Table,
         result_cols = [rc if rc.sql_type is t else rc.cast(t)
                        for rc, t in zip(result.columns, types)]
         if index.absorb(result_cols, result.num_rows) is None:
-            runner.merge_indexes[step.result] = (types, None)
+            state.distinct_index = (types, None)
             ctx.stats.merge_index_overflows += 1
             ctx.stats.merge_index_repacks += index.repacks
             return _merge_rescan(result, candidate)
-        runner.merge_indexes[step.result] = (types, index)
+        state.distinct_index = (types, index)
         ctx.stats.merge_index_rebuilds += 1
     candidate_cols = [cc if cc.sql_type is t else cc.cast(t)
                       for cc, t in zip(candidate.columns, types)]
@@ -111,7 +112,7 @@ def _merge_incremental(runner, step: RecursiveMergeStep, result: Table,
         # bits, so every later merge of this result full-rescans.
         # Counted (once per transition) for EXPLAIN ANALYZE and the
         # repack-on-overflow trigger.
-        runner.merge_indexes[step.result] = (types, None)
+        state.distinct_index = (types, None)
         ctx.stats.merge_index_overflows += 1
         return _merge_rescan(result, candidate)
     return new_mask

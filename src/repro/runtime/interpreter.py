@@ -24,6 +24,7 @@ from ..storage import Table
 from . import handlers  # noqa: F401  (registers all step handlers)
 from .loop_engine import LoopEngine
 from .registry import dispatch
+from .strategies import strategy_name
 
 
 @dataclass
@@ -57,10 +58,6 @@ class ProgramRunner:
         # not list position: strategies may reorder or re-enter steps,
         # and identity keys keep each step's numbers attached to *it*.
         self.profiles: dict[int, StepProfile] = {}
-        # Incremental UNION DISTINCT state, one per recursive result
-        # name.  Deliberately *not* reset per run: the index survives
-        # back-to-back runs and revalidates itself by absorbed-row count.
-        self.merge_indexes: dict[str, tuple[tuple, object]] = {}
         self._stats_at_start: Optional[dict[str, int]] = None
 
     def set_result(self, table: Optional[Table]) -> None:
@@ -186,14 +183,11 @@ class ProgramRunner:
         """The strategy that finished owning each loop, with any
         mid-loop demotions and promotions in the order taken."""
         lines = []
-        for loop_id in sorted(self.engine.strategies):
-            spec = self._program.loops.get(loop_id)
-            if spec is None:
-                continue
-            strategy = self.engine.strategies[loop_id]
-            line = f"loop {spec.cte_name}: strategy {strategy.describe()}"
-            events = [record.describe() for record in
-                      self.engine.switches.get(loop_id, ())]
+        for loop_id in sorted(self.engine.loops):
+            state = self.engine.loops[loop_id]
+            line = (f"loop {state.spec.cte_name}: strategy "
+                    f"{strategy_name(state.spec, state.mode)}")
+            events = [record.describe() for record in state.switches]
             if events:
                 line += f" ({'; '.join(events)})"
             lines.append(line)
@@ -205,8 +199,7 @@ class ProgramRunner:
         Feeds the cost model's measured-iterations registry (see
         :meth:`repro.stats.StatisticsCatalog.record_loop_iterations`)."""
         counts: dict[str, int] = {}
-        for loop_id, state in self.engine.states.items():
-            spec = self._program.loops.get(loop_id)
-            if spec is not None and state.iterations:
-                counts[spec.cte_name] = state.iterations
+        for state in self.engine.loops.values():
+            if state.iterations:
+                counts[state.spec.cte_name] = state.iterations
         return counts

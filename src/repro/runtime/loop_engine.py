@@ -9,31 +9,31 @@ stored-procedure baselines all report through it, so kernel-cache
 counters, data-motion accounting and span tracing behave identically
 whichever layer runs the loop.
 
-:class:`LoopEngine` adds what step programs need on top: per-loop
-:class:`~repro.runtime.conditions.LoopState`, termination evaluation,
-the pluggable :class:`~repro.runtime.strategies.LoopStrategy` objects,
-and the frontier-feedback channel that drives mid-loop strategy
-demotion.
+:class:`LoopEngine` adds what step programs need on top: one
+:class:`LoopState` record per loop — termination counters, strategy
+mode, delta-path state, switch log, telemetry — termination evaluation,
+and the frontier-feedback channel that drives mid-loop demotion and
+promotion.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from ..errors import ExecutionError
 from ..obs.telemetry import IterationRecord, LoopTelemetry
 from ..obs.trace import NULL_TRACER
-from ..plan.program import DeltaSpec, LoopSpec, LoopStep, Program
+from ..plan.program import LoopSpec, LoopStep, Program
 from ..sql import ast
-from .conditions import LoopState, should_continue
-from .strategies import (
-    DeltaLoopRuntime,
-    LoopStrategy,
-    SemiNaiveDelta,
-    StrategySwitch,
-    choose_strategy,
-)
+from ..storage import Schema
+from . import strategies
+from .conditions import should_continue
+from .strategies import (CAPTURE, DELTA, OFF, SELECTION_REASONS,
+                         SolutionSet, StrategySwitch, strategy_name)
 
 
 class LoopRun:
@@ -127,50 +127,96 @@ class LoopRun:
         self._loop_span = None
 
 
+@dataclass(eq=False)
+class LoopState:
+    """Everything one loop owns for one program run."""
+
+    spec: LoopSpec
+    # Termination counters (§VI-B).
+    iterations: int = 0
+    total_updates: int = 0
+    last_delta: int = 0
+    # Strategy mode (see repro.runtime.strategies) and the length of the
+    # current run of frontiers across its switch threshold.
+    mode: str = OFF
+    streak: int = 0
+    # Delta path: captured by DeltaCaptureStep after a full iteration,
+    # advanced by DeltaFusedStep on every delta iteration.
+    schema: Optional[Schema] = None
+    # Column objects of the current CTE table (shared, immutable).
+    columns: list = field(default_factory=list)
+    # The key index over the CTE table.
+    solution: Optional[SolutionSet] = None
+    # Merge path only: per-row "key was in last iteration's working
+    # table" flags, which drive the merge join's row ordering.
+    in_working: Optional[np.ndarray] = None
+    # Solution-set codes of the keys changed by the last iteration.
+    frontier_codes: Optional[np.ndarray] = None
+    last_frontier: int = 0
+    # Row positions gathered by the pending partition step.
+    pending_positions: Optional[np.ndarray] = None
+    # Mid-loop demotions and promotions, in the order taken.
+    switches: list[StrategySwitch] = field(default_factory=list)
+    # Telemetry and spans, when the run is observed.
+    run: Optional[LoopRun] = None
+    # Recursive UNION: (common column types, IncrementalDistinctIndex),
+    # the index None once it needs more than 62 id bits.
+    distinct_index: Optional[tuple] = None
+
+    @property
+    def active(self) -> bool:
+        """Whether the fused step takes the delta path."""
+        return self.mode == DELTA
+
+    def record_updates(self, changed: int) -> None:
+        self.last_delta = changed
+        self.total_updates += changed
+
+    def strategy_chain(self) -> str:
+        """Every strategy the loop ran under, ``"->"``-joined, e.g.
+        ``"semi-naive-delta->rename-in-place->semi-naive-delta"``."""
+        names = [switch.to_name for switch in self.switches]
+        if self.switches:
+            names.insert(0, self.switches[0].from_name)
+        current = strategy_name(self.spec, self.mode)
+        if not names or names[-1] != current:
+            # A disqualified loop ran its last trips on the full body
+            # without a logged switch.
+            names.append(current)
+        return "->".join(names)
+
+
 class LoopEngine:
     """Loop control for one program run.
 
-    Owns every per-loop artifact of the run: termination states, strategy
-    objects (with their delta runtimes), strategy switches, and — when the
-    run is observed — one :class:`LoopRun` per loop for telemetry and
-    spans.  Step handlers never touch loop state directly; they go
-    through this engine, which is what makes the strategies pluggable.
+    Owns one :class:`LoopState` per loop of the run.  Step handlers
+    reach loop state only through this engine.
     """
 
     def __init__(self, program: Program, ctx):
         self._program = program
         self._ctx = ctx
-        self.states: dict[int, LoopState] = {}
-        self.strategies: dict[int, LoopStrategy] = {}
-        self.delta_runtimes: dict[int, DeltaLoopRuntime] = {}
-        # Mid-loop demotions and promotions per loop, in the order taken.
-        self.switches: dict[int, list[StrategySwitch]] = {}
-        self._runs: dict[int, LoopRun] = {}
+        self.loops: dict[int, LoopState] = {}
 
     def begin_run(self) -> None:
         """Reset all loop state for exactly one program run."""
-        self.states = {}
-        self.strategies = {}
-        self.delta_runtimes = {}
-        self.switches = {}
-        self._runs = {}
+        self.loops = {}
 
     # -- loop control --------------------------------------------------------
 
     def init_loop(self, spec: LoopSpec) -> None:
-        self.states[spec.loop_id] = LoopState(spec)
-        runtime = None if spec.delta is None \
-            else self.delta_runtime(spec.delta)
-        strategy = choose_strategy(spec, runtime)
-        self.strategies[spec.loop_id] = strategy
+        state = LoopState(spec, mode=CAPTURE if spec.delta is not None
+                          else OFF)
+        self.loops[spec.loop_id] = state
         tracer = self._ctx.tracer
         if tracer.enabled:
+            name = strategy_name(spec, state.mode)
             tracer.event("strategy_selection", kind="decision",
                          loop_id=spec.loop_id, cte=spec.cte_name,
-                         strategy=strategy.name, reason=strategy.reason)
+                         strategy=name, reason=SELECTION_REASONS[name])
 
     def state(self, loop_id: int) -> LoopState:
-        state = self.states.get(loop_id)
+        state = self.loops.get(loop_id)
         if state is None:
             raise ExecutionError(
                 "loop step executed before initialization")
@@ -182,9 +228,6 @@ class LoopEngine:
             return step.jump_to
         return None
 
-    def record_updates(self, loop_id: int, changed: int) -> None:
-        self.state(loop_id).record_updates(changed)
-
     def counts_updates(self, loop_id: int) -> bool:
         """Whether the loop's termination reads the updated-row counter."""
         spec = self._program.loops.get(loop_id)
@@ -192,93 +235,56 @@ class LoopEngine:
                 and spec.termination.kind in (ast.TerminationKind.UPDATES,
                                               ast.TerminationKind.DELTA))
 
-    # -- delta strategy plumbing ---------------------------------------------
-
-    def delta_runtime(self, spec: DeltaSpec) -> DeltaLoopRuntime:
-        """The loop's delta runtime (created on demand).
-
-        The runtime outlives strategy demotion on purpose: a demoted
-        loop's gate must keep seeing ``disabled`` and route to the full
-        body."""
-        runtime = self.delta_runtimes.get(spec.loop_id)
-        if runtime is None:
-            runtime = DeltaLoopRuntime(spec)
-            self.delta_runtimes[spec.loop_id] = runtime
-        return runtime
-
-    def note_frontier(self, loop_id: int, frontier: int,
+    def note_frontier(self, state: LoopState, frontier: int,
                       total: int) -> None:
-        """Feed a measured frontier to the loop's strategy, adopting
-        whatever strategy it hands back (the demotion channel)."""
-        strategy = self.strategies.get(loop_id)
-        if strategy is not None:
-            self.strategies[loop_id] = strategy.note_frontier(
-                frontier, total, self)
-
-    def record_switch(self, kind: str, loop_id: int,
-                      from_strategy: LoopStrategy,
-                      to_strategy: LoopStrategy, frontier: int,
-                      total: int, budget_frontier: int = 0,
-                      reason: str = "") -> None:
-        """Log one mid-loop ``"demotion"`` or ``"promotion"``: append it
-        to the loop's switch list, count it, emit its decision event and
-        extend the telemetry's strategy chain."""
-        state = self.states.get(loop_id)
-        record = StrategySwitch(
-            kind=kind,
-            iteration=(state.iterations + 1) if state is not None else 0,
-            from_name=from_strategy.name, to_name=to_strategy.name,
-            frontier=frontier, total=total,
-            budget_frontier=budget_frontier)
-        self.switches.setdefault(loop_id, []).append(record)
-        if kind == "demotion":
+        """Feed a measured frontier to the loop's hysteresis and log the
+        ``"demotion"`` or ``"promotion"`` it triggers: append it to the
+        loop's switch list, count it and emit its decision event."""
+        switch = strategies.note_frontier(state, frontier, total)
+        if switch is None:
+            return
+        state.switches.append(switch)
+        if switch.kind == "demotion":
             self._ctx.stats.strategy_demotions += 1
         else:
             self._ctx.stats.strategy_promotions += 1
         tracer = self._ctx.tracer
         if tracer.enabled:
-            tracer.event(f"strategy_{kind}", kind="decision",
-                         loop_id=loop_id,
-                         cte=self._program.loops[loop_id].cte_name,
-                         from_strategy=record.from_name,
-                         to_strategy=record.to_name,
-                         iteration=record.iteration,
+            tracer.event(f"strategy_{switch.kind}", kind="decision",
+                         loop_id=state.spec.loop_id,
+                         cte=state.spec.cte_name,
+                         from_strategy=switch.from_name,
+                         to_strategy=switch.to_name,
+                         iteration=switch.iteration,
                          frontier=frontier, total=total,
-                         budget_frontier=budget_frontier,
-                         reason=reason)
-        run = self._runs.get(loop_id)
-        if run is not None:
-            # One "->next" per switch, e.g.
-            # "semi-naive-delta->rename-in-place->semi-naive-delta".
-            prior = run.telemetry.strategy or record.from_name
-            run.telemetry.strategy = f"{prior}->{record.to_name}"
+                         budget_frontier=switch.budget_frontier,
+                         reason=switch.reason)
 
     # -- observation (telemetry + spans) -------------------------------------
 
     @property
     def telemetry(self) -> dict[int, LoopTelemetry]:
         """Per-loop telemetry of the current observed run."""
-        return {loop_id: run.telemetry
-                for loop_id, run in self._runs.items()}
+        return {loop_id: state.run.telemetry
+                for loop_id, state in self.loops.items()
+                if state.run is not None}
 
     def observe_loop(self, spec: LoopSpec, tracer) -> None:
+        state = self.state(spec.loop_id)
         kind = "fixpoint" if spec.until_empty is not None else "iterative"
-        strategy = self.strategies.get(spec.loop_id)
-        run = LoopRun(
+        state.run = LoopRun(
             spec.loop_id, spec.cte_name, kind, tracer=tracer,
             snapshot=self._ctx.stats.snapshot,
             derive=_engine_record_fields,
-            strategy=strategy.name if strategy is not None else None,
+            strategy=state.strategy_chain(),
             span_attributes={"loop_id": spec.loop_id, "loop_kind": kind})
-        self._runs[spec.loop_id] = run
-        run.begin()
+        state.run.begin()
 
     def observe_iteration(self, loop_id: int, continuing: bool) -> None:
-        run = self._runs.get(loop_id)
-        if run is None:
+        state = self.loops.get(loop_id)
+        if state is None or state.run is None:
             return
-        spec = self._program.loops[loop_id]
-        state = self.states.get(loop_id)
+        spec = state.spec
         total_rows = self._registry_rows(spec.cte_result)
         if spec.until_empty is not None:
             # Fixpoint loop: the working table holds the new rows.
@@ -286,26 +292,26 @@ class LoopEngine:
             delta_rows = working_rows
         else:
             working_rows = total_rows
-            runtime = self.delta_runtimes.get(loop_id)
-            if runtime is not None and runtime.active \
-                    and not runtime.disabled:
+            if state.active:
                 # Delta-mode loop: report the true changed-row frontier,
                 # whatever the termination condition counts.
-                delta_rows = runtime.last_frontier
-            elif self.counts_updates(loop_id) and state is not None:
+                delta_rows = state.last_frontier
+            elif self.counts_updates(loop_id):
                 delta_rows = state.last_delta
             else:
                 # Full-refresh loop (e.g. PageRank): every row rewritten.
                 delta_rows = total_rows
-        run.finish_iteration(continuing, delta_rows=delta_rows,
-                             working_rows=working_rows,
-                             total_rows=total_rows)
+        state.run.telemetry.strategy = state.strategy_chain()
+        state.run.finish_iteration(continuing, delta_rows=delta_rows,
+                                   working_rows=working_rows,
+                                   total_rows=total_rows)
 
     def close(self) -> None:
         """Close spans a raising step left open so the trace tree stays
         well formed."""
-        for run in self._runs.values():
-            run.close()
+        for state in self.loops.values():
+            if state.run is not None:
+                state.run.close()
 
     def _registry_rows(self, name: Optional[str]) -> int:
         registry = self._ctx.registry

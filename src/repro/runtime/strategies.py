@@ -1,30 +1,37 @@
-"""Pluggable loop-execution strategies.
+"""Loop-execution strategies: names, modes and the frontier hysteresis.
 
-Every loop the engine runs is owned by exactly one :class:`LoopStrategy`,
-chosen when the loop initializes:
+A loop's strategy is not an object.  It is a pure function of the loop's
+:class:`~repro.plan.program.LoopSpec` and the ``mode`` of its
+:class:`~repro.runtime.loop_engine.LoopState`:
 
-* :class:`FullRecompute` — the Fig. 8 baseline: every iteration rebuilds
-  the working table and physically copies it back (``CopyStep``).
-* :class:`RenameInPlace` — the Fig. 8 data-movement optimization: the
+* ``fixpoint-incremental`` — recursive CTEs: the working table *is* the
+  frontier, and ``RecursiveMergeStep`` appends only genuinely new rows
+  per trip.
+* ``semi-naive-delta`` — a delta-safe loop in mode ``CAPTURE`` or
+  ``DELTA``: only the rows affected by the previous iteration's changes
+  are rebuilt, and the delta is scattered back by key (bit-identical to
+  the full body).
+* ``rename-in-place`` — the Fig. 8 data-movement optimization: the
   rebuilt working table replaces the CTE table by an O(1) registry
   relabel (``RenameStep``).
-* :class:`SemiNaiveDelta` — frontier-driven partition recomputation: only
-  the rows affected by the previous iteration's changes are rebuilt, and
-  the delta is scattered back by key (bit-identical to the full body).
-* :class:`FixpointIncremental` — recursive CTEs: the working table *is*
-  the frontier, and ``RecursiveMergeStep`` appends only genuinely new
-  rows per trip.
+* ``full-recompute`` — the Fig. 8 baseline: every iteration rebuilds the
+  working table and physically copies it back (``CopyStep``).
 
-Selection is cost-based and feedback-driven.  The compiler picks the
-statically cheapest strategy (delta when the safety analyzer proves
-per-key evolution, rename when enabled); at run time the engine feeds
-every measured frontier back into the strategy, and
-:class:`SemiNaiveDelta` *demotes itself* to the plain full-body strategy
-when the frontier stays near-full — the per-iteration bookkeeping
-(partition gather + keyed scatter) then costs more than the recomputation
-it saves, which is exactly the PageRank shape where every rank changes
-every trip.  Demotion routes iterations down the always-compiled full
-body, so results stay bit-identical by construction.
+The compiler emits delta steps exactly when the safety analyzer proves
+per-key evolution, so such a loop starts in ``CAPTURE``; every other
+loop is ``OFF`` from the start.  A delta loop's mode then moves on
+measured frontiers (:func:`note_frontier`)::
+
+    CAPTURE --capture step--> DELTA --near-full frontiers--> DEMOTED
+    DEMOTED --small frontiers--> CAPTURE
+    CAPTURE or DELTA --NULL/duplicate keys, keyset guard--> OFF
+
+Demotion fires when the frontier stays near-full — the per-iteration
+bookkeeping (partition gather + keyed scatter) then costs more than the
+recomputation it saves, which is exactly the PageRank shape where every
+rank changes every trip.  ``DEMOTED`` and ``OFF`` loops run the
+always-compiled full body, so results stay bit-identical by
+construction; only ``OFF`` is for good.
 """
 
 from __future__ import annotations
@@ -35,48 +42,40 @@ from typing import Optional
 import numpy as np
 
 from ..execution.kernels import lookup_sorted, unique_sorted
-from ..plan.program import DeltaSpec, LoopSpec
+from ..plan.program import LoopSpec
+
+# Delta-safe, awaiting the capture step's key index.
+CAPTURE = "capture"
+# Captured: the fused step takes the delta path.
+DELTA = "delta"
+# Full body while the frontier stays large; capture watches for promotion.
+DEMOTED = "demoted"
+# Full body for good: no delta rewrite, or the loop was disqualified.
+OFF = "off"
+
+# Why each strategy owns a loop, published as the strategy_selection
+# decision event.
+SELECTION_REASONS = {
+    "fixpoint-incremental": ("recursive UNTIL-empty loop: the working "
+                             "table is its own frontier"),
+    "semi-naive-delta": ("delta-safety analysis proved per-key "
+                         "evolution; frontier-driven recomputation is "
+                         "statically cheapest"),
+    "rename-in-place": ("full refresh with rename enabled: pointer "
+                        "swap replaces the copy-back"),
+    "full-recompute": ("no provable delta path and rename "
+                       "unavailable: copy-back baseline"),
+}
 
 
-class LoopStrategy:
-    """How the iterations of one loop move data between trips."""
-
-    name = "abstract"
-    # Why this strategy owns the loop — set by choose_strategy() at
-    # selection and surfaced as a strategy_selection decision event.
-    reason = ""
-
-    def __init__(self, spec: LoopSpec):
-        self.spec = spec
-
-    def note_frontier(self, frontier: int, total: int,
-                      engine) -> "LoopStrategy":
-        """Feed one measured changed-row frontier back into the strategy.
-
-        Returns the strategy that should own the loop from here on —
-        usually ``self``, or the demoted replacement."""
-        return self
-
-    def describe(self) -> str:
-        return self.name
-
-
-class FullRecompute(LoopStrategy):
-    """Rebuild everything, copy it back (the Fig. 8 baseline)."""
-
-    name = "full-recompute"
-
-
-class RenameInPlace(LoopStrategy):
-    """Rebuild everything, swap the result pointer (Fig. 8 optimized)."""
-
-    name = "rename-in-place"
-
-
-class FixpointIncremental(LoopStrategy):
-    """Recursive CTEs: per-trip work is the new-row frontier itself."""
-
-    name = "fixpoint-incremental"
+def strategy_name(spec: LoopSpec, mode: str) -> str:
+    """The strategy a loop runs under in ``mode``."""
+    if spec.until_empty is not None:
+        return "fixpoint-incremental"
+    if mode in (CAPTURE, DELTA):
+        return "semi-naive-delta"
+    return "rename-in-place" if spec.movement == "rename" \
+        else "full-recompute"
 
 
 class SolutionSet:
@@ -120,43 +119,28 @@ class SolutionSet:
         self.rows = moved_to[self.rows]
 
 
-class DeltaLoopRuntime:
-    """Mutable per-loop state for the semi-naive delta path.
+@dataclass
+class StrategySwitch:
+    """One mid-loop strategy switch, for reports and telemetry.
 
-    Created when the loop initializes, populated by
-    :class:`DeltaCaptureStep` after a full iteration, consumed and updated
-    by :class:`DeltaFusedStep` on every delta iteration.
-    """
+    ``kind`` is ``"demotion"`` (delta -> full body) or ``"promotion"``
+    (full body -> delta); ``reason`` explains the switch in its
+    decision event."""
 
-    __slots__ = ("spec", "active", "disabled", "demoted", "schema",
-                 "columns", "solution", "in_working", "frontier_codes",
-                 "last_frontier", "pending_positions")
+    kind: str
+    iteration: int
+    from_name: str
+    to_name: str
+    frontier: int
+    total: int
+    budget_frontier: int
+    reason: str = ""
 
-    def __init__(self, spec: DeltaSpec):
-        self.spec = spec
-        # Delta state captured and valid: the gate may take the delta path.
-        self.active = False
-        # Off for this run (key validation failed, the keyset guard
-        # tripped, or the strategy demoted itself).
-        self.disabled = False
-        # True only for threshold demotions: the delta machinery is
-        # sound, just not profitable right now — the loop stays eligible
-        # for re-promotion.  Permanent disqualifications (NULL or
-        # duplicate keys, a tripped keyset guard) leave this False.
-        self.demoted = False
-        self.schema = None
-        # Column objects of the current CTE table (shared, immutable).
-        self.columns: list = []
-        # The key index over the CTE table, built at capture.
-        self.solution: Optional[SolutionSet] = None
-        # Merge path only: per-row "key was in last iteration's working
-        # table" flags, which drive the merge join's row ordering.
-        self.in_working = None
-        # Solution-set codes of the keys changed by the last iteration.
-        self.frontier_codes = None
-        self.last_frontier = 0
-        # Row positions gathered by the pending partition step.
-        self.pending_positions = None
+    def describe(self) -> str:
+        verb = "demoted" if self.kind == "demotion" else "promoted"
+        return (f"{verb} {self.from_name} -> {self.to_name} after "
+                f"iteration {self.iteration} (frontier {self.frontier}"
+                f"/{self.total} rows vs budget {self.budget_frontier})")
 
 
 # Demote once DEMOTION_PATIENCE consecutive measured frontiers cover at
@@ -170,153 +154,48 @@ PROMOTION_THRESHOLD = 0.5
 PROMOTION_PATIENCE = 2
 
 
-class SemiNaiveDelta(LoopStrategy):
-    """Frontier-driven partition recomputation, with self-demotion.
+def note_frontier(state, frontier: int,
+                  total: int) -> Optional[StrategySwitch]:
+    """Feed one measured changed-row frontier of a ``total``-row table
+    into ``state``'s hysteresis; return the switch it triggers, if any.
 
-    Each measured frontier (from delta capture after a full iteration, or
-    from delta apply after a delta iteration) feeds
-    :meth:`note_frontier`.  Once ``DEMOTION_PATIENCE`` consecutive
-    frontiers cover at least ``DEMOTION_THRESHOLD`` of the table,
-    the strategy disables its runtime — the gate then routes every later
-    iteration down the full body — and hands the loop to the strategy the
-    compiler emitted for that body (rename or copy).
+    Only ``DELTA`` (demotion watch) and ``DEMOTED`` (promotion watch)
+    loops react.  A promoted loop lands in ``CAPTURE``: the next full
+    iteration re-captures delta state, and the one after takes the
+    delta path again.
     """
-
-    name = "semi-naive-delta"
-
-    def __init__(self, spec: LoopSpec, runtime: DeltaLoopRuntime):
-        super().__init__(spec)
-        self.runtime = runtime
-        self._streak = 0
-
-    def note_frontier(self, frontier: int, total: int,
-                      engine) -> LoopStrategy:
-        if self.runtime.disabled:
-            return self
-        if total <= 0 or frontier < DEMOTION_THRESHOLD * total:
-            self._streak = 0
-            return self
-        self._streak += 1
-        if self._streak < DEMOTION_PATIENCE:
-            return self
-        self.runtime.disabled = True
-        self.runtime.active = False
-        self.runtime.demoted = True
-        base = (RenameInPlace(self.spec)
-                if self.spec.movement == "rename"
-                else FullRecompute(self.spec))
-        fallback = MovementFallback(self.spec, self.runtime, base)
-        engine.record_switch(
-            "demotion", self.spec.loop_id, self, fallback, frontier, total,
-            budget_frontier=int(DEMOTION_THRESHOLD * total),
-            reason=(f"measured frontier covered >= "
-                    f"{DEMOTION_THRESHOLD:.0%} of the table for "
-                    f"{DEMOTION_PATIENCE} consecutive iteration(s); delta "
-                    f"bookkeeping costs more than the recomputation it "
-                    f"saves"))
-        return fallback
-
-
-class MovementFallback(LoopStrategy):
-    """The full-body strategy a demoted delta loop lands on — plus the
-    *promotion* watcher, the demotion mirror.
-
-    Delta capture keeps measuring the changed-row frontier of every full
-    iteration while the loop is demoted (without re-activating the delta
-    machinery).  Once ``PROMOTION_PATIENCE`` consecutive frontiers
-    fall below ``PROMOTION_THRESHOLD`` of the table, the watcher
-    re-enables the runtime and hands the loop back to a fresh
-    :class:`SemiNaiveDelta` — the next full iteration re-captures delta
-    state, and the one after takes the delta path again.  The promote
-    threshold sits below the demote threshold (hysteresis), so the pair
-    cannot ping-pong every iteration.
-    """
-
-    def __init__(self, spec: LoopSpec, runtime: DeltaLoopRuntime,
-                 base: LoopStrategy):
-        super().__init__(spec)
-        # Reports and telemetry see the movement fallback's own name.
-        self.name = base.name
-        self.base = base
-        self.runtime = runtime
-        self._streak = 0
-
-    def note_frontier(self, frontier: int, total: int,
-                      engine) -> LoopStrategy:
-        if not self.runtime.demoted:
-            return self
-        if total <= 0 or frontier >= PROMOTION_THRESHOLD * total:
-            self._streak = 0
-            return self
-        self._streak += 1
-        if self._streak < PROMOTION_PATIENCE:
-            return self
-        self.runtime.disabled = False
-        self.runtime.active = False
-        self.runtime.demoted = False
-        promoted = SemiNaiveDelta(self.spec, self.runtime)
-        engine.record_switch(
-            "promotion", self.spec.loop_id, self, promoted, frontier, total,
-            budget_frontier=int(PROMOTION_THRESHOLD * total),
-            reason=(f"measured frontier stayed < "
-                    f"{PROMOTION_THRESHOLD:.0%} of the table for "
-                    f"{PROMOTION_PATIENCE} consecutive iteration(s); the "
-                    f"delta path is profitable again"))
-        return promoted
-
-
-def choose_strategy(spec: LoopSpec,
-                    runtime: DeltaLoopRuntime = None) -> LoopStrategy:
-    """The statically best strategy for ``spec``.
-
-    This mirrors what the compiler emitted: delta steps exist exactly when
-    ``spec.delta`` is set, and the full body moves data by rename or copy
-    according to ``spec.movement``.
-
-    The returned strategy carries a ``reason`` string explaining the
-    pick; the loop engine publishes it as a ``strategy_selection``
-    decision event.
-    """
-    if spec.until_empty is not None:
-        strategy = FixpointIncremental(spec)
-        strategy.reason = ("recursive UNTIL-empty loop: the working "
-                           "table is its own frontier")
-    elif spec.delta is not None and runtime is not None:
-        strategy = SemiNaiveDelta(spec, runtime)
-        strategy.reason = ("delta-safety analysis proved per-key "
-                           "evolution; frontier-driven recomputation is "
-                           "statically cheapest")
-    elif spec.movement == "rename":
-        strategy = RenameInPlace(spec)
-        strategy.reason = ("full refresh with rename enabled: pointer "
-                           "swap replaces the copy-back")
+    if state.mode == DELTA:
+        kind, target = "demotion", DEMOTED
+        threshold, patience = DEMOTION_THRESHOLD, DEMOTION_PATIENCE
+        crossed = frontier >= threshold * total
+        reason = (f"measured frontier covered >= {threshold:.0%} of the "
+                  f"table for {patience} consecutive iteration(s); delta "
+                  f"bookkeeping costs more than the recomputation it "
+                  f"saves")
+    elif state.mode == DEMOTED:
+        kind, target = "promotion", CAPTURE
+        threshold, patience = PROMOTION_THRESHOLD, PROMOTION_PATIENCE
+        crossed = frontier < threshold * total
+        reason = (f"measured frontier stayed < {threshold:.0%} of the "
+                  f"table for {patience} consecutive iteration(s); the "
+                  f"delta path is profitable again")
     else:
-        strategy = FullRecompute(spec)
-        strategy.reason = ("no provable delta path and rename "
-                           "unavailable: copy-back baseline")
-    return strategy
-
-
-@dataclass
-class StrategySwitch:
-    """One mid-loop strategy switch, for reports and telemetry.
-
-    ``kind`` is ``"demotion"`` (delta -> movement fallback) or
-    ``"promotion"`` (movement fallback -> delta)."""
-
-    kind: str
-    iteration: int
-    from_name: str
-    to_name: str
-    frontier: int
-    total: int
-    budget_frontier: int
-
-    def describe(self) -> str:
-        verb = "demoted" if self.kind == "demotion" else "promoted"
-        return (f"{verb} {self.from_name} -> {self.to_name} after "
-                f"iteration {self.iteration} (frontier {self.frontier}"
-                f"/{self.total} rows vs budget {self.budget_frontier})")
+        return None
+    if total <= 0 or not crossed:
+        state.streak = 0
+        return None
+    state.streak += 1
+    if state.streak < patience:
+        return None
+    switch = StrategySwitch(
+        kind=kind, iteration=state.iterations + 1,
+        from_name=strategy_name(state.spec, state.mode),
+        to_name=strategy_name(state.spec, target),
+        frontier=frontier, total=total,
+        budget_frontier=int(threshold * total), reason=reason)
+    state.mode = target
+    state.streak = 0
+    return switch
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from ..plan.logical import (
 from ..plan.program import (
     CopyStep,
     CountUpdatesStep,
+    DeltaCaptureStep,
     InitLoopStep,
     LoopSpec,
     LoopStep,
@@ -425,6 +426,10 @@ def _step_cost(step: Step, estimator: CardinalityEstimator) -> float:
     if isinstance(step, CountUpdatesStep):
         return 2 * estimator.temp_cardinalities.get(
             step.current.lower(), 0.0)
+    if isinstance(step, DeltaCaptureStep):
+        # The same by-key diff, once per full iteration.
+        return 2 * estimator.temp_cardinalities.get(
+            step.spec.cte_result.lower(), 0.0)
     if isinstance(step, RecursiveMergeStep):
         return 2 * estimator.temp_cardinalities.get(
             step.candidate.lower(), 0.0)

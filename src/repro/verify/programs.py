@@ -401,8 +401,9 @@ class ProgramChecker:
                 self.checks += 1
                 if step.target.lower() not in live_out_of(i):
                     self._note(i, f"snapshot {step.target!r} is never "
-                                  "consumed by a CountUpdatesStep/"
-                                  "DeltaCaptureStep or plan")
+                                  "consumed by a CountUpdatesStep, "
+                                  "DeltaCaptureStep (which counts a "
+                                  "delta loop's updates) or plan")
 
     # -- strategy legality -------------------------------------------------
 

@@ -20,7 +20,8 @@ from repro.errors import DuplicateKeyError
 from repro.execution import SessionOptions
 from repro.execution.kernels import (comparable_values, dense_span,
                                      expand_ranges)
-from repro.plan.program import DeltaCaptureStep, DeltaFusedStep
+from repro.plan.program import (CountUpdatesStep, DeltaCaptureStep,
+                                DeltaFusedStep)
 from repro.runtime.handlers.delta import _expand_influence
 from repro.runtime.strategies import SolutionSet
 from repro.storage import Table
@@ -135,6 +136,26 @@ class TestTerminationFamilies:
             assert got == reference_sssp(edges, source=1, iterations=200)
 
 
+    @pytest.mark.parametrize("cache_on", [True, False])
+    @pytest.mark.parametrize("until", ["UNTIL 250 UPDATES",
+                                       "UNTIL DELTA = 0",
+                                       "UNTIL DELTA < 5"])
+    def test_both_modes_stop_after_the_same_iteration(self, until,
+                                                      cache_on):
+        # Delta mode counts a full trip's updates in the capture step
+        # and a delta trip's in the fused step; either way the loop must
+        # stop exactly when the full-body count would stop it.
+        sql = sssp_query(source=1, iterations=12).replace(
+            "UNTIL 12 ITERATIONS", until)
+        runs = []
+        for delta_on in (False, True):
+            db = graph_db(dag_edges(300, 1200), delta_on=delta_on,
+                          enable_kernel_cache=cache_on)
+            rows = db.execute(sql).rows()
+            runs.append((rows, db.stats.iterations))
+        assert runs[0] == runs[1]
+
+
 class TestProgramShape:
     def _program(self, sql, delta_on, **options):
         from repro.core.rewrite import compile_statement
@@ -156,6 +177,19 @@ class TestProgramShape:
         # iteration skips past the capture to the loop increment.
         assert fused.jump_full == kinds.index(DeltaFusedStep) + 1
         assert fused.jump_to == capture + 1
+
+    @pytest.mark.parametrize("until", ["UNTIL DELTA = 0",
+                                       "UNTIL 250 UPDATES"])
+    def test_capture_step_counts_updates(self, until):
+        # One by-key diff per full trip: the capture step feeds the
+        # update counter, so no CountUpdatesStep runs beside it.
+        sql = sssp_query(source=1, iterations=5).replace(
+            "UNTIL 5 ITERATIONS", until)
+        kinds = [type(step) for step in self._program(sql, True).steps]
+        assert kinds.count(DeltaCaptureStep) == 1
+        assert CountUpdatesStep not in kinds
+        kinds = [type(step) for step in self._program(sql, False).steps]
+        assert kinds.count(CountUpdatesStep) == 1
 
     def test_no_delta_steps_when_disabled(self):
         program = self._program(sssp_query(source=1, iterations=5), False)

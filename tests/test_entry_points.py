@@ -85,3 +85,39 @@ def test_every_file_and_module_named_in_the_docs_exists():
         for name in set(re.findall(r"(?<![\w./-])((?:bench|test)_\w+\.py)",
                                    text)):
             assert name in modules, f"{name} is named in {doc} but missing"
+
+
+def _resolve_dotted(dotted: str):
+    """The object a dotted ``repro.…`` name denotes: the longest
+    importable module prefix, then an attribute chain for the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        name = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(name)
+        except ModuleNotFoundError as err:
+            # Only a missing prefix of ``name`` itself means "not a
+            # module"; any other missing module is a real import error.
+            if not f"{name}.".startswith(f"{err.name}."):
+                raise
+            continue
+        for attr in parts[cut:]:
+            target = getattr(target, attr)
+        return target
+    raise ModuleNotFoundError(dotted)
+
+
+def test_every_dotted_name_in_the_docs_resolves():
+    """A backticked ``repro.x.y[.Attr]`` in README.md, DESIGN.md or
+    EXPERIMENTS.md must name a module plus an attribute chain, so a
+    rename or deletion that leaves the docs behind fails here."""
+    for doc in DOCS:
+        names = set(re.findall(r"`(repro(?:\.\w+)+)",
+                               (REPO / doc).read_text()))
+        for dotted in sorted(names):
+            try:
+                _resolve_dotted(dotted)
+            except (ImportError, AttributeError):
+                raise AssertionError(
+                    f"{dotted} is named in {doc} but does not resolve"
+                ) from None

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro import Database
 from repro.errors import DuplicateKeyError
-from repro.runtime import count_changed_rows
+from repro.runtime import changed_rows
 from repro.storage import Table
 from repro.types import SqlType
 
@@ -132,32 +132,32 @@ class TestCountChangedRows:
 
     def test_identical_tables_have_zero_changes(self):
         table = self._table([(1, 10), (2, 20)])
-        assert count_changed_rows(table, table, 0) == 0
+        assert changed_rows(table, table, 0).sum() == 0
 
     def test_changed_value_counts(self):
         before = self._table([(1, 10), (2, 20)])
         after = self._table([(1, 10), (2, 99)])
-        assert count_changed_rows(before, after, 0) == 1
+        assert changed_rows(before, after, 0).sum() == 1
 
     def test_new_key_counts_as_change(self):
         before = self._table([(1, 10)])
         after = self._table([(1, 10), (2, 20)])
-        assert count_changed_rows(before, after, 0) == 1
+        assert changed_rows(before, after, 0).sum() == 1
 
     def test_null_to_null_is_not_a_change(self):
         before = self._table([(1, None)])
         after = self._table([(1, None)])
-        assert count_changed_rows(before, after, 0) == 0
+        assert changed_rows(before, after, 0).sum() == 0
 
     def test_null_to_value_is_a_change(self):
         before = self._table([(1, None)])
         after = self._table([(1, 5)])
-        assert count_changed_rows(before, after, 0) == 1
+        assert changed_rows(before, after, 0).sum() == 1
 
     def test_empty_previous_counts_everything(self):
         before = self._table([])
         after = self._table([(1, 1), (2, 2)])
-        assert count_changed_rows(before, after, 0) == 2
+        assert changed_rows(before, after, 0).sum() == 2
 
     @given(st.lists(st.tuples(st.integers(0, 30), small_ints),
                     max_size=20, unique_by=lambda r: r[0]),
@@ -173,7 +173,30 @@ class TestCountChangedRows:
             expected = len(after_rows)
         before = self._table(before_rows)
         after = self._table(after_rows)
-        assert count_changed_rows(before, after, 0) == expected
+        assert changed_rows(before, after, 0).sum() == expected
+
+    @given(st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 4)),
+                              st.one_of(st.none(), st.integers(0, 2))),
+                    max_size=10),
+           st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 4)),
+                              st.one_of(st.none(), st.integers(0, 2))),
+                    max_size=10))
+    @settings(max_examples=60)
+    def test_repeated_and_null_keys_match_brute_force(self, before_rows,
+                                                      after_rows):
+        # A current row changed unless some previous row has its
+        # (non-NULL) key, and every such row holds the same value.
+        expected = []
+        for key, value in after_rows:
+            paired = [old for k, old in before_rows
+                      if key is not None and k == key]
+            expected.append(not paired
+                            or any(old != value for old in paired))
+        if not before_rows:
+            expected = [True] * len(after_rows)
+        got = changed_rows(self._table(before_rows),
+                           self._table(after_rows), 0)
+        assert got.tolist() == expected
 
 
 class TestEngineInvariants:

@@ -200,6 +200,36 @@ class TestMidLoopPromotion:
         assert db.stats.delta_iterations == 0
 
 
+DUPLICATE_KEY_SQL = """
+WITH ITERATIVE r (node, v) AS (
+  SELECT src, 0.0 FROM edges
+  ITERATE SELECT r.node, r.v + 1.0 FROM r
+  UNTIL 6 ITERATIONS
+) SELECT node, v FROM r"""
+
+
+class TestDisqualifiedLoops:
+    """Duplicate keys or a tripped keyset guard end delta mode for good.
+    That is no demotion, but the reports must still name the full-body
+    strategy that actually ran the loop."""
+
+    @pytest.mark.parametrize("sql,edges,fallbacks", [
+        (DUPLICATE_KEY_SQL, EDGES, 0),
+        (KEY_DROPPING_SQL, SMALL_EDGES, 1),
+    ], ids=["duplicate-keys", "keyset-guard"])
+    def test_reports_name_the_full_body_strategy(self, sql, edges,
+                                                 fallbacks):
+        db = graph_db(edges, enable_delta_iteration=True,
+                      enable_tracing=True)
+        report = db.explain_analyze(sql)
+        assert db.stats.delta_iterations == 0
+        assert db.stats.delta_guard_fallbacks == fallbacks
+        assert db.stats.strategy_demotions == 0
+        assert db.stats.strategy_promotions == 0
+        assert "loop r: strategy rename-in-place" in report.splitlines()
+        assert db.last_trace().loops[0].strategy == "rename-in-place"
+
+
 def _two_wave_edges():
     """A graph whose SSSP frontier from node 1 fills, empties, fills
     again and empties again, so the loop switches strategy four times.

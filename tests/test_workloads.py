@@ -142,14 +142,19 @@ class TestFf:
         assert friends == sorted(friends, reverse=True)
 
 
-OPTION_GRID = list(itertools.product([True, False], repeat=3))
+# The five result-neutral switches: the paper's three optimizations,
+# the kernel cache and semi-naive delta iteration.
+SWITCHES = ("enable_rename", "enable_common_results",
+            "enable_predicate_pushdown", "enable_kernel_cache",
+            "enable_delta_iteration")
+OPTION_GRID = list(itertools.product([True, False], repeat=len(SWITCHES)))
 
 
 class TestOptimizationInvariance:
     """The paper's optimizations must never change results — only cost.
 
-    Every combination of the three switches is run over every workload on
-    the same dataset and compared row-for-row.
+    Every combination of the five switches is run over every workload on
+    the same dataset and compared row-for-row, bit for bit.
     """
 
     @pytest.mark.parametrize("query_builder", [
@@ -163,22 +168,25 @@ class TestOptimizationInvariance:
     ], ids=["pr", "pr-vs", "sssp", "sssp-vs", "ff"])
     def test_options_do_not_change_results(self, query_builder, loaded_db):
         sql = query_builder()
+        defaults = {name: getattr(loaded_db.options, name)
+                    for name in SWITCHES}
         expected = None
-        for rename, common, pushdown in OPTION_GRID:
-            loaded_db.set_option("enable_rename", rename)
-            loaded_db.set_option("enable_common_results", common)
-            loaded_db.set_option("enable_predicate_pushdown", pushdown)
-            rows = sorted(loaded_db.execute(sql).rows())
-            if expected is None:
-                expected = rows
-            else:
-                assert rows == pytest.approx(expected), (
-                    f"options ({rename}, {common}, {pushdown}) changed "
-                    "the result")
-        # Restore defaults for other tests in the module-scoped fixture.
-        loaded_db.set_option("enable_rename", True)
-        loaded_db.set_option("enable_common_results", True)
-        loaded_db.set_option("enable_predicate_pushdown", True)
+        try:
+            for vector in OPTION_GRID:
+                for name, value in zip(SWITCHES, vector):
+                    loaded_db.set_option(name, value)
+                rows = sorted(loaded_db.execute(sql).rows())
+                if expected is None:
+                    expected = rows
+                else:
+                    assert rows == expected, (
+                        f"options {dict(zip(SWITCHES, vector))} changed "
+                        "the result")
+        finally:
+            # Restore defaults for other tests in the module-scoped
+            # fixture.
+            for name, value in defaults.items():
+                loaded_db.set_option(name, value)
 
 
 class TestDatasets:
