@@ -60,11 +60,9 @@ from ..plan.program import (
 )
 from ..rewrite import (
     analyze_iterative_delta,
-    conjoin,
     extract_common_results,
     optimize_plan,
-    pushable_into_iterative,
-    split_conjuncts,
+    pushable_final_predicate,
 )
 from ..sql import ast
 from ..types import SqlType, common_type
@@ -109,7 +107,7 @@ def compile_statement(stmt: ast.SelectLike, context: PlanContext,
     if with_clause is not None:
         for cte in with_clause.ctes:
             if isinstance(cte, ast.IterativeCte):
-                _emit_iterative(cte, state, final)
+                _emit_iterative(cte, state, stmt)
             elif cte.recursive:
                 emit_recursive_cte(cte, state)
             else:
@@ -136,7 +134,7 @@ def compile_statement(stmt: ast.SelectLike, context: PlanContext,
 
 
 def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
-                    final: ast.SelectLike) -> None:
+                    statement: ast.SelectLike) -> None:
     context = state.context
     options = state.options
     cte_name = cte.name.lower()
@@ -177,11 +175,19 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
     assert step_plan is not None
     binding = CteBinding(cte_result, tuple(zip(columns, types)))
 
+    # -- the per-key proof, read by §V-B pushdown and the delta rewrite ----
+    safety = None
+    if options.enable_delta_iteration or (
+            options.enable_predicate_pushdown
+            and isinstance(statement, ast.Select)
+            and statement.where is not None):
+        safety = analyze_iterative_delta(cte, columns, context.catalog)
+
     # -- §V-B: push final-query predicates into R0 -------------------------
     init_plan = rename_outputs(init_raw, columns, cte_name)
     init_counts = ""
     if options.enable_predicate_pushdown:
-        pushed = _push_final_predicates(final, cte, columns)
+        pushed = pushable_final_predicate(statement, cte, safety)
         if pushed is not None:
             init_plan = LogicalFilter(init_plan, pushed)
             init_counts = "pushdown"
@@ -220,21 +226,19 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
     # -- semi-naive delta rewrite (when provably per-key independent) ------
     delta_spec = None
     delta_plan = None
-    if state.options.enable_delta_iteration:
-        safety = analyze_iterative_delta(cte, columns, context.catalog)
-        if safety is not None:
-            partition = f"__part_{cte_name}_{suffix}"
-            delta_working = f"__dwork_{cte_name}_{suffix}"
-            delta_spec = DeltaSpec(
-                loop_id=loop_id, cte_name=cte_name, cte_result=cte_result,
-                working=working, partition=partition,
-                delta_working=delta_working, key_column=key_column,
-                columns=columns, merge_by_key=has_where,
-                influences=list(safety.influences),
-                guard_keyset=safety.guard_keyset)
-            spec.delta = delta_spec
-            delta_plan = _rebind_anchor(step_plan, cte, cte_result,
-                                        partition)
+    if options.enable_delta_iteration and safety is not None:
+        partition = f"__part_{cte_name}_{suffix}"
+        delta_working = f"__dwork_{cte_name}_{suffix}"
+        delta_spec = DeltaSpec(
+            loop_id=loop_id, cte_name=cte_name, cte_result=cte_result,
+            working=working, partition=partition,
+            delta_working=delta_working, key_column=key_column,
+            columns=columns, merge_by_key=has_where,
+            influences=list(safety.influences),
+            guard_keyset=safety.guard_keyset)
+        spec.delta = delta_spec
+        delta_plan = _rebind_anchor(step_plan, cte, safety.anchor,
+                                    cte_result, partition)
 
     steps = state.steps
     steps.append(MaterializeStep(
@@ -309,20 +313,17 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
 
 
 def _rebind_anchor(step_plan: LogicalOp, cte: ast.IterativeCte,
-                   cte_result: str, partition: str) -> LogicalOp:
+                   alias: str, cte_result: str,
+                   partition: str) -> LogicalOp:
     """The delta body: the finished full body (optimized, §V-A blocks
     extracted) with its *anchor* scan rebound to the affected partition.
 
-    The anchor is the CTE scan under the alias of the leftmost FROM leaf
-    (the row being evolved — the safety analyzer guaranteed it is the
-    CTE).  Every other CTE reference still reads the full CTE table, so
-    joins against it see all keys, and the loop-invariant COMMON blocks
-    serve delta trips exactly as they serve full ones.
+    The anchor is the CTE scan under ``alias``, the binding the per-key
+    proof found for the row being evolved.  Every other CTE reference
+    still reads the full CTE table, so joins against it see all keys,
+    and the loop-invariant COMMON blocks serve delta trips exactly as
+    they serve full ones.
     """
-    leaf = cte.step.from_clause
-    while isinstance(leaf, ast.Join):
-        leaf = leaf.left
-    alias = leaf.binding_name.lower()
     plan, rebound = rebind_temp_scans(step_plan, cte_result, partition,
                                       alias)
     if rebound != 1:
@@ -367,73 +368,3 @@ def _build_merge_plan(state: CompilerState, cte_name: str, cte_result: str,
                          ast.ColumnRef(key_column, "m"),
                          ast.ColumnRef(key_column, "w"))))
     return build_statement(select, sub_context)
-
-
-# ---------------------------------------------------------------------------
-# §V-B: final-query predicate extraction
-# ---------------------------------------------------------------------------
-
-
-def _push_final_predicates(final: ast.SelectLike, cte: ast.IterativeCte,
-                           columns: list[str]) -> Optional[ast.Expr]:
-    """Find WHERE conjuncts of Qf that may move into R0, rebased onto the
-    CTE's output columns.  Mutates nothing; the original predicate stays in
-    Qf (it is cheap and keeps Qf's semantics independent of the rewrite).
-    """
-    if not isinstance(final, ast.Select) or final.where is None:
-        return None
-    binding_names = _cte_binding_names(final.from_clause, cte.name)
-    if not binding_names:
-        return None
-
-    column_set = {c.lower() for c in columns}
-    pushable: list[ast.Expr] = []
-    for conjunct in split_conjuncts(final.where):
-        refs = [node for node in conjunct.walk()
-                if isinstance(node, ast.ColumnRef)]
-        if not refs:
-            continue
-        if not all(_ref_targets_cte(ref, binding_names, column_set)
-                   for ref in refs):
-            continue
-        if not pushable_into_iterative(cte, columns, conjunct):
-            continue
-        rebased = _rebase_onto_cte(conjunct, cte.name.lower())
-        pushable.append(rebased)
-    return conjoin(pushable)
-
-
-def _cte_binding_names(relation: Optional[ast.Relation],
-                       cte_name: str) -> set[str]:
-    """Aliases under which Qf's FROM references the CTE."""
-    names: set[str] = set()
-    key = cte_name.lower()
-
-    def visit(node: Optional[ast.Relation]) -> None:
-        if node is None:
-            return
-        if isinstance(node, ast.TableRef):
-            if node.name.lower() == key:
-                names.add(node.binding_name.lower())
-        elif isinstance(node, ast.Join):
-            visit(node.left)
-            visit(node.right)
-
-    visit(relation)
-    return names
-
-
-def _ref_targets_cte(ref: ast.ColumnRef, binding_names: set[str],
-                     columns: set[str]) -> bool:
-    if ref.table is not None and ref.table.lower() not in binding_names:
-        return False
-    return ref.name.lower() in columns
-
-
-def _rebase_onto_cte(expr: ast.Expr, cte_name: str) -> ast.Expr:
-    from ..rewrite.expr_utils import map_column_refs
-
-    def mapping(ref: ast.ColumnRef) -> ast.Expr:
-        return ast.ColumnRef(ref.name.lower(), cte_name)
-
-    return map_column_refs(expr, mapping)

@@ -56,18 +56,21 @@ _LOOP_KINDS = frozenset(
 # contract on top of the open attribute map; the validator enforces
 # presence so the decision timeline (printed by repro-profile and by
 # EXPLAIN ANALYZE) can rely on the keys.  Their name set is closed —
-# each name is one decision the runtime can take, with its own required
-# attributes.
-_DECISION_COMMON_ATTRS = frozenset({"loop_id", "cte", "reason"})
+# each name is one decision the engine can take, with its own required
+# attributes: a loop's decisions name the loop, a plan-cache hit names
+# the cache level it hit.
+_LOOP_DECISION_ATTRS = frozenset({"loop_id", "cte", "reason"})
 _DECISION_EVENT_ATTRS = {
-    "strategy_selection": frozenset({"strategy"}),
-    "strategy_demotion": frozenset(
-        {"from_strategy", "to_strategy", "iteration", "frontier",
-         "total", "budget_frontier"}),
-    "strategy_promotion": frozenset(
-        {"from_strategy", "to_strategy", "iteration", "frontier",
-         "total", "budget_frontier"}),
-    "loop_estimate": frozenset({"estimated_iterations", "basis"}),
+    "strategy_selection": _LOOP_DECISION_ATTRS | {"strategy"},
+    "strategy_demotion": _LOOP_DECISION_ATTRS | {
+        "from_strategy", "to_strategy", "iteration", "frontier",
+        "total", "budget_frontier"},
+    "strategy_promotion": _LOOP_DECISION_ATTRS | {
+        "from_strategy", "to_strategy", "iteration", "frontier",
+        "total", "budget_frontier"},
+    "loop_estimate": _LOOP_DECISION_ATTRS | {
+        "estimated_iterations", "basis"},
+    "plan_cache_hit": frozenset({"level", "reason"}),
 }
 DECISION_EVENT_NAMES = frozenset(_DECISION_EVENT_ATTRS)
 
@@ -138,7 +141,7 @@ def _validate_span(span, path: str) -> None:
             _fail(f"{path} is a decision event with unknown name "
                   f"{span['name']!r} (known: "
                   f"{sorted(DECISION_EVENT_NAMES)})")
-        missing = (required | _DECISION_COMMON_ATTRS) - set(span["attributes"])
+        missing = required - set(span["attributes"])
         if missing:
             _fail(f"{path} (decision event {span['name']!r}) is "
                   f"missing required attributes {sorted(missing)}")

@@ -135,11 +135,12 @@ def collect_events(root: dict, kinds: Iterable[str]) -> list[dict]:
 
 
 def decision_events(root: dict) -> list[dict]:
-    """The strategy decisions of a span tree, in the order taken (the
-    cost model's ``loop_estimate`` events feed the loop rollups
-    instead)."""
+    """The loop strategy decisions of a span tree, in the order taken
+    (the cost model's ``loop_estimate`` events feed the loop rollups
+    instead, and a ``plan_cache_hit`` names no loop — EXPLAIN ANALYZE's
+    ``plan cache:`` footer reports it)."""
     return [event for event in collect_events(root, ("decision",))
-            if event["name"] != "loop_estimate"]
+            if event["name"].startswith("strategy_")]
 
 
 def _loop_rollups(trace: dict) -> list[LoopRollup]:

@@ -1,8 +1,8 @@
 """Rewrite subsystem: rule framework plus the optimization rewrites.
 
 The standard pipeline (applied to every materialized plan) is exposed as
-:func:`optimize_plan`; the iterative-CTE-specific rewrites (pushdown
-safety, common results) are invoked from :mod:`repro.core.rewrite`.
+:func:`optimize_plan`; the iterative-CTE-specific rewrites (§V-B
+pushdown, common results, the delta proof) are invoked from :mod:`repro.core.rewrite`.
 """
 
 from ..execution.context import SessionOptions
@@ -18,11 +18,7 @@ from .folding import fold_expr, fold_plan_filters
 from .framework import apply_rules
 from .join_reorder import reorder_joins
 from .join_rules import inner_over_left_commute, outer_to_inner
-from .pushdown import (
-    invariant_columns,
-    push_filters,
-    pushable_into_iterative,
-)
+from .pushdown import push_filters, pushable_final_predicate
 
 __all__ = [
     "CommonBlock",
@@ -38,9 +34,8 @@ __all__ = [
     "inner_over_left_commute",
     "outer_to_inner",
     "push_filters",
-    "pushable_into_iterative",
+    "pushable_final_predicate",
     "reorder_joins",
-    "invariant_columns",
     "optimize_plan",
 ]
 

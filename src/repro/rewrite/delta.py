@@ -21,6 +21,11 @@ Anything the analysis cannot prove returns None and the loop runs the
 always-correct full body.  The affected set the links produce is an
 over-approximation: recomputing an unchanged row is wasted work, never a
 wrong answer.
+
+The proof has two consumers: the delta rewrite reads ``influences`` and
+``anchor``; §V-B's pushdown rule
+(:func:`repro.rewrite.pushdown.pushable_final_predicate`) reads
+``anchor``, ``cte_leaves`` and ``invariant``.
 """
 
 from __future__ import annotations
@@ -46,9 +51,18 @@ class DeltaSafety:
     key whose partners vanish, so the delta apply must verify the
     recomputed partition reproduced its keyset exactly and fall back to
     the full body otherwise.
+
+    ``anchor`` is the lowercase binding of the leftmost FROM leaf (the
+    CTE row being evolved), ``cte_leaves`` the number of FROM leaves that
+    reference the CTE (1: the anchor alone), and ``invariant`` the CTE
+    columns whose step item is that same bare anchor column — they pass
+    through every iteration unchanged.
     """
 
     influences: tuple[tuple[str, str, str], ...]
+    anchor: str
+    cte_leaves: int
+    invariant: frozenset
     guard_keyset: bool = False
 
 
@@ -221,8 +235,15 @@ def analyze_iterative_delta(cte: ast.IterativeCte, columns: list[str],
                 break
         if not linked:
             return None
-    return DeltaSafety(influences=tuple(influences),
-                       guard_keyset=guard_keyset)
+
+    invariant = frozenset(
+        column for column, item in zip(columns, step.items)
+        if isinstance(item.expr, ast.ColumnRef)
+        and item.expr.name.lower() == column
+        and resolve(item.expr) is anchor)
+    return DeltaSafety(influences=tuple(influences), anchor=anchor.binding,
+                       cte_leaves=sum(leaf.is_cte for leaf in leaves),
+                       invariant=invariant, guard_keyset=guard_keyset)
 
 
 def _flatten_from(relation: ast.Relation) -> Iterator[ast.Relation]:

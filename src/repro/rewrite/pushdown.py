@@ -6,13 +6,14 @@ Two parts, matching the paper's §V-B:
   projections, below joins (respecting outer-join semantics), into union
   arms and below aggregations when they only touch grouping keys.
 
-* :func:`pushable_into_iterative` — the iterative-CTE-specific safety
-  check: a predicate from the final query block may be pushed into the
-  *non-iterative part* only when the iterative part evolves rows
-  independently per key and the referenced columns pass through the
-  iterative part unchanged.  Pushing blindly (as for regular CTEs) is
-  incorrect — e.g. PageRank needs all neighbours even when the final query
-  asks for one node.
+* :func:`pushable_final_predicate` — the iterative-CTE rule: a predicate
+  from the final query block may be pushed into the *non-iterative part*
+  only when the iterative part evolves rows independently per key (the
+  proof :func:`repro.rewrite.delta.analyze_iterative_delta` also gives
+  the delta rewrite), the referenced columns pass through it unchanged,
+  and nothing else reads the CTE.  Pushing blindly (as for regular CTEs)
+  is incorrect — e.g. PageRank needs all neighbours even when the final
+  query asks for one node.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from ..plan.logical import (
     LogicalUnion,
 )
 from ..sql import ast
+from .delta import DeltaSafety
 from .expr_utils import (
     conjoin,
     map_column_refs,
@@ -235,12 +237,13 @@ def _resolve_slots(expr: ast.Expr, key_slots) -> Optional[ast.Expr]:
 
 
 # ---------------------------------------------------------------------------
-# Iterative-CTE pushdown safety (§V-B)
+# Iterative-CTE pushdown (§V-B)
 # ---------------------------------------------------------------------------
 
 
 def count_cte_references(query: ast.SelectLike, cte_name: str) -> int:
-    """Occurrences of the CTE name in FROM clauses of ``query``."""
+    """Occurrences of the CTE name in FROM clauses of ``query``, its
+    nested WITH clauses and its WHERE clauses' EXISTS / IN subqueries."""
     count = 0
     key = cte_name.lower()
 
@@ -259,9 +262,13 @@ def count_cte_references(query: ast.SelectLike, cte_name: str) -> int:
         if isinstance(node, ast.SetOp):
             visit_query(node.left)
             visit_query(node.right)
-            return
-        if node.from_clause is not None:
-            visit_relation(node.from_clause)
+        else:
+            if node.from_clause is not None:
+                visit_relation(node.from_clause)
+            if node.where is not None:
+                for expr in node.where.walk():
+                    if isinstance(expr, (ast.ExistsExpr, ast.InSubquery)):
+                        visit_query(expr.query)
         if node.with_clause is not None:
             for cte in node.with_clause.ctes:
                 if isinstance(cte, ast.CommonTableExpr):
@@ -274,67 +281,81 @@ def count_cte_references(query: ast.SelectLike, cte_name: str) -> int:
     return count
 
 
-def invariant_columns(cte: ast.IterativeCte,
-                      columns: list[str]) -> set[str]:
-    """CTE columns that pass through the iterative part unchanged.
+def pushable_final_predicate(statement: ast.SelectLike,
+                             cte: ast.IterativeCte,
+                             safety: Optional[DeltaSafety]
+                             ) -> Optional[ast.Expr]:
+    """The Qf WHERE conjuncts that may move into R0, rebased onto the
+    CTE's columns; None when none may.
 
-    A column is invariant when the step's select item at its position is a
-    bare reference to the same column of the CTE.  Only these columns may
-    appear in a predicate pushed into the non-iterative part.
+    ``statement`` is the whole statement (WITH clause included) and
+    ``safety`` the per-key proof of ``cte.step`` (None: unproven).  A
+    conjunct moves only when all five hold:
+
+    1. the proof holds and its anchor is the step's only CTE reference,
+       so each row evolves from itself alone and dropping it early drops
+       exactly its own future;
+    2. the loop stops after ``N ITERATIONS`` — every other termination
+       reads the whole table;
+    3. the step has no WHERE clause — the merge path raises
+       DuplicateKeyError on duplicate working keys (§II), and a filter
+       could hide them;
+    4. the CTE is referenced exactly once outside its own definition,
+       counted over Qf and every other CTE of the WITH clause, and that
+       reference is a FROM leaf of Qf off the null-supplying side of an
+       outer join — nothing else reads the filtered table;
+    5. the conjunct holds no subquery and no aggregate, and reads only
+       invariant columns of that one reference.
+
+    The original predicate stays in Qf.
     """
-    step = cte.step
-    if not isinstance(step, ast.Select):
-        return set()
-    invariant: set[str] = set()
-    cte_key = cte.name.lower()
-    for position, item in enumerate(step.items):
-        if position >= len(columns):
-            break
-        expr = item.expr
-        if isinstance(expr, ast.ColumnRef) \
-                and expr.name.lower() == columns[position].lower() \
-                and (expr.table is None or expr.table.lower() == cte_key):
-            invariant.add(columns[position].lower())
-    return invariant
+    if safety is None or safety.cte_leaves != 1:
+        return None
+    if cte.termination.kind is not ast.TerminationKind.ITERATIONS:
+        return None
+    if cte.step.where is not None:
+        return None
+    if not isinstance(statement, ast.Select) or statement.where is None:
+        return None
+    outside = (count_cte_references(statement, cte.name)
+               - count_cte_references(cte.init, cte.name)
+               - count_cte_references(cte.step, cte.name))
+    reference = _preserved_leaf(statement.from_clause, cte.name.lower())
+    if outside != 1 or reference is None:
+        return None
+    binding = reference.binding_name.lower()
+
+    def movable(ref: ast.ColumnRef) -> bool:
+        return ((ref.table is None or ref.table.lower() == binding)
+                and ref.name.lower() in safety.invariant)
+
+    def rebase(ref: ast.ColumnRef) -> ast.Expr:
+        return ast.ColumnRef(ref.name.lower(), cte.name.lower())
+
+    pushable: list[ast.Expr] = []
+    for conjunct in split_conjuncts(statement.where):
+        nodes = list(conjunct.walk())
+        refs = [node for node in nodes if isinstance(node, ast.ColumnRef)]
+        if not refs or not all(movable(ref) for ref in refs):
+            continue
+        if any(isinstance(node, (ast.ExistsExpr, ast.InSubquery))
+               or ast.is_aggregate_call(node) for node in nodes):
+            continue
+        pushable.append(map_column_refs(conjunct, rebase))
+    return conjoin(pushable)
 
 
-def pushable_into_iterative(cte: ast.IterativeCte, columns: list[str],
-                            predicate: ast.Expr) -> bool:
-    """Is it safe to push ``predicate`` (over the CTE's output) into R0?
-
-    Conditions (conservative reading of §V-B):
-
-    * the iterative part references the CTE exactly once, with no self
-      joins — each output row depends on exactly one current row;
-    * the iterative part has no GROUP BY / aggregates / DISTINCT / set
-      operations — no cross-row mixing;
-    * every column the predicate references is invariant through the
-      iterative part (identity pass-through), so selecting rows early
-      selects exactly the rows the final predicate would keep.
-    """
-    step = cte.step
-    if not isinstance(step, ast.Select):
-        return False
-    if step.group_by or step.having is not None or step.distinct:
-        return False
-    if any(ast.contains_aggregate(item.expr) for item in step.items):
-        return False
-    if step.limit is not None or step.offset is not None:
-        return False
-    if count_cte_references(step, cte.name) != 1:
-        return False
-    if not isinstance(step.from_clause, ast.TableRef):
-        # Joins in the iterative part can make row evolution depend on
-        # other rows; refuse.
-        return False
-    if step.from_clause.name.lower() != cte.name.lower():
-        return False
-
-    stable = invariant_columns(cte, columns)
-    for node in predicate.walk():
-        if isinstance(node, ast.ColumnRef):
-            if node.name.lower() not in stable:
-                return False
-        if ast.is_aggregate_call(node):
-            return False
-    return True
+def _preserved_leaf(relation: Optional[ast.Relation],
+                    name: str) -> Optional[ast.TableRef]:
+    """The FROM leaf named ``name``, unless it sits on the null-supplying
+    side of an outer join (or is absent from this FROM clause)."""
+    if isinstance(relation, ast.TableRef):
+        return relation if relation.name.lower() == name else None
+    if not isinstance(relation, ast.Join):
+        return None
+    kind = relation.kind
+    left = (None if kind in (ast.JoinKind.RIGHT, ast.JoinKind.FULL)
+            else _preserved_leaf(relation.left, name))
+    right = (None if kind in (ast.JoinKind.LEFT, ast.JoinKind.FULL)
+             else _preserved_leaf(relation.right, name))
+    return left or right

@@ -14,6 +14,7 @@ import pytest
 from repro.datasets import dblp_like, generate_edges
 from repro.engine.database import Database
 from repro.execution import SessionOptions
+from repro.obs.export import validate_trace_dict
 from repro.obs.profile import (
     aggregate_profile,
     collapsed_stacks,
@@ -154,6 +155,23 @@ class TestCli:
         folded = folded_path.read_text().splitlines()
         assert folded and all(line.rsplit(" ", 1)[1].isdigit()
                               for line in folded)
+
+    def test_reads_the_trace_of_a_plan_cache_hit(self, tmp_path, capsys):
+        db = Database(SessionOptions(enable_tracing=True))
+        db.create_table("edges", [("src", SqlType.INTEGER),
+                                  ("dst", SqlType.INTEGER),
+                                  ("weight", SqlType.FLOAT)])
+        db.load_rows("edges", EDGES)
+        sql = sssp_query(iterations=3)
+        db.execute(sql)
+        db.execute(sql)  # served from the plan cache
+        trace = json.loads(db.trace_json())
+        assert "plan_cache_hit" in json.dumps(trace)
+        validate_trace_dict(trace)
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text(json.dumps(trace))
+        assert main([str(trace_path)]) == 0
+        assert "decision timeline:" in capsys.readouterr().out
 
     def test_rejects_invalid_trace(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -307,49 +307,52 @@ class TestCommonResultExtraction:
 class TestIterativePushdownSafety:
     """The §V-B rule: when may a Qf predicate move into R0?"""
 
-    def _cte(self, step_sql):
+    def _pushed(self, sql, columns, catalog=None):
+        """What the rule moves into R0 for ``sql``'s first CTE, reading
+        the same per-key proof the delta rewrite reads."""
+        from repro.rewrite import (
+            analyze_iterative_delta,
+            pushable_final_predicate,
+        )
+        stmt = parse(sql)
+        cte = stmt.with_clause.ctes[0]
+        safety = analyze_iterative_delta(cte, columns,
+                                         catalog or make_catalog())
+        return pushable_final_predicate(stmt, cte, safety)
+
+    def _ff(self, step_sql, predicate):
         sql = f"""
             WITH ITERATIVE f (node, friends, friendsprev) AS (
               SELECT src, count(dst), count(dst) FROM edges GROUP BY src
               ITERATE {step_sql}
               UNTIL 5 ITERATIONS)
-            SELECT node FROM f"""
-        stmt = parse(sql)
-        return stmt.with_clause.ctes[0]
+            SELECT node FROM f WHERE {predicate}"""
+        return self._pushed(sql, ["node", "friends", "friendsprev"])
 
     def test_ff_shape_is_pushable(self):
-        from repro.rewrite import pushable_into_iterative
-        cte = self._cte("SELECT node, friends * 2, friends FROM f")
-        predicate = expr_of("MOD(node, 100) = 0")
-        assert pushable_into_iterative(
-            cte, ["node", "friends", "friendsprev"], predicate)
+        pushed = self._ff("SELECT node, friends * 2, friends FROM f",
+                          "MOD(node, 100) = 0")
+        assert pushed == expr_of("MOD(f.node, 100) = 0")
 
     def test_predicate_on_recomputed_column_not_pushable(self):
-        from repro.rewrite import pushable_into_iterative
-        cte = self._cte("SELECT node, friends * 2, friends FROM f")
-        predicate = expr_of("friends > 10")
-        assert not pushable_into_iterative(
-            cte, ["node", "friends", "friendsprev"], predicate)
+        assert self._ff("SELECT node, friends * 2, friends FROM f",
+                        "friends > 10") is None
 
     def test_self_join_not_pushable(self):
-        from repro.rewrite import pushable_into_iterative
-        cte = self._cte("SELECT a.node, a.friends, a.friendsprev "
-                        "FROM f a JOIN f b ON a.node = b.node")
-        predicate = expr_of("MOD(node, 100) = 0")
-        assert not pushable_into_iterative(
-            cte, ["node", "friends", "friendsprev"], predicate)
+        assert self._ff("SELECT a.node, a.friends, a.friendsprev "
+                        "FROM f a JOIN f b ON a.node = b.node",
+                        "MOD(node, 100) = 0") is None
 
-    def test_aggregation_not_pushable(self):
-        from repro.rewrite import pushable_into_iterative
-        cte = self._cte("SELECT node, SUM(friends), MAX(friends) FROM f "
-                        "GROUP BY node")
-        predicate = expr_of("MOD(node, 100) = 0")
-        assert not pushable_into_iterative(
-            cte, ["node", "friends", "friendsprev"], predicate)
+    def test_key_grouped_aggregation_is_pushable(self):
+        """Grouping by the key keeps each key's rows to themselves — the
+        proof the delta rewrite trusts; the on/off differential in
+        test_iterative_pushdown.py runs bodies of this shape."""
+        pushed = self._ff("SELECT node, SUM(friends), MAX(friends) FROM f "
+                          "GROUP BY node", "MOD(node, 100) = 0")
+        assert pushed == expr_of("MOD(f.node, 100) = 0")
 
     def test_pr_shape_not_pushable(self):
         """The paper's example: pushing Node = 10 into PR is incorrect."""
-        from repro.rewrite import pushable_into_iterative
         sql = """
             WITH ITERATIVE PageRank (node, rank, delta) AS (
               SELECT src, 0, 0.15 FROM edges
@@ -362,7 +365,4 @@ class TestIterativePushdownSafety:
               GROUP BY PageRank.node, PageRank.rank + PageRank.delta
               UNTIL 10 ITERATIONS)
             SELECT node, rank FROM PageRank WHERE node = 10"""
-        cte = parse(sql).with_clause.ctes[0]
-        predicate = expr_of("node = 10")
-        assert not pushable_into_iterative(
-            cte, ["node", "rank", "delta"], predicate)
+        assert self._pushed(sql, ["node", "rank", "delta"]) is None

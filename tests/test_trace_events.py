@@ -131,7 +131,7 @@ class TestDecisionSchema:
         with pytest.raises(ValueError, match="reason"):
             validate_trace_dict(payload)
 
-    def test_known_names_are_the_documented_four(self):
+    def test_known_names_are_the_documented_five(self):
         assert DECISION_EVENT_NAMES == {
             "strategy_selection", "strategy_demotion",
-            "strategy_promotion", "loop_estimate"}
+            "strategy_promotion", "loop_estimate", "plan_cache_hit"}
