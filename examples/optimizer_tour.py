@@ -1,6 +1,5 @@
 """A tour of the optimizer substrate: ANALYZE statistics, cardinality
-estimation, cost-based join reordering, the iteration-count estimate
-(the paper's stated future work), and EXPLAIN ANALYZE.
+estimation, cost-based join reordering, and EXPLAIN ANALYZE.
 
 Run:  python examples/optimizer_tour.py
 """
@@ -21,24 +20,6 @@ def main() -> None:
     src = stats.column("src")
     print(f"edges: {stats.row_count} rows, src has {src.distinct_count} "
           f"distinct values in [{src.min_value:.0f}, {src.max_value:.0f}]")
-
-    # -- the cost model prices plans and whole iterative programs ----------
-    print("\nEXPLAIN with cost estimate (PR, 25 iterations):")
-    print(db.explain_cost(pagerank_query(iterations=25)))
-
-    # The iteration estimate adapts to the termination family:
-    print("\niteration estimates per termination condition:")
-    for until, note in [("25 ITERATIONS", "exact: the user wrote N"),
-                        ("5000 UPDATES", "derived from |CTE| per round"),
-                        ("v > 100", "heuristic: no closed form")]:
-        text = db.explain_cost(f"""
-            WITH ITERATIVE r (k, v) AS (
-              SELECT src, 0 FROM (SELECT DISTINCT src FROM edges)
-              ITERATE SELECT k, v + 1 FROM r UNTIL {until}
-            ) SELECT COUNT(*) FROM r""")
-        loop_line = next(line for line in text.splitlines()
-                         if line.startswith("loop"))
-        print(f"  UNTIL {until:<15} -> {loop_line.strip()}  ({note})")
 
     # -- cost-based join reordering (paper §V-A future work) ----------------
     sql = """

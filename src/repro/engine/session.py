@@ -59,10 +59,7 @@ from ..storage import (
 )
 from ..core.rewrite import compile_statement
 from ..runtime import ProgramRunner
-from ..stats import (
-    CardinalityEstimator,
-    estimate_program,
-)
+from ..stats import CardinalityEstimator
 from ..types import SqlType, type_from_name
 from .dml import execute_delete, execute_insert, execute_update
 from .engine import Engine
@@ -240,20 +237,9 @@ class Session:
         program = self._compile(statement)
         return program.explain(verbose=verbose)
 
-    def explain_cost(self, sql: str | ast.Statement) -> str:
-        """The step program plus the cost model's estimate: setup +
-        estimated-iterations x per-iteration + final (the paper's
-        future-work costing, see repro.stats)."""
-        statement = parse(sql) if isinstance(sql, str) else sql
-        if not isinstance(statement, (ast.Select, ast.SetOp)):
-            raise ReproError("EXPLAIN supports only queries")
-        program = self._compile(statement)
-        report = estimate_program(program, self.statistics)
-        return program.explain() + "\n--\n" + report.describe()
-
     def explain_analyze(self, sql: str | ast.Statement) -> str:
         """Run the query and report measured per-step executions, rows
-        and time — the runtime counterpart of ``explain_cost``.
+        and time — the runtime counterpart of :meth:`explain`.
 
         Always traces (regardless of ``enable_tracing``): the rendered
         report includes the span tree plus a per-iteration breakdown for
@@ -269,41 +255,18 @@ class Session:
             if not isinstance(statement, (ast.Select, ast.SetOp)):
                 raise ReproError("EXPLAIN ANALYZE supports only queries")
             program = self._compile(statement, tracer)
-            # Cost the program before running it so the iteration
-            # estimate does not see this very run's measurement.
-            cost_report = estimate_program(program, self.statistics)
-            for estimate in cost_report.loop_estimates:
-                spec = program.loops.get(estimate.loop_id)
-                tracer.event(
-                    "loop_estimate", kind="decision",
-                    loop_id=estimate.loop_id,
-                    cte=spec.cte_name if spec is not None else "",
-                    estimated_iterations=estimate.iterations,
-                    basis=estimate.basis,
-                    estimated_cost_per_iteration=(
-                        cost_report.per_iteration_cost.get(
-                            estimate.loop_id)),
-                    reason=(f"compile-time iteration estimate on a "
-                            f"{estimate.basis} basis"))
             ctx = ExecutionContext(self.catalog, self.registry,
                                    self.options, self.stats,
                                    self.kernel_cache, tracer=tracer)
             runner = ProgramRunner(program, ctx, instrument=True)
             with tracer.span("execute", kind="phase"):
                 runner.run()
-        self._record_loop_measurements(runner)
         loops = [runner.loop_telemetry[key]
                  for key in sorted(runner.loop_telemetry)]
         self._last_trace = build_trace(
             tracer, loops=loops,
             metrics=self.stats.delta_since(stats_before), sql=sql_text)
-        report = runner.report()
-        error_lines = self._iteration_error_lines(program, cost_report,
-                                                  runner)
-        if error_lines:
-            report += "\n" + "\n".join(error_lines)
-        report += "\n" + self._plan_cache_report_line()
-        return report
+        return runner.report() + "\n" + self._plan_cache_report_line()
 
     def _plan_cache_report_line(self) -> str:
         """Engine-wide plan-cache counters, EXPLAIN ANALYZE's footer."""
@@ -429,33 +392,6 @@ class Session:
         loops, self._trace_loops = self._trace_loops, []
         return loops
 
-    def _record_loop_measurements(self, runner: ProgramRunner) -> None:
-        """Feed observed iteration counts back into the statistics
-        catalog so subsequent cost estimates use measured convergence."""
-        for cte_name, count in runner.loop_iteration_counts().items():
-            self.statistics.record_loop_iterations(cte_name, count)
-
-    @staticmethod
-    def _iteration_error_lines(program: Program, cost_report,
-                               runner: ProgramRunner) -> list[str]:
-        """Estimated-vs-measured iteration lines for EXPLAIN ANALYZE."""
-        measured_by_cte = runner.loop_iteration_counts()
-        lines: list[str] = []
-        for estimate in cost_report.loop_estimates:
-            spec = program.loops.get(estimate.loop_id)
-            if spec is None:
-                continue
-            measured = measured_by_cte.get(spec.cte_name.lower())
-            if measured is None:
-                continue
-            error = (estimate.iterations - measured) / max(measured, 1)
-            lines.append(
-                f"loop {spec.cte_name}: estimated "
-                f"{estimate.iterations:.0f} iterations "
-                f"({estimate.basis}), measured {measured}, "
-                f"error {error:+.0%}")
-        return lines
-
     def _run_query(self, statement: ast.SelectLike,
                    tracer=NULL_TRACER,
                    sql_text: Optional[str] = None,
@@ -500,7 +436,6 @@ class Session:
         runner = ProgramRunner(program, ctx)
         with tracer.span("execute", kind="phase"):
             table = runner.run()
-        self._record_loop_measurements(runner)
         if tracer.enabled:
             self._trace_loops = [runner.loop_telemetry[key]
                                  for key in sorted(runner.loop_telemetry)]

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import PlanError, ReproError
+from ..errors import IterationLimitError, PlanError
 from ..engine import Database, QueryResult
 from ..obs.telemetry import LoopTelemetry
 from ..obs.trace import NULL_TRACER, Tracer
@@ -162,6 +162,7 @@ class MiddlewareDriver:
                 ast.TerminationKind.UPDATES, ast.TerminationKind.DELTA)
             iterations = 0
             total_updates = 0
+            max_iterations = self._db.options.max_iterations
             while True:
                 self._execute(f"DELETE FROM {working}", "dml")
                 inserted = self._execute(
@@ -184,6 +185,11 @@ class MiddlewareDriver:
                     total_rows=self._db.table(main).num_rows)
                 if done:
                     break
+                if iterations >= max_iterations:
+                    raise IterationLimitError(
+                        "iterative query exceeded max_iterations "
+                        f"({max_iterations}); raise the session option "
+                        "if this is intentional")
             run.close()
             self.last_telemetry = run.telemetry
             self.report.iterations += iterations
@@ -205,8 +211,11 @@ class MiddlewareDriver:
 
     def _count_changes(self, main: str, working: str,
                        columns: list[str], key: str) -> int:
+        # NULL-aware like the engine's changed-row count: a NULL on one
+        # side only is a change (the engine cannot parse IS DISTINCT FROM).
         differs = " OR ".join(
-            f"w.{c} <> m.{c}" for c in columns if c != key)
+            f"w.{c} <> m.{c} OR (w.{c} IS NULL) <> (m.{c} IS NULL)"
+            for c in columns if c != key)
         sql = (f"SELECT count(*) FROM {working} AS w "
                f"JOIN {main} AS m ON w.{key} = m.{key} "
                f"WHERE {differs}")

@@ -68,8 +68,6 @@ _DECISION_EVENT_ATTRS = {
     "strategy_promotion": _LOOP_DECISION_ATTRS | {
         "from_strategy", "to_strategy", "iteration", "frontier",
         "total", "budget_frontier"},
-    "loop_estimate": _LOOP_DECISION_ATTRS | {
-        "estimated_iterations", "basis"},
     "plan_cache_hit": frozenset({"level", "reason"}),
 }
 DECISION_EVENT_NAMES = frozenset(_DECISION_EVENT_ATTRS)

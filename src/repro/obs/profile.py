@@ -11,9 +11,8 @@ JSON produced by ``Database.trace_json()``) into:
 * **Collapsed-stack export** — the ``a;b;c <weight>`` format flamegraph
   and speedscope both ingest (weights in microseconds of *exclusive*
   time, so the stacks sum to the root without double counting).
-* **Loop rollups** — per-iteration cost statistics per loop, joined
-  against the cost model's ``loop_estimate`` decision events so the
-  report shows estimated vs measured iteration counts side by side.
+* **Loop rollups** — per-iteration cost statistics per loop: measured
+  iteration count, total, mean, median and max seconds.
 * **Decision timeline** — the strategy selection / demotion / promotion
   decision events in document order, rendered as one line per decision
   (also embedded in EXPLAIN ANALYZE output).
@@ -55,7 +54,7 @@ class ProfileEntry:
 
 @dataclass
 class LoopRollup:
-    """Per-iteration cost statistics of one loop, plus the estimate."""
+    """Per-iteration cost statistics of one loop."""
 
     cte: str
     kind: str
@@ -65,9 +64,6 @@ class LoopRollup:
     mean_seconds: float
     median_seconds: float
     max_seconds: float
-    estimated_iterations: Optional[float] = None
-    estimate_basis: Optional[str] = None
-    estimated_cost_per_iteration: Optional[float] = None
 
 
 @dataclass
@@ -136,23 +132,18 @@ def collect_events(root: dict, kinds: Iterable[str]) -> list[dict]:
 
 def decision_events(root: dict) -> list[dict]:
     """The loop strategy decisions of a span tree, in the order taken
-    (the cost model's ``loop_estimate`` events feed the loop rollups
-    instead, and a ``plan_cache_hit`` names no loop — EXPLAIN ANALYZE's
+    (a ``plan_cache_hit`` names no loop — EXPLAIN ANALYZE's
     ``plan cache:`` footer reports it)."""
     return [event for event in collect_events(root, ("decision",))
             if event["name"].startswith("strategy_")]
 
 
 def _loop_rollups(trace: dict) -> list[LoopRollup]:
-    estimates = {event["attributes"].get("cte"): event["attributes"]
-                 for event in collect_events(trace["root"], ("decision",))
-                 if event["name"] == "loop_estimate"}
     rollups = []
     for loop in trace["loops"]:
         seconds = [record["seconds"] for record in loop["iterations"]]
         if not seconds:
             continue
-        estimate = estimates.get(loop["cte"]) or {}
         rollups.append(LoopRollup(
             cte=loop["cte"],
             kind=loop["kind"],
@@ -162,10 +153,6 @@ def _loop_rollups(trace: dict) -> list[LoopRollup]:
             mean_seconds=statistics.fmean(seconds),
             median_seconds=statistics.median(seconds),
             max_seconds=max(seconds),
-            estimated_iterations=estimate.get("estimated_iterations"),
-            estimate_basis=estimate.get("basis"),
-            estimated_cost_per_iteration=estimate.get(
-                "estimated_cost_per_iteration"),
         ))
     return rollups
 
@@ -226,26 +213,12 @@ def render_decision_timeline(decisions: list[dict]) -> list[str]:
 
 def _render_loop(rollup: LoopRollup) -> list[str]:
     strategy = f", strategy {rollup.strategy}" if rollup.strategy else ""
-    lines = [f"loop {rollup.cte} ({rollup.kind}{strategy}): "
-             f"{rollup.iterations} iterations, "
-             f"{rollup.total_seconds * 1000:.2f}ms total"]
-    lines.append(
-        f"  per-iteration: mean {rollup.mean_seconds * 1000:.2f}ms, "
-        f"median {rollup.median_seconds * 1000:.2f}ms, "
-        f"max {rollup.max_seconds * 1000:.2f}ms")
-    if rollup.estimated_iterations is not None:
-        error = ((rollup.estimated_iterations - rollup.iterations)
-                 / max(rollup.iterations, 1))
-        line = (f"  estimated {rollup.estimated_iterations:.0f} "
-                f"iterations ({rollup.estimate_basis}) vs measured "
-                f"{rollup.iterations} ({error:+.0%})")
-        if rollup.estimated_cost_per_iteration is not None:
-            cost = rollup.estimated_cost_per_iteration
-            line += (f"; estimated {cost:.0f} cost-rows/iteration vs "
-                     f"measured {rollup.median_seconds * 1000:.2f}ms"
-                     f"/iteration")
-        lines.append(line)
-    return lines
+    return [f"loop {rollup.cte} ({rollup.kind}{strategy}): "
+            f"{rollup.iterations} iterations, "
+            f"{rollup.total_seconds * 1000:.2f}ms total",
+            f"  per-iteration: mean {rollup.mean_seconds * 1000:.2f}ms, "
+            f"median {rollup.median_seconds * 1000:.2f}ms, "
+            f"max {rollup.max_seconds * 1000:.2f}ms"]
 
 
 def render_profile(trace: dict, top: int = 10) -> str:

@@ -20,19 +20,24 @@ share; the loop *engine* that owns each loop's state lives in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ..errors import ExecutionError
 from ..execution import ExecutionContext, Frame, evaluate_predicate
+from ..execution.kernel_cache import probe_dictionary
+from ..execution.kernels import (build_dictionary, comparable_values,
+                                 equi_join_pairs)
 from ..plan.logical import Field
 from ..plan.program import LoopSpec
 from ..sql import ast
-from ..storage import Table
+from ..storage import Column, Table
+from ..types import common_type
 
 if TYPE_CHECKING:
     from .loop_engine import LoopState
+    from .strategies import SolutionSet
 
 
 def should_continue(state: LoopState, ctx: ExecutionContext) -> bool:
@@ -98,8 +103,8 @@ def _count_satisfying(table: Table, spec: LoopSpec,
     return int(keep.sum())
 
 
-def changed_rows(previous: Table, current: Table,
-                 key_index: int) -> np.ndarray:
+def changed_rows(previous: Table, current: Table, key_index: int,
+                 solution: Optional["SolutionSet"] = None) -> np.ndarray:
     """Mask of ``current`` rows whose non-key values differ from
     ``previous``.
 
@@ -107,34 +112,28 @@ def changed_rows(previous: Table, current: Table,
     in ``previous``) count as changed.  NULL-to-NULL is *not* a change
     (IS DISTINCT FROM semantics).
 
-    The previous key is probed against the current key's dictionary.
-    Keys present only in ``previous``, and NULL keys, encode as -1, which
-    is exactly right: they pair with nothing, and only unmatched *current*
-    rows count as changes.
+    The previous key is probed against an index of the current key: a
+    dictionary built here, or the delta loop's ``solution`` set, whose
+    ``rows`` must map each code to its row of ``current`` (-1 for a key
+    ``current`` lacks).  Keys present only in ``previous``, and NULL
+    keys, encode as -1, which is exactly right: they pair with nothing,
+    and only unmatched *current* rows count as changes.
     """
-    from ..execution.kernel_cache import probe_dictionary
-    from ..execution.kernels import build_dictionary, equi_join_pairs
-    from ..types import common_type
-
     if previous.num_rows == 0:
         return np.ones(current.num_rows, dtype=np.bool_)
     prev_key = previous.columns[key_index]
-    cur_key = current.columns[key_index]
-    target = common_type(cur_key.sql_type, prev_key.sql_type)
-    dictionary = build_dictionary(cur_key.cast(target))
-    cur_codes = dictionary.codes
-    prev_codes = probe_dictionary(dictionary, prev_key.cast(target))
-    valid = cur_codes >= 0
-    if dictionary.cardinality == int(valid.sum()):
-        # Unique current keys (the usual case): each code names one
-        # current row, so previous rows pair by direct lookup instead of
-        # a sorted join.
-        row_of_code = np.empty(dictionary.cardinality, dtype=np.int64)
-        row_of_code[cur_codes[valid]] = np.flatnonzero(valid)
+    if solution is not None:
+        prev_codes = np.full(len(prev_key), -1, dtype=np.int64)
+        valid = ~prev_key.mask
+        prev_codes[valid] = solution.codes(
+            comparable_values(prev_key.data[valid]))
         prev_idx = np.flatnonzero(prev_codes >= 0)
-        cur_idx = row_of_code[prev_codes[prev_idx]]
+        cur_idx = solution.rows[prev_codes[prev_idx]]
+        paired = cur_idx >= 0
+        cur_idx, prev_idx = cur_idx[paired], prev_idx[paired]
     else:
-        cur_idx, prev_idx = equi_join_pairs(cur_codes, prev_codes)
+        cur_idx, prev_idx = _pair_by_dictionary(
+            prev_key, current.columns[key_index])
 
     # New keys count as changes.
     changed = np.ones(current.num_rows, dtype=np.bool_)
@@ -152,3 +151,23 @@ def changed_rows(previous: Table, current: Table,
         # pairing differs.
         changed[cur_idx[differs]] = True
     return changed
+
+
+def _pair_by_dictionary(prev_key: Column, cur_key: Column
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """(current rows, previous rows) whose keys match, through a
+    dictionary over the current key."""
+    target = common_type(cur_key.sql_type, prev_key.sql_type)
+    dictionary = build_dictionary(cur_key.cast(target))
+    cur_codes = dictionary.codes
+    prev_codes = probe_dictionary(dictionary, prev_key.cast(target))
+    valid = cur_codes >= 0
+    if dictionary.cardinality == int(valid.sum()):
+        # Unique current keys (the usual case): each code names one
+        # current row, so previous rows pair by direct lookup instead of
+        # a sorted join.
+        row_of_code = np.empty(dictionary.cardinality, dtype=np.int64)
+        row_of_code[cur_codes[valid]] = np.flatnonzero(valid)
+        prev_idx = np.flatnonzero(prev_codes >= 0)
+        return row_of_code[prev_codes[prev_idx]], prev_idx
+    return equi_join_pairs(cur_codes, prev_codes)

@@ -13,17 +13,18 @@ from typing import Optional
 
 import numpy as np
 
-from ...errors import DuplicateKeyError, ExecutionError
+from ...errors import ExecutionError
 from ...execution import execute_to_table
 from ...execution.kernels import (build_probe_index, comparable_values,
-                                  expand_ranges, factorize, probe_buckets,
+                                  expand_ranges, probe_buckets,
                                   scatter_update, unique_sorted)
 from ...plan.program import DeltaCaptureStep, DeltaFusedStep
 from ...storage import Table
 from ..conditions import changed_rows
 from ..loop_engine import LoopState
 from ..registry import handles
-from ..strategies import CAPTURE, DELTA, OFF, SolutionSet
+from ..strategies import CAPTURE, DELTA, DEMOTED, OFF, SolutionSet
+from .loop_control import check_unique_key
 
 
 def _apply_delta(runner, step: DeltaFusedStep, state: LoopState,
@@ -148,13 +149,7 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
 
     # -- duplicate check (merge-by-key bodies only) -------------------------
     if step.dup_check:
-        key = working.column(spec.key_column)
-        codes, cardinality = factorize(key, nulls_match=True)
-        if len(codes) and cardinality < len(codes):
-            raise DuplicateKeyError(
-                "the iterative part produced duplicate values for key "
-                f"{spec.key_column!r}; add an aggregation to resolve "
-                "them (paper §II)")
+        check_unique_key(working, spec.key_column)
 
     # -- apply --------------------------------------------------------------
     return _apply_delta(runner, step, state, working)
@@ -183,7 +178,11 @@ def run_delta_capture(runner, step: DeltaCaptureStep) -> Optional[int]:
     counts = engine.counts_updates(spec.loop_id)
     if state.mode == OFF and not counts:
         return None
-    changed = changed_rows(ctx.registry.fetch(step.previous), table, 0)
+    index = solution
+    if state.mode == DEMOTED:
+        index = _repoint(state.solution, table)
+    changed = changed_rows(ctx.registry.fetch(step.previous), table, 0,
+                           index)
     frontier = int(changed.sum())
     if counts:
         state.record_updates(frontier)
@@ -216,6 +215,16 @@ def _known_codes(solution: SolutionSet, keys):
             "delta evaluation lost track of a CTE key; this is a bug "
             "in the delta safety analysis")
     return codes
+
+
+def _repoint(solution: SolutionSet, table: Table) -> SolutionSet:
+    """``solution``'s codes with code -> row pointing into ``table`` (-1
+    for a key it lacks).  A full iteration of a per-key body keeps the
+    key set, or drops keys, but moves rows."""
+    codes = _known_codes(solution, comparable_values(table.columns[0].data))
+    rows = np.full(len(solution.sorted_keys), -1, dtype=np.int64)
+    rows[codes] = np.arange(len(codes), dtype=np.int64)
+    return SolutionSet(solution.sorted_keys, rows)
 
 
 def _expand_influence(runner, solution: SolutionSet,

@@ -18,6 +18,7 @@ from ...plan.program import (
     InitLoopStep,
     LoopStep,
 )
+from ...storage import Table
 from ..conditions import changed_rows
 from ..registry import handles
 
@@ -53,13 +54,18 @@ def run_count_updates(runner, step: CountUpdatesStep) -> Optional[int]:
 
 @handles(DuplicateCheckStep)
 def run_duplicate_check(runner, step: DuplicateCheckStep) -> Optional[int]:
-    ctx = runner.ctx
-    table = ctx.registry.fetch(step.result_name)
-    key = table.column(step.key_column)
-    codes, cardinality = factorize(key, nulls_match=True)
+    check_unique_key(runner.ctx.registry.fetch(step.result_name),
+                     step.key_column)
+    return None
+
+
+def check_unique_key(table: Table, key_column: str) -> None:
+    """Raise when ``table`` holds a ``key_column`` value (NULL included)
+    twice: a merge by key cannot tell which row wins (paper §II)."""
+    codes, cardinality = factorize(table.column(key_column),
+                                   nulls_match=True)
     if len(codes) and cardinality < len(codes):
         raise DuplicateKeyError(
             "the iterative part produced duplicate values for key "
-            f"{step.key_column!r}; add an aggregation to resolve "
+            f"{key_column!r}; add an aggregation to resolve "
             "them (paper §II)")
-    return None

@@ -194,10 +194,8 @@ class ProgramRunner:
         return lines
 
     def loop_iteration_counts(self) -> dict[str, int]:
-        """Measured iteration count per CTE name from the last run.
-
-        Feeds the cost model's measured-iterations registry (see
-        :meth:`repro.stats.StatisticsCatalog.record_loop_iterations`)."""
+        """Measured iteration count per CTE name from the last run
+        (loops that ran no iteration are left out)."""
         counts: dict[str, int] = {}
         for state in self.engine.loops.values():
             if state.iterations:

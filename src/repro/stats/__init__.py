@@ -1,13 +1,7 @@
-"""Statistics and cost estimation (ANALYZE + the cost subsystem)."""
+"""Statistics (ANALYZE) and the cardinality estimates join reordering
+reads."""
 
-from .costing import (
-    CardinalityEstimator,
-    LoopEstimate,
-    ProgramCostReport,
-    estimate_iterations,
-    estimate_program,
-    plan_cost,
-)
+from .costing import CardinalityEstimator
 from .statistics import (
     ColumnStatistics,
     StatisticsCatalog,
@@ -18,11 +12,6 @@ from .statistics import (
 
 __all__ = [
     "CardinalityEstimator",
-    "LoopEstimate",
-    "ProgramCostReport",
-    "estimate_iterations",
-    "estimate_program",
-    "plan_cost",
     "ColumnStatistics",
     "StatisticsCatalog",
     "TableStatistics",

@@ -1,22 +1,10 @@
-"""Cost model: cardinality estimation, plan cost formulas, and iteration
-estimation for iterative CTEs.
-
-The paper's stated future work is "estimating number of iterations for
-more accurate optimizer costing".  This module implements that layer:
-
-* classic selectivity-based cardinality estimation over logical plans,
-  fed by :mod:`repro.stats.statistics`;
-* per-operator cost formulas in abstract row-operation units;
-* :func:`estimate_program` — costs a whole step program as
-  ``init + estimated_iterations × per-iteration + final``, where the
-  iteration estimate is exact for metadata conditions and heuristic for
-  data/delta conditions (documented per case).
+"""Cardinality estimation: classic selectivity-based row-count
+estimates over logical plans, fed by :mod:`repro.stats.statistics`.
+Join reordering (:mod:`repro.rewrite.join_reorder`) reads them.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..plan.logical import (
@@ -34,31 +22,13 @@ from ..plan.logical import (
     LogicalUnion,
     LogicalValues,
 )
-from ..plan.program import (
-    CopyStep,
-    CountUpdatesStep,
-    DeltaCaptureStep,
-    InitLoopStep,
-    LoopSpec,
-    LoopStep,
-    MaterializeStep,
-    Program,
-    RecursiveMergeStep,
-    RenameStep,
-    ReturnStep,
-    SnapshotStep,
-    Step,
-)
 from ..sql import ast
-from .statistics import StatisticsCatalog, TableStatistics
+from .statistics import StatisticsCatalog
 
 # Fallbacks when statistics cannot answer (textbook defaults).
 DEFAULT_EQUALITY_SELECTIVITY = 0.005
 DEFAULT_RANGE_SELECTIVITY = 0.33
 DEFAULT_PREDICATE_SELECTIVITY = 0.25
-# Data/delta termination conditions have no closed-form iteration count;
-# this heuristic stands in until a pilot run refines it (see DESIGN.md).
-DEFAULT_ITERATION_ESTIMATE = 10
 
 
 class CardinalityEstimator:
@@ -67,8 +37,8 @@ class CardinalityEstimator:
     def __init__(self, statistics: StatisticsCatalog,
                  temp_cardinalities: Optional[dict[str, float]] = None):
         self._statistics = statistics
-        # Estimated sizes for intermediate results (CTE tables, COMMON#k),
-        # filled in as the program estimator walks materializations.
+        # Estimated sizes for intermediate results (CTE tables, COMMON#k)
+        # by lower-cased name; a temp scan not named here reads as 1000.
         self.temp_cardinalities = dict(temp_cardinalities or {})
 
     # -- public -------------------------------------------------------------
@@ -265,174 +235,3 @@ def _constant_value(expr: ast.Expr) -> Optional[float]:
             and not isinstance(expr.value, bool):
         return float(expr.value)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Plan and program costs
-# ---------------------------------------------------------------------------
-
-
-def plan_cost(plan: LogicalOp,
-              estimator: CardinalityEstimator) -> float:
-    """Abstract cost in row operations (bottom-up sum)."""
-    rows = estimator.estimate(plan)
-    children = plan.children()
-    child_cost = sum(plan_cost(child, estimator) for child in children)
-    if isinstance(plan, (LogicalScan, LogicalTempScan, LogicalValues)):
-        return rows
-    if isinstance(plan, (LogicalFilter, LogicalProject, LogicalRename,
-                         LogicalLimit)):
-        return child_cost + estimator.estimate(children[0])
-    if isinstance(plan, LogicalJoin):
-        left = estimator.estimate(plan.left)
-        right = estimator.estimate(plan.right)
-        return child_cost + left + right + rows
-    if isinstance(plan, LogicalAggregate):
-        return child_cost + estimator.estimate(plan.child) + rows
-    if isinstance(plan, (LogicalUnion, LogicalDistinct)):
-        return child_cost + rows
-    if isinstance(plan, LogicalSort):
-        child_rows = max(estimator.estimate(children[0]), 2.0)
-        return child_cost + child_rows * math.log2(child_rows)
-    return child_cost + rows
-
-
-@dataclass
-class LoopEstimate:
-    """How many times one loop is expected to run, and why."""
-
-    loop_id: int
-    iterations: float
-    basis: str  # "exact" | "measured" | "derived" | "heuristic"
-
-
-@dataclass
-class ProgramCostReport:
-    """Cost breakdown of a step program."""
-
-    setup_cost: float = 0.0
-    per_iteration_cost: dict[int, float] = field(default_factory=dict)
-    final_cost: float = 0.0
-    loop_estimates: list[LoopEstimate] = field(default_factory=list)
-
-    @property
-    def total_cost(self) -> float:
-        iterating = sum(
-            estimate.iterations * self.per_iteration_cost.get(
-                estimate.loop_id, 0.0)
-            for estimate in self.loop_estimates)
-        return self.setup_cost + iterating + self.final_cost
-
-    def describe(self) -> str:
-        lines = [f"setup cost          : {self.setup_cost:,.0f}"]
-        for estimate in self.loop_estimates:
-            per_iter = self.per_iteration_cost.get(estimate.loop_id, 0.0)
-            lines.append(
-                f"loop {estimate.loop_id}: "
-                f"{estimate.iterations:,.0f} iterations "
-                f"({estimate.basis}) x {per_iter:,.0f} per iteration")
-        lines.append(f"final query cost    : {self.final_cost:,.0f}")
-        lines.append(f"total estimated cost: {self.total_cost:,.0f}")
-        return "\n".join(lines)
-
-
-def estimate_iterations(spec: LoopSpec,
-                        cte_rows: float,
-                        measured: Optional[int] = None) -> LoopEstimate:
-    """The paper's future-work item: an iteration-count estimate per
-    termination family.
-
-    * ITERATIONS — exact: the user wrote N.
-    * UPDATES — derived: a full-dataset update changes up to |CTE| rows
-      per iteration, so ceil(N / |CTE|) iterations reach the budget.
-    * DATA / DELTA / fixpoint — no closed form without executing; a
-      recorded measurement from a prior run of the same CTE (loop
-      telemetry feedback) beats ``DEFAULT_ITERATION_ESTIMATE``.
-    """
-    termination = spec.termination
-    if termination is not None \
-            and termination.kind is ast.TerminationKind.ITERATIONS:
-        return LoopEstimate(spec.loop_id, float(termination.count),
-                            "exact")
-    if measured is not None and measured > 0:
-        return LoopEstimate(spec.loop_id, float(measured), "measured")
-    if termination is not None \
-            and termination.kind is ast.TerminationKind.UPDATES:
-        per_iteration = max(cte_rows, 1.0)
-        iterations = math.ceil(termination.count / per_iteration)
-        return LoopEstimate(spec.loop_id, float(max(iterations, 1)),
-                            "derived")
-    return LoopEstimate(spec.loop_id, float(DEFAULT_ITERATION_ESTIMATE),
-                        "heuristic")
-
-
-def estimate_program(program: Program,
-                     statistics: StatisticsCatalog) -> ProgramCostReport:
-    """Cost a step program: setup + Σ loops (estimate × body) + final."""
-    estimator = CardinalityEstimator(statistics)
-    report = ProgramCostReport()
-
-    loop_starts = {
-        step.jump_to: step.loop_id
-        for step in program.steps if isinstance(step, LoopStep)}
-    current_loop: Optional[int] = None
-
-    for index, step in enumerate(program.steps):
-        if index in loop_starts:
-            current_loop = loop_starts[index]
-            report.per_iteration_cost.setdefault(current_loop, 0.0)
-
-        cost = _step_cost(step, estimator)
-
-        if isinstance(step, LoopStep):
-            spec = program.loops[step.loop_id]
-            cte_rows = estimator.temp_cardinalities.get(
-                spec.cte_result.lower(), 1000.0)
-            measured = statistics.measured_iterations(spec.cte_name)
-            report.loop_estimates.append(
-                estimate_iterations(spec, cte_rows, measured=measured))
-            current_loop = None
-            continue
-        if isinstance(step, ReturnStep):
-            report.final_cost += cost
-            continue
-        if current_loop is not None:
-            report.per_iteration_cost[current_loop] += cost
-        else:
-            report.setup_cost += cost
-    return report
-
-
-def _step_cost(step: Step, estimator: CardinalityEstimator) -> float:
-    if isinstance(step, (MaterializeStep, ReturnStep)):
-        cost = plan_cost(step.plan, estimator)
-        if isinstance(step, MaterializeStep):
-            rows = estimator.estimate(step.plan)
-            estimator.temp_cardinalities[step.result_name.lower()] = rows
-            cost += rows  # the write
-        return cost
-    if isinstance(step, CopyStep):
-        rows = estimator.temp_cardinalities.get(step.source.lower(), 0.0)
-        estimator.temp_cardinalities[step.target.lower()] = rows
-        return 2 * rows  # read + write
-    if isinstance(step, RenameStep):
-        rows = estimator.temp_cardinalities.get(step.source.lower(), 0.0)
-        estimator.temp_cardinalities[step.target.lower()] = rows
-        return 1.0  # O(1): the whole point of the operator
-    if isinstance(step, SnapshotStep):
-        rows = estimator.temp_cardinalities.get(step.source.lower(), 0.0)
-        estimator.temp_cardinalities[step.target.lower()] = rows
-        return 1.0  # reference copy
-    if isinstance(step, CountUpdatesStep):
-        return 2 * estimator.temp_cardinalities.get(
-            step.current.lower(), 0.0)
-    if isinstance(step, DeltaCaptureStep):
-        # The same by-key diff, once per full iteration.
-        return 2 * estimator.temp_cardinalities.get(
-            step.spec.cte_result.lower(), 0.0)
-    if isinstance(step, RecursiveMergeStep):
-        return 2 * estimator.temp_cardinalities.get(
-            step.candidate.lower(), 0.0)
-    if isinstance(step, InitLoopStep):
-        return 1.0
-    return 1.0

@@ -96,9 +96,6 @@ class StatisticsCatalog:
     def __init__(self, catalog: Catalog):
         self._catalog = catalog
         self._tables: dict[str, TableStatistics] = {}
-        # Observed iteration counts per iterative CTE (latest run wins),
-        # fed back into the cost model's iteration estimator.
-        self._measured_iterations: dict[str, int] = {}
 
     def analyze(self, table_name: Optional[str] = None) -> list[str]:
         """Collect statistics for one table (or all).  Returns the names
@@ -129,17 +126,3 @@ class StatisticsCatalog:
 
     def analyzed_tables(self) -> list[str]:
         return sorted(self._tables)
-
-    # -- measured loop convergence ------------------------------------------
-
-    def record_loop_iterations(self, cte_name: str, iterations: int) -> None:
-        """Remember how many iterations an iterative CTE actually ran.
-
-        Subsequent cost estimates for a loop over the same CTE name use
-        the measurement instead of the session heuristic (the pilot-run
-        refinement DESIGN.md leaves open)."""
-        if iterations > 0:
-            self._measured_iterations[cte_name.lower()] = int(iterations)
-
-    def measured_iterations(self, cte_name: str) -> Optional[int]:
-        return self._measured_iterations.get(cte_name.lower())

@@ -1,20 +1,11 @@
-"""Cost model tests: cardinality estimation, plan costs, iteration
-estimation, and program cost reports."""
+"""Cost model tests: cardinality estimation and the join reordering
+that reads it."""
 
 import pytest
 
-from repro import Database
 from repro.plan import PlanContext, build_statement
-from repro.plan.program import LoopSpec
-from repro.sql import ast, parse
-from repro.stats import (
-    CardinalityEstimator,
-    estimate_iterations,
-    estimate_program,
-    plan_cost,
-)
-from repro.stats.costing import DEFAULT_ITERATION_ESTIMATE
-from repro.types import SqlType
+from repro.sql import parse
+from repro.stats import CardinalityEstimator
 
 
 @pytest.fixture
@@ -92,157 +83,6 @@ class TestCardinality:
         rows, _, _ = estimate(db, "SELECT * FROM t WHERE a = 1")
         # Row count comes from the fallback; selectivity is the default.
         assert 0 < rows < 50
-
-
-class TestPlanCost:
-    def test_cost_monotone_in_plan_size(self, analyzed_db):
-        small, estimator, plan_a = estimate(analyzed_db,
-                                            "SELECT * FROM dims")
-        _, _, plan_b = estimate(analyzed_db, """
-            SELECT * FROM facts JOIN dims ON facts.grp = dims.grp""")
-        assert plan_cost(plan_b, estimator) \
-            > plan_cost(plan_a, estimator)
-
-    def test_filtered_scan_cheaper_than_join(self, analyzed_db):
-        _, estimator, filtered = estimate(
-            analyzed_db, "SELECT * FROM facts WHERE k = 1")
-        _, _, joined = estimate(analyzed_db, """
-            SELECT * FROM facts a JOIN facts b ON a.k = b.k""")
-        assert plan_cost(filtered, estimator) \
-            < plan_cost(joined, estimator)
-
-
-class TestIterationEstimation:
-    def _spec(self, termination):
-        return LoopSpec(loop_id=0, termination=termination,
-                        cte_result="r", cte_name="r", columns=["k"])
-
-    def test_iterations_exact(self):
-        termination = ast.Termination(ast.TerminationKind.ITERATIONS,
-                                      count=25)
-        estimate = estimate_iterations(self._spec(termination), 100.0)
-        assert estimate.iterations == 25
-        assert estimate.basis == "exact"
-
-    def test_updates_derived(self):
-        termination = ast.Termination(ast.TerminationKind.UPDATES,
-                                      count=1000)
-        estimate = estimate_iterations(self._spec(termination), 100.0)
-        assert estimate.iterations == 10
-        assert estimate.basis == "derived"
-
-    def test_data_heuristic(self):
-        termination = ast.Termination(
-            ast.TerminationKind.DATA_ANY,
-            expr=ast.BinaryOp(ast.BinaryOperator.GT,
-                              ast.ColumnRef("k"), ast.Literal(10)))
-        estimate = estimate_iterations(self._spec(termination), 100.0)
-        assert estimate.iterations == DEFAULT_ITERATION_ESTIMATE
-        assert estimate.basis == "heuristic"
-
-    def test_fixpoint_heuristic(self):
-        spec = LoopSpec(loop_id=0, termination=None, cte_result="r",
-                        cte_name="r", columns=["k"], until_empty="w")
-        estimate = estimate_iterations(spec, 100.0)
-        assert estimate.basis == "heuristic"
-
-    def test_measured_beats_heuristic(self):
-        termination = ast.Termination(
-            ast.TerminationKind.DATA_ANY,
-            expr=ast.BinaryOp(ast.BinaryOperator.GT,
-                              ast.ColumnRef("k"), ast.Literal(10)))
-        estimate = estimate_iterations(self._spec(termination), 100.0,
-                                       measured=17)
-        assert estimate.iterations == 17
-        assert estimate.basis == "measured"
-
-    def test_measured_beats_updates_derivation(self):
-        termination = ast.Termination(ast.TerminationKind.UPDATES,
-                                      count=1000)
-        estimate = estimate_iterations(self._spec(termination), 100.0,
-                                       measured=3)
-        assert estimate.iterations == 3
-        assert estimate.basis == "measured"
-
-    def test_measured_never_overrides_exact(self):
-        termination = ast.Termination(ast.TerminationKind.ITERATIONS,
-                                      count=25)
-        estimate = estimate_iterations(self._spec(termination), 100.0,
-                                       measured=7)
-        assert estimate.iterations == 25
-        assert estimate.basis == "exact"
-
-    def test_measured_fixpoint(self):
-        spec = LoopSpec(loop_id=0, termination=None, cte_result="r",
-                        cte_name="r", columns=["k"], until_empty="w")
-        estimate = estimate_iterations(spec, 100.0, measured=12)
-        assert estimate.iterations == 12
-        assert estimate.basis == "measured"
-
-
-class TestProgramCosting:
-    def test_iterative_program_report(self, analyzed_db):
-        from repro.core.rewrite import compile_statement
-        from repro.execution import SessionOptions
-        sql = """
-        WITH ITERATIVE r (k, v) AS (
-          SELECT k, v FROM facts ITERATE SELECT k, v * 2 FROM r
-          UNTIL 25 ITERATIONS
-        ) SELECT SUM(v) FROM r"""
-        program = compile_statement(parse(sql),
-                                    PlanContext(analyzed_db.catalog),
-                                    SessionOptions())
-        report = estimate_program(program, analyzed_db.statistics)
-        assert len(report.loop_estimates) == 1
-        assert report.loop_estimates[0].iterations == 25
-        assert report.per_iteration_cost[0] > 0
-        assert report.total_cost > report.setup_cost + report.final_cost
-        assert "25 iterations (exact)" in report.describe()
-
-    def test_more_iterations_cost_more(self, analyzed_db):
-        costs = {}
-        for n in (5, 50):
-            sql = f"""
-            WITH ITERATIVE r (k, v) AS (
-              SELECT k, v FROM facts ITERATE SELECT k, v * 2 FROM r
-              UNTIL {n} ITERATIONS
-            ) SELECT SUM(v) FROM r"""
-            from repro.core.rewrite import compile_statement
-            from repro.execution import SessionOptions
-            program = compile_statement(parse(sql),
-                                        PlanContext(analyzed_db.catalog),
-                                        SessionOptions())
-            costs[n] = estimate_program(
-                program, analyzed_db.statistics).total_cost
-        assert costs[50] > costs[5]
-
-    def test_explain_cost_api(self, analyzed_db):
-        text = analyzed_db.explain_cost("""
-        WITH ITERATIVE r (k, v) AS (
-          SELECT k, v FROM facts ITERATE SELECT k, v + 1 FROM r
-          UNTIL 10 ITERATIONS
-        ) SELECT SUM(v) FROM r""")
-        assert "10 iterations (exact)" in text
-        assert "total estimated cost" in text
-
-    def test_rename_costs_less_than_copy(self, analyzed_db):
-        from repro.core.rewrite import compile_statement
-        from repro.execution import SessionOptions
-        sql = """
-        WITH ITERATIVE r (k, v) AS (
-          SELECT k, v FROM facts ITERATE SELECT k, v * 2 FROM r
-          UNTIL 25 ITERATIONS
-        ) SELECT SUM(v) FROM r"""
-        costs = {}
-        for rename in (True, False):
-            options = SessionOptions(enable_rename=rename)
-            program = compile_statement(parse(sql),
-                                        PlanContext(analyzed_db.catalog),
-                                        options)
-            costs[rename] = estimate_program(
-                program, analyzed_db.statistics).total_cost
-        # The cost model prices the Fig. 8 trade-off correctly.
-        assert costs[True] < costs[False]
 
 
 class TestJoinReorder:

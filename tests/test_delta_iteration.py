@@ -4,9 +4,9 @@ Covers the safety analyzer (which step queries are provably per-key),
 the program shape the rewrite emits, bit-identity of delta-mode results
 against the always-correct full recomputation across workloads and
 termination families, the runtime's self-disabling fallbacks, and the
-EXPLAIN ANALYZE integration (frontier-sized delta_rows, measured
-iteration feedback)."""
+EXPLAIN ANALYZE integration (frontier-sized delta_rows)."""
 
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -296,21 +296,33 @@ class TestExplainAnalyze:
         assert records[-1].delta_rows == 0
         assert any(r.delta_rows > 0 for r in records)
 
-    def test_measured_iterations_feed_the_cost_model(self):
-        db = graph_db(dag_edges(300, 1200), delta_on=True)
-        sql = sssp_query(source=1, iterations=12).replace(
-            "UNTIL 12 ITERATIONS", "UNTIL DELTA = 0")
-        first = db.explain_analyze(sql)
-        assert "(heuristic)" in first and "measured" in first
-        second = db.explain_analyze(sql)
-        assert "(measured)" in second and "error +0%" in second
 
-    def test_exact_termination_stays_exact(self):
+class TestCaptureReusesSolutionSet:
+    def test_demoted_loop_builds_no_dictionary_for_changed_rows(
+            self, monkeypatch):
+        """Delta capture pairs rows through the loop's solution set, in
+        capture mode and after a demotion alike, instead of factorizing
+        the key column again."""
+        import repro.execution.kernels as kernels
+        import repro.runtime.conditions as conditions
+        real = kernels.build_dictionary
+        calls = []
+
+        def spy(column):
+            if sys._getframe(1).f_globals["__name__"] \
+                    == conditions.__name__:
+                calls.append(len(column))
+            return real(column)
+
+        monkeypatch.setattr(kernels, "build_dictionary", spy)
+        monkeypatch.setattr(conditions, "build_dictionary", spy,
+                            raising=False)
+        sql = pagerank_query(iterations=8)
         db = graph_db(EDGES, delta_on=True)
-        sql = sssp_query(source=1, iterations=8)
-        db.explain_analyze(sql)
-        report = db.explain_analyze(sql)
-        assert "8 iterations (exact)" in report
+        rows = db.execute(sql).rows()
+        assert db.stats.strategy_demotions == 1
+        assert calls == []
+        assert rows == graph_db(EDGES, delta_on=False).execute(sql).rows()
 
 
 def vs_db(edges, status, **options) -> Database:

@@ -1,11 +1,13 @@
 """Middleware-baseline tests: result equivalence with the native path and
 the per-statement overhead the paper's §II argues about."""
 
+import threading
+
 import pytest
 
 from repro import Database
 from repro.datasets import dblp_like, fresh_database, generate_edges
-from repro.errors import PlanError
+from repro.errors import IterationLimitError, PlanError
 from repro.middleware import MiddlewareDriver
 from repro.workloads import ff_query, pagerank_query, sssp_query
 
@@ -56,6 +58,24 @@ class TestEquivalence:
         ) SELECT v FROM r"""
         assert native_db.execute(sql).scalar() \
             == MiddlewareDriver(middleware_db).run(sql).scalar()
+        # A NULL that becomes a value is a changed row, as the engine
+        # counts it: row 1 changes in the first trip, so a second trip
+        # runs and sets its flag.
+        sql = """
+        WITH ITERATIVE r (id, v, c) AS (
+          SELECT id, v, c FROM t ITERATE
+          SELECT r.id, COALESCE(r.v, 5),
+                 CASE WHEN r.v IS NOT NULL AND r.c = 0 THEN 1 ELSE r.c END
+          FROM r
+          UNTIL DELTA < 1
+        ) SELECT id, v, c FROM r"""
+        for db in (native_db, middleware_db):
+            db.execute("CREATE TABLE t (id int, v int, c int)")
+            db.execute("INSERT INTO t VALUES (1, NULL, 0), (2, 3, 1)")
+        native = sorted(native_db.execute(sql).rows())
+        assert native == [(1, 5, 1), (2, 3, 1)]
+        assert sorted(MiddlewareDriver(middleware_db).run(sql).rows()) \
+            == native
 
 
 class TestOverheadAccounting:
@@ -107,6 +127,44 @@ class TestOverheadAccounting:
         ) SELECT v FROM r"""
         with pytest.raises(Exception):
             driver.run(bad)
+        leftovers = [name for name in middleware_db.catalog.table_names()
+                     if name.startswith("__mw_")]
+        assert leftovers == []
+
+
+class TestIterationCap:
+    def test_runaway_loop_raises_like_native(self, native_db,
+                                              middleware_db):
+        """A loop whose UPDATES budget is never reached stops at
+        ``max_iterations`` with IterationLimitError on both paths."""
+        sql = """
+        WITH ITERATIVE r (id, v) AS (
+          SELECT id, v FROM t ITERATE SELECT r.id, r.v FROM r
+          UNTIL 1 UPDATES
+        ) SELECT id, v FROM r"""
+        for db in (native_db, middleware_db):
+            db.set_option("max_iterations", 20)
+            db.execute("CREATE TABLE t (id int, v int)")
+            db.execute("INSERT INTO t VALUES (1, 1)")
+        with pytest.raises(IterationLimitError):
+            native_db.execute(sql)
+
+        driver = MiddlewareDriver(middleware_db)
+        outcome = {}
+
+        def drive():
+            try:
+                driver.run(sql)
+            except Exception as exc:  # handed to the test thread
+                outcome["error"] = exc
+
+        # A daemon thread, so a driver without a cap fails the test
+        # instead of hanging the suite.
+        thread = threading.Thread(target=drive, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "middleware loop ignored the cap"
+        assert isinstance(outcome.get("error"), IterationLimitError)
         leftovers = [name for name in middleware_db.catalog.table_names()
                      if name.startswith("__mw_")]
         assert leftovers == []

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from repro import Database
 from repro.errors import DuplicateKeyError
+from repro.execution.kernels import comparable_values
 from repro.runtime import changed_rows
+from repro.runtime.handlers.delta import _repoint
+from repro.runtime.strategies import SolutionSet
 from repro.storage import Table
 from repro.types import SqlType
 
@@ -197,6 +200,36 @@ class TestCountChangedRows:
         got = changed_rows(self._table(before_rows),
                            self._table(after_rows), 0)
         assert got.tolist() == expected
+
+    @given(st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 9)),
+                              st.one_of(st.none(), st.integers(0, 2))),
+                    max_size=14),
+           st.lists(st.tuples(st.integers(0, 9),
+                              st.one_of(st.none(), st.integers(0, 2))),
+                    max_size=10, unique_by=lambda r: r[0]),
+           st.lists(st.integers(10, 14), max_size=3, unique=True),
+           st.booleans())
+    @settings(max_examples=60)
+    def test_solution_set_mask_matches_dictionary_path(
+            self, before_rows, after_rows, dropped_keys, repointed):
+        """The delta loop's solution set pairs rows exactly like the
+        dictionary built afresh over the current key."""
+        # Previous keys repeat, go NULL and name keys the current table
+        # lacks; current keys are the loop's unique non-NULL key set.
+        before = self._table(before_rows)
+        after = self._table(after_rows)
+        keys = comparable_values(after.columns[0].data)
+        if repointed:
+            # A demoted loop: the set was built over more keys, in
+            # another row order, and re-pointed at this table's rows.
+            indexed = np.concatenate(
+                [keys[::-1], np.array(dropped_keys, dtype=keys.dtype)])
+            solution = _repoint(SolutionSet.build(indexed), after)
+        else:
+            solution = SolutionSet.build(keys)
+        expected = changed_rows(before, after, 0)
+        got = changed_rows(before, after, 0, solution)
+        assert got.tolist() == expected.tolist()
 
 
 class TestEngineInvariants:

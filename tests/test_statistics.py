@@ -1,5 +1,7 @@
 """Statistics subsystem tests: ANALYZE, column stats, selectivities."""
 
+import copy
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -112,35 +114,22 @@ class TestAnalyzeStatement:
         assert graph_db.statistics.analyzed_tables() == ["edges"]
 
 
-class TestMeasuredIterations:
-    def test_record_and_read_back(self):
+class TestReadsLeaveStatisticsAlone:
+    def test_iterative_select_leaves_statistics_untouched(self):
+        """Only statements under the write lock (ANALYZE, DML, DDL)
+        change the engine-shared statistics catalog; a query does not."""
         db = Database()
-        db.statistics.record_loop_iterations("MyCte", 14)
-        assert db.statistics.measured_iterations("mycte") == 14
-        assert db.statistics.measured_iterations("MYCTE") == 14
-
-    def test_unknown_cte_is_none(self):
-        db = Database()
-        assert db.statistics.measured_iterations("never_ran") is None
-
-    def test_zero_iterations_not_recorded(self):
-        db = Database()
-        db.statistics.record_loop_iterations("cte", 0)
-        assert db.statistics.measured_iterations("cte") is None
-
-    def test_latest_measurement_wins(self):
-        db = Database()
-        db.statistics.record_loop_iterations("cte", 5)
-        db.statistics.record_loop_iterations("cte", 9)
-        assert db.statistics.measured_iterations("cte") == 9
-
-    def test_query_runs_record_measurements(self):
-        db = Database()
-        db.create_table("t", [("k", SqlType.INTEGER)])
-        db.load_rows("t", [(1,), (2,)])
-        db.execute("""
+        db.execute("CREATE TABLE t (k int)")
+        db.execute("INSERT INTO t VALUES (1), (2)")
+        db.execute("ANALYZE")
+        before = {name: copy.copy(value) if isinstance(value, dict)
+                  else value
+                  for name, value in vars(db.statistics).items()}
+        sql = """
         WITH ITERATIVE r (k) AS (
           SELECT k FROM t ITERATE SELECT k + 1 FROM r
           UNTIL 6 ITERATIONS
-        ) SELECT k FROM r""")
-        assert db.statistics.measured_iterations("r") == 6
+        ) SELECT k FROM r"""
+        assert sorted(db.execute(sql).rows()) == [(7,), (8,)]
+        db.explain_analyze(sql)
+        assert vars(db.statistics) == before

@@ -97,19 +97,6 @@ class TestDecisionEvents:
         assert attrs["to_strategy"] == "semi-naive-delta"
         assert attrs["frontier"] < attrs["budget_frontier"]
 
-    def test_explain_analyze_emits_loop_estimate(self):
-        db = traced_db(enable_delta_iteration=True)
-        db.explain_analyze(sssp_query(source=1, iterations=5))
-        payload = json.loads(db.trace_json())
-        validate_trace_dict(payload)
-        estimates = [d for d in events_of_kind(payload["root"], "decision")
-                     if d["name"] == "loop_estimate"]
-        assert len(estimates) == 1
-        attrs = estimates[0]["attributes"]
-        assert attrs["cte"] == "sssp"
-        assert attrs["estimated_iterations"] == 5
-        assert attrs["basis"]
-
 
 class TestDecisionSchema:
     def _valid_payload(self) -> dict:
@@ -131,7 +118,7 @@ class TestDecisionSchema:
         with pytest.raises(ValueError, match="reason"):
             validate_trace_dict(payload)
 
-    def test_known_names_are_the_documented_five(self):
+    def test_known_names_are_the_documented_four(self):
         assert DECISION_EVENT_NAMES == {
             "strategy_selection", "strategy_demotion",
-            "strategy_promotion", "loop_estimate", "plan_cache_hit"}
+            "strategy_promotion", "plan_cache_hit"}
