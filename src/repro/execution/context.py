@@ -63,6 +63,11 @@ class ExecutionStats:
     plan_cache_shape_hits: int = 0
     plan_cache_misses: int = 0
     plan_cache_invalidations: int = 0
+    # GROUP BY on two or more keys with an integer leading key
+    # (kernels.group_keys): the leading key decided every group, or the
+    # per-group check refuted it and every key was encoded.
+    determinant_groupings: int = 0
+    determinant_fallbacks: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return dict(self.__dict__)

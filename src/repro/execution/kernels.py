@@ -14,6 +14,10 @@ every path.  Everything in the package that would call ``np.unique``
 calls :func:`unique_sorted`: on numpy 2.x a plain ``np.unique`` takes a
 hash path several times slower than a sort.
 
+GROUP BY groups through :func:`group_keys`, which groups on an integer
+leading key alone when a per-group check shows that it determines the
+other keys, and otherwise encodes them all as above.
+
 Dictionaries are built per call: the columns these kernels see inside a
 loop are new on every iteration, so there is nothing to reuse.  The one
 loop-invariant consumer, a join's build side, keeps whole indexes in
@@ -241,13 +245,18 @@ def encode_keys(columns: Sequence[Column],
     """Combine key columns into one int64 code per row (-1 = no-match)."""
     if not columns:
         raise ValueError("encode_keys needs at least one column")
-    combined = None
+    codes, cardinality = factorize(columns[0], nulls_match)
+    return _combine_codes(codes, cardinality, columns[1:], nulls_match)
+
+
+def _combine_codes(combined: np.ndarray, combined_card: int,
+                   columns: Sequence[Column],
+                   nulls_match: bool) -> np.ndarray:
+    """Append ``columns`` to the codes of the keys before them as minor
+    mixed-radix digits."""
+    combined_card = max(combined_card, 1)
     for column in columns:
         codes, cardinality = factorize(column, nulls_match)
-        if combined is None:
-            combined = codes
-            combined_card = max(cardinality, 1)
-            continue
         bad = (combined < 0) | (codes < 0)
         combined = combined * max(cardinality, 1) + codes
         combined[bad] = -1
@@ -321,6 +330,61 @@ def group_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _, first_index, inverse = unique_sorted(
         codes, return_index=True, return_inverse=True)
     return inverse.astype(np.int64), first_index.astype(np.int64)
+
+
+class Grouping(NamedTuple):
+    """GROUP BY's dense group ids, the first row of each group, and how
+    they were found: ``determinant`` is None when every key was encoded,
+    True when the leading key decided every group, False when the check
+    refuted it and the keys were encoded in full."""
+
+    gids: np.ndarray
+    first_index: np.ndarray
+    determinant: Optional[bool]
+
+
+def group_keys(columns: Sequence[Column]) -> Grouping:
+    """Exactly the ids and first rows of
+    ``group_ids(encode_keys(columns, nulls_match=True))``.
+
+    With two or more keys and an integer leading column, the leading
+    column is grouped alone and every other key is checked to be
+    constant within each group.  Then those keys are the minor digits of
+    the mixed radix with one value per group, so full encoding would
+    find the same groups in the same order.  On a mismatch the leading
+    column's codes are combined with the rest, as :func:`encode_keys`
+    does.
+    """
+    lead = columns[0]
+    if len(columns) < 2 or lead.data.dtype.kind not in "iu":
+        gids, first_index = group_ids(encode_keys(columns, nulls_match=True))
+        return Grouping(gids, first_index, None)
+    codes, cardinality = factorize(lead, nulls_match=True)
+    gids, first_index = group_ids(codes)
+    rep = first_index[gids]
+    if all(_constant_per_group(column, rep) for column in columns[1:]):
+        return Grouping(gids, first_index, True)
+    gids, first_index = group_ids(_combine_codes(
+        codes, cardinality, columns[1:], nulls_match=True))
+    return Grouping(gids, first_index, False)
+
+
+def _constant_per_group(column: Column, rep: np.ndarray) -> bool:
+    """Whether every row holds the key value of its group's first row
+    ``rep``, by full encoding's equality: NULL equals NULL, NaN equals
+    NaN, -0.0 equals 0.0 and TEXT compares as :func:`comparable_values`."""
+    mask = column.mask
+    has_nulls = bool(mask.any())
+    if has_nulls and not np.array_equal(mask[rep], mask):
+        return False
+    data = comparable_values(column.data)
+    rep_data = data[rep]
+    same = rep_data == data
+    if data.dtype.kind == "f":
+        same |= np.isnan(rep_data) & np.isnan(data)
+    if has_nulls:
+        same |= mask
+    return bool(same.all())
 
 
 def distinct_indices(columns: Sequence[Column]) -> np.ndarray:

@@ -45,7 +45,7 @@ from .kernels import (
     distinct_indices,
     encode_keys,
     equi_join_pairs,
-    group_ids,
+    group_keys,
     probe_buckets,
     sort_indices,
 )
@@ -402,8 +402,11 @@ def _execute_aggregate(op: LogicalAggregate, ctx: ExecutionContext) -> Frame:
 
     if op.keys:
         key_columns = [evaluate(expr, child) for expr, _ in op.keys]
-        codes = encode_keys(key_columns, nulls_match=True)
-        gids, first_index = group_ids(codes)
+        gids, first_index, determinant = group_keys(key_columns)
+        if determinant is True:
+            ctx.stats.determinant_groupings += 1
+        elif determinant is False:
+            ctx.stats.determinant_fallbacks += 1
         n_groups = len(first_index)
         key_slots = [column.take(first_index) for column in key_columns]
     else:

@@ -2,8 +2,10 @@
 
 This driver executes an iterative CTE *outside* the engine, exactly the
 way Fig. 1 sketches: it creates temporary tables through DDL, runs the
-non-iterative part as an INSERT ... SELECT, then loops DELETE + INSERT +
-UPDATE statements, checking the termination condition client-side with
+non-iterative part as an INSERT ... SELECT, then loops DELETE + INSERT
+statements into a working table and applies it to the main table —
+a keyed UPDATE for a step with WHERE, DELETE + INSERT (Algorithm 1's
+rename) otherwise — checking the termination condition client-side with
 extra SELECT count(*) round trips.  Every operation is a separate
 statement the engine parses, plans, locks and schedules independently —
 the overheads the native rewrite avoids.
@@ -151,7 +153,15 @@ class MiddlewareDriver:
 
             step_sql = statement_to_sql(
                 _rebind_cte(cte.step, cte.name, main))
-            update_sql = self._update_statement(main, working, columns, key)
+            # As the engine does: a step with WHERE merges by key, any
+            # other step replaces the table (the dialect has no RENAME).
+            if isinstance(cte.step, ast.Select) \
+                    and cte.step.where is not None:
+                apply_sqls = [self._update_statement(main, working,
+                                                     columns, key)]
+            else:
+                apply_sqls = [f"DELETE FROM {main}",
+                              f"INSERT INTO {main} SELECT * FROM {working}"]
 
             # The unified loop shell: same telemetry records and span
             # shape as the native engine's loops, kind "middleware".
@@ -171,7 +181,8 @@ class MiddlewareDriver:
                 if counts_updates:
                     changed = self._count_changes(main, working, columns,
                                                   key)
-                self._execute(update_sql, "dml")
+                for apply_sql in apply_sqls:
+                    self._execute(apply_sql, "dml")
                 iterations += 1
                 total_updates += changed
                 done = self._terminated(cte.termination, main, iterations,

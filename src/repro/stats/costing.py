@@ -29,17 +29,15 @@ from .statistics import StatisticsCatalog
 DEFAULT_EQUALITY_SELECTIVITY = 0.005
 DEFAULT_RANGE_SELECTIVITY = 0.33
 DEFAULT_PREDICATE_SELECTIVITY = 0.25
+# Intermediate results (CTE tables, COMMON#k) have no statistics.
+DEFAULT_TEMP_CARDINALITY = 1000.0
 
 
 class CardinalityEstimator:
     """Estimates output row counts for logical plans."""
 
-    def __init__(self, statistics: StatisticsCatalog,
-                 temp_cardinalities: Optional[dict[str, float]] = None):
+    def __init__(self, statistics: StatisticsCatalog):
         self._statistics = statistics
-        # Estimated sizes for intermediate results (CTE tables, COMMON#k)
-        # by lower-cased name; a temp scan not named here reads as 1000.
-        self.temp_cardinalities = dict(temp_cardinalities or {})
 
     # -- public -------------------------------------------------------------
 
@@ -48,8 +46,7 @@ class CardinalityEstimator:
             stats = self._statistics.table(plan.table_name)
             return float(stats.row_count) if stats else 1000.0
         if isinstance(plan, LogicalTempScan):
-            return self.temp_cardinalities.get(
-                plan.result_name.lower(), 1000.0)
+            return DEFAULT_TEMP_CARDINALITY
         if isinstance(plan, LogicalValues):
             return float(len(plan.rows))
         if isinstance(plan, LogicalFilter):

@@ -138,6 +138,13 @@ CORPUS = [
     "SELECT t1.a, COUNT(u.y), SUM(t2.b) FROM t t1 "
     "LEFT JOIN u ON t1.b = u.x LEFT JOIN t t2 ON t2.a = u.y "
     "GROUP BY t1.a",
+    # Grouping on the leading integer key (kernels.group_keys): b depends
+    # on the unique a and holds NULLs; c's NULL rows form the
+    # determinant's NULL group; b + c varies within b = 20, so the check
+    # fails and every key is encoded.
+    "SELECT a, b, COUNT(*) FROM t GROUP BY a, b",
+    "SELECT c, c * 2, COUNT(*) FROM t GROUP BY c, c * 2",
+    "SELECT b, b + c, COUNT(*) FROM t GROUP BY b, b + c",
 ]
 
 # SQLite parses RIGHT and FULL OUTER JOIN from 3.39 on.

@@ -13,6 +13,7 @@ from repro.execution.kernels import (
     equi_join_pairs,
     factorize,
     group_ids,
+    group_keys,
     lookup_sorted,
     sort_indices,
     unique_sorted,
@@ -348,3 +349,97 @@ class TestLookupSortedTable:
     def test_empty_haystack(self):
         self.check([], [1, INT64_MIN])
         self.check([], [])
+
+
+# Dependent-key pools: NULL (None), repeated values, and for FLOAT the
+# values full encoding treats as equal (NaN with NaN, -0.0 with 0.0).
+DEPENDENT_POOLS = {
+    SqlType.INTEGER: [None, -1, 0, 0, 7],
+    SqlType.FLOAT: [None, np.nan, 0.0, -0.0, 1.5, np.inf],
+    SqlType.TEXT: [None, "", "a", "a", "ab"],
+}
+LEADS = st.one_of(st.none(), st.integers(-3, 3),
+                  st.integers(-2 ** 40, 2 ** 40))
+
+
+def _key_column(draw, sql_type, values):
+    """A column whose NULL rows carry data drawn from the same pool, so
+    a check that read data under the mask would see equal values."""
+    pool = [v for v in DEPENDENT_POOLS[sql_type] if v is not None]
+    mask = np.array([v is None for v in values], dtype=np.bool_)
+    data = [draw(st.sampled_from(pool)) if v is None else v for v in values]
+    return Column.from_numpy(
+        sql_type, np.array(data, dtype=sql_type.numpy_dtype), mask)
+
+
+@st.composite
+def grouping_key_tuples(draw):
+    """GROUP BY key columns: an INTEGER leading key with NULLs, then
+    INTEGER / FLOAT / TEXT keys that depend on it — one pooled value per
+    leading key — unless one random row was redrawn afterwards."""
+    n = draw(st.integers(0, 30))
+    leads = draw(st.lists(LEADS, min_size=n, max_size=n))
+    columns = [_key_column(draw, SqlType.INTEGER, leads)]
+    for sql_type in draw(st.lists(st.sampled_from(list(DEPENDENT_POOLS)),
+                                  max_size=3)):
+        pool = st.sampled_from(DEPENDENT_POOLS[sql_type])
+        per_lead = {lead: draw(pool) for lead in leads}
+        values = [per_lead[lead] for lead in leads]
+        if n and draw(st.booleans()):
+            values[draw(st.integers(0, n - 1))] = draw(pool)
+        columns.append(_key_column(draw, sql_type, values))
+    return columns
+
+
+class TestGroupKeys:
+    """group_keys equals full encoding exactly, and takes the leading key
+    alone exactly when that key determines the others."""
+
+    @staticmethod
+    def check(columns):
+        got = group_keys(columns)
+        want = group_ids(encode_keys(columns, nulls_match=True))
+        for g, w in zip(got[:2], want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+        if len(columns) < 2 or columns[0].data.dtype.kind not in "iu":
+            assert got.determinant is None
+        else:
+            lead = group_ids(encode_keys(columns[:1], nulls_match=True))
+            assert got.determinant == (len(lead[1]) == len(want[1]))
+        return got
+
+    @settings(max_examples=400, deadline=None)
+    @given(grouping_key_tuples())
+    def test_matches_full_encoding(self, columns):
+        self.check(columns)
+
+    def test_nan_and_signed_zero_are_one_value(self):
+        lead = Column.from_values(SqlType.INTEGER, [1, 1, 2, 2])
+        dependent = Column.from_numpy(
+            SqlType.FLOAT, np.array([np.nan, np.nan, 0.0, -0.0]))
+        assert self.check([lead, dependent]).determinant is True
+
+    def test_null_is_not_the_value_under_it(self):
+        lead = Column.from_values(SqlType.INTEGER, [1, 1])
+        dependent = Column.from_numpy(SqlType.INTEGER, np.array([5, 5]),
+                                      np.array([False, True]))
+        assert self.check([lead, dependent]).determinant is False
+
+    def test_broken_dependency_falls_back(self):
+        lead = Column.from_values(SqlType.INTEGER, [1, None, 1, None])
+        dependent = Column.from_values(SqlType.TEXT, ["a", "b", "c", "b"])
+        assert self.check([lead, dependent]).determinant is False
+
+    @pytest.mark.parametrize("values", [[], [4]], ids=["empty", "one-row"])
+    def test_tiny_inputs(self, values):
+        lead = Column.from_values(SqlType.INTEGER, values)
+        other = Column.from_values(SqlType.FLOAT, [0.5] * len(values))
+        self.check([lead])
+        assert self.check([lead, other]).determinant is True
+
+    def test_single_key_and_float_lead_encode_in_full(self):
+        floats = Column.from_values(SqlType.FLOAT, [0.5, 0.5, 2.0])
+        ints = Column.from_values(SqlType.INTEGER, [1, 1, 2])
+        assert self.check([ints]).determinant is None
+        assert self.check([floats, ints]).determinant is None

@@ -189,6 +189,35 @@ class TestOptimizationInvariance:
                 loaded_db.set_option(name, value)
 
 
+class TestDeterminantCounters:
+    """GROUP BY reports how its keys were grouped: on the leading integer
+    key alone, or, after the per-group check failed, on every key."""
+
+    @staticmethod
+    def grouping_counts(db, sql):
+        before = db.stats.snapshot()
+        db.execute(sql)
+        delta = db.stats.delta_since(before)
+        return delta["determinant_groupings"], delta["determinant_fallbacks"]
+
+    def test_pagerank_groups_on_the_node(self, loaded_db):
+        groupings, fallbacks = self.grouping_counts(
+            loaded_db, pagerank_query(iterations=10))
+        assert groupings >= 10
+        assert fallbacks == 0
+
+    def test_broken_dependency_and_single_key(self):
+        db = Database()
+        db.execute("CREATE TABLE t (a int, b int, c int)")
+        db.execute("INSERT INTO t VALUES (1, 10, NULL), (2, 20, 5), "
+                   "(3, NULL, 5), (4, 40, NULL), (5, 50, 2), (6, 60, 2), "
+                   "(7, NULL, NULL), (8, 20, 9)")
+        assert self.grouping_counts(
+            db, "SELECT b, c, COUNT(*) FROM t GROUP BY b, c") == (0, 1)
+        assert self.grouping_counts(
+            db, "SELECT c, COUNT(*) FROM t GROUP BY c") == (0, 0)
+
+
 class TestDatasets:
     def test_dblp_ratio(self):
         from repro.datasets import edge_list_stats
