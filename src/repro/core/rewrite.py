@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Optional
 
 from ..errors import PlanError
@@ -33,11 +33,14 @@ from ..execution import SessionOptions
 from ..plan import (
     CteBinding,
     LogicalFilter,
+    LogicalJoin,
     LogicalOp,
+    LogicalTempScan,
     PlanContext,
     build_statement,
     rebind_temp_scans,
     rename_outputs,
+    transform,
 )
 from ..plan.program import (
     CountUpdatesStep,
@@ -62,6 +65,7 @@ from ..rewrite import (
     analyze_iterative_delta,
     extract_common_results,
     optimize_plan,
+    prune_columns,
     pushable_final_predicate,
 )
 from ..sql import ast
@@ -120,6 +124,7 @@ def compile_statement(stmt: ast.SelectLike, context: PlanContext,
     state.steps.append(ReturnStep(final_plan))
     if state.temp_results:
         state.steps.append(DropStep(list(state.temp_results)))
+    prune_program(state.steps, options, context.catalog)
     program = Program(state.steps, state.loops)
     if options.enable_plan_verifier:
         from ..verify import verify_program
@@ -310,6 +315,54 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
     # Later parts of the statement (including Qf) see the CTE as a
     # materialized result.
     context.cte_bindings[cte_name] = binding
+
+
+def prune_program(steps: list[Step], options: SessionOptions,
+                   catalog) -> None:
+    """The ``prune_columns`` pass over every plan a step executes, after
+    every other rewrite.  A §V-A block whose consumers read only some of
+    its columns first materializes just those, and its temp scans shrink
+    to match; then every plan's joins gather only what is read above
+    them.  Each plan the pass changed is verified as ``prune_columns``.
+    """
+    planned = [step for step in steps
+               if isinstance(step, (MaterializeStep, DeltaFusedStep,
+                                    ReturnStep))]
+    before = [step.plan for step in planned]
+    blocks = {step.result_name.lower(): step for step in planned
+              if isinstance(step, MaterializeStep)
+              and step.counts == "common"
+              and isinstance(step.plan, LogicalJoin)}
+    if blocks:
+        reads: dict[str, set[int]] = {}
+        for step in planned:
+            prune_columns(step.plan, reads=reads)
+        for name, block in blocks.items():
+            kept = sorted(reads.get(name, ()))
+            if not kept or len(kept) == len(block.column_names):
+                continue
+            block.plan = prune_columns(block.plan, keep=kept)
+            block.column_names = [block.column_names[i] for i in kept]
+            for step in planned:
+                step.plan = _narrow_temp_scans(step.plan, name, kept)
+    for step, plan in zip(planned, before):
+        step.plan = prune_columns(step.plan)
+        if step.plan is not plan and options.enable_plan_verifier:
+            from ..verify.plans import verify_plan
+            verify_plan(step.plan, "prune_columns", catalog)
+
+
+def _narrow_temp_scans(plan: LogicalOp, result_name: str,
+                       kept: list[int]) -> LogicalOp:
+    """``plan`` with every temp scan of ``result_name`` emitting only the
+    fields at positions ``kept``."""
+    def visit(node: LogicalOp) -> LogicalOp:
+        if isinstance(node, LogicalTempScan) \
+                and node.result_name.lower() == result_name:
+            return replace(node, fields=tuple(node.fields[i] for i in kept))
+        return node
+
+    return transform(plan, visit)
 
 
 def _rebind_anchor(step_plan: LogicalOp, cte: ast.IterativeCte,

@@ -138,17 +138,27 @@ class Frame:
         return Frame(fields, columns, self.num_rows + other.num_rows)
 
     def join_pairs(self, other: "Frame", left_idx: np.ndarray,
-                   right_idx: np.ndarray) -> "Frame":
+                   right_idx: np.ndarray,
+                   positions: Sequence[int]) -> "Frame":
         """Gather a joined frame from index pairs; -1 emits NULL (outer pad).
 
-        Each side's index vector is classified once, so a side with no
-        padding gathers every column on the pad-free path.
+        ``positions`` picks, in order, the columns to gather out of
+        ``self``'s then ``other``'s.  Each side's index vector is
+        classified once, so a side with no padding gathers every column
+        on the pad-free path.
         """
+        n_left = len(self.columns)
         left_padded = has_padding(left_idx)
         right_padded = has_padding(right_idx)
-        columns = [c.take(left_idx, left_padded) for c in self.columns]
-        columns += [c.take(right_idx, right_padded) for c in other.columns]
-        fields = (*self.fields, *other.fields)
+        fields, columns = [], []
+        for i in positions:
+            if i < n_left:
+                fields.append(self.fields[i])
+                columns.append(self.columns[i].take(left_idx, left_padded))
+            else:
+                fields.append(other.fields[i - n_left])
+                columns.append(other.columns[i - n_left].take(
+                    right_idx, right_padded))
         return Frame(fields, columns, len(left_idx))
 
 

@@ -356,17 +356,29 @@ def group_keys(columns: Sequence[Column]) -> Grouping:
     does.
     """
     lead = columns[0]
-    if len(columns) < 2 or lead.data.dtype.kind not in "iu":
+    if len(columns) >= 2 and lead.data.dtype.kind not in "iu":
         gids, first_index = group_ids(encode_keys(columns, nulls_match=True))
         return Grouping(gids, first_index, None)
     codes, cardinality = factorize(lead, nulls_match=True)
-    gids, first_index = group_ids(codes)
+    gids, first_index = _dense_groups(codes, cardinality)
+    if len(columns) < 2:
+        return Grouping(gids, first_index, None)
     rep = first_index[gids]
     if all(_constant_per_group(column, rep) for column in columns[1:]):
         return Grouping(gids, first_index, True)
     gids, first_index = group_ids(_combine_codes(
         codes, cardinality, columns[1:], nulls_match=True))
     return Grouping(gids, first_index, False)
+
+
+def _dense_groups(codes: np.ndarray,
+                  cardinality: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`group_ids` of codes that already are dense ranks, as
+    :func:`factorize` returns them: the codes are the group ids, and
+    one ``np.minimum.at`` finds each group's first row."""
+    first_index = np.full(cardinality, len(codes), dtype=np.int64)
+    np.minimum.at(first_index, codes, np.arange(len(codes), dtype=np.int64))
+    return codes.astype(np.int64, copy=False), first_index
 
 
 def _constant_per_group(column: Column, rep: np.ndarray) -> bool:

@@ -12,6 +12,8 @@ optimization meaningful.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from ..errors import ExecutionError, PlanError
@@ -249,25 +251,26 @@ def _equi_pairs(equi, left: Frame, right: Frame,
 
 
 def _execute_join(op: LogicalJoin, ctx: ExecutionContext) -> Frame:
+    n_left = len(op.left.fields)
+    positions = (op.output if op.output is not None
+                 else range(n_left + len(op.right.fields)))
     if op.kind is ast.JoinKind.RIGHT:
-        # Mirror: RIGHT JOIN == LEFT JOIN with sides swapped, then restore
-        # the original column order.
-        mirrored = LogicalJoin(ast.JoinKind.LEFT, op.right, op.left,
-                               op.condition)
-        result = _execute_join(mirrored, ctx)
+        # Mirror: RIGHT JOIN == LEFT JOIN with sides swapped, gathering
+        # the same columns in the original order.
         n_right = len(op.right.fields)
-        columns = result.columns[n_right:] + result.columns[:n_right]
-        return Frame(op.fields, columns, result.num_rows)
+        mirrored = LogicalJoin(
+            ast.JoinKind.LEFT, op.right, op.left, op.condition,
+            tuple(p + n_right if p < n_left else p - n_left
+                  for p in positions))
+        result = _execute_join(mirrored, ctx)
+        return Frame(op.fields, result.columns, result.num_rows)
 
     left = execute_plan(op.left, ctx)
     right = execute_plan(op.right, ctx)
 
     if op.kind is ast.JoinKind.CROSS:
-        left_idx = np.repeat(np.arange(left.num_rows, dtype=np.int64),
-                             right.num_rows)
-        right_idx = np.tile(np.arange(right.num_rows, dtype=np.int64),
-                            left.num_rows)
-        joined = left.join_pairs(right, left_idx, right_idx)
+        left_idx, right_idx = _all_pairs(left, right)
+        joined = left.join_pairs(right, left_idx, right_idx, positions)
         ctx.stats.rows_joined += joined.num_rows
         return Frame(op.fields, joined.columns, joined.num_rows)
 
@@ -277,21 +280,24 @@ def _execute_join(op: LogicalJoin, ctx: ExecutionContext) -> Frame:
         left_idx, right_idx = _equi_pairs(equi, left, right, ctx)
     else:
         # Nested-loop join expressed as all-pairs.
-        left_idx = np.repeat(np.arange(left.num_rows, dtype=np.int64),
-                             right.num_rows)
-        right_idx = np.tile(np.arange(right.num_rows, dtype=np.int64),
-                            left.num_rows)
+        left_idx, right_idx = _all_pairs(left, right)
 
     # The final (left_idx, right_idx) is worked out first and every output
-    # column gathered once at the end.  Only a residual predicate needs the
-    # matched pairs gathered early; an inner join then keeps that frame.
+    # column gathered once at the end.  Only a residual predicate needs
+    # matched pairs gathered early: an inner join gathers its outputs and
+    # the columns the residual reads and filters that frame; an outer
+    # join gathers just the residual's columns.
     if residual:
-        pairs = left.join_pairs(right, left_idx, right_idx)
-        keep = evaluate_predicate(conjoin(residual), pairs)
         if op.kind is ast.JoinKind.INNER:
-            pairs = pairs.filter(keep)
-            ctx.stats.rows_joined += pairs.num_rows
-            return Frame(op.fields, pairs.columns, pairs.num_rows)
+            pairs, gathered, keep = _residual_pairs(
+                residual, left, right, left_idx, right_idx, positions)
+            columns = [pairs.columns[gathered.index(p)].filter(keep)
+                       for p in positions]
+            rows = int(keep.sum())
+            ctx.stats.rows_joined += rows
+            return Frame(op.fields, columns, rows)
+        _, _, keep = _residual_pairs(residual, left, right, left_idx,
+                                     right_idx)
         left_idx = left_idx[keep]
         right_idx = right_idx[keep]
 
@@ -312,9 +318,35 @@ def _execute_join(op: LogicalJoin, ctx: ExecutionContext) -> Frame:
             [right_idx, np.full(len(pad_left), -1, dtype=np.int64),
              pad_right])
 
-    joined = left.join_pairs(right, left_idx, right_idx)
+    joined = left.join_pairs(right, left_idx, right_idx, positions)
     ctx.stats.rows_joined += joined.num_rows
     return Frame(op.fields, joined.columns, joined.num_rows)
+
+
+def _all_pairs(left: Frame, right: Frame) -> tuple[np.ndarray, np.ndarray]:
+    """Every (left_row, right_row) pair, grouped by left row."""
+    left_idx = np.repeat(np.arange(left.num_rows, dtype=np.int64),
+                         right.num_rows)
+    right_idx = np.tile(np.arange(right.num_rows, dtype=np.int64),
+                        left.num_rows)
+    return left_idx, right_idx
+
+
+def _residual_pairs(residual: list[ast.Expr], left: Frame, right: Frame,
+                    left_idx: np.ndarray, right_idx: np.ndarray,
+                    also: Iterable[int] = ()
+                    ) -> tuple[Frame, list[int], np.ndarray]:
+    """The matched pairs gathered on the join input positions the
+    residual reads plus ``also`` (ascending, returned too), and the
+    residual over them."""
+    from ..plan.binding import resolve_column
+    predicate = conjoin(residual)
+    fields = (*left.fields, *right.fields)
+    gathered = sorted({resolve_column(fields, node)
+                       for node in predicate.walk()
+                       if isinstance(node, ast.ColumnRef)}.union(also))
+    pairs = left.join_pairs(right, left_idx, right_idx, gathered)
+    return pairs, gathered, evaluate_predicate(predicate, pairs)
 
 
 def _execute_semi_join(op: LogicalSemiJoin, ctx: ExecutionContext) -> Frame:
@@ -334,14 +366,11 @@ def _execute_semi_join(op: LogicalSemiJoin, ctx: ExecutionContext) -> Frame:
     if equi:
         left_idx, right_idx = _equi_pairs(equi, left, right, ctx)
     else:
-        left_idx = np.repeat(np.arange(left.num_rows, dtype=np.int64),
-                             right.num_rows)
-        right_idx = np.tile(np.arange(right.num_rows, dtype=np.int64),
-                            left.num_rows)
+        left_idx, right_idx = _all_pairs(left, right)
 
     if residual and len(left_idx):
-        pairs = left.join_pairs(right, left_idx, right_idx)
-        keep = evaluate_predicate(conjoin(residual), pairs)
+        _, _, keep = _residual_pairs(residual, left, right, left_idx,
+                                     right_idx)
         left_idx = left_idx[keep]
 
     matched = np.zeros(left.num_rows, dtype=np.bool_)

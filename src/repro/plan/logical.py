@@ -184,14 +184,27 @@ class LogicalRename(LogicalOp):
 
 @dataclass(frozen=True)
 class LogicalJoin(LogicalOp):
+    """Join of two inputs.  The condition resolves against
+    ``input_fields``, every column of both inputs; ``output`` (set by
+    the ``prune_columns`` pass) lists the positions of those columns
+    the join emits, in order, and None emits them all."""
+
     kind: ast.JoinKind
     left: LogicalOp
     right: LogicalOp
     condition: Optional[ast.Expr] = None
+    output: Optional[tuple[int, ...]] = None
+
+    @property
+    def input_fields(self) -> tuple[Field, ...]:
+        return (*self.left.fields, *self.right.fields)
 
     @property
     def fields(self) -> tuple[Field, ...]:  # type: ignore[override]
-        return (*self.left.fields, *self.right.fields)
+        fields = self.input_fields
+        if self.output is None:
+            return fields
+        return tuple(fields[i] for i in self.output)
 
     def children(self) -> tuple[LogicalOp, ...]:
         return (self.left, self.right)
@@ -204,7 +217,10 @@ class LogicalJoin(LogicalOp):
         from ..sql.printer import expr_to_sql
         condition = (f" ON {expr_to_sql(self.condition)}"
                      if self.condition is not None else "")
-        return f"{self.kind.value}Join{condition}"
+        kept = ""
+        if self.output is not None:
+            kept = f" keep({', '.join(str(f) for f in self.fields)})"
+        return f"{self.kind.value}Join{condition}{kept}"
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ pushdown, common results, the delta proof) are invoked from :mod:`repro.core.rew
 
 from ..execution.context import SessionOptions
 from ..plan.logical import LogicalOp
+from .columns import prune_columns
 from .common_results import (
     CommonBlock,
     extract_common_results,
@@ -35,6 +36,7 @@ __all__ = [
     "outer_to_inner",
     "push_filters",
     "pushable_final_predicate",
+    "prune_columns",
     "reorder_joins",
     "optimize_plan",
 ]

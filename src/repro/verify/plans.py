@@ -10,7 +10,11 @@ builder establishes and every rewrite must preserve:
   are coercion-compatible with the types the expressions produce;
 * **arity** — declared output field lists line up positionally with what
   the operator computes (projection lists, set-operation arms, VALUES
-  rows, scan schemas).
+  rows, scan schemas);
+* **kept columns** — a join's ``output`` positions (``prune_columns``)
+  are in range, distinct and ascending.  Its condition resolves against
+  both inputs in full, and the resolution checks of every parent catch
+  a column dropped that the parent reads.
 
 ``check_plan`` walks a plan and returns the violations as strings;
 ``verify_plan`` raises :class:`VerificationError` naming the pass that
@@ -65,6 +69,13 @@ class PlanChecker:
     # -- entry point -------------------------------------------------------
 
     def check(self, plan: LogicalOp) -> list[str]:
+        for op in plan.walk():
+            if isinstance(op, LogicalJoin):
+                self._check_kept(op)
+        if self.violations:
+            # A malformed position list leaves the join's fields, and so
+            # every check above it, undefined.
+            return self.violations
         for op in plan.walk():
             self._check_op(op)
         return self.violations
@@ -136,7 +147,7 @@ class PlanChecker:
             self._check_rename(op)
         elif isinstance(op, LogicalJoin):
             if op.condition is not None:
-                self._predicate(op, op.condition, op.fields, "ON")
+                self._predicate(op, op.condition, op.input_fields, "ON")
         elif isinstance(op, LogicalSemiJoin):
             self._check_semi_join(op)
         elif isinstance(op, LogicalAggregate):
@@ -147,6 +158,20 @@ class PlanChecker:
             for expr, _asc in op.keys:
                 self._refs_resolve(op, expr, op.child.fields, "ORDER BY")
         # Distinct / Limit add no expressions or fields of their own.
+
+    def _check_kept(self, op: LogicalJoin) -> None:
+        if op.output is None:
+            return
+        self.checks += 1
+        width = len(op.input_fields)
+        where = f"{op.kind.value}Join keep{op.output}"
+        if any(not 0 <= p < width for p in op.output):
+            self.violations.append(
+                f"{where}: keeps a position outside its {width} input "
+                "columns")
+        elif any(b <= a for a, b in zip(op.output, op.output[1:])):
+            self.violations.append(
+                f"{where}: kept positions must be distinct and ascending")
 
     def _check_scan(self, op: LogicalScan) -> None:
         if self.catalog is None:

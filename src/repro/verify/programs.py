@@ -24,8 +24,9 @@ preserve:
   clause (WHERE bodies must move the *merge* result, built from the
   duplicate-checked working table);
 * **schema flow** — every embedded logical plan passes the plan verifier
-  (:mod:`repro.verify.plans`), and materialization column lists match
-  plan arity.
+  (:mod:`repro.verify.plans`), materialization column lists match plan
+  arity, and a temp scan reads as many columns as its result is stored
+  with.
 """
 
 from __future__ import annotations
@@ -567,6 +568,11 @@ class ProgramChecker:
     # -- embedded plans ----------------------------------------------------
 
     def check_embedded_plans(self) -> None:
+        widths: dict[str, set[int]] = {}
+        for step in self.steps:
+            if isinstance(step, MaterializeStep):
+                widths.setdefault(step.result_name.lower(), set()).add(
+                    len(step.column_names))
         for i, step in enumerate(self.steps):
             if isinstance(step, (MaterializeStep, ReturnStep,
                                  DeltaFusedStep)):
@@ -574,6 +580,22 @@ class ProgramChecker:
                 for violation in checker.check(step.plan):
                     self._note(i, violation)
                 self.checks += checker.checks
+                self._check_scan_widths(i, step.plan, widths)
+
+    def _check_scan_widths(self, index: int, plan: LogicalOp,
+                           widths: dict[str, set[int]]) -> None:
+        """A temp scan reads as many columns as every step that
+        materializes its result stores (a narrowed §V-A block and its
+        scans shrink together)."""
+        for op in plan.walk():
+            if not isinstance(op, LogicalTempScan):
+                continue
+            stored = widths.get(op.result_name.lower(), ())
+            self.checks += 1
+            if any(width != len(op.fields) for width in stored):
+                self._note(index, f"{op.label()} reads {len(op.fields)} "
+                                  f"columns of a result stored with "
+                                  f"{', '.join(map(str, sorted(stored)))}")
 
     # -- entry point -------------------------------------------------------
 

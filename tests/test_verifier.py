@@ -19,7 +19,7 @@ from repro.engine.database import Database
 from repro.errors import VerificationError
 from repro.execution import SessionOptions
 from repro.plan import PlanContext, rebind_temp_scans, transform
-from repro.plan.logical import LogicalTempScan
+from repro.plan.logical import Field, LogicalTempScan
 from repro.plan.program import CopyStep, DropStep
 from repro.sql import ast, parse
 from repro.types import SqlType
@@ -235,6 +235,22 @@ def _mut_delta_body_reads_base_tables(program):
     fused.plan = transform(fused.plan, inline)
 
 
+def _mut_common_scan_wider_than_block(program):
+    # The §V-A block stores its narrowed columns; one scan of it still
+    # expects a column the block no longer holds.
+    common = program.steps[1]
+    fused = program.steps[3]
+
+    def widen(node):
+        if isinstance(node, LogicalTempScan) \
+                and node.result_name == common.result_name:
+            extra = Field(node.alias, "status", SqlType.INTEGER)
+            return dataclasses.replace(node, fields=(*node.fields, extra))
+        return node
+
+    fused.plan = transform(fused.plan, widen)
+
+
 MUTATIONS = [
     ("jump_past_end", "iterative", _mut_jump_past_end,
      "past the end"),
@@ -285,6 +301,8 @@ MUTATIONS = [
      "2 times, expected exactly once"),
     ("delta_body_reads_base_tables", "fused_vs",
      _mut_delta_body_reads_base_tables, "only its anchor scan rebound"),
+    ("common_scan_wider_than_block", "fused_vs",
+     _mut_common_scan_wider_than_block, "of a result stored with 3"),
 ]
 
 
