@@ -124,11 +124,12 @@ def compile_statement(stmt: ast.SelectLike, context: PlanContext,
     state.steps.append(ReturnStep(final_plan))
     if state.temp_results:
         state.steps.append(DropStep(list(state.temp_results)))
-    prune_program(state.steps, options, context.catalog)
+    pruned = prune_program(state.steps, options, context.catalog)
     program = Program(state.steps, state.loops)
     if options.enable_plan_verifier:
         from ..verify import verify_program
-        report = verify_program(program, "compile", context.catalog)
+        report = verify_program(program, "compile", context.catalog,
+                                checked=pruned)
         program.verifier_verdict = report.verdict()
     return program
 
@@ -318,12 +319,14 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
 
 
 def prune_program(steps: list[Step], options: SessionOptions,
-                   catalog) -> None:
+                  catalog) -> dict[int, int]:
     """The ``prune_columns`` pass over every plan a step executes, after
     every other rewrite.  A §V-A block whose consumers read only some of
     its columns first materializes just those, and its temp scans shrink
     to match; then every plan's joins gather only what is read above
-    them.  Each plan the pass changed is verified as ``prune_columns``.
+    them.  Each plan the pass changed is verified as ``prune_columns``;
+    returns the invariants checked per index of such a step, so the
+    program check does not check those plans again.
     """
     planned = [step for step in steps
                if isinstance(step, (MaterializeStep, DeltaFusedStep,
@@ -345,11 +348,16 @@ def prune_program(steps: list[Step], options: SessionOptions,
             block.column_names = [block.column_names[i] for i in kept]
             for step in planned:
                 step.plan = _narrow_temp_scans(step.plan, name, kept)
+    checked: dict[int, int] = {}
     for step, plan in zip(planned, before):
         step.plan = prune_columns(step.plan)
         if step.plan is not plan and options.enable_plan_verifier:
             from ..verify.plans import verify_plan
-            verify_plan(step.plan, "prune_columns", catalog)
+            index = next(i for i, other in enumerate(steps)
+                         if other is step)
+            checked[index] = verify_plan(step.plan, "prune_columns",
+                                         catalog)
+    return checked
 
 
 def _narrow_temp_scans(plan: LogicalOp, result_name: str,

@@ -68,6 +68,9 @@ class ExecutionStats:
     # per-group check refuted it and every key was encoded.
     determinant_groupings: int = 0
     determinant_fallbacks: int = 0
+    # Equi joins in which no probe row matched more than one build row
+    # (kernels.equi_join_pairs): pairs read straight off the buckets.
+    single_match_joins: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return dict(self.__dict__)

@@ -137,7 +137,7 @@ class Frame:
             for f, c in zip(self.fields, columns))
         return Frame(fields, columns, self.num_rows + other.num_rows)
 
-    def join_pairs(self, other: "Frame", left_idx: np.ndarray,
+    def join_pairs(self, other: "Frame", left_idx: np.ndarray | None,
                    right_idx: np.ndarray,
                    positions: Sequence[int]) -> "Frame":
         """Gather a joined frame from index pairs; -1 emits NULL (outer pad).
@@ -145,21 +145,30 @@ class Frame:
         ``positions`` picks, in order, the columns to gather out of
         ``self``'s then ``other``'s.  Each side's index vector is
         classified once, so a side with no padding gathers every column
-        on the pad-free path.
+        on the pad-free path.  A ``left_idx`` of None pairs every row of
+        ``self`` once, in order, with a pad-free ``right_idx``
+        (:class:`~repro.execution.kernels.JoinPairs`): ``self``'s columns
+        pass through as the same objects.
         """
         n_left = len(self.columns)
-        left_padded = has_padding(left_idx)
-        right_padded = has_padding(right_idx)
+        if left_idx is None:
+            right_padded = False
+        else:
+            left_padded = has_padding(left_idx)
+            right_padded = has_padding(right_idx)
         fields, columns = [], []
         for i in positions:
             if i < n_left:
+                column = self.columns[i]
+                if left_idx is not None:
+                    column = column.take(left_idx, left_padded)
                 fields.append(self.fields[i])
-                columns.append(self.columns[i].take(left_idx, left_padded))
+                columns.append(column)
             else:
                 fields.append(other.fields[i - n_left])
                 columns.append(other.columns[i - n_left].take(
                     right_idx, right_padded))
-        return Frame(fields, columns, len(left_idx))
+        return Frame(fields, columns, len(right_idx))
 
 
 # ---------------------------------------------------------------------------

@@ -293,15 +293,37 @@ def probe_buckets(left_codes: np.ndarray, index: ProbeIndex
     return lo, hi - lo
 
 
+class JoinPairs(NamedTuple):
+    """Matching (left_row, right_row) index pairs.
+
+    ``left_idx`` is None when every left row matches exactly once: the
+    pairs are then ``(arange(len(left)), right_idx)``, and ``right_idx``
+    holds no -1.  ``single_match`` says that no left row matched more
+    than one right row.
+    """
+
+    left_idx: Optional[np.ndarray]
+    right_idx: np.ndarray
+    single_match: bool
+
+    def left_rows(self) -> np.ndarray:
+        """``left_idx`` with the identity form spelled out."""
+        if self.left_idx is None:
+            return np.arange(len(self.right_idx), dtype=np.int64)
+        return self.left_idx
+
+
 def equi_join_pairs(left_codes: np.ndarray,
                     right_codes: np.ndarray,
                     right_index: Optional[ProbeIndex] = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    ) -> JoinPairs:
     """All matching (left_row, right_row) index pairs for equal codes.
 
     Codes of -1 never match.  Pairs are grouped by left row in left-row
     order, which downstream outer-join padding relies on, with right
-    rows ascending within a left row.
+    rows ascending within a left row.  When no left row matches twice
+    (a key lookup into a unique build side) the pairs are read straight
+    off the buckets, without expanding ranges.
 
     ``right_index`` is an optional prebuilt :class:`ProbeIndex` for the
     right side — a cached :class:`~repro.execution.kernel_cache.JoinIndex`
@@ -311,8 +333,16 @@ def equi_join_pairs(left_codes: np.ndarray,
     if right_index is None:
         right_index = build_probe_index(right_codes, len(left_codes))
     lo, counts = probe_buckets(left_codes, right_index)
+    if len(counts) and counts.max() <= 1:
+        matched = np.flatnonzero(counts)
+        right_idx = right_index.positions[lo[matched]]
+        if len(matched) == len(counts):
+            return JoinPairs(None, right_idx, True)
+        return JoinPairs(matched, right_idx, True)
     left_idx = np.repeat(np.arange(len(left_codes), dtype=np.int64), counts)
-    return left_idx, right_index.positions[expand_ranges(lo, counts)]
+    return JoinPairs(left_idx,
+                     right_index.positions[expand_ranges(lo, counts)],
+                     False)
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -241,13 +241,18 @@ def _encode_join_sides(left_keys: list[Column], right_keys: list[Column],
     return codes[:n_left], codes[n_left:], None
 
 
-def _equi_pairs(equi, left: Frame, right: Frame,
-                ctx: ExecutionContext) -> tuple[np.ndarray, np.ndarray]:
+def _equi_pairs(equi, left: Frame, right: Frame, ctx: ExecutionContext
+                ) -> tuple[np.ndarray | None, np.ndarray]:
+    """The join's pairs; a left index of None is every left row once,
+    in order (:class:`~repro.execution.kernels.JoinPairs`)."""
     left_keys = [evaluate(a, left) for a, _ in equi]
     right_keys = [evaluate(b, right) for _, b in equi]
     left_codes, right_codes, right_index = _encode_join_sides(
         left_keys, right_keys, ctx)
-    return equi_join_pairs(left_codes, right_codes, right_index)
+    pairs = equi_join_pairs(left_codes, right_codes, right_index)
+    if pairs.single_match:
+        ctx.stats.single_match_joins += 1
+    return pairs.left_idx, pairs.right_idx
 
 
 def _execute_join(op: LogicalJoin, ctx: ExecutionContext) -> Frame:
@@ -281,12 +286,16 @@ def _execute_join(op: LogicalJoin, ctx: ExecutionContext) -> Frame:
     else:
         # Nested-loop join expressed as all-pairs.
         left_idx, right_idx = _all_pairs(left, right)
+    if left_idx is None and (residual or op.kind is ast.JoinKind.FULL):
+        left_idx = np.arange(left.num_rows, dtype=np.int64)
 
     # The final (left_idx, right_idx) is worked out first and every output
     # column gathered once at the end.  Only a residual predicate needs
     # matched pairs gathered early: an inner join gathers its outputs and
     # the columns the residual reads and filters that frame; an outer
-    # join gathers just the residual's columns.
+    # join gathers just the residual's columns.  Pairs that match every
+    # left row once (left_idx None) need neither padding nor a left
+    # gather: the left columns pass through.
     if residual:
         if op.kind is ast.JoinKind.INNER:
             pairs, gathered, keep = _residual_pairs(
@@ -301,7 +310,7 @@ def _execute_join(op: LogicalJoin, ctx: ExecutionContext) -> Frame:
         left_idx = left_idx[keep]
         right_idx = right_idx[keep]
 
-    if op.kind is not ast.JoinKind.INNER:
+    if left_idx is not None and op.kind is not ast.JoinKind.INNER:
         # LEFT / FULL outer padding.
         matched_left = np.zeros(left.num_rows, dtype=np.bool_)
         matched_left[left_idx] = True
@@ -367,6 +376,12 @@ def _execute_semi_join(op: LogicalSemiJoin, ctx: ExecutionContext) -> Frame:
         left_idx, right_idx = _equi_pairs(equi, left, right, ctx)
     else:
         left_idx, right_idx = _all_pairs(left, right)
+    if left_idx is None:
+        if not residual:
+            # Every left row matched.
+            ctx.stats.rows_joined += left.num_rows
+            return left.slice(0, 0) if op.anti else left
+        left_idx = np.arange(left.num_rows, dtype=np.int64)
 
     if residual and len(left_idx):
         _, _, keep = _residual_pairs(residual, left, right, left_idx,

@@ -170,4 +170,5 @@ def _pair_by_dictionary(prev_key: Column, cur_key: Column
         row_of_code[cur_codes[valid]] = np.flatnonzero(valid)
         prev_idx = np.flatnonzero(prev_codes >= 0)
         return row_of_code[prev_codes[prev_idx]], prev_idx
-    return equi_join_pairs(cur_codes, prev_codes)
+    pairs = equi_join_pairs(cur_codes, prev_codes)
+    return pairs.left_rows(), pairs.right_idx

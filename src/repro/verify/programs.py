@@ -32,6 +32,7 @@ preserve:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from ..errors import VerificationError
 from ..plan.logical import LogicalOp, LogicalTempScan, rebind_temp_scans
@@ -138,10 +139,14 @@ def _step_flow(step: Step) -> _Flow:
 class ProgramChecker:
     """Accumulates violations over one step program."""
 
-    def __init__(self, program: Program, catalog=None):
+    def __init__(self, program: Program, catalog=None,
+                 checked: Mapping[int, int] | None = None):
         self.program = program
         self.steps = program.steps
         self.catalog = catalog
+        # Index of a step whose plan a pass already verified -> the
+        # invariants that took.
+        self.checked = checked or {}
         self.violations: list[str] = []
         self.checks = 0
 
@@ -576,10 +581,13 @@ class ProgramChecker:
         for i, step in enumerate(self.steps):
             if isinstance(step, (MaterializeStep, ReturnStep,
                                  DeltaFusedStep)):
-                checker = PlanChecker(self.catalog)
-                for violation in checker.check(step.plan):
-                    self._note(i, violation)
-                self.checks += checker.checks
+                if i in self.checked:
+                    self.checks += self.checked[i]
+                else:
+                    checker = PlanChecker(self.catalog)
+                    for violation in checker.check(step.plan):
+                        self._note(i, violation)
+                    self.checks += checker.checks
                 self._check_scan_widths(i, step.plan, widths)
 
     def _check_scan_widths(self, index: int, plan: LogicalOp,
@@ -617,10 +625,16 @@ def check_program(program: Program, catalog=None) -> list[str]:
     return ProgramChecker(program, catalog).check()
 
 
-def verify_program(program: Program, pass_name: str,
-                   catalog=None) -> VerificationReport:
-    """Raise :class:`VerificationError` if ``program`` is malformed."""
-    checker = ProgramChecker(program, catalog)
+def verify_program(program: Program, pass_name: str, catalog=None,
+                   checked: Mapping[int, int] | None = None
+                   ) -> VerificationReport:
+    """Raise :class:`VerificationError` if ``program`` is malformed.
+
+    ``checked`` maps the index of a step whose plan a pass already
+    verified to the invariants that took; that plan is not checked
+    again.
+    """
+    checker = ProgramChecker(program, catalog, checked)
     violations = checker.check()
     if violations:
         raise VerificationError(pass_name, violations)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.execution.kernel_cache import build_join_index
 from repro.execution.kernels import (
     build_dictionary,
     build_probe_index,
@@ -211,7 +212,8 @@ class TestEquiJoin:
         joint = encode_keys([left.concat(right)], nulls_match=False)
         left_codes, right_codes = joint[:len(left)], joint[len(left):]
         right_sorted = build_probe_index(right_codes) if prebuilt else None
-        li, ri = equi_join_pairs(left_codes, right_codes, right_sorted)
+        pairs = equi_join_pairs(left_codes, right_codes, right_sorted)
+        li, ri = pairs.left_rows(), pairs.right_idx
         got = sorted(zip(li.tolist(), ri.tolist()))
         assert got == self.reference_pairs(left, right)
         # Pairs must arrive grouped by left row in left-row order.
@@ -235,7 +237,8 @@ class TestDirectAddressProbe:
     order included."""
 
     def check(self, left_codes, right_codes, right_index=None):
-        li, ri = equi_join_pairs(left_codes, right_codes, right_index)
+        pairs = equi_join_pairs(left_codes, right_codes, right_index)
+        li, ri = pairs.left_rows(), pairs.right_idx
         assert li.dtype == ri.dtype == np.int64
         assert (li.tolist(), ri.tolist()) == nested_loop_pairs(
             left_codes, right_codes)
@@ -279,9 +282,75 @@ class TestDirectAddressProbe:
         assert index.offsets is None and index.sorted_codes is not None
         self.check(left_codes, right_codes, index)
         self.check(left_codes, right_codes)
-        assert equi_join_pairs(left_codes, right_codes)[0].tolist() \
-            == list(range(40))
+        assert equi_join_pairs(left_codes, right_codes).left_rows() \
+            .tolist() == list(range(40))
 
+
+@st.composite
+def single_match_sides(draw):
+    """(left codes, right codes) whose valid right codes are unique, -1
+    on both sides; the left side either only hits right codes or draws
+    past them too.  Either side may be empty."""
+    keys = draw(st.lists(st.integers(0, 30), unique=True, max_size=20))
+    right = draw(st.permutations(keys + [-1] * draw(st.integers(0, 3))))
+    if draw(st.booleans()) and keys:
+        probe = st.sampled_from(keys)
+    else:
+        probe = st.integers(-1, 35)
+    left = draw(st.lists(probe, max_size=30))
+    return (np.array(left, dtype=np.int64),
+            np.array(right, dtype=np.int64))
+
+
+def sparse(codes: np.ndarray) -> np.ndarray:
+    """The same equalities in a code space too wide for offsets."""
+    return np.where(codes >= 0, codes * 1000, -1)
+
+
+class TestSingleMatchPairs:
+    """Unique build codes: no probe row matches twice, so the pairs are
+    read straight off the buckets.  They equal the nested-loop pairs in
+    the same order, and the left side takes the identity form exactly
+    when every probe row matches once."""
+
+    def check(self, left_codes, right_codes, pairs):
+        expected = nested_loop_pairs(left_codes, right_codes)
+        assert (pairs.left_rows().tolist(),
+                pairs.right_idx.tolist()) == expected
+        assert pairs.single_match == (len(left_codes) > 0)
+        every_row_once = 0 < len(left_codes) == len(expected[0])
+        assert (pairs.left_idx is None) == every_row_once
+        assert pairs.left_rows().dtype == pairs.right_idx.dtype == np.int64
+
+    @settings(max_examples=200, deadline=None)
+    @given(single_match_sides(), st.booleans(), st.booleans())
+    def test_matches_nested_loop(self, sides, wide, prebuilt):
+        left_codes, right_codes = sides
+        if wide:
+            left_codes, right_codes = sparse(left_codes), sparse(right_codes)
+        index = build_probe_index(right_codes, len(left_codes))
+        if not wide:
+            assert index.offsets is not None
+        elif right_codes.max(initial=-1) > 1000:
+            assert index.sorted_codes is not None
+        self.check(left_codes, right_codes, equi_join_pairs(
+            left_codes, right_codes, index if prebuilt else None))
+
+    @settings(max_examples=100, deadline=None)
+    @given(single_match_sides())
+    def test_cached_join_index(self, sides):
+        # NULL stands in for -1: it never matches on either side.
+        left, right = ([None if c < 0 else c for c in codes.tolist()]
+                       for codes in sides)
+        index = build_join_index([ints(*right)])
+        left_codes = index.probe([ints(*left)])
+        pairs = equi_join_pairs(left_codes, index.codes, index.probe_index)
+        self.check(left_codes, index.codes, pairs)
+        assert nested_loop_pairs(left_codes, index.codes) == (
+            [i for i, lv in enumerate(left) for rv in right
+             if lv is not None and lv == rv],
+            [j for lv in left for j, rv in enumerate(right)
+             if lv is not None and lv == rv])
 
 class TestGrouping:
     @pytest.mark.parametrize("name", ["null_heavy", "duplicates",

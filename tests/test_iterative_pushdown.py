@@ -7,15 +7,20 @@ wrong: a termination that reads the whole table, a second reference to
 the CTE in Qf or in a sibling CTE, a subquery conjunct, and a merge-path
 body whose duplicate keys the filter would hide.  The sweep crosses step
 bodies, Qf shapes, the five termination kinds and an optional sibling.
+The one pinned difference, an error raised only while computing a row
+the pushed filter drops, has its own case.
 """
 
 from __future__ import annotations
+
+import warnings
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Database
-from repro.errors import DuplicateKeyError, IterationLimitError
+from repro.errors import (DuplicateKeyError, ExecutionError,
+                          IterationLimitError)
 from repro.types import SqlType
 
 
@@ -130,6 +135,32 @@ class TestReproductions:
         result, pushed = assert_same_on_and_off(make_db(tagged=True), sql)
         assert result is DuplicateKeyError
         assert pushed == 0
+
+
+class TestErrorsOnDroppedRows:
+    """A pushed predicate drops rows before ``R0`` computes them, so an
+    error raised only while computing a dropped row is not raised with
+    pushdown on: error equivalence across option vectors covers the rows
+    the statement keeps (DESIGN.md, "Semantics pinned down")."""
+
+    SQL = ("WITH ITERATIVE r (id, v) AS (SELECT id, CAST(v * 1e10 AS "
+           "INTEGER) FROM t ITERATE SELECT r.id, r.v + 1 FROM r "
+           "UNTIL 3 ITERATIONS) SELECT id, v FROM r WHERE id < 3")
+
+    def test_overflow_on_a_dropped_row_raises_only_without_pushdown(self):
+        db = Database()
+        db.create_table("t", [("id", SqlType.INTEGER),
+                              ("v", SqlType.FLOAT)])
+        db.load_rows("t", [(i, 1e300 if i == 9 else float(i))
+                           for i in range(10)])
+        with warnings.catch_warnings():
+            # numpy warns on the float overflow before the cast raises.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            on, pushed = outcome(db, self.SQL, True)
+            off, _ = outcome(db, self.SQL, False)
+        assert on == [(0, 3), (1, 10000000003), (2, 20000000003)]
+        assert pushed == 1
+        assert off is ExecutionError
 
 
 class TestStillPushed:

@@ -90,7 +90,8 @@ class TestEquiJoinPairs:
         right_col = Column.from_values(SqlType.INTEGER, right)
         joint = left_col.concat(right_col)
         codes = encode_keys([joint], nulls_match=False)
-        li, ri = equi_join_pairs(codes[:len(left)], codes[len(left):])
+        pairs = equi_join_pairs(codes[:len(left)], codes[len(left):])
+        li, ri = pairs.left_rows(), pairs.right_idx
         return sorted(zip(li.tolist(), ri.tolist()))
 
     def test_simple_join(self):
@@ -125,7 +126,7 @@ class TestEquiJoinPairs:
         right_col = Column.from_values(SqlType.INTEGER, [3, 1])
         joint = left_col.concat(right_col)
         codes = encode_keys([joint], nulls_match=False)
-        li, _ = equi_join_pairs(codes[:3], codes[3:])
+        li = equi_join_pairs(codes[:3], codes[3:]).left_rows()
         assert li.tolist() == sorted(li.tolist())
 
 

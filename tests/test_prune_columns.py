@@ -8,6 +8,8 @@ masks included, before and after the pass.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,8 @@ from repro.runtime.handlers import materialize as materialize_handler
 from repro.sql import ast, parse
 from repro.storage import Column
 from repro.types import SqlType
-from repro.verify import check_plan, check_program
+from repro.verify import check_plan, check_program, verify_program
+from repro.verify.plans import PlanChecker
 from repro.workloads import (
     components_query,
     ff_query,
@@ -320,3 +323,32 @@ class TestVerifier:
             compiled(graph_db(), WORKLOADS["pr"])
         assert excinfo.value.pass_name == "prune_columns"
         assert "not found" in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_pruned_plans_checked_once(self, name, monkeypatch):
+        """A plan the pass changed and verified is not checked again by
+        the program check, and the verdict still counts its
+        invariants."""
+        checks = Counter()
+        pruned = {}
+        real_check = PlanChecker.check
+        real_prune = core_rewrite.prune_program
+
+        def recording(self, plan):
+            checks[id(plan)] += 1
+            return real_check(self, plan)
+
+        def prune(steps, options, catalog):
+            pruned.update(real_prune(steps, options, catalog))
+            return pruned
+
+        monkeypatch.setattr(PlanChecker, "check", recording)
+        monkeypatch.setattr(core_rewrite, "prune_program", prune)
+        db = graph_db(enable_delta_iteration=True)
+        program = compiled(db, WORKLOADS[name])
+        # FF's body reads the CTE alone: no join, nothing to prune.
+        assert bool(pruned) == (name != "ff")
+        for index in pruned:
+            assert checks[id(program.steps[index].plan)] == 1
+        fresh = verify_program(program, "compile", db.catalog)
+        assert program.verifier_verdict == fresh.verdict()
