@@ -30,14 +30,6 @@ def main() -> None:
     print(f"2 worker processes: {pooled.rows_moved} rows moved; ranks "
           f"bit-identical to inline: {pooled.ranks == inline.ranks}")
 
-    chain = [(i, i + 1, 1.0) for i in range(1, 30)]
-    naive = distributed_pagerank(Cluster(4), chain, iterations=40)
-    delta = distributed_pagerank(Cluster(4), chain, iterations=40,
-                                 delta_shuffle=True)
-    print(f"\nchain, 40 trips: naive exchange moves {naive.bytes_moved} "
-          f"bytes, delta shuffle {delta.bytes_moved} "
-          f"({delta.suppressed_batches} unchanged pieces suppressed)")
-
     print("\ntakeaway: edges hashed on src co-locate with state hashed on "
           "node, so each trip moves only\nthe partial contributions — the "
           "distribution-level twin of the paper's rename optimization.")

@@ -80,9 +80,9 @@ def emit_recursive_cte(cte: ast.CommonTableExpr,
         # duplicates within the base would otherwise survive.
         base_plan = LogicalDistinct(base_plan)
     base_plan = optimize_plan(base_plan, state.options, state.estimator,
-                              state.tracer, context.catalog)
+                              state.tracer, context.catalog, state.verified)
     step_plan = optimize_plan(step_plan, state.options, state.estimator,
-                              state.tracer, context.catalog)
+                              state.tracer, context.catalog, state.verified)
 
     loop_id = next(state.loop_counter)
     spec = LoopSpec(loop_id=loop_id, termination=None,

@@ -88,6 +88,9 @@ class CompilerState:
         default_factory=lambda: itertools.count())
     common_counter: itertools.count = dataclass_field(
         default_factory=lambda: itertools.count())
+    # Every plan object verified so far, so no check repeats (a
+    # repro.verify.plans.VerifiedPlans; None with the verifier off).
+    verified: object = None
 
 
 def compile_statement(stmt: ast.SelectLike, context: PlanContext,
@@ -103,6 +106,9 @@ def compile_statement(stmt: ast.SelectLike, context: PlanContext,
         and getattr(tracer, "enabled", False) else None
     state = CompilerState(context=context, options=options,
                           estimator=estimator, tracer=context.tracer)
+    if options.enable_plan_verifier:
+        from ..verify.plans import VerifiedPlans
+        state.verified = VerifiedPlans()
 
     final = copy.copy(stmt)
     with_clause = final.with_clause
@@ -120,16 +126,16 @@ def compile_statement(stmt: ast.SelectLike, context: PlanContext,
 
     final_plan = build_statement(final, state.context)
     final_plan = optimize_plan(final_plan, options, state.estimator,
-                               state.tracer, context.catalog)
+                               state.tracer, context.catalog, state.verified)
     state.steps.append(ReturnStep(final_plan))
     if state.temp_results:
         state.steps.append(DropStep(list(state.temp_results)))
-    pruned = prune_program(state.steps, options, context.catalog)
+    prune_program(state.steps, options, context.catalog, state.verified)
     program = Program(state.steps, state.loops)
     if options.enable_plan_verifier:
         from ..verify import verify_program
         report = verify_program(program, "compile", context.catalog,
-                                checked=pruned)
+                                verified=state.verified)
         program.verifier_verdict = report.verdict()
     return program
 
@@ -198,10 +204,10 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
             init_plan = LogicalFilter(init_plan, pushed)
             init_counts = "pushdown"
     init_plan = optimize_plan(init_plan, options, state.estimator,
-                              state.tracer, context.catalog)
+                              state.tracer, context.catalog, state.verified)
 
     step_plan = optimize_plan(step_plan, options, state.estimator,
-                              state.tracer, context.catalog)
+                              state.tracer, context.catalog, state.verified)
 
     # -- §V-A: hoist loop-invariant join blocks out of Ri ------------------
     common_steps: list[MaterializeStep] = []
@@ -319,14 +325,13 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
 
 
 def prune_program(steps: list[Step], options: SessionOptions,
-                  catalog) -> dict[int, int]:
+                  catalog, verified) -> None:
     """The ``prune_columns`` pass over every plan a step executes, after
     every other rewrite.  A §V-A block whose consumers read only some of
     its columns first materializes just those, and its temp scans shrink
     to match; then every plan's joins gather only what is read above
-    them.  Each plan the pass changed is verified as ``prune_columns``;
-    returns the invariants checked per index of such a step, so the
-    program check does not check those plans again.
+    them.  With the verifier on, each plan the pass changed is verified
+    as ``prune_columns`` and recorded in ``verified``.
     """
     planned = [step for step in steps
                if isinstance(step, (MaterializeStep, DeltaFusedStep,
@@ -348,16 +353,10 @@ def prune_program(steps: list[Step], options: SessionOptions,
             block.column_names = [block.column_names[i] for i in kept]
             for step in planned:
                 step.plan = _narrow_temp_scans(step.plan, name, kept)
-    checked: dict[int, int] = {}
     for step, plan in zip(planned, before):
         step.plan = prune_columns(step.plan)
         if step.plan is not plan and options.enable_plan_verifier:
-            from ..verify.plans import verify_plan
-            index = next(i for i, other in enumerate(steps)
-                         if other is step)
-            checked[index] = verify_plan(step.plan, "prune_columns",
-                                         catalog)
-    return checked
+            verified.verify(step.plan, "prune_columns", catalog)
 
 
 def _narrow_temp_scans(plan: LogicalOp, result_name: str,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..runtime.strategies import SEND, UNCHANGED
 from ..storage import Column, Table
 
 
@@ -47,32 +46,19 @@ def split_table(table: Table, assignment: np.ndarray,
 
 @dataclass
 class MotionStats:
-    """Interconnect traffic counters.
-
-    ``suppressed_rows``/``suppressed_bytes``/``suppressed_batches``
-    count traffic that delta-shuffle *would* have moved but proved
-    unchanged — the wire savings the semi-naive exchange claims, kept
-    separate so ``bytes_moved`` stays strictly what crossed (or, in the
-    inline simulation, would cross) the interconnect.
-    """
+    """Interconnect traffic counters: what crossed (or, in the inline
+    simulation, would cross) the interconnect."""
 
     shuffles: int = 0
     rows_moved: int = 0
     bytes_moved: int = 0
-    suppressed_rows: int = 0
-    suppressed_bytes: int = 0
-    suppressed_batches: int = 0
 
-    def charge(self, kind: str, piece: Table) -> None:
-        """Bill one classified cross-segment piece — the one rule both
-        substrates use, so their counters agree byte for byte."""
-        if kind == SEND:
-            self.rows_moved += piece.num_rows
-            self.bytes_moved += piece.nbytes()
-        elif kind == UNCHANGED:
-            self.suppressed_rows += piece.num_rows
-            self.suppressed_bytes += piece.nbytes()
-            self.suppressed_batches += 1
+    def charge(self, piece: Table) -> None:
+        """Bill one shipped cross-segment piece at its payload bytes —
+        the one rule both substrates use, so their counters agree byte
+        for byte."""
+        self.rows_moved += piece.num_rows
+        self.bytes_moved += piece.nbytes()
 
     def reset(self) -> None:
         self.__init__()

@@ -11,8 +11,7 @@ either substrate:
   anything — placement and motion modelling, as before;
 * a real :class:`~repro.mpp.workers.WorkerPool` (``pool=``): each
   worker owns its hash partitions, batches cross worker boundaries over
-  pipes, compute overlaps motion, and ``delta_shuffle``
-  genuinely suppresses wire traffic.  Results, motion counters, and
+  pipes, and compute overlaps motion.  Results, motion counters, and
   trace shapes are bit-identical to the inline run (pinned in tests).
 
 The rename optimization has a distribution-level twin on both paths:
@@ -31,7 +30,7 @@ from ..errors import VerificationError
 from ..execution.kernels import lookup_sorted, unique_sorted
 from ..obs.telemetry import LoopTelemetry, render_iteration_table
 from ..obs.trace import NULL_TRACER
-from ..runtime import LoopRun, make_exchange_strategy
+from ..runtime import LoopRun
 from ..storage import Column, ColumnSchema, Schema, Table
 from ..types import SqlType
 from .cluster import Cluster, DistributedTable
@@ -57,8 +56,6 @@ class DistributedLoopResult:
     bytes_moved: int
     shuffles: int
     telemetry: LoopTelemetry
-    suppressed_bytes: int = 0
-    suppressed_batches: int = 0
 
     def report(self) -> str:
         """Per-iteration breakdown (motion + convergence) as text."""
@@ -113,7 +110,6 @@ def _run_distributed_loop(cluster: Cluster, spec: SuperstepSpec,
         for name, table in distributed.items():
             pool.load(name, table.partitions)
         pool.set_spec(spec)
-    strategy = make_exchange_strategy(spec.exchange.delta)
 
     run = LoopRun(
         0, loop_name or spec.state, "mpp", tracer=tracer,
@@ -130,7 +126,7 @@ def _run_distributed_loop(cluster: Cluster, spec: SuperstepSpec,
             step_metrics = superstep_pool(cluster, spec, pool, tracer)
         else:
             new_partitions, step_metrics = superstep_inline(
-                cluster, spec, distributed, strategy, tracer)
+                cluster, spec, distributed, tracer)
             distributed[spec.state] = DistributedTable(spec.state,
                                                        new_partitions)
         trips += 1
@@ -150,10 +146,6 @@ def _run_distributed_loop(cluster: Cluster, spec: SuperstepSpec,
         registry_counters = {
             "mpp.exchange.rows_moved": cluster.motion.rows_moved,
             "mpp.exchange.bytes_moved": cluster.motion.bytes_moved,
-            "mpp.exchange.suppressed_bytes":
-                cluster.motion.suppressed_bytes,
-            "mpp.exchange.suppressed_batches":
-                cluster.motion.suppressed_batches,
             "mpp.supersteps": trips,
         }
         for name, amount in registry_counters.items():
@@ -170,8 +162,6 @@ def _run_distributed_loop(cluster: Cluster, spec: SuperstepSpec,
         "bytes_moved": motion.bytes_moved,
         "shuffles": motion.shuffles,
         "telemetry": run.telemetry,
-        "suppressed_bytes": motion.suppressed_bytes,
-        "suppressed_batches": motion.suppressed_batches,
     }
 
 
@@ -283,9 +273,9 @@ def _pr_metrics(registers: dict, outbound: Table) -> dict:
     }
 
 
-def pagerank_superstep_spec(delta_shuffle: bool = False) -> SuperstepSpec:
+def pagerank_superstep_spec() -> SuperstepSpec:
     return SuperstepSpec(
-        plan=pagerank_exchange_plan(delta_shuffle),
+        plan=pagerank_exchange_plan(),
         produce=_pr_produce,
         pre_apply=_pr_pre_apply,
         apply=_pr_apply,
@@ -296,7 +286,6 @@ def distributed_pagerank(cluster: Cluster,
                          edges: list[tuple[int, int, float]],
                          iterations: int = 10,
                          tracer=None,
-                         delta_shuffle: bool = False,
                          pool=None,
                          metrics=None) -> DistributedPageRankResult:
     """PageRank over ``edges`` executed segment by segment.
@@ -312,12 +301,6 @@ def distributed_pagerank(cluster: Cluster,
     partial shuffle; per-iteration motion and convergence telemetry is
     always collected on the returned result.
 
-    ``delta_shuffle`` applies the semi-naive idea at the exchange layer:
-    each origin segment remembers the last partial-contribution piece it
-    sent to every destination segment and skips the motion when the
-    piece is unchanged (the receiver reuses its copy).  Off by default
-    so the motion bill matches the naive exchange.
-
     ``pool`` (a :class:`repro.mpp.workers.WorkerPool`) switches from the
     inline simulation to real shared-nothing execution: partitions
     resident in worker processes, batches on the wire, compute
@@ -329,7 +312,7 @@ def distributed_pagerank(cluster: Cluster,
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     edge_table = _edges_table(edges)
-    spec = pagerank_superstep_spec(delta_shuffle)
+    spec = pagerank_superstep_spec()
 
     final, loop = _run_distributed_loop(
         cluster, spec,
@@ -428,9 +411,9 @@ def _sssp_metrics(registers: dict, outbound: Table) -> dict:
     }
 
 
-def sssp_superstep_spec(delta_shuffle: bool = False) -> SuperstepSpec:
+def sssp_superstep_spec() -> SuperstepSpec:
     return SuperstepSpec(
-        plan=sssp_exchange_plan(delta_shuffle),
+        plan=sssp_exchange_plan(),
         produce=_sssp_produce,
         apply=_sssp_apply,
         metrics=_sssp_metrics)
@@ -441,7 +424,6 @@ def distributed_sssp(cluster: Cluster,
                      source: int,
                      max_iterations: int = 64,
                      tracer=None,
-                     delta_shuffle: bool = False,
                      pool=None,
                      metrics=None) -> DistributedSsspResult:
     """Single-source shortest paths, semi-naive, on either substrate.
@@ -452,12 +434,12 @@ def distributed_sssp(cluster: Cluster,
     commutative, so the result is exact regardless of how candidates
     split across segments.  The loop stops when a superstep changes no
     distance (semi-naive convergence), so converged runs stay O(1) per
-    extra trip.  Substrate, tracing, and delta-shuffle semantics match
+    extra trip.  Substrate and tracing semantics match
     :func:`distributed_pagerank`.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     edge_table = _edges_table(edges)
-    spec = sssp_superstep_spec(delta_shuffle)
+    spec = sssp_superstep_spec()
 
     final, loop = _run_distributed_loop(
         cluster, spec,

@@ -5,10 +5,10 @@ every worker each trip around the loop: a local produce phase, one
 exchange moving its output between workers, and a local apply phase.
 The :class:`ExchangePlan` is the one description of that program —
 which registers are resident and the key each is hash-partitioned on,
-what the exchange routes on, whether it may apply delta-shuffle
-suppression, which register the apply phase rewrites — and the loop
-hands it to the verifier (:mod:`repro.verify.exchange`), the
-distributed tail of the IR verifier, before anything is partitioned.
+what the exchange routes on, which register the apply phase rewrites —
+and the loop hands it to the verifier (:mod:`repro.verify.exchange`),
+the distributed tail of the IR verifier, before anything is
+partitioned.
 
 The plan is deliberately tiny and frozen: it is shipped to every worker
 inside the :class:`~repro.mpp.superstep.SuperstepSpec`, so it must
@@ -19,11 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional, Union
-
-NAIVE = "naive"
-SEMI_NAIVE = "semi_naive"
-STRATEGIES = (NAIVE, SEMI_NAIVE)
-
 
 @dataclass(frozen=True)
 class RegisterDef:
@@ -54,19 +49,11 @@ class LocalOp:
 
 @dataclass(frozen=True)
 class ExchangeOp:
-    """One motion edge: shuffle ``register`` onto ``hash(key)``.
-
-    ``delta`` requests delta-shuffle suppression — workers skip the wire
-    for a piece identical to the last one sent on the same channel.
-    Only legal under the ``semi_naive`` plan strategy, where state
-    evolves by deltas and an unchanged piece provably re-derives the
-    receiver's cached copy.
-    """
+    """One motion edge: shuffle ``register`` onto ``hash(key)``."""
 
     register: str
     key: str
     columns: tuple[str, ...] = ()
-    delta: bool = False
 
 
 Step = Union[LocalOp, ExchangeOp]
@@ -77,7 +64,6 @@ class ExchangePlan:
     """The verified shape of one distributed superstep program."""
 
     name: str
-    strategy: str = NAIVE
     registers: tuple[RegisterDef, ...] = ()
     steps: tuple[Step, ...] = field(default_factory=tuple)
 
@@ -93,13 +79,12 @@ class ExchangePlan:
 # ---------------------------------------------------------------------------
 
 
-def pagerank_exchange_plan(delta_shuffle: bool = False) -> ExchangePlan:
+def pagerank_exchange_plan() -> ExchangePlan:
     """The delta-accumulative PageRank superstep (paper §VI-A): local
     contributions from src-hashed edges joined with co-located state,
     shuffle partials by destination, apply rank/delta in place."""
     return ExchangePlan(
         name="pagerank",
-        strategy=SEMI_NAIVE if delta_shuffle else NAIVE,
         registers=(
             RegisterDef("edges", ("src", "dst", "weight"), key="src"),
             RegisterDef("state", ("node", "rank", "delta"), key="node"),
@@ -109,20 +94,18 @@ def pagerank_exchange_plan(delta_shuffle: bool = False) -> ExchangePlan:
                     writes=("partials",),
                     requires=((("edges", "src"), ("state", "node")),)),
             ExchangeOp("partials", key="dst",
-                       columns=("dst", "contribution"),
-                       delta=delta_shuffle),
+                       columns=("dst", "contribution")),
             LocalOp("apply_update", reads=("state", "partials"),
                     writes=("state",),
                     requires=((("state", "node"), ("partials", "dst")),)),
         ))
 
 
-def sssp_exchange_plan(delta_shuffle: bool = False) -> ExchangePlan:
+def sssp_exchange_plan() -> ExchangePlan:
     """The semi-naive SSSP superstep: relax edges out of the changed
     frontier, shuffle candidate distances by destination, min-merge."""
     return ExchangePlan(
         name="sssp",
-        strategy=SEMI_NAIVE,
         registers=(
             RegisterDef("edges", ("src", "dst", "weight"), key="src"),
             RegisterDef("state", ("node", "dist", "changed"), key="node"),
@@ -132,8 +115,7 @@ def sssp_exchange_plan(delta_shuffle: bool = False) -> ExchangePlan:
                     writes=("candidates",),
                     requires=((("edges", "src"), ("state", "node")),)),
             ExchangeOp("candidates", key="dst",
-                       columns=("dst", "dist"),
-                       delta=delta_shuffle),
+                       columns=("dst", "dist")),
             LocalOp("min_merge", reads=("state", "candidates"),
                     writes=("state",),
                     requires=((("state", "node"),

@@ -4,10 +4,10 @@ A :class:`SuperstepSpec` is a verified
 :class:`~repro.mpp.plan.ExchangePlan` plus the module-level picklable
 callables that implement its two local phases.  The plan is the one
 description of the trip — which registers are resident and on what key,
-what the exchange routes on, whether it may suppress unchanged pieces,
-which register the apply phase rewrites, and the operation names the
-trace shows; the verifier (:mod:`repro.verify.exchange`) checks that it
-has the produce → exchange → apply shape both runners execute.
+what the exchange routes on, which register the apply phase rewrites,
+and the operation names the trace shows; the verifier
+(:mod:`repro.verify.exchange`) checks that it has the produce →
+exchange → apply shape both runners execute.
 
 Two runners execute the same spec:
 
@@ -26,8 +26,9 @@ Two runners execute the same spec:
 Bit-identity between the two rests on three invariants: both run the
 *same* produce/apply callables; each receiver assembles its incoming
 pieces in origin order (its own piece at its own index, empty pieces
-skipped) exactly like the inline loop appends them; and measured motion
-is always the piece's ``nbytes()``.
+skipped) exactly like the inline loop appends them; and both follow one
+motion rule — every non-empty cross-segment piece is shipped and billed
+at its ``nbytes()``, every empty one is skipped.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import contextlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..runtime.strategies import ExchangeStrategy
 from ..storage import Table
 from .cluster import (Cluster, DistributedTable, hash_partition_indices,
                       split_table)
@@ -126,13 +126,11 @@ def _sum_metrics(per_segment: list[Optional[dict]]) -> dict:
 
 def superstep_inline(cluster: Cluster, spec: SuperstepSpec,
                      registers: dict[str, DistributedTable],
-                     strategy: ExchangeStrategy,
                      tracer) -> tuple[list[Table], dict]:
     """One superstep on the simulated cluster.
 
     Returns the new partitions of the ``state`` register and the summed
-    per-segment metrics.  ``strategy`` persists across trips (it holds
-    the delta-shuffle channel caches).
+    per-segment metrics.
     """
     segments = cluster.segments
     regs_per_segment = [
@@ -155,8 +153,7 @@ def superstep_inline(cluster: Cluster, spec: SuperstepSpec,
                     continue
                 incoming[segment].append(piece)
                 if segment != origin:
-                    cluster.motion.charge(
-                        strategy.classify((origin, segment), piece), piece)
+                    cluster.motion.charge(piece)
         cluster.motion.shuffles += 1
 
     with tracer.span("compute", kind="compute",

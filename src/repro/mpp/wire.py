@@ -7,23 +7,22 @@ One shuffled piece travels as one tagged message over a
   wire header from :func:`repro.execution.frame.table_to_wire` and
   ``blocks`` its buffer blocks (ndarrays and bytes), pickled straight
   through the pipe.
-* ``("empty",)`` — a zero-row piece; nothing to rebuild.
-* ``("unchanged",)`` — delta-shuffle suppression: the piece equals the
-  last one sent on this channel, the receiver must replay its cached
-  copy.  Sent by :class:`repro.runtime.strategies.DeltaShuffleExchange`.
+* ``("empty",)`` — a zero-row piece; nothing to rebuild, nothing
+  billed.
 
-The sender bills a piece at its payload bytes (``table.nbytes()``,
-through :meth:`repro.mpp.cluster.MotionStats.charge`), so measured
-motion matches the inline simulation's accounting bit for bit.
+The sender bills a shipped piece at its payload bytes
+(``table.nbytes()``, through
+:meth:`repro.mpp.cluster.MotionStats.charge`), so measured motion
+matches the inline simulation's accounting bit for bit.
 """
 
 from __future__ import annotations
 
 from ..execution.frame import table_from_wire, table_to_wire
-from ..runtime.strategies import EMPTY, UNCHANGED
 from ..storage import Table
 
 BATCH = "batch"
+EMPTY = "empty"
 
 
 def send_piece(conn, table: Table) -> None:
@@ -36,19 +35,11 @@ def send_empty(conn) -> None:
     conn.send((EMPTY,))
 
 
-def send_unchanged(conn) -> None:
-    conn.send((UNCHANGED,))
-
-
-def recv_piece(conn) -> tuple[str, Table | None]:
-    """Receive one message; returns ``(kind, table-or-None)``.
-
-    ``kind`` is BATCH (table present), EMPTY, or UNCHANGED (caller
-    replays its cached piece).
-    """
+def recv_piece(conn) -> Table | None:
+    """Receive one message: the shipped piece, or None for an empty
+    one."""
     message = conn.recv()
-    kind = message[0]
-    if kind != BATCH:
-        return kind, None
+    if message[0] != BATCH:
+        return None
     _, meta, blocks = message
-    return kind, table_from_wire(meta, blocks)
+    return table_from_wire(meta, blocks)

@@ -41,7 +41,6 @@ from typing import Callable, Optional, Sequence
 
 from ..errors import MppWorkerError
 from ..obs.trace import NULL_TRACER, ContextTracer, TraceContext
-from ..runtime.strategies import SEND, UNCHANGED, make_exchange_strategy
 from . import wire
 from .cluster import MotionStats, hash_partition_indices, split_table
 
@@ -98,9 +97,9 @@ class WorkerReply:
     apply_spans: list
 
 
-def _run_superstep(index: int, segments: int, spec, strategy,
-                   registers: dict, recv_cache: dict, outs: dict,
-                   ins: dict, context: Optional[TraceContext]) -> tuple:
+def _run_superstep(index: int, segments: int, spec, registers: dict,
+                   outs: dict, ins: dict,
+                   context: Optional[TraceContext]) -> tuple:
     """One superstep, worker side: produce → ship/overlap → apply.
 
     The incoming pieces are assembled in origin order with this worker's
@@ -133,14 +132,11 @@ def _run_superstep(index: int, segments: int, spec, strategy,
                 if dest == index:
                     continue
                 piece = pieces[dest]
-                kind = strategy.classify((index, dest), piece)
-                if kind == SEND:
+                if piece.num_rows:
                     wire.send_piece(outs[dest], piece)
-                elif kind == UNCHANGED:
-                    wire.send_unchanged(outs[dest])
+                    motion.charge(piece)
                 else:
                     wire.send_empty(outs[dest])
-                motion.charge(kind, piece)
         except BaseException as exc:  # surfaced after join
             failures.append(exc)
 
@@ -158,12 +154,9 @@ def _run_superstep(index: int, segments: int, spec, strategy,
                 if pieces[index].num_rows:
                     incoming.append(pieces[index])
                 continue
-            kind, piece = wire.recv_piece(ins[origin])
-            if kind == wire.BATCH:
-                recv_cache[origin] = piece
+            piece = wire.recv_piece(ins[origin])
+            if piece is not None:
                 incoming.append(piece)
-            elif kind == wire.UNCHANGED:
-                incoming.append(recv_cache[origin])
         registers[spec.state] = spec.apply(registers, incoming, aux)
 
     sender.join()
@@ -199,8 +192,6 @@ def _worker_main(index: int, segments: int, cmd, outs: dict, ins: dict,
                      name=f"mpp-watchdog-{index}", daemon=True).start()
     registers: dict = {}
     spec = None
-    strategy = None
-    recv_cache: dict = {}
     while True:
         try:
             message = cmd.recv()
@@ -215,15 +206,12 @@ def _worker_main(index: int, segments: int, cmd, outs: dict, ins: dict,
                 cmd.send(("ok",))
             elif tag == "spec":
                 spec = message[1]
-                strategy = make_exchange_strategy(spec.exchange.delta)
-                recv_cache = {}
                 cmd.send(("ok",))
             elif tag == "fetch":
                 cmd.send(("table", registers[message[1]]))
             elif tag == "superstep":
-                reply = _run_superstep(
-                    index, segments, spec, strategy, registers,
-                    recv_cache, outs, ins, message[1])
+                reply = _run_superstep(index, segments, spec, registers,
+                                       outs, ins, message[1])
                 cmd.send(("done",) + reply)
             else:
                 cmd.send(("error", tag, f"unknown command {tag!r}"))
@@ -312,7 +300,7 @@ class WorkerPool:
             self._await(segment, "ok", "load")
 
     def set_spec(self, spec) -> None:
-        """Install the superstep program (resets delta-shuffle caches)."""
+        """Install the superstep program."""
         for connection in self._cmd:
             connection.send(("spec", spec))
         for segment in range(self.workers):

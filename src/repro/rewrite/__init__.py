@@ -43,7 +43,8 @@ __all__ = [
 
 
 def optimize_plan(plan: LogicalOp, options: SessionOptions,
-                  estimator=None, tracer=None, catalog=None) -> LogicalOp:
+                  estimator=None, tracer=None, catalog=None,
+                  verified=None) -> LogicalOp:
     """The standard optimization-rewrite pipeline for one plan tree.
 
     ``estimator`` (a :class:`repro.stats.CardinalityEstimator`) unlocks
@@ -56,15 +57,19 @@ def optimize_plan(plan: LogicalOp, options: SessionOptions,
     (:mod:`repro.verify`) checks the incoming plan (attributed to the
     ``build`` pass) and re-checks after every rewrite pass that changed
     it, so a broken rewrite is caught at the pass that broke it.
+    ``verified`` (a :class:`repro.verify.plans.VerifiedPlans`) records
+    each plan checked, so the compile's later checks skip it.
     """
     verifier = None
     if options.enable_plan_verifier:
-        from ..verify.plans import verify_plan
+        from ..verify.plans import VerifiedPlans
+        if verified is None:
+            verified = VerifiedPlans()
 
         def verifier(p: LogicalOp, pass_name: str) -> None:
-            verify_plan(p, f"rewrite:{pass_name}", catalog)
+            verified.verify(p, f"rewrite:{pass_name}", catalog)
 
-        verify_plan(plan, "build", catalog)
+        verified.verify(plan, "build", catalog)
 
     rules = [fold_plan_filters]
     if options.enable_predicate_pushdown:

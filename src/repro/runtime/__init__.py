@@ -12,8 +12,8 @@ One execution path for every iterative construct in the system:
   one :class:`LoopState` record per loop holds everything the loop owns.
 * :mod:`repro.runtime.strategies` — a loop's strategy as a pure
   function of its spec and mode (full recompute, rename in place,
-  semi-naive delta, fixpoint), the frontier hysteresis behind mid-loop
-  demotion and promotion, and the distributed exchange strategies.
+  semi-naive delta, fixpoint), and the frontier hysteresis behind
+  mid-loop demotion and promotion.
 * :mod:`repro.runtime.conditions` — termination-condition evaluation and
   the changed-rows kernel.
 """
@@ -22,17 +22,10 @@ from .conditions import changed_rows, should_continue
 from .interpreter import ProgramRunner, StepProfile
 from .loop_engine import LoopEngine, LoopRun, LoopState
 from .registry import HANDLERS, dispatch, handles
-from .strategies import (
-    DeltaShuffleExchange,
-    ExchangeStrategy,
-    StrategySwitch,
-    make_exchange_strategy,
-)
+from .strategies import StrategySwitch
 
 __all__ = [
     "HANDLERS",
-    "DeltaShuffleExchange",
-    "ExchangeStrategy",
     "LoopEngine",
     "LoopRun",
     "LoopState",
@@ -42,6 +35,5 @@ __all__ = [
     "changed_rows",
     "dispatch",
     "handles",
-    "make_exchange_strategy",
     "should_continue",
 ]

@@ -197,71 +197,3 @@ def note_frontier(state, frontier: int,
     state.streak = 0
     return switch
 
-
-# ---------------------------------------------------------------------------
-# Exchange strategies (distributed supersteps)
-# ---------------------------------------------------------------------------
-#
-# The loop strategies above decide how one iteration's data moves
-# between *trips*; exchange strategies decide how one superstep's data
-# moves between *workers*.  They classify every outbound piece per
-# channel (an (origin, destination) pair) into SEND / EMPTY / UNCHANGED,
-# and live here rather than in repro.mpp so workers can depend on them
-# without the runtime depending on the distribution layer.
-
-SEND = "send"
-EMPTY = "empty"
-UNCHANGED = "unchanged"
-
-
-class ExchangeStrategy:
-    """Ship every non-empty piece (the naive exchange).
-
-    Instances hold per-channel state and are owned by one sender — the
-    coordinator builds one per worker (or per inline segment) so
-    channels never alias across senders.
-    """
-
-    name = "naive-exchange"
-
-    def classify(self, channel: tuple[int, int], piece) -> str:
-        """SEND / EMPTY / UNCHANGED for ``piece`` on ``channel``."""
-        if piece.num_rows == 0:
-            return EMPTY
-        return SEND
-
-
-class DeltaShuffleExchange(ExchangeStrategy):
-    """Suppress motion for a piece identical to the channel's last.
-
-    The semi-naive idea applied to the wire: each channel remembers the
-    last piece it shipped; when the new piece is byte-identical the
-    sender ships an UNCHANGED marker and the receiver replays its cached
-    copy.  Empty pieces bypass the cache entirely (they were never sent,
-    so there is nothing to replay), matching the inline simulation's
-    accounting.  Only legal under semi-naive plans — enforced statically
-    by :func:`repro.verify.exchange.check_exchange_plan`.
-    """
-
-    name = "delta-shuffle"
-
-    def __init__(self):
-        self._sent: dict[tuple[int, int], list] = {}
-
-    def classify(self, channel: tuple[int, int], piece) -> str:
-        if piece.num_rows == 0:
-            return EMPTY
-        arrays = []
-        for column in piece.columns:
-            arrays.append(column.data)
-            arrays.append(column.mask)
-        previous = self._sent.get(channel)
-        self._sent[channel] = arrays
-        if previous is not None and len(previous) == len(arrays) and all(
-                np.array_equal(a, b) for a, b in zip(previous, arrays)):
-            return UNCHANGED
-        return SEND
-
-
-def make_exchange_strategy(delta_shuffle: bool) -> ExchangeStrategy:
-    return DeltaShuffleExchange() if delta_shuffle else ExchangeStrategy()

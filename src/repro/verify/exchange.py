@@ -15,10 +15,6 @@ the same guarantees to the distributed superstep programs described by
   ones).  Hash partitioning is deterministic per column value, so two
   registers co-locate exactly when both are currently hashed on the
   contracted columns.
-* **Delta-shuffle legality** — ``ExchangeOp.delta`` is only sound under
-  the ``semi_naive`` strategy: suppression replays the receiver's cached
-  piece, which is only equivalent when state evolves by deltas and an
-  unchanged outbound piece implies an unchanged contribution.
 * **Superstep shape** — both runners (:mod:`repro.mpp.superstep`)
   execute exactly produce → exchange → apply: a LocalOp writing the
   one register the ExchangeOp ships, then a LocalOp rewriting one
@@ -33,8 +29,7 @@ verifier raises, naming the pass that produced the bad plan.
 from __future__ import annotations
 
 from ..errors import VerificationError
-from ..mpp.plan import (SEMI_NAIVE, STRATEGIES, ExchangeOp, ExchangePlan,
-                        LocalOp)
+from ..mpp.plan import ExchangeOp, ExchangePlan, LocalOp
 
 __all__ = ["check_exchange_plan", "verify_exchange_plan"]
 
@@ -42,11 +37,6 @@ __all__ = ["check_exchange_plan", "verify_exchange_plan"]
 def check_exchange_plan(plan: ExchangePlan) -> list[str]:
     """Return every violated invariant of ``plan`` (empty == valid)."""
     violations: list[str] = []
-
-    if plan.strategy not in STRATEGIES:
-        violations.append(
-            f"unknown plan strategy {plan.strategy!r} "
-            f"(expected one of {', '.join(STRATEGIES)})")
 
     seen: set[str] = set()
     for reg in plan.registers:
@@ -96,12 +86,6 @@ def check_exchange_plan(plan: ExchangePlan) -> list[str]:
                 violations.append(
                     f"{where} routes on {step.key!r} which is not one of "
                     f"its columns {list(columns)}")
-            if step.delta and plan.strategy != SEMI_NAIVE:
-                violations.append(
-                    f"{where} requests delta suppression under the "
-                    f"{plan.strategy!r} strategy (requires semi_naive: "
-                    f"replaying a cached piece is only equivalent when "
-                    f"state evolves by deltas)")
             current_key[step.register] = step.key
         else:  # pragma: no cover - frozen dataclass union
             violations.append(f"{where} is not a LocalOp or ExchangeOp")

@@ -295,3 +295,34 @@ def verify_plan(plan: LogicalOp, pass_name: str, catalog=None) -> int:
     if violations:
         raise VerificationError(pass_name, violations)
     return checker.checks
+
+
+class VerifiedPlans:
+    """The plan objects one compile has verified, each with the number
+    of invariants its check took.
+
+    Plans are frozen, so a plan object that checked clean once — in the
+    rewrite pass that produced it, in ``prune_columns``, or in the
+    program check — is not checked again in the same compile; its
+    recorded count still goes into the verdict.
+    """
+
+    def __init__(self):
+        # id -> (plan, checks); holding the plan keeps its id unique.
+        self._plans: dict[int, tuple[LogicalOp, int]] = {}
+
+    def checks(self, plan: LogicalOp) -> Optional[int]:
+        """The invariants ``plan``'s clean check took; None if unchecked."""
+        known = self._plans.get(id(plan))
+        return None if known is None else known[1]
+
+    def add(self, plan: LogicalOp, checks: int) -> None:
+        self._plans[id(plan)] = (plan, checks)
+
+    def verify(self, plan: LogicalOp, pass_name: str, catalog=None) -> int:
+        """:func:`verify_plan`, once per plan object."""
+        checks = self.checks(plan)
+        if checks is None:
+            checks = verify_plan(plan, pass_name, catalog)
+            self.add(plan, checks)
+        return checks

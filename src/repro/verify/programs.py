@@ -32,7 +32,6 @@ preserve:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from ..errors import VerificationError
 from ..plan.logical import LogicalOp, LogicalTempScan, rebind_temp_scans
@@ -55,7 +54,7 @@ from ..plan.program import (
     Step,
 )
 from ..sql import ast
-from .plans import PlanChecker
+from .plans import PlanChecker, VerifiedPlans
 
 
 @dataclass
@@ -140,13 +139,12 @@ class ProgramChecker:
     """Accumulates violations over one step program."""
 
     def __init__(self, program: Program, catalog=None,
-                 checked: Mapping[int, int] | None = None):
+                 verified: VerifiedPlans | None = None):
         self.program = program
         self.steps = program.steps
         self.catalog = catalog
-        # Index of a step whose plan a pass already verified -> the
-        # invariants that took.
-        self.checked = checked or {}
+        self.verified = verified if verified is not None \
+            else VerifiedPlans()
         self.violations: list[str] = []
         self.checks = 0
 
@@ -581,13 +579,15 @@ class ProgramChecker:
         for i, step in enumerate(self.steps):
             if isinstance(step, (MaterializeStep, ReturnStep,
                                  DeltaFusedStep)):
-                if i in self.checked:
-                    self.checks += self.checked[i]
-                else:
+                checks = self.verified.checks(step.plan)
+                if checks is None:
                     checker = PlanChecker(self.catalog)
                     for violation in checker.check(step.plan):
                         self._note(i, violation)
-                    self.checks += checker.checks
+                    checks = checker.checks
+                    if not checker.violations:
+                        self.verified.add(step.plan, checks)
+                self.checks += checks
                 self._check_scan_widths(i, step.plan, widths)
 
     def _check_scan_widths(self, index: int, plan: LogicalOp,
@@ -626,15 +626,14 @@ def check_program(program: Program, catalog=None) -> list[str]:
 
 
 def verify_program(program: Program, pass_name: str, catalog=None,
-                   checked: Mapping[int, int] | None = None
+                   verified: VerifiedPlans | None = None
                    ) -> VerificationReport:
     """Raise :class:`VerificationError` if ``program`` is malformed.
 
-    ``checked`` maps the index of a step whose plan a pass already
-    verified to the invariants that took; that plan is not checked
-    again.
+    A plan object that ``verified`` holds (a pass of the same compile
+    already checked it) is not checked again.
     """
-    checker = ProgramChecker(program, catalog, checked)
+    checker = ProgramChecker(program, catalog, verified)
     violations = checker.check()
     if violations:
         raise VerificationError(pass_name, violations)

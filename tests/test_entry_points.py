@@ -54,12 +54,13 @@ def test_every_repo_path_named_in_ci_exists():
             f"{relative} is named in ci.yml but missing"
 
 
-DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md")
 
 
 def test_every_repo_path_named_in_the_docs_exists():
-    """A deletion that leaves a stale backticked path in README.md,
-    DESIGN.md or EXPERIMENTS.md fails here."""
+    """A deletion that leaves a stale backticked path in one of the
+    DOCS fails here."""
     for doc in DOCS:
         referenced = set(re.findall(
             r"`((?:src|tests|benchmarks|examples)/[\w./-]*\w)(?:::[^`]*)?`",
@@ -108,9 +109,9 @@ def _resolve_dotted(dotted: str):
 
 
 def test_every_dotted_name_in_the_docs_resolves():
-    """A backticked ``repro.x.y[.Attr]`` in README.md, DESIGN.md or
-    EXPERIMENTS.md must name a module plus an attribute chain, so a
-    rename or deletion that leaves the docs behind fails here."""
+    """A backticked ``repro.x.y[.Attr]`` in one of the DOCS must name a
+    module plus an attribute chain, so a rename or deletion that leaves
+    the docs behind fails here."""
     for doc in DOCS:
         names = set(re.findall(r"`(repro(?:\.\w+)+)",
                                (REPO / doc).read_text()))

@@ -6,7 +6,6 @@ import subprocess
 import sys
 
 from repro.mpp import Cluster, MotionStats, hash_partition_indices
-from repro.runtime.strategies import EMPTY, SEND, UNCHANGED
 from repro.storage import Column, Table
 from repro.types import SqlType
 
@@ -80,18 +79,17 @@ class TestPartitioning:
 
 class TestMotionStats:
     def test_charge_bills_by_kind(self):
+        # A shipped piece bills its rows and payload bytes; an empty one
+        # bills nothing.
         piece = make_table(range(10))
         motion = MotionStats()
-        motion.charge(SEND, piece)
-        motion.charge(UNCHANGED, piece)
-        motion.charge(EMPTY, piece.filter(piece.column("k").data < 0))
+        motion.charge(piece)
+        motion.charge(piece.filter(piece.column("k").data < 0))
         assert (motion.rows_moved, motion.bytes_moved) \
             == (10, piece.nbytes())
-        assert (motion.suppressed_rows, motion.suppressed_bytes,
-                motion.suppressed_batches) == (10, piece.nbytes(), 1)
 
     def test_reset_zeroes_every_counter(self):
         motion = MotionStats(shuffles=3)
-        motion.charge(SEND, make_table(range(4)))
+        motion.charge(make_table(range(4)))
         motion.reset()
         assert motion == MotionStats()

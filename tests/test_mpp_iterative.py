@@ -1,13 +1,32 @@
 """Distributed iterative PageRank tests: correctness vs the single-node
 reference, and the motion properties the shared-nothing design predicts."""
 
+import math
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import dblp_like, generate_edges
-from repro.mpp import Cluster, distributed_pagerank
-from repro.workloads import reference_pagerank
+from repro.mpp import Cluster, distributed_pagerank, distributed_sssp
+from repro.workloads import reference_pagerank, reference_sssp
+from repro.workloads.sssp import INFINITY
 
 EDGES = generate_edges(dblp_like(nodes=250, seed=31))
+
+
+@st.composite
+def graphs(draw):
+    """Small edge lists over nodes 1..n: self-loops and duplicate edges
+    come up as drawn, and the source may lie outside every edge."""
+    nodes = draw(st.integers(1, 9))
+    node = st.integers(1, nodes)
+    weight = st.sampled_from([0.1, 0.25, 0.3, 1.0, 1.5, 2.0, 7.0])
+    edges = draw(st.lists(st.tuples(node, node, weight), min_size=1,
+                          max_size=30))
+    source = draw(st.integers(1, nodes + 1))
+    return edges, source
 
 
 class TestDistributedPageRank:
@@ -52,33 +71,6 @@ class TestDistributedPageRank:
         distributed = distributed_pagerank(Cluster(3), SMALL_EDGES,
                                            iterations=6).ranks
         assert distributed == pytest.approx(sql_ranks)
-
-
-class TestDeltaShuffle:
-    CHAIN = [(i, i + 1, 1.0) for i in range(1, 30)]
-
-    def test_identical_results(self):
-        naive = distributed_pagerank(Cluster(4), self.CHAIN, iterations=50)
-        delta = distributed_pagerank(Cluster(4), self.CHAIN, iterations=50,
-                                     delta_shuffle=True)
-        assert naive.ranks == delta.ranks
-
-    def test_motion_suppressed_once_the_chain_drains(self):
-        # Node 1 has no incoming edge, so a zero-delta wave advances one
-        # hop per iteration; once it reaches the chain's end every
-        # partial-contribution piece is a constant all-zeros array,
-        # which the delta shuffle recognizes and stops re-sending.
-        naive = distributed_pagerank(Cluster(4), self.CHAIN, iterations=50)
-        delta = distributed_pagerank(Cluster(4), self.CHAIN, iterations=50,
-                                     delta_shuffle=True)
-        assert delta.rows_moved < naive.rows_moved
-        drained = delta.telemetry.records[-1]
-        assert drained.rows_moved == 0
-
-    def test_default_keeps_the_naive_motion_bill(self):
-        naive = distributed_pagerank(Cluster(4), self.CHAIN, iterations=50)
-        again = distributed_pagerank(Cluster(4), self.CHAIN, iterations=50)
-        assert naive.rows_moved == again.rows_moved
 
 
 class TestDistributedSssp:
@@ -132,15 +124,44 @@ class TestDistributedSssp:
         assert result.distances[9] == float("inf")
         assert result.distances[10] == float("inf")
 
-    def test_delta_shuffle_identical_results(self):
-        from repro.mpp import distributed_sssp
-        naive = distributed_sssp(Cluster(4), self.EDGES, source=1)
-        delta = distributed_sssp(Cluster(4), self.EDGES, source=1,
-                                 delta_shuffle=True)
-        assert naive.distances == delta.distances
-        assert naive.iterations == delta.iterations
-
     def test_single_segment_moves_nothing(self):
         from repro.mpp import distributed_sssp
         result = distributed_sssp(Cluster(1), self.EDGES, source=1)
         assert result.rows_moved == 0
+
+
+class TestAgainstTheOracles:
+    """Both loops against the single-node oracles, on 1-4 inline
+    segments (the pool's parity with inline is pinned on fixed inputs
+    in test_mpp_workers.py)."""
+
+    @given(graphs(), st.integers(1, 4), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_pagerank_matches_reference(self, graph, segments, trips):
+        # Weighted 1/out-degree, the transition matrix the query expects.
+        drawn, _ = graph
+        out_degree = Counter(src for src, _, _ in drawn)
+        edges = [(src, dst, 1.0 / out_degree[src]) for src, dst, _ in drawn]
+        result = distributed_pagerank(Cluster(segments), edges,
+                                      iterations=trips)
+        reference = reference_pagerank(edges, iterations=trips)
+        assert result.ranks.keys() == reference.keys()
+        for node, rank in result.ranks.items():
+            assert rank == pytest.approx(reference[node], abs=1e-12)
+
+    @given(graphs(), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_sssp_matches_reference(self, graph, segments):
+        # The oracle mirrors the SQL query: an unreached node reads
+        # INFINITY, and the source's own distance is its shortest walk
+        # back to itself, never 0.  Given a trip per node, every other
+        # node's distance is exact.
+        edges, source = graph
+        result = distributed_sssp(Cluster(segments), edges, source=source)
+        reference = reference_sssp(edges, source=source,
+                                   iterations=len(result.distances) + 1)
+        assert result.distances.pop(source) == 0.0
+        reference.pop(source, None)
+        assert result.distances == {
+            node: math.inf if dist == INFINITY else dist
+            for node, dist in reference.items()}

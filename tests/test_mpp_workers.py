@@ -39,16 +39,24 @@ def _assert_no_orphans(pool):
 
 class TestPoolParity:
     def test_pagerank_bit_identical_to_inline(self):
-        inline = distributed_pagerank(Cluster(3), EDGES, iterations=6)
+        # On CHAIN node 1 has no incoming edge, so a zero-delta wave
+        # advances one hop per trip; by trip ~30 every partial piece is
+        # a constant all-zeros array, which is still shipped and billed.
         with WorkerPool(3) as pool:
-            pooled = distributed_pagerank(Cluster(3), EDGES,
-                                          iterations=6, pool=pool)
-        # Exact float equality, not approx: same kernels, same piece
-        # assembly order, so the accumulation order is identical.
-        assert pooled.ranks == inline.ranks
-        assert pooled.rows_moved == inline.rows_moved
-        assert pooled.bytes_moved == inline.bytes_moved
-        assert pooled.shuffles == inline.shuffles
+            for edges, trips in ((EDGES, 6), (CHAIN, 40)):
+                inline = distributed_pagerank(Cluster(3), edges,
+                                              iterations=trips)
+                pooled = distributed_pagerank(Cluster(3), edges,
+                                              iterations=trips, pool=pool)
+                # Exact float equality, not approx: same kernels, same
+                # piece assembly order, so the accumulation order is
+                # identical.
+                assert pooled.ranks == inline.ranks
+                assert pooled.rows_moved == inline.rows_moved
+                assert pooled.bytes_moved == inline.bytes_moved
+                assert pooled.shuffles == inline.shuffles
+                assert [r.rows_moved for r in pooled.telemetry.records] \
+                    == [r.rows_moved for r in inline.telemetry.records]
 
     def test_sssp_bit_identical_to_inline(self):
         inline = distributed_sssp(Cluster(3), EDGES, source=1)
@@ -106,8 +114,7 @@ class TestPiecesLargerThanThePipe:
         return src, dst, [(int(s), int(d), 1.0 / cls.OUT_DEGREE)
                           for s, d in zip(src, dst)]
 
-    @pytest.mark.parametrize("delta_shuffle", [False, True])
-    def test_pagerank_bit_identical_to_inline(self, delta_shuffle):
+    def test_pagerank_bit_identical_to_inline(self):
         src, dst, edges = self.edges()
         # Edges live on the segment of their src and route on dst; a
         # routed row carries an int64 dst and a float64 contribution.
@@ -122,62 +129,17 @@ class TestPiecesLargerThanThePipe:
                     assert rows * 16 > self.PIECE_FLOOR
 
         inline = distributed_pagerank(Cluster(self.WORKERS), edges,
-                                      iterations=3,
-                                      delta_shuffle=delta_shuffle)
+                                      iterations=3)
         timeout = 60.0
         started = time.monotonic()
         with WorkerPool(self.WORKERS, timeout=timeout) as pool:
             pooled = distributed_pagerank(Cluster(self.WORKERS), edges,
-                                          iterations=3, pool=pool,
-                                          delta_shuffle=delta_shuffle)
+                                          iterations=3, pool=pool)
         assert time.monotonic() - started < timeout
         assert pooled.ranks == inline.ranks
         assert pooled.rows_moved == inline.rows_moved
         assert pooled.bytes_moved == inline.bytes_moved
         assert pooled.shuffles == inline.shuffles
-        assert pooled.suppressed_bytes == inline.suppressed_bytes
-        assert pooled.suppressed_batches == inline.suppressed_batches
-
-
-class TestDeltaShuffleOnTheWire:
-    # A zero-delta wave advances one hop per iteration from node 1; by
-    # trip ~30 every partial piece is a constant all-zeros array and the
-    # delta shuffle stops re-sending it (see TestDeltaShuffle in
-    # test_mpp_iterative.py for the inline version of this argument).
-    TRIPS = 40
-
-    def test_suppression_matches_inline_accounting(self):
-        inline = distributed_pagerank(Cluster(3), CHAIN,
-                                      iterations=self.TRIPS,
-                                      delta_shuffle=True)
-        with WorkerPool(3) as pool:
-            pooled = distributed_pagerank(Cluster(3), CHAIN,
-                                          iterations=self.TRIPS,
-                                          pool=pool, delta_shuffle=True)
-        assert pooled.suppressed_bytes == inline.suppressed_bytes
-        assert pooled.suppressed_batches == inline.suppressed_batches
-        assert pooled.bytes_moved == inline.bytes_moved
-        assert pooled.ranks == inline.ranks
-
-    def test_zero_motion_for_unchanged_partitions(self):
-        # Once the chain drains, every outbound piece stops changing —
-        # real wire traffic must stop too, while the naive exchange
-        # keeps paying for identical pieces.
-        with WorkerPool(3) as pool:
-            delta = distributed_pagerank(Cluster(3), CHAIN,
-                                         iterations=self.TRIPS,
-                                         pool=pool, delta_shuffle=True)
-        with WorkerPool(3) as pool:
-            naive = distributed_pagerank(Cluster(3), CHAIN,
-                                         iterations=self.TRIPS,
-                                         pool=pool)
-        assert delta.suppressed_batches > 0
-        assert delta.bytes_moved + delta.suppressed_bytes \
-            == naive.bytes_moved
-        assert delta.bytes_moved < naive.bytes_moved
-        # The chain drains within 8 trips: the last iteration of the
-        # delta run ships nothing at all.
-        assert delta.telemetry.records[-1].rows_moved == 0
 
 
 class TestFailureContainment:

@@ -77,7 +77,7 @@ def compiled(db, sql):
     return compile_statement(parse(sql), PlanContext(db.catalog), db.options)
 
 
-def without_pass(steps, options, catalog):
+def without_pass(steps, options, catalog, verified):
     """Stands in for ``prune_program``: compile without the pass."""
 
 
@@ -326,29 +326,36 @@ class TestVerifier:
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_pruned_plans_checked_once(self, name, monkeypatch):
-        """A plan the pass changed and verified is not checked again by
-        the program check, and the verdict still counts its
+        """Each distinct plan object is checked once per compile — by
+        the rewrite pass that produced it, by ``prune_columns``, or by
+        the program check — and the verdict still counts every step's
         invariants."""
-        checks = Counter()
-        pruned = {}
+        checked = []
+        pruned = []
         real_check = PlanChecker.check
         real_prune = core_rewrite.prune_program
 
         def recording(self, plan):
-            checks[id(plan)] += 1
+            checked.append(plan)  # held, so ids stay unique
             return real_check(self, plan)
 
-        def prune(steps, options, catalog):
-            pruned.update(real_prune(steps, options, catalog))
-            return pruned
+        def prune(steps, options, catalog, verified):
+            before = [getattr(step, "plan", None) for step in steps]
+            real_prune(steps, options, catalog, verified)
+            pruned.extend(step.plan for step, plan in zip(steps, before)
+                          if getattr(step, "plan", None) is not plan)
 
         monkeypatch.setattr(PlanChecker, "check", recording)
         monkeypatch.setattr(core_rewrite, "prune_program", prune)
         db = graph_db(enable_delta_iteration=True)
         program = compiled(db, WORKLOADS[name])
+        counts = Counter(map(id, checked))
+        assert set(counts.values()) == {1}, name
         # FF's body reads the CTE alone: no join, nothing to prune.
         assert bool(pruned) == (name != "ff")
-        for index in pruned:
-            assert checks[id(program.steps[index].plan)] == 1
+        for plan in pruned:
+            assert counts[id(plan)] == 1
+        for step in plan_steps(program):
+            assert counts[id(step.plan)] == 1
         fresh = verify_program(program, "compile", db.catalog)
         assert program.verifier_verdict == fresh.verdict()

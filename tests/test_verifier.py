@@ -440,24 +440,12 @@ def _xmut_route_key_not_a_column(plan):
     return dataclasses.replace(plan, steps=steps)
 
 
-def _xmut_delta_under_naive(plan):
-    steps = tuple(
-        dataclasses.replace(step, delta=True)
-        if isinstance(step, ExchangeOp) else step
-        for step in plan.steps)
-    return dataclasses.replace(plan, strategy="naive", steps=steps)
-
-
 def _xmut_drop_exchange(plan):
     # Remove the motion: the apply phase's co-location contract on the
     # shuffled register can no longer hold (it was never re-keyed).
     return dataclasses.replace(
         plan, steps=tuple(step for step in plan.steps
                           if not isinstance(step, ExchangeOp)))
-
-
-def _xmut_unknown_strategy(plan):
-    return dataclasses.replace(plan, strategy="speculative")
 
 
 def _xmut_produce_writes_elsewhere(plan):
@@ -484,10 +472,7 @@ EXCHANGE_MUTATIONS = [
     ("ship_undefined", _xmut_ship_undefined, "undefined register"),
     ("route_key_not_a_column", _xmut_route_key_not_a_column,
      "routes on"),
-    ("delta_under_naive", _xmut_delta_under_naive,
-     "delta suppression"),
     ("drop_exchange", _xmut_drop_exchange, "requires"),
-    ("unknown_strategy", _xmut_unknown_strategy, "unknown plan strategy"),
     ("produce_writes_elsewhere", _xmut_produce_writes_elsewhere,
      "but the exchange ships"),
     ("apply_writes_scratch", _xmut_apply_writes_scratch,
@@ -499,11 +484,9 @@ EXCHANGE_MUTATIONS = [
 
 class TestExchangePlanVerifier:
     @pytest.mark.parametrize("build", [
-        lambda: pagerank_exchange_plan(delta_shuffle=False),
-        lambda: pagerank_exchange_plan(delta_shuffle=True),
-        lambda: sssp_exchange_plan(delta_shuffle=False),
-        lambda: sssp_exchange_plan(delta_shuffle=True),
-    ], ids=["pagerank", "pagerank_delta", "sssp", "sssp_delta"])
+        pagerank_exchange_plan,
+        sssp_exchange_plan,
+    ], ids=["pagerank", "sssp"])
     def test_pristine_plans_pass(self, build):
         assert check_exchange_plan(build()) == []
 
@@ -529,7 +512,7 @@ class TestExchangePlanVerifier:
         # A register shuffled onto one key then required on another must
         # be flagged — the exchange is what establishes the distribution.
         plan = ExchangePlan(
-            name="rekey", strategy="naive",
+            name="rekey",
             registers=(RegisterDef("state", ("node", "rank"), key="node"),),
             steps=(
                 LocalOp("produce", reads=("state",), writes=("out",)),
@@ -544,7 +527,7 @@ class TestExchangePlanVerifier:
         # Rebuilding a shuffled register locally (not reading it) drops
         # its partition-key fact; a later contract on the old key fails.
         plan = ExchangePlan(
-            name="invalidate", strategy="naive",
+            name="invalidate",
             registers=(RegisterDef("state", ("node", "rank"), key="node"),),
             steps=(
                 LocalOp("produce", reads=("state",), writes=("out",)),
@@ -574,12 +557,10 @@ class TestExchangePlanVerifier:
         from repro.mpp import pagerank_superstep_spec, sssp_superstep_spec
 
         for build in (pagerank_superstep_spec, sssp_superstep_spec):
-            for delta in (False, True):
-                spec = build(delta_shuffle=delta)
-                assert spec.exchange.key == "dst"
-                assert spec.exchange.delta is delta
-                assert spec.state == "state"
-                assert spec.plan.register(spec.state).key == "node"
+            spec = build()
+            assert spec.exchange.key == "dst"
+            assert spec.state == "state"
+            assert spec.plan.register(spec.state).key == "node"
 
     def test_loaded_tables_must_match_the_declared_registers(self):
         # The plan, not the caller, says what each register holds: a
