@@ -71,6 +71,9 @@ class ExecutionStats:
     # Equi joins in which no probe row matched more than one build row
     # (kernels.equi_join_pairs): pairs read straight off the buckets.
     single_match_joins: int = 0
+    # Joins in a loop body that reused the last trip's pairs because
+    # their key columns repeated (kernel_cache.JoinPairMemo).
+    join_pair_reuses: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return dict(self.__dict__)
@@ -105,8 +108,9 @@ class SessionOptions:
     # Fig. 10 — push final-query predicates into the non-iterative part
     # when safe (§V-B).
     enable_predicate_pushdown: bool = True
-    # Iteration-aware kernel cache: reusable join build-side indexes and
-    # incremental UNION DISTINCT state (see repro.execution.kernel_cache).
+    # Iteration-aware kernel cache: reusable join build-side indexes,
+    # incremental UNION DISTINCT state and trip-stable join pairs (see
+    # repro.execution.kernel_cache).
     # Disabling it restores recompute-from-scratch kernels with
     # bit-identical results.
     enable_kernel_cache: bool = True
@@ -175,6 +179,10 @@ class ExecutionContext:
         # Per-statement span tracer (repro.obs); NULL_TRACER when the
         # statement is not being traced.
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        # The running loop's JoinPairMemo (kernel_cache), set by the loop
+        # engine for the loop's lifetime; None outside loops and with
+        # the kernel cache off.
+        self.join_pairs = None
 
     def active_kernel_cache(self):
         """The kernel cache, or None when the session disables it."""

@@ -2,11 +2,11 @@
 iterations.
 
 DBSpinner's whole argument is that an iterative CTE runs as *one* plan,
-so per-iteration overheads dominate end-to-end time.  Two such overheads
-are pure recomputation of state that outlives one iteration, and this
-module removes them.  It keeps nothing else: a column computed from the
-CTE table is new on every trip, so its dictionary is built where it is
-used and freed with it.
+so per-iteration overheads dominate end-to-end time.  Three such
+overheads are pure recomputation of state that outlives one iteration,
+and this module removes them.  It keeps no dictionary of a column
+computed from the CTE table: such a column is new on every trip, so its
+dictionary is built where it is used and freed with it.
 
 * **Join build-side indexes** — for an equi join the executor needs the
   build side factorized *and bucketed by code*.  When the build input is
@@ -29,6 +29,13 @@ used and freed with it.
   is deduplicated with vectorized searches and an O(delta + seen)
   merge — amortized O(1) per row over the loop, the precursor of full
   semi-naive delta evaluation.
+
+* **Trip-stable join pairs** — from PageRank's third trip on, both of
+  its joins see key columns equal, value for value, to the last trip's,
+  although they are new objects.  :class:`JoinPairMemo` keeps each join
+  site's key columns and pairs for one running loop and hands the pairs
+  back while the keys repeat bit for bit; pairs depend only on key
+  values, so the reuse is exact.  It is freed when the loop ends.
 
 All structures are observable: hits/misses/overflows/invalidations are
 counted on :class:`~repro.execution.context.ExecutionStats` and surfaced
@@ -233,6 +240,79 @@ class KernelCache:
     def nbytes(self) -> int:
         with self._lock:
             return sum(i.nbytes() for i in self._indexes.values())
+
+
+# ---------------------------------------------------------------------------
+# Trip-stable join pairs
+# ---------------------------------------------------------------------------
+
+
+def same_values(a: Column, b: Column) -> bool:
+    """True when two columns hold the same values bit for bit: the same
+    object, or the same type, length and mask and bitwise-equal data.
+    Floats compare by their bits, so -0.0 differs from 0.0 and a NaN
+    equals only its own bit pattern; TEXT compares its strings."""
+    if a is b:
+        return True
+    if a.sql_type is not b.sql_type or len(a.data) != len(b.data) \
+            or a.data.dtype != b.data.dtype \
+            or not np.array_equal(a.mask, b.mask):
+        return False
+    left, right = a.data, b.data
+    if left.dtype.kind == "f":
+        bits = np.dtype(f"u{left.dtype.itemsize}")
+        left, right = left.view(bits), right.view(bits)
+    return bool(np.array_equal(left, right))
+
+
+class JoinPairMemo:
+    """Each join site's last pairs, for one running loop.
+
+    A join's pairs depend only on its key values, so a trip whose key
+    columns hold the same values as the last trip's (:func:`same_values`)
+    reuses the pairs instead of encoding and probing again.  A miss
+    drops the site's arrays before the new pairs are computed, and a
+    site that misses on ``STOP_AFTER_MISSES`` trips in a row keeps
+    nothing more: its keys change with the loop, as a delta body's
+    partition does, and kept pairs would be held for nothing.  PageRank
+    misses once, on trip 2, and reuses from trip 3 on.
+
+    Sites are keyed by the plan node's identity; the node is held beside
+    its entry so that its id cannot be recycled while the memo lives.
+    The memo belongs to one program run (``ExecutionContext.join_pairs``),
+    never to a plan, which a plan-cache hit shares across sessions, and
+    is dropped when its loop ends.  ``reuses`` counts this run's reuses.
+    """
+
+    STOP_AFTER_MISSES = 2
+
+    __slots__ = ("_sites", "reuses")
+
+    def __init__(self) -> None:
+        # id(site) -> (site, kept keys or None, pairs or None, misses in
+        # a row).
+        self._sites: dict[int, tuple] = {}
+        self.reuses = 0
+
+    def reuse(self, site, keys: Sequence[Column]):
+        """The pairs kept for ``site`` when every key column repeats,
+        else None."""
+        entry = self._sites.get(id(site))
+        if entry is None or entry[1] is None:
+            return None
+        _, kept, pairs, misses = entry
+        if len(kept) == len(keys) and all(map(same_values, kept, keys)):
+            self._sites[id(site)] = (site, tuple(keys), pairs, 0)
+            self.reuses += 1
+            return pairs
+        self._sites[id(site)] = (site, None, None, misses + 1)
+        return None
+
+    def keep(self, site, keys: Sequence[Column], pairs) -> None:
+        entry = self._sites.get(id(site))
+        misses = 0 if entry is None else entry[3]
+        if misses < self.STOP_AFTER_MISSES:
+            self._sites[id(site)] = (site, tuple(keys), pairs, misses)
 
 
 # ---------------------------------------------------------------------------

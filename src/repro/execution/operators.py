@@ -43,6 +43,7 @@ from .context import ExecutionContext
 from .expressions import evaluate, evaluate_predicate
 from .frame import Frame
 from .kernels import (
+    JoinPairs,
     build_probe_index,
     distinct_indices,
     encode_keys,
@@ -217,7 +218,9 @@ def _encode_join_sides(left_keys: list[Column], right_keys: list[Column],
     has no index for the build side: the cache-off configuration,
     mixed-radix overflow, and the first sighting of every build side —
     so a build side that is new on every trip (PageRank's
-    ``LEFT JOIN PageRank AS IncomingRank``) is jointly encoded every trip.
+    ``LEFT JOIN PageRank AS IncomingRank``) is jointly encoded on every
+    trip that does not reuse the last trip's pairs (see
+    :func:`_equi_pairs`).
 
     Returns (left_codes, right_codes, right ProbeIndex-or-None).
     """
@@ -241,21 +244,69 @@ def _encode_join_sides(left_keys: list[Column], right_keys: list[Column],
     return codes[:n_left], codes[n_left:], None
 
 
-def _equi_pairs(equi, left: Frame, right: Frame, ctx: ExecutionContext
-                ) -> tuple[np.ndarray | None, np.ndarray]:
-    """The join's pairs; a left index of None is every left row once,
-    in order (:class:`~repro.execution.kernels.JoinPairs`)."""
+def _equi_pairs(equi, left: Frame, right: Frame, ctx: ExecutionContext,
+                site: LogicalJoin | None = None,
+                pad: ast.JoinKind | None = None) -> JoinPairs:
+    """The join's pairs (:class:`~repro.execution.kernels.JoinPairs`).
+
+    A join ``site`` inside a running loop keeps its key columns and
+    pairs in the loop's ``JoinPairMemo`` (:mod:`.kernel_cache`) and
+    reuses the pairs on a later trip whose key columns repeat bit for
+    bit.  ``pad`` is the join kind whose outer padding is part of the
+    kept pairs; None keeps them unpadded, for a residual to filter
+    first."""
     left_keys = [evaluate(a, left) for a, _ in equi]
     right_keys = [evaluate(b, right) for _, b in equi]
-    left_codes, right_codes, right_index = _encode_join_sides(
-        left_keys, right_keys, ctx)
-    pairs = equi_join_pairs(left_codes, right_codes, right_index)
+    memo = ctx.join_pairs if site is not None else None
+    keys = (*left_keys, *right_keys)
+    pairs = memo.reuse(site, keys) if memo is not None else None
+    if pairs is not None:
+        ctx.stats.join_pair_reuses += 1
+    else:
+        left_codes, right_codes, right_index = _encode_join_sides(
+            left_keys, right_keys, ctx)
+        pairs = equi_join_pairs(left_codes, right_codes, right_index)
+        if pad is not None:
+            pairs = JoinPairs(*_pad_outer(
+                pad, pairs.left_idx, pairs.right_idx, left.num_rows,
+                right.num_rows), pairs.single_match)
+        if memo is not None:
+            memo.keep(site, keys, pairs)
     if pairs.single_match:
         ctx.stats.single_match_joins += 1
-    return pairs.left_idx, pairs.right_idx
+    return pairs
 
 
-def _execute_join(op: LogicalJoin, ctx: ExecutionContext) -> Frame:
+def _pad_outer(kind: ast.JoinKind, left_idx: np.ndarray | None,
+               right_idx: np.ndarray, n_left: int, n_right: int
+               ) -> tuple[np.ndarray | None, np.ndarray]:
+    """LEFT / FULL outer padding after the matched pairs.  Pairs that
+    match every left row once (``left_idx`` None) need none under
+    LEFT."""
+    if kind is ast.JoinKind.INNER \
+            or (left_idx is None and kind is ast.JoinKind.LEFT):
+        return left_idx, right_idx
+    if left_idx is None:
+        left_idx = np.arange(n_left, dtype=np.int64)
+    matched_left = np.zeros(n_left, dtype=np.bool_)
+    matched_left[left_idx] = True
+    pad_left = np.nonzero(~matched_left)[0]
+    pad_right = np.zeros(0, dtype=np.int64)
+    if kind is ast.JoinKind.FULL:
+        matched_right = np.zeros(n_right, dtype=np.bool_)
+        matched_right[right_idx] = True
+        pad_right = np.nonzero(~matched_right)[0]
+    left_idx = np.concatenate(
+        [left_idx, pad_left, np.full(len(pad_right), -1, dtype=np.int64)])
+    right_idx = np.concatenate(
+        [right_idx, np.full(len(pad_left), -1, dtype=np.int64), pad_right])
+    return left_idx, right_idx
+
+
+def _execute_join(op: LogicalJoin, ctx: ExecutionContext,
+                  site: LogicalJoin | None = None) -> Frame:
+    """``site`` keys the join's pair memo: the node itself, or for a
+    RIGHT join mirrored afresh on every call, the original node."""
     n_left = len(op.left.fields)
     positions = (op.output if op.output is not None
                  else range(n_left + len(op.right.fields)))
@@ -267,7 +318,7 @@ def _execute_join(op: LogicalJoin, ctx: ExecutionContext) -> Frame:
             ast.JoinKind.LEFT, op.right, op.left, op.condition,
             tuple(p + n_right if p < n_left else p - n_left
                   for p in positions))
-        result = _execute_join(mirrored, ctx)
+        result = _execute_join(mirrored, ctx, site=op)
         return Frame(op.fields, result.columns, result.num_rows)
 
     left = execute_plan(op.left, ctx)
@@ -281,51 +332,40 @@ def _execute_join(op: LogicalJoin, ctx: ExecutionContext) -> Frame:
 
     equi, residual = _extract_equi_keys(op.condition, left.fields,
                                         right.fields)
+    pad = None if residual else op.kind
     if equi:
-        left_idx, right_idx = _equi_pairs(equi, left, right, ctx)
+        left_idx, right_idx, _ = _equi_pairs(
+            equi, left, right, ctx, op if site is None else site, pad)
     else:
         # Nested-loop join expressed as all-pairs.
         left_idx, right_idx = _all_pairs(left, right)
-    if left_idx is None and (residual or op.kind is ast.JoinKind.FULL):
-        left_idx = np.arange(left.num_rows, dtype=np.int64)
+        if pad is not None:
+            left_idx, right_idx = _pad_outer(pad, left_idx, right_idx,
+                                             left.num_rows, right.num_rows)
 
     # The final (left_idx, right_idx) is worked out first and every output
     # column gathered once at the end.  Only a residual predicate needs
     # matched pairs gathered early: an inner join gathers its outputs and
     # the columns the residual reads and filters that frame; an outer
-    # join gathers just the residual's columns.  Pairs that match every
-    # left row once (left_idx None) need neither padding nor a left
-    # gather: the left columns pass through.
+    # join gathers just the residual's columns and pads what survives.
+    # Pairs that match every left row once (left_idx None) need neither
+    # padding nor a left gather: the left columns pass through.
     if residual:
+        if left_idx is None:
+            left_idx = np.arange(left.num_rows, dtype=np.int64)
         if op.kind is ast.JoinKind.INNER:
-            pairs, gathered, keep = _residual_pairs(
+            matched, gathered, keep = _residual_pairs(
                 residual, left, right, left_idx, right_idx, positions)
-            columns = [pairs.columns[gathered.index(p)].filter(keep)
+            columns = [matched.columns[gathered.index(p)].filter(keep)
                        for p in positions]
             rows = int(keep.sum())
             ctx.stats.rows_joined += rows
             return Frame(op.fields, columns, rows)
         _, _, keep = _residual_pairs(residual, left, right, left_idx,
                                      right_idx)
-        left_idx = left_idx[keep]
-        right_idx = right_idx[keep]
-
-    if left_idx is not None and op.kind is not ast.JoinKind.INNER:
-        # LEFT / FULL outer padding.
-        matched_left = np.zeros(left.num_rows, dtype=np.bool_)
-        matched_left[left_idx] = True
-        pad_left = np.nonzero(~matched_left)[0]
-        pad_right = np.zeros(0, dtype=np.int64)
-        if op.kind is ast.JoinKind.FULL:
-            matched_right = np.zeros(right.num_rows, dtype=np.bool_)
-            matched_right[right_idx] = True
-            pad_right = np.nonzero(~matched_right)[0]
-        left_idx = np.concatenate(
-            [left_idx, pad_left,
-             np.full(len(pad_right), -1, dtype=np.int64)])
-        right_idx = np.concatenate(
-            [right_idx, np.full(len(pad_left), -1, dtype=np.int64),
-             pad_right])
+        left_idx, right_idx = _pad_outer(op.kind, left_idx[keep],
+                                         right_idx[keep], left.num_rows,
+                                         right.num_rows)
 
     joined = left.join_pairs(right, left_idx, right_idx, positions)
     ctx.stats.rows_joined += joined.num_rows
@@ -373,7 +413,7 @@ def _execute_semi_join(op: LogicalSemiJoin, ctx: ExecutionContext) -> Frame:
     equi, residual = _extract_equi_keys(op.condition, left.fields,
                                         right.fields)
     if equi:
-        left_idx, right_idx = _equi_pairs(equi, left, right, ctx)
+        left_idx, right_idx, _ = _equi_pairs(equi, left, right, ctx)
     else:
         left_idx, right_idx = _all_pairs(left, right)
     if left_idx is None:

@@ -33,6 +33,7 @@ class IterationRecord:
     total_rows: int             # size of the accumulated CTE result
     kernel_cache_hits: int = 0
     kernel_cache_misses: int = 0
+    join_pair_reuses: int = 0   # joins that reused last trip's pairs
     rows_moved: int = 0         # data movement (copies / shuffles)
     bytes_moved: int = 0
     shuffles: int = 0           # MPP exchange motions
@@ -46,6 +47,7 @@ class IterationRecord:
             "total_rows": self.total_rows,
             "kernel_cache_hits": self.kernel_cache_hits,
             "kernel_cache_misses": self.kernel_cache_misses,
+            "join_pair_reuses": self.join_pair_reuses,
             "rows_moved": self.rows_moved,
             "bytes_moved": self.bytes_moved,
             "shuffles": self.shuffles,

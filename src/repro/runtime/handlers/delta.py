@@ -15,6 +15,7 @@ import numpy as np
 
 from ...errors import ExecutionError
 from ...execution import execute_to_table
+from ...execution.kernel_cache import same_values
 from ...execution.kernels import (build_probe_index, comparable_values,
                                   expand_ranges, probe_buckets,
                                   scatter_update, unique_sorted)
@@ -178,11 +179,20 @@ def run_delta_capture(runner, step: DeltaCaptureStep) -> Optional[int]:
     counts = engine.counts_updates(spec.loop_id)
     if state.mode == OFF and not counts:
         return None
-    index = solution
-    if state.mode == DEMOTED:
-        index = _repoint(state.solution, table)
-    changed = changed_rows(ctx.registry.fetch(step.previous), table, 0,
-                           index)
+    previous = ctx.registry.fetch(step.previous)
+    if state.mode == DEMOTED and same_values(previous.columns[0],
+                                             table.columns[0]):
+        # The unique keys sit on the same rows as last trip's (PageRank
+        # from its second trip on): rows pair by position.
+        changed = np.zeros(table.num_rows, dtype=np.bool_)
+        for cur_col, prev_col in zip(table.columns[1:],
+                                     previous.columns[1:]):
+            changed |= cur_col.is_distinct_from(prev_col)
+    else:
+        index = solution
+        if state.mode == DEMOTED:
+            index = _repoint(state.solution, table)
+        changed = changed_rows(previous, table, 0, index)
     frontier = int(changed.sum())
     if counts:
         state.record_updates(frontier)

@@ -172,7 +172,8 @@ class ProgramRunner:
             f"invalidations={delta['kernel_cache_invalidations']}",
             f"join index: hits={delta['join_index_hits']}, "
             f"misses={delta['join_index_misses']}, "
-            f"overflows={delta['join_index_overflows']}",
+            f"overflows={delta['join_index_overflows']}, "
+            f"pair reuses={delta['join_pair_reuses']}",
             f"merge index: hits={delta['merge_index_hits']}, "
             f"rebuilds={delta['merge_index_rebuilds']}, "
             f"overflows={delta['merge_index_overflows']}, "

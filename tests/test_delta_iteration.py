@@ -324,6 +324,43 @@ class TestCaptureReusesSolutionSet:
         assert calls == []
         assert rows == graph_db(EDGES, delta_on=False).execute(sql).rows()
 
+    def test_demoted_capture_pairs_rows_by_position(self, monkeypatch):
+        """After a demotion, a trip whose keys sit on last trip's rows
+        pairs the two tables by position: the measured frontiers and the
+        result are those of pairing by key, with fewer re-pointings."""
+        from repro.runtime import loop_engine
+        from repro.runtime.handlers import delta as delta_handler
+        real_note = loop_engine.LoopEngine.note_frontier
+        real_repoint = delta_handler._repoint
+
+        def run(positional):
+            noted, repoints = [], []
+
+            def note(self, state, frontier, total):
+                noted.append((state.mode, frontier, total))
+                real_note(self, state, frontier, total)
+
+            def repoint(solution, table):
+                repoints.append(table.num_rows)
+                return real_repoint(solution, table)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(loop_engine.LoopEngine, "note_frontier", note)
+                patch.setattr(delta_handler, "_repoint", repoint)
+                if not positional:
+                    patch.setattr(delta_handler, "same_values",
+                                  lambda a, b: False)
+                db = graph_db(EDGES, delta_on=True)
+                rows = db.execute(pagerank_query(iterations=8)).rows()
+                assert db.stats.strategy_demotions == 1
+            return rows, noted, len(repoints)
+
+        rows, noted, repoints = run(positional=True)
+        keyed_rows, keyed_noted, keyed_repoints = run(positional=False)
+        assert rows == keyed_rows
+        assert noted == keyed_noted
+        assert repoints < keyed_repoints
+
 
 def vs_db(edges, status, **options) -> Database:
     db = graph_db(edges, **options)

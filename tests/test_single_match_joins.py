@@ -35,6 +35,7 @@ from repro.types import SqlType
 from repro.workloads import pagerank_query
 
 from test_differential_sqlite import CORPUS
+from test_join_pair_reuse import memo_off
 from test_prune_columns import (
     WORKLOADS,
     assert_columns_identical,
@@ -59,6 +60,9 @@ def expanded_pairs(left_codes, right_codes, right_index=None) -> JoinPairs:
 def force_off(patch) -> None:
     for module in (operators, conditions):
         patch.setattr(module, "equi_join_pairs", expanded_pairs)
+    # A loop's pair memo would hand either side the other's pairs: the
+    # forced-off run neither reads nor writes it.
+    memo_off(patch)
 
 
 @pytest.fixture
