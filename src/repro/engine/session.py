@@ -28,8 +28,9 @@ always bypass the cache — their reports must reflect a real compile.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from ..errors import CatalogError, ReproError
 from ..execution import (
@@ -255,11 +256,9 @@ class Session:
             if not isinstance(statement, (ast.Select, ast.SetOp)):
                 raise ReproError("EXPLAIN ANALYZE supports only queries")
             program = self._compile(statement, tracer)
-            ctx = ExecutionContext(self.catalog, self.registry,
-                                   self.options, self.stats,
-                                   self.kernel_cache, tracer=tracer)
-            runner = ProgramRunner(program, ctx, instrument=True)
-            with tracer.span("execute", kind="phase"):
+            with self._run_context(self.catalog, tracer) as ctx, \
+                    tracer.span("execute", kind="phase"):
+                runner = ProgramRunner(program, ctx, instrument=True)
                 runner.run()
         loops = [runner.loop_telemetry[key]
                  for key in sorted(runner.loop_telemetry)]
@@ -430,11 +429,9 @@ class Session:
     def _run_program(self, program: Program, snapshot: SnapshotCatalog,
                      tracer=NULL_TRACER) -> Table:
         self.workload.admit()
-        ctx = ExecutionContext(snapshot, self.registry, self.options,
-                               self.stats, self.kernel_cache,
-                               tracer=tracer)
-        runner = ProgramRunner(program, ctx)
-        with tracer.span("execute", kind="phase"):
+        with self._run_context(snapshot, tracer) as ctx, \
+                tracer.span("execute", kind="phase"):
+            runner = ProgramRunner(program, ctx)
             table = runner.run()
         if tracer.enabled:
             self._trace_loops = [runner.loop_telemetry[key]
@@ -442,6 +439,21 @@ class Session:
         if table is None:
             raise ReproError("query program produced no result")
         return table
+
+    @contextmanager
+    def _run_context(self, catalog, tracer) -> Iterator[ExecutionContext]:
+        """A program run's context.  The run counts on its own
+        ExecutionStats, added to the engine's when it ends (also when it
+        raises), so that its iteration records and EXPLAIN ANALYZE's
+        counter lines show this run alone while other sessions run
+        beside it."""
+        ctx = ExecutionContext(catalog, self.registry, self.options,
+                               ExecutionStats(), self.kernel_cache,
+                               tracer=tracer)
+        try:
+            yield ctx
+        finally:
+            self.stats.add(ctx.stats)
 
     def _dispatch(self, statement: ast.Statement,
                   tracer=NULL_TRACER,

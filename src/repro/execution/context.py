@@ -7,6 +7,7 @@ for reporting.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from ..storage import Catalog, ResultRegistry
@@ -71,9 +72,12 @@ class ExecutionStats:
     # Equi joins in which no probe row matched more than one build row
     # (kernels.equi_join_pairs): pairs read straight off the buckets.
     single_match_joins: int = 0
-    # Joins in a loop body that reused the last trip's pairs because
-    # their key columns repeated (kernel_cache.JoinPairMemo).
+    # A loop body's work reused from the last trip because its inputs
+    # repeated (kernel_cache.TripMemo): a join's pairs, a join's
+    # gathered output column, an aggregate's leading-key grouping.
     join_pair_reuses: int = 0
+    gather_reuses: int = 0
+    grouping_reuses: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return dict(self.__dict__)
@@ -90,6 +94,17 @@ class ExecutionStats:
     def reset(self) -> None:
         for key in self.__dict__:
             setattr(self, key, 0)
+
+    def add(self, other: "ExecutionStats") -> None:
+        """Add ``other``'s counters (a finished run's) to these."""
+        with _ADD_LOCK:
+            for key, value in other.__dict__.items():
+                if value:
+                    setattr(self, key, getattr(self, key) + value)
+
+
+# Serializes concurrent runs adding their counters to the engine's.
+_ADD_LOCK = threading.Lock()
 
 
 @dataclass
@@ -109,8 +124,8 @@ class SessionOptions:
     # when safe (§V-B).
     enable_predicate_pushdown: bool = True
     # Iteration-aware kernel cache: reusable join build-side indexes,
-    # incremental UNION DISTINCT state and trip-stable join pairs (see
-    # repro.execution.kernel_cache).
+    # incremental UNION DISTINCT state and the trip memo's reused pairs,
+    # gathers and groupings (see repro.execution.kernel_cache).
     # Disabling it restores recompute-from-scratch kernels with
     # bit-identical results.
     enable_kernel_cache: bool = True
@@ -179,10 +194,10 @@ class ExecutionContext:
         # Per-statement span tracer (repro.obs); NULL_TRACER when the
         # statement is not being traced.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # The running loop's JoinPairMemo (kernel_cache), set by the loop
+        # The running loop's TripMemo (kernel_cache), set by the loop
         # engine for the loop's lifetime; None outside loops and with
         # the kernel cache off.
-        self.join_pairs = None
+        self.trip_memo = None
 
     def active_kernel_cache(self):
         """The kernel cache, or None when the session disables it."""

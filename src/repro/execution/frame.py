@@ -16,7 +16,7 @@ which the pipe transport pickles as contiguous buffers.
 from __future__ import annotations
 
 import pickle
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -138,8 +138,9 @@ class Frame:
         return Frame(fields, columns, self.num_rows + other.num_rows)
 
     def join_pairs(self, other: "Frame", left_idx: np.ndarray | None,
-                   right_idx: np.ndarray,
-                   positions: Sequence[int]) -> "Frame":
+                   right_idx: np.ndarray, positions: Sequence[int],
+                   take: Callable[[int, Column, np.ndarray, bool], Column]
+                   | None = None) -> "Frame":
         """Gather a joined frame from index pairs; -1 emits NULL (outer pad).
 
         ``positions`` picks, in order, the columns to gather out of
@@ -148,8 +149,12 @@ class Frame:
         on the pad-free path.  A ``left_idx`` of None pairs every row of
         ``self`` once, in order, with a pad-free ``right_idx``
         (:class:`~repro.execution.kernels.JoinPairs`): ``self``'s columns
-        pass through as the same objects.
+        pass through as the same objects.  ``take(position, column,
+        indices, padded)``, when given, does each gather in place of
+        ``column.take(indices, padded)``.
         """
+        if take is None:
+            take = _take
         n_left = len(self.columns)
         if left_idx is None:
             right_padded = False
@@ -161,14 +166,19 @@ class Frame:
             if i < n_left:
                 column = self.columns[i]
                 if left_idx is not None:
-                    column = column.take(left_idx, left_padded)
+                    column = take(i, column, left_idx, left_padded)
                 fields.append(self.fields[i])
                 columns.append(column)
             else:
                 fields.append(other.fields[i - n_left])
-                columns.append(other.columns[i - n_left].take(
-                    right_idx, right_padded))
+                columns.append(take(i, other.columns[i - n_left],
+                                    right_idx, right_padded))
         return Frame(fields, columns, len(right_idx))
+
+
+def _take(_position: int, column: Column, indices: np.ndarray,
+          padded: bool) -> Column:
+    return column.take(indices, padded)
 
 
 # ---------------------------------------------------------------------------

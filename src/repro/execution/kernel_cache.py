@@ -30,12 +30,14 @@ dictionary is built where it is used and freed with it.
   merge — amortized O(1) per row over the loop, the precursor of full
   semi-naive delta evaluation.
 
-* **Trip-stable join pairs** — from PageRank's third trip on, both of
-  its joins see key columns equal, value for value, to the last trip's,
-  although they are new objects.  :class:`JoinPairMemo` keeps each join
-  site's key columns and pairs for one running loop and hands the pairs
-  back while the keys repeat bit for bit; pairs depend only on key
-  values, so the reuse is exact.  It is freed when the loop ends.
+* **Trip-stable work** — from PageRank's third trip on, both of its
+  joins see key columns equal, value for value, to the last trip's,
+  although they are new objects.  :class:`TripMemo` is one memo per
+  running loop with three kinds of entry under one rule: a join site's
+  pairs, its gathered output columns and an aggregate's leading-key
+  grouping are handed back while the inputs they were derived from
+  repeat bit for bit.  Each depends only on those inputs, so the reuse
+  is exact.  It is freed when the loop ends.
 
 All structures are observable: hits/misses/overflows/invalidations are
 counted on :class:`~repro.execution.context.ExecutionStats` and surfaced
@@ -166,17 +168,21 @@ class KernelCache:
 
     # -- join build-side indexes -------------------------------------------
 
-    def join_index(self, columns: Sequence[Column]) -> Optional[JoinIndex]:
+    def join_index(self, columns: Sequence[Column],
+                   stats=None) -> Optional[JoinIndex]:
+        """The index over ``columns``, or None.  Hits, misses and
+        overflows count on ``stats`` (the run's), else on the cache's."""
+        stats = self.stats if stats is None else stats
         key = tuple(c.version for c in columns)
         with self._lock:
             entry = self._indexes.get(key)
             if entry is not None:
                 self._indexes.move_to_end(key)
-                if self.stats is not None:
-                    self.stats.join_index_hits += 1
+                if stats is not None:
+                    stats.join_index_hits += 1
                 return entry
-            if self.stats is not None:
-                self.stats.join_index_misses += 1
+            if stats is not None:
+                stats.join_index_misses += 1
             buildable = self._index_candidates.get(key)
             if buildable is None:
                 # First sighting: loop-invariance unproven, let the
@@ -196,8 +202,8 @@ class KernelCache:
                 # EXPLAIN ANALYZE can surface how often this silent
                 # fallback fires (ROADMAP: repack-on-overflow).
                 self._index_candidates[key] = False
-                if self.stats is not None:
-                    self.stats.join_index_overflows += 1
+                if stats is not None:
+                    stats.join_index_overflows += 1
                 return None
             self._index_candidates.pop(key, None)
             self._indexes[key] = entry
@@ -243,7 +249,7 @@ class KernelCache:
 
 
 # ---------------------------------------------------------------------------
-# Trip-stable join pairs
+# Trip-stable work: pairs, gathers and groupings
 # ---------------------------------------------------------------------------
 
 
@@ -265,54 +271,86 @@ def same_values(a: Column, b: Column) -> bool:
     return bool(np.array_equal(left, right))
 
 
-class JoinPairMemo:
-    """Each join site's last pairs, for one running loop.
+# Slots of a site's entries other than its gathered output columns,
+# whose slot is their output position.
+PAIRS = "pairs"
+GROUPING = "grouping"
 
-    A join's pairs depend only on its key values, so a trip whose key
-    columns hold the same values as the last trip's (:func:`same_values`)
-    reuses the pairs instead of encoding and probing again.  A miss
-    drops the site's arrays before the new pairs are computed, and a
-    site that misses on ``STOP_AFTER_MISSES`` trips in a row keeps
-    nothing more: its keys change with the loop, as a delta body's
-    partition does, and kept pairs would be held for nothing.  PageRank
-    misses once, on trip 2, and reuses from trip 3 on.
 
-    Sites are keyed by the plan node's identity; the node is held beside
-    its entry so that its id cannot be recycled while the memo lives.
-    The memo belongs to one program run (``ExecutionContext.join_pairs``),
-    never to a plan, which a plan-cache hit shares across sessions, and
-    is dropped when its loop ends.  ``reuses`` counts this run's reuses.
+def _repeats(kept, new) -> bool:
+    """An index vector repeats only as the same object; a column also
+    by :func:`same_values`."""
+    return kept is new or (isinstance(new, Column)
+                           and same_values(kept, new))
+
+
+class TripMemo:
+    """What a running loop's body derived on its last trip, handed back
+    while the inputs it was derived from repeat.
+
+    An entry is keyed by a plan node and a slot, and holds its inputs
+    and the value derived from them.  Three kinds share one rule:
+
+    * a join's pairs (slot :data:`PAIRS`), from its key columns;
+    * a join's gathered output column (slot: its output position), from
+      the index vector and the source column;
+    * an aggregate's leading-key grouping (slot :data:`GROUPING`), from
+      the leading key column.
+
+    An entry is reused when every input repeats (:func:`_repeats`).  A
+    miss drops the entry's arrays before the new value is computed, and
+    a slot that misses on ``STOP_AFTER_MISSES`` trips in a row keeps
+    nothing more: its inputs change with the loop, as a delta body's
+    partition does, and a kept value would be held for nothing.
+    PageRank's pairs miss once, on trip 2, and are reused from trip 3
+    on.  An index vector repeats only after a pair reuse handed back the
+    kept arrays, so a gather is kept only on a trip whose pairs were
+    reused (:meth:`reused`): a join whose pairs never repeat, as a delta
+    body's, keeps none of its gathers.
+
+    The node is held beside its entry so that its id cannot be recycled
+    while the memo lives.  The memo belongs to one program run
+    (``ExecutionContext.trip_memo``), never to a plan, which a plan-cache
+    hit shares across sessions, and is dropped when its loop ends.
+    Reuses are counted by the caller on the run's own
+    :class:`~repro.execution.context.ExecutionStats`.
     """
 
     STOP_AFTER_MISSES = 2
 
-    __slots__ = ("_sites", "reuses")
+    __slots__ = ("_entries",)
 
     def __init__(self) -> None:
-        # id(site) -> (site, kept keys or None, pairs or None, misses in
-        # a row).
-        self._sites: dict[int, tuple] = {}
-        self.reuses = 0
+        # (id(site), slot) -> (site, kept inputs or None, value or None,
+        # misses in a row, whether the last lookup reused the value).
+        self._entries: dict[tuple, tuple] = {}
 
-    def reuse(self, site, keys: Sequence[Column]):
-        """The pairs kept for ``site`` when every key column repeats,
-        else None."""
-        entry = self._sites.get(id(site))
+    def reuse(self, site, slot, inputs: Sequence):
+        """The value kept for ``(site, slot)`` when every input
+        repeats, else None."""
+        key = (id(site), slot)
+        entry = self._entries.get(key)
         if entry is None or entry[1] is None:
             return None
-        _, kept, pairs, misses = entry
-        if len(kept) == len(keys) and all(map(same_values, kept, keys)):
-            self._sites[id(site)] = (site, tuple(keys), pairs, 0)
-            self.reuses += 1
-            return pairs
-        self._sites[id(site)] = (site, None, None, misses + 1)
+        _, kept, value, misses, _ = entry
+        if len(kept) == len(inputs) and all(map(_repeats, kept, inputs)):
+            self._entries[key] = (site, tuple(inputs), value, 0, True)
+            return value
+        self._entries[key] = (site, None, None, misses + 1, False)
         return None
 
-    def keep(self, site, keys: Sequence[Column], pairs) -> None:
-        entry = self._sites.get(id(site))
+    def keep(self, site, slot, inputs: Sequence, value) -> None:
+        key = (id(site), slot)
+        entry = self._entries.get(key)
         misses = 0 if entry is None else entry[3]
         if misses < self.STOP_AFTER_MISSES:
-            self._sites[id(site)] = (site, tuple(keys), pairs, misses)
+            self._entries[key] = (site, tuple(inputs), value, misses, False)
+
+    def reused(self, site, slot) -> bool:
+        """Whether the last lookup of ``(site, slot)`` reused its
+        value."""
+        entry = self._entries.get((id(site), slot))
+        return entry is not None and entry[4]
 
 
 # ---------------------------------------------------------------------------

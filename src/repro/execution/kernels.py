@@ -362,18 +362,45 @@ def group_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inverse.astype(np.int64), first_index.astype(np.int64)
 
 
+class LeadGroups(NamedTuple):
+    """The leading GROUP BY key's factorization: its codes and
+    cardinality, the groups they form, and ``rep``, each row's group's
+    first row (None with a single key).  A loop's trip memo keeps it
+    while the leading column repeats; its arrays are read-only."""
+
+    codes: np.ndarray
+    cardinality: int
+    gids: np.ndarray
+    first_index: np.ndarray
+    rep: Optional[np.ndarray]
+
+
 class Grouping(NamedTuple):
     """GROUP BY's dense group ids, the first row of each group, and how
     they were found: ``determinant`` is None when every key was encoded,
     True when the leading key decided every group, False when the check
-    refuted it and the keys were encoded in full."""
+    refuted it and the keys were encoded in full.  ``lead`` is the
+    leading key's :class:`LeadGroups` when they were grouped from it."""
 
     gids: np.ndarray
     first_index: np.ndarray
     determinant: Optional[bool]
+    lead: Optional[LeadGroups] = None
 
 
-def group_keys(columns: Sequence[Column]) -> Grouping:
+def lead_groups(column: Column, with_rep: bool) -> LeadGroups:
+    """:class:`LeadGroups` of ``column``; ``rep`` only ``with_rep``."""
+    codes, cardinality = factorize(column, nulls_match=True)
+    gids, first_index = _dense_groups(codes, cardinality)
+    rep = first_index[gids] if with_rep else None
+    for array in (codes, gids, first_index, rep):
+        if array is not None:
+            array.setflags(write=False)
+    return LeadGroups(codes, cardinality, gids, first_index, rep)
+
+
+def group_keys(columns: Sequence[Column],
+               lead: Optional[LeadGroups] = None) -> Grouping:
     """Exactly the ids and first rows of
     ``group_ids(encode_keys(columns, nulls_match=True))``.
 
@@ -383,22 +410,22 @@ def group_keys(columns: Sequence[Column]) -> Grouping:
     the mixed radix with one value per group, so full encoding would
     find the same groups in the same order.  On a mismatch the leading
     column's codes are combined with the rest, as :func:`encode_keys`
-    does.
+    does.  ``lead``, when given, is ``columns[0]``'s
+    :class:`LeadGroups`, derived on an earlier call from equal values.
     """
-    lead = columns[0]
-    if len(columns) >= 2 and lead.data.dtype.kind not in "iu":
+    first = columns[0]
+    if len(columns) >= 2 and first.data.dtype.kind not in "iu":
         gids, first_index = group_ids(encode_keys(columns, nulls_match=True))
         return Grouping(gids, first_index, None)
-    codes, cardinality = factorize(lead, nulls_match=True)
-    gids, first_index = _dense_groups(codes, cardinality)
+    if lead is None:
+        lead = lead_groups(first, len(columns) >= 2)
     if len(columns) < 2:
-        return Grouping(gids, first_index, None)
-    rep = first_index[gids]
-    if all(_constant_per_group(column, rep) for column in columns[1:]):
-        return Grouping(gids, first_index, True)
+        return Grouping(lead.gids, lead.first_index, None, lead)
+    if all(_constant_per_group(column, lead.rep) for column in columns[1:]):
+        return Grouping(lead.gids, lead.first_index, True, lead)
     gids, first_index = group_ids(_combine_codes(
-        codes, cardinality, columns[1:], nulls_match=True))
-    return Grouping(gids, first_index, False)
+        lead.codes, lead.cardinality, columns[1:], nulls_match=True))
+    return Grouping(gids, first_index, False, lead)
 
 
 def _dense_groups(codes: np.ndarray,

@@ -42,6 +42,7 @@ from .aggregate import compute_aggregate, internal_aggregate_fields
 from .context import ExecutionContext
 from .expressions import evaluate, evaluate_predicate
 from .frame import Frame
+from .kernel_cache import GROUPING, PAIRS, TripMemo
 from .kernels import (
     JoinPairs,
     build_probe_index,
@@ -234,7 +235,7 @@ def _encode_join_sides(left_keys: list[Column], right_keys: list[Column],
                             else rk.cast(target))
     cache = ctx.active_kernel_cache()
     if cache is not None:
-        index = cache.join_index(casted_right)
+        index = cache.join_index(casted_right, ctx.stats)
         if index is not None:
             return index.probe(casted_left), index.codes, index.probe_index
     # Joint encoding: one dictionary over both sides, built per call.
@@ -250,16 +251,15 @@ def _equi_pairs(equi, left: Frame, right: Frame, ctx: ExecutionContext,
     """The join's pairs (:class:`~repro.execution.kernels.JoinPairs`).
 
     A join ``site`` inside a running loop keeps its key columns and
-    pairs in the loop's ``JoinPairMemo`` (:mod:`.kernel_cache`) and
-    reuses the pairs on a later trip whose key columns repeat bit for
-    bit.  ``pad`` is the join kind whose outer padding is part of the
-    kept pairs; None keeps them unpadded, for a residual to filter
-    first."""
+    pairs in the loop's :class:`~.kernel_cache.TripMemo` and reuses the
+    pairs on a later trip whose key columns repeat bit for bit.  ``pad``
+    is the join kind whose outer padding is part of the kept pairs; None
+    keeps them unpadded, for a residual to filter first."""
     left_keys = [evaluate(a, left) for a, _ in equi]
     right_keys = [evaluate(b, right) for _, b in equi]
-    memo = ctx.join_pairs if site is not None else None
+    memo = ctx.trip_memo if site is not None else None
     keys = (*left_keys, *right_keys)
-    pairs = memo.reuse(site, keys) if memo is not None else None
+    pairs = memo.reuse(site, PAIRS, keys) if memo is not None else None
     if pairs is not None:
         ctx.stats.join_pair_reuses += 1
     else:
@@ -271,7 +271,7 @@ def _equi_pairs(equi, left: Frame, right: Frame, ctx: ExecutionContext,
                 pad, pairs.left_idx, pairs.right_idx, left.num_rows,
                 right.num_rows), pairs.single_match)
         if memo is not None:
-            memo.keep(site, keys, pairs)
+            memo.keep(site, PAIRS, keys, pairs)
     if pairs.single_match:
         ctx.stats.single_match_joins += 1
     return pairs
@@ -303,10 +303,33 @@ def _pad_outer(kind: ast.JoinKind, left_idx: np.ndarray | None,
     return left_idx, right_idx
 
 
+def _memo_take(memo: TripMemo, site: LogicalJoin, stats):
+    """``Frame.join_pairs``' gather through the trip memo: an output
+    column whose index vector and source column repeat last trip's is
+    last trip's column.  A gather is kept only on a trip that reused the
+    site's pairs: its index vector repeats only after a pair reuse, so
+    a site whose pairs never repeat keeps no gathers."""
+    keep = memo.reused(site, PAIRS)
+
+    def take(slot: int, column: Column, indices: np.ndarray,
+             padded: bool) -> Column:
+        inputs = (indices, column)
+        taken = memo.reuse(site, slot, inputs)
+        if taken is not None:
+            stats.gather_reuses += 1
+            return taken
+        taken = column.take(indices, padded)
+        if keep:
+            memo.keep(site, slot, inputs, taken)
+        return taken
+    return take
+
+
 def _execute_join(op: LogicalJoin, ctx: ExecutionContext,
                   site: LogicalJoin | None = None) -> Frame:
-    """``site`` keys the join's pair memo: the node itself, or for a
-    RIGHT join mirrored afresh on every call, the original node."""
+    """``site`` keys the join's trip memo entries: the node itself, or
+    for a RIGHT join mirrored afresh on every call, the original
+    node."""
     n_left = len(op.left.fields)
     positions = (op.output if op.output is not None
                  else range(n_left + len(op.right.fields)))
@@ -333,9 +356,10 @@ def _execute_join(op: LogicalJoin, ctx: ExecutionContext,
     equi, residual = _extract_equi_keys(op.condition, left.fields,
                                         right.fields)
     pad = None if residual else op.kind
+    site = op if site is None else site
     if equi:
-        left_idx, right_idx, _ = _equi_pairs(
-            equi, left, right, ctx, op if site is None else site, pad)
+        left_idx, right_idx, _ = _equi_pairs(equi, left, right, ctx, site,
+                                             pad)
     else:
         # Nested-loop join expressed as all-pairs.
         left_idx, right_idx = _all_pairs(left, right)
@@ -367,7 +391,10 @@ def _execute_join(op: LogicalJoin, ctx: ExecutionContext,
                                          right_idx[keep], left.num_rows,
                                          right.num_rows)
 
-    joined = left.join_pairs(right, left_idx, right_idx, positions)
+    memo = ctx.trip_memo
+    take = (_memo_take(memo, site, ctx.stats)
+            if memo is not None and equi and not residual else None)
+    joined = left.join_pairs(right, left_idx, right_idx, positions, take)
     ctx.stats.rows_joined += joined.num_rows
     return Frame(op.fields, joined.columns, joined.num_rows)
 
@@ -486,7 +513,17 @@ def _execute_aggregate(op: LogicalAggregate, ctx: ExecutionContext) -> Frame:
 
     if op.keys:
         key_columns = [evaluate(expr, child) for expr, _ in op.keys]
-        gids, first_index, determinant = group_keys(key_columns)
+        # The leading key's grouping is kept in the loop's trip memo and
+        # reused while that column repeats; the other keys' per-group
+        # check runs every trip.
+        memo = ctx.trip_memo
+        lead = (memo.reuse(op, GROUPING, key_columns[:1])
+                if memo is not None else None)
+        if lead is not None:
+            ctx.stats.grouping_reuses += 1
+        gids, first_index, determinant, kept = group_keys(key_columns, lead)
+        if memo is not None and lead is None and kept is not None:
+            memo.keep(op, GROUPING, key_columns[:1], kept)
         if determinant is True:
             ctx.stats.determinant_groupings += 1
         elif determinant is False:

@@ -28,7 +28,8 @@ removal or type change bumps it.
     <iteration record> = {"index", "seconds", "delta_rows",
                           "working_rows", "total_rows",
                           "kernel_cache_hits", "kernel_cache_misses",
-                          "join_pair_reuses", "rows_moved",
+                          "join_pair_reuses", "gather_reuses",
+                          "grouping_reuses", "rows_moved",
                           "bytes_moved", "shuffles"}
 """
 

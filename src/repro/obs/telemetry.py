@@ -34,6 +34,8 @@ class IterationRecord:
     kernel_cache_hits: int = 0
     kernel_cache_misses: int = 0
     join_pair_reuses: int = 0   # joins that reused last trip's pairs
+    gather_reuses: int = 0      # join outputs reused from last trip
+    grouping_reuses: int = 0    # GROUP BY lead keys reused from last trip
     rows_moved: int = 0         # data movement (copies / shuffles)
     bytes_moved: int = 0
     shuffles: int = 0           # MPP exchange motions
@@ -48,6 +50,8 @@ class IterationRecord:
             "kernel_cache_hits": self.kernel_cache_hits,
             "kernel_cache_misses": self.kernel_cache_misses,
             "join_pair_reuses": self.join_pair_reuses,
+            "gather_reuses": self.gather_reuses,
+            "grouping_reuses": self.grouping_reuses,
             "rows_moved": self.rows_moved,
             "bytes_moved": self.bytes_moved,
             "shuffles": self.shuffles,

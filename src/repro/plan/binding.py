@@ -19,7 +19,8 @@ from .logical import Field
 
 def resolve_column(fields: Sequence[Field], ref: ast.ColumnRef) -> int:
     """Index of the field ``ref`` resolves to, or raise BindError."""
-    matches = [i for i, f in enumerate(fields) if f.matches(ref)]
+    name, table = ref.folded
+    matches = [i for i, f in enumerate(fields) if f.matches(name, table)]
     if not matches:
         available = ", ".join(str(f) for f in fields) or "<none>"
         raise BindError(

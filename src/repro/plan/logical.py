@@ -32,11 +32,11 @@ class Field:
     name: str
     sql_type: SqlType
 
-    def matches(self, ref: ast.ColumnRef) -> bool:
-        if ref.table is not None and (self.qualifier is None
-                                      or ref.table.lower() != self.qualifier):
-            return False
-        return ref.name.lower() == self.name
+    def matches(self, name: str, table: Optional[str]) -> bool:
+        """Whether a reference with these lowercased ``name`` and
+        ``table`` (``ColumnRef.folded``) names this field."""
+        return name == self.name and (table is None
+                                      or table == self.qualifier)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         prefix = f"{self.qualifier}." if self.qualifier else ""

@@ -173,7 +173,9 @@ class ProgramRunner:
             f"join index: hits={delta['join_index_hits']}, "
             f"misses={delta['join_index_misses']}, "
             f"overflows={delta['join_index_overflows']}, "
-            f"pair reuses={delta['join_pair_reuses']}",
+            f"pair reuses={delta['join_pair_reuses']}, "
+            f"gather reuses={delta['gather_reuses']}, "
+            f"grouping reuses={delta['grouping_reuses']}",
             f"merge index: hits={delta['merge_index_hits']}, "
             f"rebuilds={delta['merge_index_rebuilds']}, "
             f"overflows={delta['merge_index_overflows']}, "

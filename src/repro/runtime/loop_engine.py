@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..errors import ExecutionError
-from ..execution.kernel_cache import JoinPairMemo
+from ..execution.kernel_cache import TripMemo
 from ..obs.telemetry import IterationRecord, LoopTelemetry
 from ..obs.trace import NULL_TRACER
 from ..plan.program import LoopSpec, LoopStep, Program
@@ -163,9 +163,6 @@ class LoopState:
     # Recursive UNION: (common column types, IncrementalDistinctIndex),
     # the index None once it needs more than 62 id bits.
     distinct_index: Optional[tuple] = None
-    # Join pairs this run's memo has reused so far, read at every trip's
-    # end: the iteration records count this run's reuses alone.
-    pair_reuses: int = 0
 
     @property
     def active(self) -> bool:
@@ -205,7 +202,7 @@ class LoopEngine:
     def begin_run(self) -> None:
         """Reset all loop state for exactly one program run."""
         self.loops = {}
-        self._ctx.join_pairs = None
+        self._ctx.trip_memo = None
 
     # -- loop control --------------------------------------------------------
 
@@ -213,11 +210,11 @@ class LoopEngine:
         state = LoopState(spec, mode=CAPTURE if spec.delta is not None
                           else OFF)
         self.loops[spec.loop_id] = state
-        # The loop body's join pairs, kept from trip to trip until the
-        # loop ends (kernel_cache.JoinPairMemo).
-        self._ctx.join_pairs = (JoinPairMemo()
-                                if self._ctx.options.enable_kernel_cache
-                                else None)
+        # The loop body's pairs, gathers and groupings, kept from trip
+        # to trip until the loop ends (kernel_cache.TripMemo).
+        self._ctx.trip_memo = (TripMemo()
+                               if self._ctx.options.enable_kernel_cache
+                               else None)
         tracer = self._ctx.tracer
         if tracer.enabled:
             name = strategy_name(spec, state.mode)
@@ -234,13 +231,9 @@ class LoopEngine:
 
     def evaluate(self, step: LoopStep) -> Optional[int]:
         """The loop operator's decision: the back-jump target or None."""
-        state = self.state(step.loop_id)
-        memo = self._ctx.join_pairs
-        if memo is not None:
-            state.pair_reuses = memo.reuses
-        if should_continue(state, self._ctx):
+        if should_continue(self.state(step.loop_id), self._ctx):
             return step.jump_to
-        self._ctx.join_pairs = None
+        self._ctx.trip_memo = None
         return None
 
     def counts_updates(self, loop_id: int) -> bool:
@@ -287,11 +280,9 @@ class LoopEngine:
     def observe_loop(self, spec: LoopSpec, tracer) -> None:
         state = self.state(spec.loop_id)
         kind = "fixpoint" if spec.until_empty is not None else "iterative"
-        stats = self._ctx.stats
         state.run = LoopRun(
             spec.loop_id, spec.cte_name, kind, tracer=tracer,
-            snapshot=lambda: {**stats.snapshot(),
-                              "join_pair_reuses": state.pair_reuses},
+            snapshot=self._ctx.stats.snapshot,
             derive=_engine_record_fields,
             strategy=state.strategy_chain(),
             span_attributes={"loop_id": spec.loop_id, "loop_kind": kind})
@@ -338,13 +329,17 @@ class LoopEngine:
 
 
 def _engine_record_fields(diff: dict) -> dict:
-    """IterationRecord fields from an ExecutionStats counter diff."""
+    """IterationRecord fields from a counter diff of the run's own
+    ExecutionStats (``Session._run_program`` gives each run its own), so
+    a concurrent session's work never shows up in this run's records."""
     return {
         "kernel_cache_hits": (diff["join_index_hits"]
                               + diff["merge_index_hits"]),
         "kernel_cache_misses": (diff["join_index_misses"]
                                 + diff["merge_index_rebuilds"]),
         "join_pair_reuses": diff["join_pair_reuses"],
+        "gather_reuses": diff["gather_reuses"],
+        "grouping_reuses": diff["grouping_reuses"],
         "rows_moved": diff["rows_moved"],
         "bytes_moved": diff["bytes_moved"],
     }

@@ -47,6 +47,20 @@ class ColumnRef(Expr):
     table: Optional[str] = None
 
     @property
+    def folded(self) -> tuple[str, Optional[str]]:
+        """``(name, table)`` lowercased, as names bind.  Computed once
+        per node and kept outside the dataclass fields, so equality,
+        hashing and printing see only ``name`` and ``table``; recomputed
+        if either field was replaced in place."""
+        name, table = self.name, self.table
+        cached = self.__dict__.get("_folded")
+        if cached is None or cached[0] is not name or cached[1] is not table:
+            cached = (name, table, name.lower(),
+                      None if table is None else table.lower())
+            self.__dict__["_folded"] = cached
+        return cached[2], cached[3]
+
+    @property
     def qualified(self) -> str:
         return f"{self.table}.{self.name}" if self.table else self.name
 

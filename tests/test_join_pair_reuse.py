@@ -1,13 +1,14 @@
-"""Trip-stable join pairs: a loop body reuses last trip's pairs while
-its key columns repeat.
+"""Trip-stable work: a loop body reuses last trip's pairs, gathers and
+groupings while their inputs repeat.
 
-A join's pairs depend only on its key values, so a join site inside a
-running loop keeps its key columns and pairs
-(``kernel_cache.JoinPairMemo``) and hands the pairs back on a later trip
-whose key columns are the same objects or bitwise equal, masks included.
-Every plan a step executes must return exactly the same frame with the
-memo on and forced off, reuse must happen only on bitwise-equal keys,
-and the memo belongs to one program run, never to a shared plan.
+A join's pairs depend only on its key values, a gathered column only on
+its index vector and source column, and a GROUP BY's leading-key
+grouping only on that column.  So a loop keeps each in one trip memo
+(``kernel_cache.TripMemo``) and hands it back on a later trip whose
+inputs are the same objects or bitwise equal, masks included.  Every
+plan a step executes must return exactly the same frame with each kind
+on and forced off, reuse must happen only on bitwise-equal inputs, and
+the memo belongs to one program run, never to a shared plan.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import repro.execution.operators as operators
 from repro import Database
 from repro.datasets import load_graph
 from repro.execution import ExecutionContext, SessionOptions, execute_plan
-from repro.execution.kernel_cache import JoinPairMemo, same_values
+from repro.execution.kernel_cache import (GROUPING, PAIRS, TripMemo,
+                                          same_values)
 from repro.obs import validate_trace_dict
 from repro.plan.logical import Field, LogicalJoin, LogicalTempScan
 from repro.runtime import loop_engine
@@ -47,16 +49,60 @@ from test_prune_columns import (
 )
 
 
-def memo_off(patch) -> None:
-    """Force the memo off: nothing is reused and nothing kept."""
-    patch.setattr(JoinPairMemo, "reuse", lambda self, site, keys: None)
-    patch.setattr(JoinPairMemo, "keep", lambda self, site, keys, pairs: None)
+# Each kind of trip memo entry, told apart by its slot: a gather's slot
+# is its output position.
+KINDS = {
+    "pairs": lambda slot: slot == PAIRS,
+    "gathers": lambda slot: isinstance(slot, int),
+    "groupings": lambda slot: slot == GROUPING,
+}
+COUNTERS = {"pairs": "join_pair_reuses", "gathers": "gather_reuses",
+            "groupings": "grouping_reuses"}
+
+
+def memo_off(patch, *kinds: str) -> None:
+    """Force the memo off for ``kinds`` (every kind when none is named):
+    nothing of them is reused and nothing kept."""
+    off = [KINDS[kind] for kind in kinds or KINDS]
+    real_reuse, real_keep = TripMemo.reuse, TripMemo.keep
+
+    def reuse(self, site, slot, inputs):
+        if any(test(slot) for test in off):
+            return None
+        return real_reuse(self, site, slot, inputs)
+
+    def keep(self, site, slot, inputs, value):
+        if not any(test(slot) for test in off):
+            real_keep(self, site, slot, inputs, value)
+
+    patch.setattr(TripMemo, "reuse", reuse)
+    patch.setattr(TripMemo, "keep", keep)
+
+
+def counted(db, sql) -> tuple[Table, dict]:
+    """The statement's result and its reuse counters by kind."""
+    before = db.stats.snapshot()
+    table = db.execute(sql).table
+    delta = db.stats.delta_since(before)
+    return table, {kind: delta[name] for kind, name in COUNTERS.items()}
 
 
 def reuses(db, sql) -> tuple[Table, int]:
-    before = db.stats.snapshot()
-    table = db.execute(sql).table
-    return table, db.stats.delta_since(before)["join_pair_reuses"]
+    table, taken = counted(db, sql)
+    return table, taken["pairs"]
+
+
+def reusing(name: str, delta: bool) -> set[str]:
+    """The kinds a workload statement reuses at the test size.  PageRank
+    and connected components reuse all three, except that with delta
+    on, plain PR's full body reuses its pairs on one trip only: a gather
+    is kept on a trip that reused its pairs and reused on the next such
+    trip.  SSSP's and FF's keys change every trip."""
+    if name not in ("cc", "pr", "pr-vs"):
+        return set()
+    if name == "pr" and delta:
+        return {"pairs", "groupings"}
+    return set(KINDS)
 
 
 def assert_tables_identical(expected: Table, actual: Table) -> None:
@@ -70,16 +116,16 @@ def assert_tables_identical(expected: Table, actual: Table) -> None:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def checked_plans(monkeypatch):
-    """Run every plan a step executes with the memo forced off and on,
-    comparing the two frames.  Yields the list of compared plans."""
+def check_plans(monkeypatch, *kinds: str) -> list:
+    """Run every plan a step executes with ``kinds`` of the memo forced
+    off (every kind when none is named) and with the memo on, comparing
+    the two frames.  Returns the list of compared plans."""
     plans = []
 
     def wrap(original):
         def checking(plan, ctx, names=None):
             with monkeypatch.context() as patch:
-                memo_off(patch)
+                memo_off(patch, *kinds)
                 expected = execute_plan(plan, ctx)
             assert_frames_identical(expected, execute_plan(plan, ctx))
             plans.append(plan)
@@ -90,6 +136,11 @@ def checked_plans(monkeypatch):
         monkeypatch.setattr(module, "execute_to_table",
                             wrap(module.execute_to_table))
     return plans
+
+
+@pytest.fixture
+def checked_plans(monkeypatch):
+    return check_plans(monkeypatch)
 
 
 class TestBitIdentity:
@@ -110,20 +161,57 @@ class TestBitIdentity:
         db = graph_db(enable_delta_iteration=delta)
         with monkeypatch.context() as patch:
             memo_off(patch)
-            off, forced = reuses(db, WORKLOADS[name])
-        on, taken = reuses(db, WORKLOADS[name])
+            off, forced = counted(db, WORKLOADS[name])
+        on, taken = counted(db, WORKLOADS[name])
         assert_tables_identical(off, on)
-        assert forced == 0
-        if name.startswith("pr"):
-            assert taken > 0
+        assert forced == dict.fromkeys(KINDS, 0)
+        assert {kind for kind, n in taken.items() if n} \
+            == reusing(name, delta)
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_kernel_cache_off_keeps_no_memo(self, name):
         on, _ = reuses(graph_db(), WORKLOADS[name])
-        off, taken = reuses(graph_db(enable_kernel_cache=False),
-                            WORKLOADS[name])
+        off, taken = counted(graph_db(enable_kernel_cache=False),
+                             WORKLOADS[name])
         assert_tables_identical(on, off)
-        assert taken == 0
+        assert taken == dict.fromkeys(KINDS, 0)
+
+
+SWITCHED = ["gathers", "groupings"]
+
+
+class TestKindSwitches:
+    """Gathers and groupings each forced off alone, pairs and the other
+    kind left on: the same frames, the same results, and the switched
+    kind reuses nothing."""
+
+    @pytest.mark.parametrize("kind", SWITCHED)
+    @pytest.mark.parametrize("delta", [False, True], ids=["full", "delta"])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_every_workload_plan(self, name, delta, kind, monkeypatch):
+        plans = check_plans(monkeypatch, kind)
+        graph_db(enable_delta_iteration=delta).execute(WORKLOADS[name])
+        assert plans
+
+    @pytest.mark.parametrize("kind", SWITCHED)
+    @pytest.mark.parametrize("sql", CORPUS, ids=range(len(CORPUS)))
+    def test_every_corpus_plan(self, sql, kind, monkeypatch):
+        plans = check_plans(monkeypatch, kind)
+        corpus_db().execute(sql)
+        assert plans
+
+    @pytest.mark.parametrize("kind", SWITCHED)
+    @pytest.mark.parametrize("delta", [False, True], ids=["full", "delta"])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_whole_statement(self, name, delta, kind, monkeypatch):
+        db = graph_db(enable_delta_iteration=delta)
+        with monkeypatch.context() as patch:
+            memo_off(patch, kind)
+            off, forced = counted(db, WORKLOADS[name])
+        on, taken = counted(db, WORKLOADS[name])
+        assert_tables_identical(off, on)
+        assert forced[kind] == 0
+        assert (taken[kind] > 0) == (kind in reusing(name, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -230,41 +318,64 @@ class TestKeyEquality:
 
 class TestMemoLifetime:
     def test_hit_keeps_the_entry(self):
-        memo, site, pairs = JoinPairMemo(), object(), object()
+        memo, site, pairs = TripMemo(), object(), object()
         keys = [key_column(SqlType.INTEGER, [0, 1])]
-        memo.keep(site, keys, pairs)
-        assert memo.reuse(site, keys) is pairs
-        assert memo.reuse(site, keys) is pairs
-        assert memo.reuses == 2
+        memo.keep(site, PAIRS, keys, pairs)
+        assert not memo.reused(site, PAIRS)
+        assert memo.reuse(site, PAIRS, keys) is pairs
+        assert memo.reuse(site, PAIRS, keys) is pairs
+        assert memo.reused(site, PAIRS)
 
     def test_miss_drops_the_entry(self):
-        memo, site, pairs = JoinPairMemo(), object(), object()
-        memo.keep(site, [key_column(SqlType.INTEGER, [0])], pairs)
-        assert memo.reuse(site, [key_column(SqlType.INTEGER, [1])]) is None
-        assert memo.reuse(site, [key_column(SqlType.INTEGER, [0])]) is None
-        assert memo.reuses == 0
+        memo, site, pairs = TripMemo(), object(), object()
+        memo.keep(site, PAIRS, [key_column(SqlType.INTEGER, [0])], pairs)
+        assert memo.reuse(site, PAIRS,
+                          [key_column(SqlType.INTEGER, [1])]) is None
+        assert not memo.reused(site, PAIRS)
+        assert memo.reuse(site, PAIRS,
+                          [key_column(SqlType.INTEGER, [0])]) is None
 
     def test_two_misses_in_a_row_stop_keeping(self):
-        memo, site = JoinPairMemo(), object()
+        memo, site = TripMemo(), object()
         trip = [key_column(SqlType.INTEGER, [k]) for k in range(3)]
-        memo.keep(site, [trip[0]], "pairs 0")
-        assert memo.reuse(site, [trip[1]]) is None
-        memo.keep(site, [trip[1]], "pairs 1")
-        assert memo.reuse(site, [trip[2]]) is None
-        memo.keep(site, [trip[2]], "pairs 2")
+        memo.keep(site, PAIRS, [trip[0]], "pairs 0")
+        assert memo.reuse(site, PAIRS, [trip[1]]) is None
+        memo.keep(site, PAIRS, [trip[1]], "pairs 1")
+        assert memo.reuse(site, PAIRS, [trip[2]]) is None
+        memo.keep(site, PAIRS, [trip[2]], "pairs 2")
         # Nothing was kept, so even repeated keys miss from now on.
-        assert memo.reuse(site, [trip[2]]) is None
+        assert memo.reuse(site, PAIRS, [trip[2]]) is None
 
     def test_a_hit_resets_the_miss_count(self):
-        memo, site = JoinPairMemo(), object()
+        memo, site = TripMemo(), object()
         first, second = (key_column(SqlType.INTEGER, [k]) for k in (0, 1))
-        memo.keep(site, [first], "pairs 0")
-        assert memo.reuse(site, [second]) is None
-        memo.keep(site, [second], "pairs 1")
-        assert memo.reuse(site, [second]) == "pairs 1"
-        assert memo.reuse(site, [first]) is None
-        memo.keep(site, [first], "pairs 2")
-        assert memo.reuse(site, [first]) == "pairs 2"
+        memo.keep(site, PAIRS, [first], "pairs 0")
+        assert memo.reuse(site, PAIRS, [second]) is None
+        memo.keep(site, PAIRS, [second], "pairs 1")
+        assert memo.reuse(site, PAIRS, [second]) == "pairs 1"
+        assert memo.reuse(site, PAIRS, [first]) is None
+        memo.keep(site, PAIRS, [first], "pairs 2")
+        assert memo.reuse(site, PAIRS, [first]) == "pairs 2"
+
+    def test_slots_of_one_site_are_separate_entries(self):
+        memo, site = TripMemo(), object()
+        keys = [key_column(SqlType.INTEGER, [0])]
+        memo.keep(site, PAIRS, keys, "pairs")
+        memo.keep(site, GROUPING, keys, "grouping")
+        assert memo.reuse(site, 0, keys) is None
+        assert memo.reuse(site, GROUPING, keys) == "grouping"
+        assert memo.reuse(site, PAIRS, keys) == "pairs"
+
+    def test_an_index_vector_repeats_only_as_the_same_object(self):
+        memo, site = TripMemo(), object()
+        column = key_column(SqlType.INTEGER, [0, 1])
+        indices = np.array([1, 0], dtype=np.int64)
+        memo.keep(site, 0, (indices, column), "gathered")
+        # The same index object and an equal source column: a hit.
+        assert memo.reuse(site, 0, (indices, key_column(
+            SqlType.INTEGER, [0, 1]))) == "gathered"
+        # An equal index vector that is a new object: a miss.
+        assert memo.reuse(site, 0, (indices.copy(), column)) is None
 
 
 class TestSiteReuse:
@@ -291,7 +402,7 @@ class TestSiteReuse:
         scan_r, _ = side("r", right1)
         op = LogicalJoin(kind, scan_l, scan_r, join_condition(residual))
         ctx = ExecutionContext(Catalog(), ResultRegistry())
-        ctx.join_pairs = JoinPairMemo()
+        ctx.trip_memo = TripMemo()
         for left, right in ((left1, right1), (left2, right2)):
             ctx.registry.store("l", side("l", left)[1])
             ctx.registry.store("r", side("r", right)[1])
@@ -318,11 +429,28 @@ def chain_db(**options) -> Database:
     return db
 
 
+def items_db() -> Database:
+    db = chain_db()
+    db.execute("CREATE TABLE items (k INTEGER, j INTEGER)")
+    db.execute("INSERT INTO items VALUES (1, 1), (1, 2), (2, 1), (2, 2), "
+               "(3, 1)")
+    return db
+
+
 WALK = """
 WITH ITERATIVE walk (node, hops) AS (
   SELECT a, 0 FROM edge WHERE a = 1
   ITERATE
   SELECT edge.b, walk.hops + 1 FROM walk JOIN edge ON walk.node = edge.a
+  UNTIL 3 ITERATIONS
+) SELECT node, hops FROM walk"""
+
+GROUPED_WALK = """
+WITH ITERATIVE walk (node, hops) AS (
+  SELECT a, 0 FROM edge WHERE a = 1
+  ITERATE
+  SELECT edge.b, MAX(walk.hops) + 1 FROM walk JOIN edge
+    ON walk.node = edge.a GROUP BY edge.b
   UNTIL 3 ITERATIONS
 ) SELECT node, hops FROM walk"""
 
@@ -348,20 +476,25 @@ WITH ITERATIVE s (node, score) AS (
 class TestLoops:
     def test_changing_key_misses(self):
         db = chain_db()
-        table, taken = reuses(db, WALK)
+        table, taken = counted(db, WALK)
         # The walk's node column is a new value every trip.
-        assert taken == 0
+        assert taken == dict.fromkeys(KINDS, 0)
+        assert table.rows() == [(4, 3)]
+        # So is the GROUP BY key, the edge's target.
+        table, taken = counted(db, GROUPED_WALK)
+        assert taken == dict.fromkeys(KINDS, 0)
         assert table.rows() == [(4, 3)]
 
     def test_changing_key_stops_keeping(self, monkeypatch):
         kept = []
-        real_keep = JoinPairMemo.keep
+        real_keep = TripMemo.keep
 
-        def keep(self, site, keys, pairs):
-            real_keep(self, site, keys, pairs)
-            kept.append(self._sites[id(site)][2] is pairs)
+        def keep(self, site, slot, inputs, value):
+            real_keep(self, site, slot, inputs, value)
+            if slot == PAIRS:
+                kept.append(self._entries[id(site), slot][2] is value)
 
-        monkeypatch.setattr(JoinPairMemo, "keep", keep)
+        monkeypatch.setattr(TripMemo, "keep", keep)
         db = chain_db()
         db.execute(WALK.replace("UNTIL 3", "UNTIL 4"))
         # Trips 1 and 2 keep their pairs; misses on trips 2 and 3 stop
@@ -405,11 +538,69 @@ class TestLoops:
     def test_pagerank_reuse_count(self):
         db = graph_db()
         iterations = 6
-        _, taken = reuses(db, pagerank_query(iterations=iterations))
+        _, taken = counted(db, pagerank_query(iterations=iterations))
         # Both joins miss on trips 1 and 2: trip 1 fills the memo, and
         # the register's rows come in R0's UNION order on trip 1 but in
-        # the GROUP BY's order from trip 2 on.  Trips 3-6 reuse both.
-        assert taken == 2 * (iterations - 2)
+        # the GROUP BY's order from trip 2 on.  Trips 3-6 reuse both,
+        # and so does the GROUP BY's grouping of PageRank.node.  The
+        # lower join keeps its gathers from trip 3, its first pair
+        # reuse, and reuses those of PageRank.node, IncomingEdges.src
+        # and IncomingEdges.weight from trip 4 on (rank and delta
+        # change every trip).
+        assert taken == {"pairs": 2 * (iterations - 2),
+                         "gathers": 3 * (iterations - 3),
+                         "groupings": iterations - 2}
+
+    def test_changing_columns_stop_being_kept(self, monkeypatch):
+        kept = []
+        real_keep = TripMemo.keep
+
+        def keep(self, site, slot, inputs, value):
+            real_keep(self, site, slot, inputs, value)
+            if isinstance(slot, int):
+                kept.append(self._entries[id(site), slot][2] is value)
+
+        monkeypatch.setattr(TripMemo, "keep", keep)
+        graph_db().execute(pagerank_query(iterations=6))
+        # Trips 1 and 2 reuse no pairs and keep no gathers.  Trip 3
+        # keeps all six: the lower join's five and the upper join's
+        # IncomingRank.delta.  From trip 4 on the three reused ones stay
+        # kept without a keep; the three that change every trip (rank
+        # and delta; IncomingRank.delta) miss and are kept once more on
+        # trip 4, then miss a second time and keep nothing more.
+        assert kept == [True] * 9 + [False] * 6
+
+    def test_second_key_falls_back_while_lead_repeats(self):
+        db = items_db()
+        db.set_option("enable_tracing", True)
+        sql = """
+        WITH ITERATIVE s (node, score) AS (
+          SELECT k, 0 FROM items WHERE j = 1
+          ITERATE
+          SELECT s.node, MIN(s.score) + 1 FROM s JOIN items
+            ON s.node = items.k
+          GROUP BY s.node, CASE WHEN s.score >= 2 THEN items.j ELSE 0 END
+          UNTIL 4 ITERATIONS
+        ) SELECT node, score FROM s ORDER BY node, score"""
+        before = db.stats.snapshot()
+        table, taken = counted(db, sql)
+        delta = db.stats.delta_since(before)
+        (loop,) = db.last_trace().to_dict()["loops"]
+        # Trips 1 and 2 group on s.node alone.  On trip 3 the lead
+        # repeats trip 2's and its grouping is reused, but s.score has
+        # reached 2, so the second key splits nodes 1 and 2: the
+        # per-group check refutes the lead and the keys are encoded in
+        # full.  Trip 4's register has five rows, a new lead column,
+        # and falls back too.
+        assert [r["grouping_reuses"] for r in loop["iterations"]] \
+            == [0, 1, 1, 0]
+        assert delta["determinant_fallbacks"] == 2
+        assert table.rows() == [(1, 4), (1, 4), (2, 4), (2, 4), (3, 4)]
+        with pytest.MonkeyPatch.context() as patch:
+            memo_off(patch, "groupings")
+            off, forced = counted(items_db(), sql)
+        assert forced["groupings"] == 0
+        assert_tables_identical(off, table)
 
     def test_memo_freed_at_loop_end(self, monkeypatch):
         contexts = []
@@ -417,13 +608,13 @@ class TestLoops:
 
         def evaluate(self, step):
             jump = real(self, step)
-            contexts.append((jump, self._ctx.join_pairs))
+            contexts.append((jump, self._ctx.trip_memo))
             return jump
 
         monkeypatch.setattr(loop_engine.LoopEngine, "evaluate", evaluate)
         graph_db().execute(pagerank_query(iterations=3))
         assert [jump is None for jump, _ in contexts] == [False] * 2 + [True]
-        assert all(isinstance(memo, JoinPairMemo)
+        assert all(isinstance(memo, TripMemo)
                    for _, memo in contexts[:-1])
         assert contexts[-1][1] is None
 
@@ -431,17 +622,22 @@ class TestLoops:
 class TestObservability:
     def test_explain_analyze_prints_reuses(self):
         report = graph_db().explain_analyze(pagerank_query(iterations=4))
-        assert "pair reuses=4" in report
+        assert ("pair reuses=4, gather reuses=3, grouping reuses=2"
+                in report)
 
     def test_iteration_records_carry_reuses(self):
         db = graph_db(enable_tracing=True)
-        _, taken = reuses(db, pagerank_query(iterations=5))
+        _, taken = counted(db, pagerank_query(iterations=5))
         payload = db.last_trace().to_dict()
         validate_trace_dict(payload)
         (loop,) = payload["loops"]
-        per_trip = [r["join_pair_reuses"] for r in loop["iterations"]]
-        assert per_trip == [0, 0, 2, 2, 2]
-        assert sum(per_trip) == taken
+        per_trip = {kind: [r[name] for r in loop["iterations"]]
+                    for kind, name in COUNTERS.items()}
+        assert per_trip == {"pairs": [0, 0, 2, 2, 2],
+                            "gathers": [0, 0, 0, 3, 3],
+                            "groupings": [0, 0, 1, 1, 1]}
+        assert {kind: sum(trips) for kind, trips in per_trip.items()} \
+            == taken
 
     def test_reuse_does_not_count_as_index_hit(self):
         db = graph_db()
@@ -476,6 +672,14 @@ def table_digest(table: Table) -> list[str]:
     return digests
 
 
+def records(session) -> list[dict]:
+    """The counters of each iteration record of the session's last
+    traced loop (every field but the wall time)."""
+    (loop,) = session.last_trace().to_dict()["loops"]
+    return [{key: value for key, value in record.items()
+             if key != "seconds"} for record in loop["iterations"]]
+
+
 class TestConcurrentRuns:
     def test_two_sessions_each_own_their_memo(self, monkeypatch):
         sql = pagerank_query(iterations=6)
@@ -483,17 +687,23 @@ class TestConcurrentRuns:
         load_graph(db, SPEC, with_vertex_status=True,
                    available_fraction=0.7)
         expected, single = reuses(db, sql)  # also caches the plan
+        traced = SessionOptions(enable_tracing=True)
+        with serve(db, workers=2) as server:
+            alone = server.connect(options=traced)
+            alone.execute(sql)
+            lone_records = records(alone.session)
 
         hits: dict[int, list] = {}
-        real_reuse = JoinPairMemo.reuse
+        real_reuse = TripMemo.reuse
         lock = threading.Lock()
 
-        def recording(self, site, keys):
-            pairs = real_reuse(self, site, keys)
-            with lock:
-                hits.setdefault(id(self), [self, 0])[1] += \
-                    pairs is not None
-            return pairs
+        def recording(self, site, slot, inputs):
+            value = real_reuse(self, site, slot, inputs)
+            if slot == PAIRS:
+                with lock:
+                    hits.setdefault(id(self), [self, 0])[1] += \
+                        value is not None
+            return value
 
         # Both runs are inside their loops at the same time.
         barrier = threading.Barrier(2, timeout=60)
@@ -503,11 +713,10 @@ class TestConcurrentRuns:
             real_init(self, spec)
             barrier.wait()
 
-        monkeypatch.setattr(JoinPairMemo, "reuse", recording)
+        monkeypatch.setattr(TripMemo, "reuse", recording)
         monkeypatch.setattr(loop_engine.LoopEngine, "init_loop",
                             init_together)
         before = db.stats.snapshot()
-        traced = SessionOptions(enable_tracing=True)
         with serve(db, workers=2) as server:
             clients = [server.connect(options=traced) for _ in range(2)]
             futures = [client.submit(sql) for client in clients]
@@ -521,9 +730,10 @@ class TestConcurrentRuns:
         assert sorted(count for _, count in hits.values()) \
             == [single, single]
         assert delta["join_pair_reuses"] == 2 * single
-        # Each run's iteration records count its own reuses alone,
-        # although the engine-wide counter moved under both runs.
+        # Each run's iteration records count its own work alone, as a
+        # lone run's do, although the engine-wide counters moved under
+        # both runs: reuses, kernel-cache hits and misses, moved rows.
+        assert [r["join_pair_reuses"] for r in lone_records] \
+            == [0, 0, 2, 2, 2, 2]
         for client in clients:
-            (loop,) = client.session.last_trace().to_dict()["loops"]
-            assert [r["join_pair_reuses"] for r in loop["iterations"]] \
-                == [0, 0, 2, 2, 2, 2]
+            assert records(client.session) == lone_records
