@@ -588,10 +588,13 @@ def columnar(arm):
         "SSSP DAG x120",
         lambda on: table_db("edges", EDGE_COLUMNS, edges,
                             "enable_delta_iteration", on),
-        query(sql, "delta_iterations"), same=same_tables)
+        query(sql, "delta_iterations", "strategy_demotions"),
+        same=same_tables)
     case.counters = last[1][1]
     arm.check("every iteration after the first takes the delta path",
               last[1][1]["delta_iterations"] >= 119)
+    arm.check("SSSP DAG x120 never demotes",
+              last[1][1]["strategy_demotions"] == 0)
     arm.floor("SSSP DAG x120 speedup", case.speedup, ">=", 5.0)
 
 
@@ -623,22 +626,27 @@ def kernel_cache(arm):
 
 
 def delta(arm):
-    """Semi-naive delta evaluation off vs on, three convergence shapes."""
-    for name, sql, edges, bound in (
+    """Semi-naive delta evaluation off vs on, three convergence shapes.
+    PageRank's near-full frontier demotes its loop to the full body once;
+    the other two shapes stay on the delta path."""
+    for name, sql, edges, bound, demotions in (
             ("SSSP DAG x60", sssp_query(source=1, iterations=60),
-             dag_graph(), 1.5),
+             dag_graph(), 1.5, 0),
             ("PageRank x12", pagerank_query(iterations=12),
-             pagerank_graph(5000, 30000, first_id=1), 0.7),
+             pagerank_graph(5000, 30000, first_id=1), 0.7, 1),
             ("Friends x5", ff_query(iterations=5, selectivity_mod=7),
-             dag_graph(num_nodes=2000, num_edges=8000, seed=9), 0.7)):
+             dag_graph(num_nodes=2000, num_edges=8000, seed=9), 0.7, 0)):
         arm.inputs[f"{name} edges"] = len(edges)
         case, last = arm.time(
             name, lambda on: table_db("edges", EDGE_COLUMNS, edges,
                                       "enable_delta_iteration", on),
-            query(sql, "delta_iterations"), same=same_tables)
+            query(sql, "delta_iterations", "strategy_demotions"),
+            same=same_tables)
         case.counters = last[1][1]
         arm.check(f"{name}: delta evaluation engaged",
                   last[1][1]["delta_iterations"] > 0)
+        arm.check(f"{name}: demotes {demotions} time(s)",
+                  last[1][1]["strategy_demotions"] == demotions)
         arm.floor(f"{name} speedup", case.speedup, ">=", bound)
 
 

@@ -43,8 +43,6 @@ from ..plan import (
     transform,
 )
 from ..plan.program import (
-    CountUpdatesStep,
-    DeltaCaptureStep,
     DeltaFusedStep,
     DeltaSpec,
     DropStep,
@@ -59,6 +57,7 @@ from ..plan.program import (
     ReturnStep,
     SnapshotStep,
     Step,
+    TripDiffStep,
     CopyStep,
 )
 from ..rewrite import (
@@ -225,8 +224,6 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
     has_where = isinstance(cte.step, ast.Select) \
         and cte.step.where is not None
     loop_id = next(state.loop_counter)
-    needs_update_count = cte.termination.kind in (
-        ast.TerminationKind.UPDATES, ast.TerminationKind.DELTA)
     spec = LoopSpec(loop_id=loop_id, termination=cte.termination,
                     cte_result=cte_result, cte_name=cte_name,
                     columns=columns,
@@ -260,15 +257,15 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
     steps.append(InitLoopStep(spec))
 
     loop_start = len(steps)
+    # One by-key diff after every full trip: it captures delta state and
+    # feeds the update counter, so either needs last trip's table.
+    diffs = spec.counts_updates or delta_spec is not None
     if delta_spec is not None:
         fused = DeltaFusedStep(delta_spec, delta_plan, columns,
                                dup_check=has_where)
         steps.append(fused)
-        # Delta capture always needs the previous iteration to diff
-        # against, even when the termination condition does not.
         fused.jump_full = len(steps)
-        steps.append(SnapshotStep(cte_result, previous))
-    elif needs_update_count:
+    if diffs:
         steps.append(SnapshotStep(cte_result, previous))
     steps.append(MaterializeStep(
         working, step_plan, columns,
@@ -302,18 +299,15 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
         else:
             steps.append(CopyStep(merge_result, cte_result))
 
+    if diffs:
+        steps.append(TripDiffStep(loop_id, previous))
     if delta_spec is not None:
-        # The capture step's one diff also feeds the update counter.
-        steps.append(DeltaCaptureStep(delta_spec, previous))
         fused.jump_to = len(steps)
-    elif needs_update_count:
-        steps.append(CountUpdatesStep(previous, cte_result, key_column,
-                                      loop_id))
     steps.append(IncrementLoopStep(loop_id))
     steps.append(LoopStep(loop_id, loop_start))
 
     state.temp_results.extend([cte_result, working])
-    if needs_update_count or delta_spec is not None:
+    if diffs:
         state.temp_results.append(previous)
     if delta_spec is not None:
         state.temp_results.extend([delta_spec.partition,

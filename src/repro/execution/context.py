@@ -52,10 +52,6 @@ class ExecutionStats:
     # Delta-apply keyset-guard trips: an INNER-join body dropped a key
     # and the iteration was rerun through the full body.
     delta_guard_fallbacks: int = 0
-    # Mid-loop strategy promotions: the movement fallback a demoted loop
-    # landed on observed the frontier collapsing again and handed the
-    # loop back to a fresh semi-naive delta strategy.
-    strategy_promotions: int = 0
     # Shared plan cache (repro.plan.cache): full hits skip parse→bind→
     # rewrite→compile; shape hits saw the statement family before but
     # with different constants (recompiled); invalidations are entries

@@ -67,9 +67,6 @@ _DECISION_EVENT_ATTRS = {
     "strategy_demotion": _LOOP_DECISION_ATTRS | {
         "from_strategy", "to_strategy", "iteration", "frontier",
         "total", "budget_frontier"},
-    "strategy_promotion": _LOOP_DECISION_ATTRS | {
-        "from_strategy", "to_strategy", "iteration", "frontier",
-        "total", "budget_frontier"},
     "plan_cache_hit": frozenset({"level", "reason"}),
 }
 DECISION_EVENT_NAMES = frozenset(_DECISION_EVENT_ATTRS)

@@ -13,8 +13,8 @@ JSON produced by ``Database.trace_json()``) into:
   time, so the stacks sum to the root without double counting).
 * **Loop rollups** — per-iteration cost statistics per loop: measured
   iteration count, total, mean, median and max seconds.
-* **Decision timeline** — the strategy selection / demotion / promotion
-  decision events in document order, rendered as one line per decision
+* **Decision timeline** — the strategy selection / demotion decision
+  events in document order, rendered as one line per decision
   (also embedded in EXPLAIN ANALYZE output).
 
 Everything operates on the *dict* form of a trace (the JSON schema), so
@@ -201,10 +201,8 @@ def render_decision_timeline(decisions: list[dict]) -> list[str]:
             lines.append(f"  loop {attrs['cte']}: selected "
                          f"{attrs['strategy']} — {attrs['reason']}")
             continue
-        verb = ("demoted" if event["name"] == "strategy_demotion"
-                else "promoted")
         lines.append(
-            f"  loop {attrs['cte']}: {verb} {attrs['from_strategy']} -> "
+            f"  loop {attrs['cte']}: demoted {attrs['from_strategy']} -> "
             f"{attrs['to_strategy']} after iteration {attrs['iteration']} "
             f"(frontier {attrs['frontier']}/{attrs['total']} rows vs "
             f"budget {attrs['budget_frontier']})")

@@ -104,20 +104,20 @@ class DuplicateCheckStep(Step):
 
 
 @dataclass
-class CountUpdatesStep(Step):
-    """Count rows of ``current`` that differ from ``previous`` (by key).
+class TripDiffStep(Step):
+    """Diff a loop's CTE table against ``previous`` by key after a full
+    trip of its body.
 
-    Feeds the loop operator's updates/delta bookkeeping.
+    The one per-trip diff, keyed by ``loop_id``: it reads the loop's
+    :class:`LoopSpec`, captures delta state while the loop awaits it, and
+    feeds the UPDATES/DELTA counter when the termination counts updates.
     """
 
-    previous: str
-    current: str
-    key_column: str
     loop_id: int
+    previous: str
 
     def describe(self) -> str:
-        return (f"Count updated rows of {self.current} "
-                f"vs {self.previous}")
+        return f"Diff the CTE table against {self.previous} by key."
 
 
 @dataclass
@@ -151,6 +151,12 @@ class LoopSpec:
     # the main table before any rename/copy — the verifier uses this to
     # reject rename-in-place programs that bypass the merge.
     has_where: bool = False
+
+    @property
+    def counts_updates(self) -> bool:
+        """Whether the termination reads the updated-row counter."""
+        return self.termination is not None and self.termination.kind in (
+            ast.TerminationKind.UPDATES, ast.TerminationKind.DELTA)
 
     def annotation(self) -> str:
         if self.termination is None:
@@ -277,23 +283,6 @@ class DeltaFusedStep(Step):
         return (f"Fused delta pass for {self.spec.cte_name}: full body at "
                 f"step {self.jump_full + 1}, done to step "
                 f"{self.jump_to + 1}.")
-
-
-@dataclass
-class DeltaCaptureStep(Step):
-    """Capture delta state after a full iteration of the loop body.
-
-    Validates the key column (unique, non-NULL), snapshots the CTE table's
-    columns, and computes the initial frontier against ``previous`` so the
-    next iteration can take the delta path.
-    """
-
-    spec: DeltaSpec
-    previous: str
-
-    def describe(self) -> str:
-        return (f"Capture delta frontier of {self.spec.cte_result} "
-                f"vs {self.previous}")
 
 
 @dataclass

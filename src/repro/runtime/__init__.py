@@ -12,8 +12,8 @@ One execution path for every iterative construct in the system:
   one :class:`LoopState` record per loop holds everything the loop owns.
 * :mod:`repro.runtime.strategies` — a loop's strategy as a pure
   function of its spec and mode (full recompute, rename in place,
-  semi-naive delta, fixpoint), and the frontier hysteresis behind
-  mid-loop demotion and promotion.
+  semi-naive delta, fixpoint), and the frontier watch behind mid-loop
+  demotion, which is final.
 * :mod:`repro.runtime.conditions` — termination-condition evaluation and
   the changed-rows kernel.
 """

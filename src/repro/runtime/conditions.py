@@ -13,9 +13,9 @@ family:
   to the previous one (``UNTIL DELTA <op> N``).
 
 This module is pure condition evaluation plus the one "which rows
-changed" kernel the UPDATES / DELTA counters and the delta capture step
-share; the loop *engine* that owns each loop's state lives in
-:mod:`repro.runtime.loop_engine`.
+changed" kernel behind the per-trip diff step, which feeds the UPDATES /
+DELTA counters and captures delta state; the loop *engine* that owns
+each loop's state lives in :mod:`repro.runtime.loop_engine`.
 """
 
 from __future__ import annotations
@@ -113,11 +113,10 @@ def changed_rows(previous: Table, current: Table, key_index: int,
     (IS DISTINCT FROM semantics).
 
     The previous key is probed against an index of the current key: a
-    dictionary built here, or the delta loop's ``solution`` set, whose
-    ``rows`` must map each code to its row of ``current`` (-1 for a key
-    ``current`` lacks).  Keys present only in ``previous``, and NULL
-    keys, encode as -1, which is exactly right: they pair with nothing,
-    and only unmatched *current* rows count as changes.
+    dictionary built here, or the delta loop's ``solution`` set built
+    over exactly ``current``'s keys.  Keys present only in ``previous``,
+    and NULL keys, encode as -1, which is exactly right: they pair with
+    nothing, and only unmatched *current* rows count as changes.
     """
     if previous.num_rows == 0:
         return np.ones(current.num_rows, dtype=np.bool_)
@@ -129,8 +128,6 @@ def changed_rows(previous: Table, current: Table, key_index: int,
             comparable_values(prev_key.data[valid]))
         prev_idx = np.flatnonzero(prev_codes >= 0)
         cur_idx = solution.rows[prev_codes[prev_idx]]
-        paired = cur_idx >= 0
-        cur_idx, prev_idx = cur_idx[paired], prev_idx[paired]
     else:
         cur_idx, prev_idx = _pair_by_dictionary(
             prev_key, current.columns[key_index])

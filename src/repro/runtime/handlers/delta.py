@@ -1,10 +1,11 @@
-"""Semi-naive delta evaluation: the fused delta pass and delta capture.
+"""Semi-naive delta evaluation: the fused delta pass and the per-trip
+diff that captures delta state and counts updates.
 
 The handlers own the *mechanics* of the delta path and keep their state
 in the loop's :class:`~repro.runtime.loop_engine.LoopState`; whether the
 loop stays on the path is its ``mode``, which every measured frontier
 moves through :meth:`LoopEngine.note_frontier` — the channel mid-loop
-demotion and promotion ride on, identical for traced and untraced runs.
+demotion rides on, identical for traced and untraced runs.
 """
 
 from __future__ import annotations
@@ -15,16 +16,15 @@ import numpy as np
 
 from ...errors import ExecutionError
 from ...execution import execute_to_table
-from ...execution.kernel_cache import same_values
 from ...execution.kernels import (build_probe_index, comparable_values,
                                   expand_ranges, probe_buckets,
                                   scatter_update, unique_sorted)
-from ...plan.program import DeltaCaptureStep, DeltaFusedStep
+from ...plan.program import DeltaFusedStep, TripDiffStep
 from ...storage import Table
 from ..conditions import changed_rows
 from ..loop_engine import LoopState
 from ..registry import handles
-from ..strategies import CAPTURE, DELTA, DEMOTED, OFF, SolutionSet
+from ..strategies import CAPTURE, DELTA, SolutionSet
 from .loop_control import check_unique_key
 
 
@@ -49,8 +49,7 @@ def _apply_delta(runner, step: DeltaFusedStep, state: LoopState,
         # keyset against the partition keyset is a complete check.  On
         # mismatch, permanently fall back to the always-compiled full
         # body and rerun this iteration through it.
-        state.mode = OFF
-        state.pending_positions = None
+        state.leave_delta()
         ctx.stats.delta_guard_fallbacks += 1
         return step.jump_full
 
@@ -95,7 +94,7 @@ def _apply_delta(runner, step: DeltaFusedStep, state: LoopState,
     ctx.registry.store(spec.cte_result, new_table)
     state.columns = new_columns
     state.pending_positions = None
-    if engine.counts_updates(spec.loop_id):
+    if state.spec.counts_updates:
         state.record_updates(state.last_frontier)
     ctx.stats.delta_iterations += 1
     engine.note_frontier(state, state.last_frontier, new_table.num_rows)
@@ -122,7 +121,7 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
         # so no output can change this iteration (or ever after) —
         # this iteration costs O(1).
         state.last_frontier = 0
-        if engine.counts_updates(spec.loop_id):
+        if state.spec.counts_updates:
             state.record_updates(0)
         ctx.stats.delta_iterations += 1
         return step.jump_to
@@ -156,15 +155,18 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
     return _apply_delta(runner, step, state, working)
 
 
-@handles(DeltaCaptureStep)
-def run_delta_capture(runner, step: DeltaCaptureStep) -> Optional[int]:
-    """After a full iteration: diff the CTE table against the previous
-    one by key, once, for the UPDATES/DELTA counter, the capture of
-    delta state (mode CAPTURE) and the promotion watch (mode DEMOTED)."""
+@handles(TripDiffStep)
+def run_trip_diff(runner, step: TripDiffStep) -> Optional[int]:
+    """After a full trip: diff the CTE table against last trip's by key,
+    once, to capture delta state (mode CAPTURE) and to count updates
+    (UPDATES/DELTA terminations); any other loop returns at once."""
     ctx = runner.ctx
     engine = runner.engine
-    spec = step.spec
-    state = engine.state(spec.loop_id)
+    state = engine.state(step.loop_id)
+    spec = state.spec
+    counts = spec.counts_updates
+    if state.mode != CAPTURE and not counts:
+        return None
     table = ctx.registry.fetch(spec.cte_result)
     solution = None
     if state.mode == CAPTURE:
@@ -175,24 +177,11 @@ def run_delta_capture(runner, step: DeltaCaptureStep) -> Optional[int]:
         if solution is None:
             # NULL or duplicate keys cannot be tracked by key: full path
             # forever.
-            state.mode = OFF
-    counts = engine.counts_updates(spec.loop_id)
-    if state.mode == OFF and not counts:
-        return None
-    previous = ctx.registry.fetch(step.previous)
-    if state.mode == DEMOTED and same_values(previous.columns[0],
-                                             table.columns[0]):
-        # The unique keys sit on the same rows as last trip's (PageRank
-        # from its second trip on): rows pair by position.
-        changed = np.zeros(table.num_rows, dtype=np.bool_)
-        for cur_col, prev_col in zip(table.columns[1:],
-                                     previous.columns[1:]):
-            changed |= cur_col.is_distinct_from(prev_col)
-    else:
-        index = solution
-        if state.mode == DEMOTED:
-            index = _repoint(state.solution, table)
-        changed = changed_rows(previous, table, 0, index)
+            state.leave_delta()
+            if not counts:
+                return None
+    changed = changed_rows(ctx.registry.fetch(step.previous), table, 0,
+                           solution)
     frontier = int(changed.sum())
     if counts:
         state.record_updates(frontier)
@@ -202,18 +191,15 @@ def run_delta_capture(runner, step: DeltaCaptureStep) -> Optional[int]:
         state.solution = solution
         state.frontier_codes = solution.codes(keys[changed])
         state.last_frontier = frontier
-        if spec.merge_by_key:
-            working = ctx.registry.fetch(spec.working)
+        if spec.delta.merge_by_key:
+            working = ctx.registry.fetch(spec.delta.working)
             w_codes = solution.codes(
                 comparable_values(working.columns[0].data))
             flags = np.zeros(table.num_rows, dtype=np.bool_)
             flags[solution.rows[w_codes[w_codes >= 0]]] = True
             state.in_working = flags
         state.mode = DELTA
-    # A demoted loop keeps measuring every full iteration's frontier
-    # without re-activating the delta machinery; that is what promotes
-    # it back once the frontier collapses.
-    engine.note_frontier(state, frontier, table.num_rows)
+        engine.note_frontier(state, frontier, table.num_rows)
     return None
 
 
@@ -225,16 +211,6 @@ def _known_codes(solution: SolutionSet, keys):
             "delta evaluation lost track of a CTE key; this is a bug "
             "in the delta safety analysis")
     return codes
-
-
-def _repoint(solution: SolutionSet, table: Table) -> SolutionSet:
-    """``solution``'s codes with code -> row pointing into ``table`` (-1
-    for a key it lacks).  A full iteration of a per-key body keeps the
-    key set, or drops keys, but moves rows."""
-    codes = _known_codes(solution, comparable_values(table.columns[0].data))
-    rows = np.full(len(solution.sorted_keys), -1, dtype=np.int64)
-    rows[codes] = np.arange(len(codes), dtype=np.int64)
-    return SolutionSet(solution.sorted_keys, rows)
 
 
 def _expand_influence(runner, solution: SolutionSet,

@@ -1,4 +1,4 @@
-"""Loop-control steps: init / increment / loop check / update counting.
+"""Loop-control steps: init / increment / loop check / duplicate check.
 
 These handlers only *route* — all loop state lives in the
 :class:`~repro.runtime.loop_engine.LoopEngine`, so the MPP and baseline
@@ -12,14 +12,12 @@ from typing import Optional
 from ...errors import DuplicateKeyError
 from ...execution.kernels import factorize
 from ...plan.program import (
-    CountUpdatesStep,
     DuplicateCheckStep,
     IncrementLoopStep,
     InitLoopStep,
     LoopStep,
 )
 from ...storage import Table
-from ..conditions import changed_rows
 from ..registry import handles
 
 
@@ -39,17 +37,6 @@ def run_increment_loop(runner, step: IncrementLoopStep) -> Optional[int]:
 @handles(LoopStep)
 def run_loop(runner, step: LoopStep) -> Optional[int]:
     return runner.engine.evaluate(step)
-
-
-@handles(CountUpdatesStep)
-def run_count_updates(runner, step: CountUpdatesStep) -> Optional[int]:
-    ctx = runner.ctx
-    previous = ctx.registry.fetch(step.previous)
-    current = ctx.registry.fetch(step.current)
-    key_index = current.schema.index_of(step.key_column)
-    changed = changed_rows(previous, current, key_index)
-    runner.engine.state(step.loop_id).record_updates(int(changed.sum()))
-    return None
 
 
 @handles(DuplicateCheckStep)

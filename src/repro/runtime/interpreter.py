@@ -51,7 +51,7 @@ class ProgramRunner:
                  instrument: bool = False):
         self._program = program
         self.ctx = ctx
-        self.engine = LoopEngine(program, ctx)
+        self.engine = LoopEngine(ctx)
         self._instrument = instrument
         self._result: Optional[Table] = None
         # Profiles are keyed by step identity (id of the Step object),
@@ -183,16 +183,15 @@ class ProgramRunner:
         ]
 
     def _strategy_report(self) -> list[str]:
-        """The strategy that finished owning each loop, with any
-        mid-loop demotions and promotions in the order taken."""
+        """The strategy that finished owning each loop, with its
+        mid-loop demotion if it took one."""
         lines = []
         for loop_id in sorted(self.engine.loops):
             state = self.engine.loops[loop_id]
             line = (f"loop {state.spec.cte_name}: strategy "
                     f"{strategy_name(state.spec, state.mode)}")
-            events = [record.describe() for record in state.switches]
-            if events:
-                line += f" ({'; '.join(events)})"
+            if state.demotion is not None:
+                line += f" ({state.demotion.describe()})"
             lines.append(line)
         return lines
 

@@ -11,15 +11,15 @@ whichever layer runs the loop.
 
 :class:`LoopEngine` adds what step programs need on top: one
 :class:`LoopState` record per loop — termination counters, strategy
-mode, delta-path state, switch log, telemetry — termination evaluation,
-and the frontier-feedback channel that drives mid-loop demotion and
-promotion.
+mode, delta-path state, demotion record, telemetry — termination
+evaluation, and the frontier-feedback channel that drives mid-loop
+demotion.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,8 +28,7 @@ from ..errors import ExecutionError
 from ..execution.kernel_cache import TripMemo
 from ..obs.telemetry import IterationRecord, LoopTelemetry
 from ..obs.trace import NULL_TRACER
-from ..plan.program import LoopSpec, LoopStep, Program
-from ..sql import ast
+from ..plan.program import LoopSpec, LoopStep
 from ..storage import Schema
 from . import strategies
 from .conditions import should_continue
@@ -138,14 +137,15 @@ class LoopState:
     total_updates: int = 0
     last_delta: int = 0
     # Strategy mode (see repro.runtime.strategies) and the length of the
-    # current run of frontiers across its switch threshold.
+    # current run of near-full frontiers.
     mode: str = OFF
     streak: int = 0
-    # Delta path: captured by DeltaCaptureStep after a full iteration,
-    # advanced by DeltaFusedStep on every delta iteration.
+    # Delta path: captured by TripDiffStep after a full iteration,
+    # advanced by DeltaFusedStep on every delta iteration, and dropped
+    # when the loop leaves delta mode.
     schema: Optional[Schema] = None
     # Column objects of the current CTE table (shared, immutable).
-    columns: list = field(default_factory=list)
+    columns: Optional[list] = None
     # The key index over the CTE table.
     solution: Optional[SolutionSet] = None
     # Merge path only: per-row "key was in last iteration's working
@@ -156,8 +156,8 @@ class LoopState:
     last_frontier: int = 0
     # Row positions gathered by the pending partition step.
     pending_positions: Optional[np.ndarray] = None
-    # Mid-loop demotions and promotions, in the order taken.
-    switches: list[StrategySwitch] = field(default_factory=list)
+    # The loop's one mid-loop demotion, if it took it.
+    demotion: Optional[StrategySwitch] = None
     # Telemetry and spans, when the run is observed.
     run: Optional[LoopRun] = None
     # Recursive UNION: (common column types, IncrementalDistinctIndex),
@@ -173,18 +173,24 @@ class LoopState:
         self.last_delta = changed
         self.total_updates += changed
 
+    def leave_delta(self) -> None:
+        """Run the full body for good, and free the delta state nothing
+        reads any more."""
+        self.mode = OFF
+        self.columns = None
+        self.solution = None
+        self.in_working = None
+        self.frontier_codes = None
+        self.pending_positions = None
+
     def strategy_chain(self) -> str:
         """Every strategy the loop ran under, ``"->"``-joined, e.g.
-        ``"semi-naive-delta->rename-in-place->semi-naive-delta"``."""
-        names = [switch.to_name for switch in self.switches]
-        if self.switches:
-            names.insert(0, self.switches[0].from_name)
-        current = strategy_name(self.spec, self.mode)
-        if not names or names[-1] != current:
-            # A disqualified loop ran its last trips on the full body
-            # without a logged switch.
-            names.append(current)
-        return "->".join(names)
+        ``"semi-naive-delta->rename-in-place"``.  A disqualified loop
+        ran its last trips on the full body without a logged demotion,
+        so it names only that."""
+        if self.demotion is not None:
+            return f"{self.demotion.from_name}->{self.demotion.to_name}"
+        return strategy_name(self.spec, self.mode)
 
 
 class LoopEngine:
@@ -194,8 +200,7 @@ class LoopEngine:
     reach loop state only through this engine.
     """
 
-    def __init__(self, program: Program, ctx):
-        self._program = program
+    def __init__(self, ctx):
         self._ctx = ctx
         self.loops: dict[int, LoopState] = {}
 
@@ -236,29 +241,19 @@ class LoopEngine:
         self._ctx.trip_memo = None
         return None
 
-    def counts_updates(self, loop_id: int) -> bool:
-        """Whether the loop's termination reads the updated-row counter."""
-        spec = self._program.loops.get(loop_id)
-        return (spec is not None and spec.termination is not None
-                and spec.termination.kind in (ast.TerminationKind.UPDATES,
-                                              ast.TerminationKind.DELTA))
-
     def note_frontier(self, state: LoopState, frontier: int,
                       total: int) -> None:
-        """Feed a measured frontier to the loop's hysteresis and log the
-        ``"demotion"`` or ``"promotion"`` it triggers: append it to the
-        loop's switch list, count it and emit its decision event."""
+        """Feed a measured frontier to the loop's demotion watch and log
+        the demotion it triggers: record it, count it and emit its
+        decision event."""
         switch = strategies.note_frontier(state, frontier, total)
         if switch is None:
             return
-        state.switches.append(switch)
-        if switch.kind == "demotion":
-            self._ctx.stats.strategy_demotions += 1
-        else:
-            self._ctx.stats.strategy_promotions += 1
+        state.demotion = switch
+        self._ctx.stats.strategy_demotions += 1
         tracer = self._ctx.tracer
         if tracer.enabled:
-            tracer.event(f"strategy_{switch.kind}", kind="decision",
+            tracer.event("strategy_demotion", kind="decision",
                          loop_id=state.spec.loop_id,
                          cte=state.spec.cte_name,
                          from_strategy=switch.from_name,
@@ -304,7 +299,7 @@ class LoopEngine:
                 # Delta-mode loop: report the true changed-row frontier,
                 # whatever the termination condition counts.
                 delta_rows = state.last_frontier
-            elif self.counts_updates(loop_id):
+            elif spec.counts_updates:
                 delta_rows = state.last_delta
             else:
                 # Full-refresh loop (e.g. PageRank): every row rewritten.

@@ -1,4 +1,4 @@
-"""Loop-execution strategies: names, modes and the frontier hysteresis.
+"""Loop-execution strategies: names, modes and the demotion watch.
 
 A loop's strategy is not an object.  It is a pure function of the loop's
 :class:`~repro.plan.program.LoopSpec` and the ``mode`` of its
@@ -19,19 +19,18 @@ A loop's strategy is not an object.  It is a pure function of the loop's
 
 The compiler emits delta steps exactly when the safety analyzer proves
 per-key evolution, so such a loop starts in ``CAPTURE``; every other
-loop is ``OFF`` from the start.  A delta loop's mode then moves on
-measured frontiers (:func:`note_frontier`)::
+loop is ``OFF`` from the start.  A delta loop's mode only moves
+forward::
 
-    CAPTURE --capture step--> DELTA --near-full frontiers--> DEMOTED
-    DEMOTED --small frontiers--> CAPTURE
+    CAPTURE --diff step--> DELTA --near-full frontiers--> OFF
     CAPTURE or DELTA --NULL/duplicate keys, keyset guard--> OFF
 
-Demotion fires when the frontier stays near-full — the per-iteration
-bookkeeping (partition gather + keyed scatter) then costs more than the
-recomputation it saves, which is exactly the PageRank shape where every
-rank changes every trip.  ``DEMOTED`` and ``OFF`` loops run the
-always-compiled full body, so results stay bit-identical by
-construction; only ``OFF`` is for good.
+Demotion (:func:`note_frontier`) fires when the frontier stays
+near-full — the per-iteration bookkeeping (partition gather + keyed
+scatter) then costs more than the recomputation it saves, which is
+exactly the PageRank shape where every rank changes every trip.  ``OFF``
+loops run the always-compiled full body, so results stay bit-identical
+by construction, and ``OFF`` is for good.
 """
 
 from __future__ import annotations
@@ -44,13 +43,12 @@ import numpy as np
 from ..execution.kernels import lookup_sorted, unique_sorted
 from ..plan.program import LoopSpec
 
-# Delta-safe, awaiting the capture step's key index.
+# Delta-safe, awaiting the diff step's key index.
 CAPTURE = "capture"
 # Captured: the fused step takes the delta path.
 DELTA = "delta"
-# Full body while the frontier stays large; capture watches for promotion.
-DEMOTED = "demoted"
-# Full body for good: no delta rewrite, or the loop was disqualified.
+# Full body for good: no delta rewrite, or the loop was demoted or
+# disqualified.
 OFF = "off"
 
 # Why each strategy owns a loop, published as the strategy_selection
@@ -121,13 +119,9 @@ class SolutionSet:
 
 @dataclass
 class StrategySwitch:
-    """One mid-loop strategy switch, for reports and telemetry.
+    """A loop's one mid-loop demotion (delta -> full body), for reports
+    and telemetry; ``reason`` explains it in its decision event."""
 
-    ``kind`` is ``"demotion"`` (delta -> full body) or ``"promotion"``
-    (full body -> delta); ``reason`` explains the switch in its
-    decision event."""
-
-    kind: str
     iteration: int
     from_name: str
     to_name: str
@@ -137,63 +131,39 @@ class StrategySwitch:
     reason: str = ""
 
     def describe(self) -> str:
-        verb = "demoted" if self.kind == "demotion" else "promoted"
-        return (f"{verb} {self.from_name} -> {self.to_name} after "
+        return (f"demoted {self.from_name} -> {self.to_name} after "
                 f"iteration {self.iteration} (frontier {self.frontier}"
                 f"/{self.total} rows vs budget {self.budget_frontier})")
 
 
 # Demote once DEMOTION_PATIENCE consecutive measured frontiers cover at
-# least DEMOTION_THRESHOLD of the table; promote back once
-# PROMOTION_PATIENCE consecutive frontiers fall below PROMOTION_THRESHOLD.
-# The promote threshold sits well under the demote threshold so the pair
-# forms a hysteresis band and cannot ping-pong every iteration.
+# least DEMOTION_THRESHOLD of the table.
 DEMOTION_THRESHOLD = 0.8
 DEMOTION_PATIENCE = 2
-PROMOTION_THRESHOLD = 0.5
-PROMOTION_PATIENCE = 2
 
 
 def note_frontier(state, frontier: int,
                   total: int) -> Optional[StrategySwitch]:
     """Feed one measured changed-row frontier of a ``total``-row table
-    into ``state``'s hysteresis; return the switch it triggers, if any.
-
-    Only ``DELTA`` (demotion watch) and ``DEMOTED`` (promotion watch)
-    loops react.  A promoted loop lands in ``CAPTURE``: the next full
-    iteration re-captures delta state, and the one after takes the
-    delta path again.
-    """
-    if state.mode == DELTA:
-        kind, target = "demotion", DEMOTED
-        threshold, patience = DEMOTION_THRESHOLD, DEMOTION_PATIENCE
-        crossed = frontier >= threshold * total
-        reason = (f"measured frontier covered >= {threshold:.0%} of the "
-                  f"table for {patience} consecutive iteration(s); delta "
-                  f"bookkeeping costs more than the recomputation it "
-                  f"saves")
-    elif state.mode == DEMOTED:
-        kind, target = "promotion", CAPTURE
-        threshold, patience = PROMOTION_THRESHOLD, PROMOTION_PATIENCE
-        crossed = frontier < threshold * total
-        reason = (f"measured frontier stayed < {threshold:.0%} of the "
-                  f"table for {patience} consecutive iteration(s); the "
-                  f"delta path is profitable again")
-    else:
+    into a ``DELTA`` loop's demotion watch; return the demotion it
+    triggers, if any.  A demoted loop is ``OFF`` for good."""
+    if state.mode != DELTA:
         return None
-    if total <= 0 or not crossed:
+    if total <= 0 or frontier < DEMOTION_THRESHOLD * total:
         state.streak = 0
         return None
     state.streak += 1
-    if state.streak < patience:
+    if state.streak < DEMOTION_PATIENCE:
         return None
     switch = StrategySwitch(
-        kind=kind, iteration=state.iterations + 1,
-        from_name=strategy_name(state.spec, state.mode),
-        to_name=strategy_name(state.spec, target),
+        iteration=state.iterations + 1,
+        from_name=strategy_name(state.spec, DELTA),
+        to_name=strategy_name(state.spec, OFF),
         frontier=frontier, total=total,
-        budget_frontier=int(threshold * total), reason=reason)
-    state.mode = target
-    state.streak = 0
+        budget_frontier=int(DEMOTION_THRESHOLD * total),
+        reason=(f"measured frontier covered >= {DEMOTION_THRESHOLD:.0%} "
+                f"of the table for {DEMOTION_PATIENCE} consecutive "
+                f"iteration(s); delta bookkeeping costs more than the "
+                f"recomputation it saves"))
+    state.leave_delta()
     return switch
-

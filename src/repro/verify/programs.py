@@ -15,9 +15,11 @@ preserve:
   path (must-defined analysis over the CFG; ``RenameStep``/``CopyStep``
   kill their source), every ``SnapshotStep`` is consumed downstream, and
   ``DropStep`` never kills a live name (backward liveness);
-* **strategy legality** — semi-naive delta programs carry a single
-  ``DeltaFusedStep`` paired with the capture step, its jumps entering
-  the full body before the capture and skipping past it, and its plan
+* **strategy legality** — a loop diffs each full trip in exactly one
+  ``TripDiffStep`` when it counts updates or has a delta rewrite, and
+  never otherwise; semi-naive delta programs carry a single
+  ``DeltaFusedStep``, its jumps entering the full body before the diff
+  step and skipping past it, and its plan
   equal to the full body's with only the anchor scan rebound to the
   partition; rename-in-place
   only moves a table straight onto the CTE name when the body has no WHERE
@@ -37,8 +39,6 @@ from ..errors import VerificationError
 from ..plan.logical import LogicalOp, LogicalTempScan, rebind_temp_scans
 from ..plan.program import (
     CopyStep,
-    CountUpdatesStep,
-    DeltaCaptureStep,
     DeltaFusedStep,
     DropStep,
     DuplicateCheckStep,
@@ -52,6 +52,7 @@ from ..plan.program import (
     ReturnStep,
     SnapshotStep,
     Step,
+    TripDiffStep,
 )
 from ..sql import ast
 from .plans import PlanChecker, VerifiedPlans
@@ -100,9 +101,6 @@ def _step_flow(step: Step) -> _Flow:
                      frozenset({step.target.lower()}), _EMPTY)
     if isinstance(step, DuplicateCheckStep):
         return _Flow(frozenset({step.result_name.lower()}), _EMPTY, _EMPTY)
-    if isinstance(step, CountUpdatesStep):
-        return _Flow(frozenset({step.previous.lower(),
-                                step.current.lower()}), _EMPTY, _EMPTY)
     if isinstance(step, RecursiveMergeStep):
         return _Flow(frozenset({step.result.lower(),
                                 step.candidate.lower()}),
@@ -122,15 +120,12 @@ def _step_flow(step: Step) -> _Flow:
             - frozenset({step.spec.partition.lower(),
                          step.spec.delta_working.lower()})
         return _Flow(reads, defines, _EMPTY)
-    if isinstance(step, DeltaCaptureStep):
-        return _Flow(frozenset({step.spec.cte_result.lower(),
-                                step.previous.lower()}), _EMPTY, _EMPTY)
     if isinstance(step, ReturnStep):
         return _Flow(_plan_temp_reads(step.plan), _EMPTY, _EMPTY)
     if isinstance(step, DropStep):
         return _Flow(_EMPTY, _EMPTY,
                      frozenset(name.lower() for name in step.names))
-    if isinstance(step, LoopStep):
+    if isinstance(step, (LoopStep, TripDiffStep)):
         return _Flow(_EMPTY, _EMPTY, _EMPTY)  # spec reads added below
     return _Flow(_EMPTY, _EMPTY, _EMPTY)
 
@@ -316,7 +311,14 @@ class ProgramChecker:
         flows = []
         for step in self.steps:
             flow = _step_flow(step)
-            if isinstance(step, LoopStep):
+            if isinstance(step, TripDiffStep):
+                # Last trip's snapshot against the loop's CTE table.
+                spec = self.program.loops.get(step.loop_id)
+                reads = {step.previous.lower()}
+                if spec is not None:
+                    reads.add(spec.cte_result.lower())
+                flow = _Flow(frozenset(reads), _EMPTY, _EMPTY)
+            elif isinstance(step, LoopStep):
                 spec = self.program.loops.get(step.loop_id)
                 reads = set()
                 if spec is not None:
@@ -405,9 +407,7 @@ class ProgramChecker:
                 self.checks += 1
                 if step.target.lower() not in live_out_of(i):
                     self._note(i, f"snapshot {step.target!r} is never "
-                                  "consumed by a CountUpdatesStep, "
-                                  "DeltaCaptureStep (which counts a "
-                                  "delta loop's updates) or plan")
+                                  "consumed by a TripDiffStep or plan")
 
     # -- strategy legality -------------------------------------------------
 
@@ -425,10 +425,12 @@ class ProgramChecker:
             body = range(start, loop_idx)
             if spec.until_empty is not None:
                 self._check_fixpoint_body(spec, body)
-            elif spec.termination is not None:
+                continue
+            if spec.termination is not None:
                 self._check_iterative_body(spec, body, loop_idx)
-            if spec.delta is not None:
-                self._check_delta_fused(spec.delta, body, loop_idx)
+            diff_i = self._check_trip_diff(spec, body)
+            if spec.delta is not None and diff_i is not None:
+                self._check_delta_fused(spec.delta, body, loop_idx, diff_i)
 
     def _check_fixpoint_body(self, spec, body: range) -> None:
         self.checks += 1
@@ -495,10 +497,36 @@ class ProgramChecker:
                                  "the duplicate-checked working table "
                                  "(rename-in-place needs a no-WHERE body)")
 
-    def _check_delta_fused(self, delta, body: range,
-                           loop_idx: int) -> None:
-        """Exactly one DeltaFusedStep paired with the capture step, its
-        two jumps entering the full body and skipping past it."""
+    def _check_trip_diff(self, spec, body: range) -> int | None:
+        """A loop that counts updates or has a delta rewrite diffs each
+        full trip exactly once, after the body moved this trip's table
+        onto the CTE name; no other loop diffs.  Returns the diff step's
+        index, if the loop has one."""
+        diffs = [i for i in body
+                 if isinstance(self.steps[i], TripDiffStep)
+                 and self.steps[i].loop_id == spec.loop_id]
+        wanted = int(spec.counts_updates or spec.delta is not None)
+        self.checks += 1
+        if len(diffs) != wanted:
+            self.violations.append(
+                f"loop {spec.loop_id} has {len(diffs)} TripDiffSteps, "
+                f"expected {wanted}")
+            return None
+        if not diffs:
+            return None
+        target = spec.cte_result.lower()
+        self.checks += 1
+        if not any(isinstance(self.steps[i], (RenameStep, CopyStep))
+                   and self.steps[i].target.lower() == target
+                   for i in range(body.start, diffs[0])):
+            self._note(diffs[0], f"diffs loop {spec.loop_id} before the "
+                                 f"body moves this trip's {target!r}")
+        return diffs[0]
+
+    def _check_delta_fused(self, delta, body: range, loop_idx: int,
+                           diff_i: int) -> None:
+        """Exactly one DeltaFusedStep, its two jumps entering the full
+        body before the diff step and skipping past it."""
         fused = [i for i in body
                  if isinstance(self.steps[i], DeltaFusedStep)
                  and self.steps[i].spec.loop_id == delta.loop_id]
@@ -513,20 +541,10 @@ class ProgramChecker:
             return
         fused_i = fused[0]
         step = self.steps[fused_i]
-        captures = [i for i in body
-                    if isinstance(self.steps[i], DeltaCaptureStep)
-                    and self.steps[i].spec.loop_id == delta.loop_id]
         self.checks += 1
-        if len(captures) != 1:
-            self.violations.append(
-                f"fused delta loop {delta.loop_id} has {len(captures)} "
-                "DeltaCaptureSteps, expected exactly 1")
-            return
-        capture_i = captures[0]
-        self.checks += 1
-        if not fused_i < capture_i:
+        if not fused_i < diff_i:
             self._note(fused_i, "fused delta pass must precede the "
-                                "capture step")
+                                "diff step")
             return
         self.checks += 1
         names = [c.lower() for c in step.column_names]
@@ -539,14 +557,14 @@ class ProgramChecker:
                                 "the recomputed partition exactly for "
                                 "merge-by-key bodies")
         self.checks += 1
-        if not (fused_i < step.jump_full <= capture_i):
+        if not (fused_i < step.jump_full <= diff_i):
             self._note(fused_i, f"jump_full ({step.jump_full + 1}) must "
-                                "enter the full body before the capture "
+                                "enter the full body before the diff "
                                 "step")
         self.checks += 1
-        if not (capture_i < step.jump_to <= loop_idx):
+        if not (diff_i < step.jump_to <= loop_idx):
             self._note(fused_i, f"jump_to ({step.jump_to + 1}) must skip "
-                                "past the capture step")
+                                "past the diff step")
         # The delta body is the full body's working-table plan with
         # exactly its anchor scan rebound to the partition: it shares the
         # §V-A common results and the join order, which keeps the two

@@ -20,8 +20,7 @@ from repro.errors import DuplicateKeyError
 from repro.execution import SessionOptions
 from repro.execution.kernels import (comparable_values, dense_span,
                                      expand_ranges)
-from repro.plan.program import (CountUpdatesStep, DeltaCaptureStep,
-                                DeltaFusedStep)
+from repro.plan.program import DeltaFusedStep, TripDiffStep
 from repro.runtime.handlers.delta import _expand_influence
 from repro.runtime.strategies import SolutionSet
 from repro.storage import Table
@@ -169,31 +168,30 @@ class TestProgramShape:
         program = self._program(sssp_query(source=1, iterations=5), True)
         kinds = [type(step) for step in program.steps]
         assert kinds.count(DeltaFusedStep) == 1
-        assert kinds.count(DeltaCaptureStep) == 1
+        assert kinds.count(TripDiffStep) == 1
         fused = next(s for s in program.steps
                      if isinstance(s, DeltaFusedStep))
-        capture = kinds.index(DeltaCaptureStep)
+        diff = kinds.index(TripDiffStep)
         # Full body entered right after the fused step; a delta
-        # iteration skips past the capture to the loop increment.
+        # iteration skips past the diff to the loop increment.
         assert fused.jump_full == kinds.index(DeltaFusedStep) + 1
-        assert fused.jump_to == capture + 1
+        assert fused.jump_to == diff + 1
 
     @pytest.mark.parametrize("until", ["UNTIL DELTA = 0",
                                        "UNTIL 250 UPDATES"])
     def test_capture_step_counts_updates(self, until):
-        # One by-key diff per full trip: the capture step feeds the
-        # update counter, so no CountUpdatesStep runs beside it.
+        # One by-key diff per full trip, delta on or off: the same step
+        # captures delta state and feeds the update counter.
         sql = sssp_query(source=1, iterations=5).replace(
             "UNTIL 5 ITERATIONS", until)
-        kinds = [type(step) for step in self._program(sql, True).steps]
-        assert kinds.count(DeltaCaptureStep) == 1
-        assert CountUpdatesStep not in kinds
-        kinds = [type(step) for step in self._program(sql, False).steps]
-        assert kinds.count(CountUpdatesStep) == 1
+        for delta_on in (True, False):
+            kinds = [type(step)
+                     for step in self._program(sql, delta_on).steps]
+            assert kinds.count(TripDiffStep) == 1
 
     def test_no_delta_steps_when_disabled(self):
         program = self._program(sssp_query(source=1, iterations=5), False)
-        assert not any(isinstance(step, (DeltaFusedStep, DeltaCaptureStep))
+        assert not any(isinstance(step, (DeltaFusedStep, TripDiffStep))
                        for step in program.steps)
 
     def test_unsafe_step_query_falls_back(self):
@@ -205,7 +203,7 @@ class TestProgramShape:
           UNTIL 3 ITERATIONS
         ) SELECT node, v FROM r"""
         program = self._program(sql, True)
-        assert not any(isinstance(step, (DeltaFusedStep, DeltaCaptureStep))
+        assert not any(isinstance(step, (DeltaFusedStep, TripDiffStep))
                        for step in program.steps)
         full, delta, db = both_modes(sql)
         assert full == delta
@@ -300,9 +298,9 @@ class TestExplainAnalyze:
 class TestCaptureReusesSolutionSet:
     def test_demoted_loop_builds_no_dictionary_for_changed_rows(
             self, monkeypatch):
-        """Delta capture pairs rows through the loop's solution set, in
-        capture mode and after a demotion alike, instead of factorizing
-        the key column again."""
+        """The diff step pairs rows through the loop's solution set when
+        it captures, instead of factorizing the key column again, and a
+        demoted loop whose termination counts no updates diffs nothing."""
         import repro.execution.kernels as kernels
         import repro.runtime.conditions as conditions
         real = kernels.build_dictionary
@@ -323,43 +321,6 @@ class TestCaptureReusesSolutionSet:
         assert db.stats.strategy_demotions == 1
         assert calls == []
         assert rows == graph_db(EDGES, delta_on=False).execute(sql).rows()
-
-    def test_demoted_capture_pairs_rows_by_position(self, monkeypatch):
-        """After a demotion, a trip whose keys sit on last trip's rows
-        pairs the two tables by position: the measured frontiers and the
-        result are those of pairing by key, with fewer re-pointings."""
-        from repro.runtime import loop_engine
-        from repro.runtime.handlers import delta as delta_handler
-        real_note = loop_engine.LoopEngine.note_frontier
-        real_repoint = delta_handler._repoint
-
-        def run(positional):
-            noted, repoints = [], []
-
-            def note(self, state, frontier, total):
-                noted.append((state.mode, frontier, total))
-                real_note(self, state, frontier, total)
-
-            def repoint(solution, table):
-                repoints.append(table.num_rows)
-                return real_repoint(solution, table)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(loop_engine.LoopEngine, "note_frontier", note)
-                patch.setattr(delta_handler, "_repoint", repoint)
-                if not positional:
-                    patch.setattr(delta_handler, "same_values",
-                                  lambda a, b: False)
-                db = graph_db(EDGES, delta_on=True)
-                rows = db.execute(pagerank_query(iterations=8)).rows()
-                assert db.stats.strategy_demotions == 1
-            return rows, noted, len(repoints)
-
-        rows, noted, repoints = run(positional=True)
-        keyed_rows, keyed_noted, keyed_repoints = run(positional=False)
-        assert rows == keyed_rows
-        assert noted == keyed_noted
-        assert repoints < keyed_repoints
 
 
 def vs_db(edges, status, **options) -> Database:

@@ -18,7 +18,7 @@ from repro.engine.database import Database
 from repro.execution import SessionOptions
 from repro.middleware import MiddlewareDriver
 from repro.obs.export import validate_trace_dict
-from repro.plan.program import DeltaCaptureStep, DeltaFusedStep
+from repro.plan.program import DeltaFusedStep, TripDiffStep
 from repro.procedures import ExecuteSql, Loop, Procedure, ProcedureCatalog, ReturnQuery
 from repro.types import SqlType
 from repro.workloads import pagerank_query, sssp_query
@@ -137,9 +137,9 @@ class TestMidLoopDemotion:
 # Frontier profile by construction: iterations 1-3 rewrite every row
 # (v < 3.0), demoting the loop after two near-full frontiers; from
 # iteration 4 only the MOD(node, 10) = 0 stragglers keep moving, so the
-# frontier collapses to ~10% and the promotion watcher hands the loop
-# back to semi-naive delta for the remaining iterations.
-PROMOTION_SQL = """
+# frontier collapses to ~10% — and the demoted loop stays on the full
+# body anyway.
+COLLAPSING_SQL = """
 WITH ITERATIVE r (node, v) AS (
   SELECT src, 0.0 FROM edges GROUP BY src
   ITERATE SELECT r.node,
@@ -150,32 +150,35 @@ WITH ITERATIVE r (node, v) AS (
 ) SELECT node, v FROM r ORDER BY node"""
 
 
-class TestMidLoopPromotion:
-    """The inverse of demotion: a demoted loop whose frontier later
-    collapses gets promoted back to semi-naive delta mid-flight."""
+def demotion_lines(report: str, cte: str) -> list[str]:
+    """The decision-timeline lines of ``report`` that demote ``cte``."""
+    return [line.split(": ", 1)[1] for line in report.splitlines()
+            if line.startswith(f"  loop {cte}: ") and "demoted " in line]
 
-    def test_demoted_loop_repromotes_when_the_frontier_collapses(self):
-        full, delta, db = both_modes(PROMOTION_SQL)
+
+class TestMidLoopPromotion:
+    """There is none: a demotion is final, even when the frontier later
+    collapses."""
+
+    def test_collapsing_frontier_keeps_the_one_demotion(self):
+        full, delta, db = both_modes(COLLAPSING_SQL)
         assert full == delta
         assert db.stats.strategy_demotions == 1
-        assert db.stats.strategy_promotions == 1
-        # Delta iterations ran both before the demotion and after the
-        # promotion.
-        assert db.stats.delta_iterations > 2
+        # Only the trips before the demotion took the delta path.
+        assert db.stats.delta_iterations == 1
 
-    def test_promotion_visible_in_explain_analyze(self):
+    def test_explain_analyze_prints_one_demotion(self):
         db = graph_db(enable_delta_iteration=True)
-        report = db.explain_analyze(PROMOTION_SQL)
-        assert "promoted" in report
-        assert "-> semi-naive-delta" in report
+        report = db.explain_analyze(COLLAPSING_SQL)
+        assert len(demotion_lines(report, "r")) == 1
+        assert "promoted" not in report
+        assert "loop r: strategy rename-in-place (demoted" in report
 
     def test_telemetry_records_the_strategy_chain(self):
         db = graph_db(enable_delta_iteration=True, enable_tracing=True)
-        db.execute(PROMOTION_SQL)
-        chain = db.last_trace().loops[0].strategy
-        assert chain is not None and chain.count("->") == 2
-        assert chain.startswith("semi-naive-delta")
-        assert chain.endswith("semi-naive-delta")
+        db.execute(COLLAPSING_SQL)
+        assert db.last_trace().loops[0].strategy == \
+            "semi-naive-delta->rename-in-place"
 
     def test_full_frontier_never_promotes(self):
         # PageRank's frontier never collapses: the loop demotes once and
@@ -183,7 +186,6 @@ class TestMidLoopPromotion:
         full, delta, db = both_modes(pagerank_query(iterations=8))
         assert full == delta
         assert db.stats.strategy_demotions == 1
-        assert db.stats.strategy_promotions == 0
 
     def test_permanent_disqualification_never_promotes(self):
         # Duplicate keys disable delta evaluation outright; the frontier
@@ -196,7 +198,7 @@ class TestMidLoopPromotion:
         ) SELECT node, v FROM r"""
         full, delta, db = both_modes(sql)
         assert full == delta
-        assert db.stats.strategy_promotions == 0
+        assert db.stats.strategy_demotions == 0
         assert db.stats.delta_iterations == 0
 
 
@@ -225,14 +227,13 @@ class TestDisqualifiedLoops:
         assert db.stats.delta_iterations == 0
         assert db.stats.delta_guard_fallbacks == fallbacks
         assert db.stats.strategy_demotions == 0
-        assert db.stats.strategy_promotions == 0
         assert "loop r: strategy rename-in-place" in report.splitlines()
         assert db.last_trace().loops[0].strategy == "rename-in-place"
 
 
 def _two_wave_edges():
     """A graph whose SSSP frontier from node 1 fills, empties, fills
-    again and empties again, so the loop switches strategy four times.
+    again and empties again.
 
     Every v in 100..299 is reached at 100 (direct), then 3 (via 2), then
     1.5 (via the 0.1-weighted chain to 3) and finally 1.1 (via the longer
@@ -248,42 +249,63 @@ def _two_wave_edges():
 
 
 class TestStrategySwitchLog:
-    """Every mid-loop switch is logged, in the order it was taken."""
+    """The first near-full wave demotes the loop; the quiet trips and
+    the second wave after it leave it on the full body."""
 
     SQL = sssp_query(source=1, iterations=14)
 
-    def test_every_switch_is_reported_in_order(self):
+    def test_the_one_demotion_is_reported(self):
         full, delta, db = both_modes(self.SQL, edges=_two_wave_edges())
         assert full == delta
-        assert db.stats.strategy_demotions == 2
-        assert db.stats.strategy_promotions == 2
+        assert db.stats.strategy_demotions == 1
 
         db = graph_db(_two_wave_edges(), enable_delta_iteration=True)
         report = db.explain_analyze(self.SQL)
-        timeline = [line.split(": ", 1)[1] for line in report.splitlines()
-                    if line.startswith("  loop sssp: ")
-                    and "moted " in line]
+        timeline = demotion_lines(report, "sssp")
         assert timeline == [
             "demoted semi-naive-delta -> rename-in-place after "
             "iteration 2 (frontier 205/213 rows vs budget 170)",
-            "promoted rename-in-place -> semi-naive-delta after "
-            "iteration 5 (frontier 4/213 rows vs budget 106)",
-            "demoted semi-naive-delta -> rename-in-place after "
-            "iteration 7 (frontier 201/213 rows vs budget 170)",
-            "promoted rename-in-place -> semi-naive-delta after "
-            "iteration 10 (frontier 0/213 rows vs budget 106)",
         ]
         strategy_line = next(line for line in report.splitlines()
                              if line.startswith("loop sssp: strategy"))
-        assert all(event in strategy_line for event in timeline)
+        assert strategy_line == ("loop sssp: strategy rename-in-place "
+                                 f"({timeline[0]})")
 
     def test_telemetry_chain_has_one_arrow_per_switch(self):
         db = graph_db(_two_wave_edges(), enable_delta_iteration=True,
                       enable_tracing=True)
         db.execute(self.SQL)
-        assert db.last_trace().loops[0].strategy == "->".join(
-            ["semi-naive-delta", "rename-in-place"] * 2
-            + ["semi-naive-delta"])
+        assert db.last_trace().loops[0].strategy == \
+            "semi-naive-delta->rename-in-place"
+
+
+class TestLeavingDeltaFreesItsState:
+    """A loop that leaves delta mode, by demotion or disqualification,
+    drops the delta state nothing reads any more."""
+
+    @pytest.mark.parametrize("sql,edges,demotions", [
+        (pagerank_query(iterations=8), EDGES, 1),
+        (DUPLICATE_KEY_SQL, EDGES, 0),
+        (KEY_DROPPING_SQL, SMALL_EDGES, 0),
+    ], ids=["demoted", "duplicate-keys", "keyset-guard"])
+    def test_no_delta_state_after_the_run(self, sql, edges, demotions):
+        from repro.execution import ExecutionContext
+        from repro.runtime import ProgramRunner
+
+        db = graph_db(edges, enable_delta_iteration=True)
+        ctx = ExecutionContext(db.catalog, db.registry, db.options,
+                               db.stats, db.kernel_cache)
+        runner = ProgramRunner(_compile(db, sql), ctx)
+        runner.run()
+        state = runner.engine.loops[0]
+        assert state.mode == "off"
+        assert (state.demotion is not None) == bool(demotions)
+        assert db.stats.strategy_demotions == demotions
+        assert state.solution is None
+        assert state.columns is None
+        assert state.in_working is None
+        assert state.frontier_codes is None
+        assert state.pending_positions is None
 
 
 class TestInnerJoinSafety:
@@ -378,12 +400,12 @@ class TestStepIdentityProfiles:
         runner.run()
         fused = next(s for s in program.steps
                      if isinstance(s, DeltaFusedStep))
-        capture = next(s for s in program.steps
-                       if isinstance(s, DeltaCaptureStep))
+        diff = next(s for s in program.steps
+                    if isinstance(s, TripDiffStep))
         # The fused step runs every iteration; the full body (ending in
-        # the capture step) only on the first, before delta state exists.
+        # the diff step) only on the first, before delta state exists.
         assert runner.profiles[id(fused)].executions == 5
-        assert runner.profiles[id(capture)].executions == 1
+        assert runner.profiles[id(diff)].executions == 1
 
 
 class TestBaselineTraces:

@@ -24,9 +24,8 @@ EDGES = generate_edges(dblp_like(nodes=200, seed=21))
 
 # Iterations 1-3 rewrite every row (demotes after two near-full
 # frontiers); from iteration 4 only every tenth node keeps moving, so
-# the frontier collapses and the loop promotes back (same construction
-# as tests/test_runtime.py).
-PROMOTION_SQL = """
+# the frontier collapses (same construction as tests/test_runtime.py).
+COLLAPSING_SQL = """
 WITH ITERATIVE r (node, v) AS (
   SELECT src, 0.0 FROM edges GROUP BY src
   ITERATE SELECT r.node,
@@ -84,18 +83,11 @@ class TestDecisionEvents:
         assert attrs["frontier"] >= attrs["budget_frontier"]
         assert "delta bookkeeping" in attrs["reason"]
 
-    def test_demotion_then_promotion_chain_in_document_order(self):
-        decisions = self._decisions(PROMOTION_SQL,
+    def test_collapsing_frontier_logs_one_demotion_and_no_promotion(self):
+        decisions = self._decisions(COLLAPSING_SQL,
                                     enable_delta_iteration=True)
         names = [d["name"] for d in decisions]
-        assert names.index("strategy_selection") \
-            < names.index("strategy_demotion") \
-            < names.index("strategy_promotion")
-        promotion = next(d for d in decisions
-                         if d["name"] == "strategy_promotion")
-        attrs = promotion["attributes"]
-        assert attrs["to_strategy"] == "semi-naive-delta"
-        assert attrs["frontier"] < attrs["budget_frontier"]
+        assert names == ["strategy_selection", "strategy_demotion"]
 
 
 class TestDecisionSchema:
@@ -118,7 +110,6 @@ class TestDecisionSchema:
         with pytest.raises(ValueError, match="reason"):
             validate_trace_dict(payload)
 
-    def test_known_names_are_the_documented_four(self):
+    def test_known_names_are_the_documented_three(self):
         assert DECISION_EVENT_NAMES == {
-            "strategy_selection", "strategy_demotion",
-            "strategy_promotion", "plan_cache_hit"}
+            "strategy_selection", "strategy_demotion", "plan_cache_hit"}

@@ -109,7 +109,7 @@ def _first_column_ref(node):
 #   iterative/where: 0 mat cte, 1 init, 2 mat work, 3 dupcheck,
 #                    4 mat merge, 5 rename, 6 inc, 7 loop, 8 ret, 9 drop
 #   fused:           0 mat cte, 1 init, 2 fused, 3 snapshot, 4 mat work,
-#                    5 dupcheck, 6 mat merge, 7 rename, 8 capture,
+#                    5 dupcheck, 6 mat merge, 7 rename, 8 diff,
 #                    9 inc, 10 loop, 11 ret, 12 drop
 #   fused_vs:        fused with 1 mat COMMON#1 inserted (fused at 3)
 #   recursive:       0 mat cte, 1 mat work, 2 init, 3 mat cand,
@@ -208,6 +208,11 @@ def _mut_fused_capture_missing(program):
     program.steps[8] = DropStep([])
 
 
+def _mut_diff_before_move(program):
+    program.steps[7], program.steps[8] = \
+        program.steps[8], program.steps[7]
+
+
 def _mut_delta_body_unbound(program):
     # The delta body runs the full body as is: no anchor rebound.
     program.steps[2].plan = program.steps[4].plan
@@ -293,7 +298,9 @@ MUTATIONS = [
     ("fused_step_missing", "fused", _mut_fused_step_missing,
      "has no DeltaFusedStep"),
     ("fused_capture_missing", "fused", _mut_fused_capture_missing,
-     "DeltaCaptureStep"),
+     "0 TripDiffSteps, expected 1"),
+    ("diff_before_move", "fused", _mut_diff_before_move,
+     "before the body moves"),
     ("delta_body_unbound", "fused", _mut_delta_body_unbound,
      "0 times, expected exactly once"),
     ("delta_body_rebinds_every_cte_scan", "fused",

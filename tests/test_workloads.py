@@ -18,6 +18,7 @@ from repro.datasets import (
 )
 from repro.workloads import (
     INFINITY,
+    components_query,
     ff_query,
     pagerank_query,
     reference_ff,
@@ -150,38 +151,68 @@ SWITCHES = ("enable_rename", "enable_common_results",
 OPTION_GRID = list(itertools.product([True, False], repeat=len(SWITCHES)))
 
 
+# Delta-safe and converging: every row moves on trips 1-3, which demotes
+# the delta loop, and the full body then counts its updates down to 0.
+DEMOTING_SQL = """
+WITH ITERATIVE r (node, v) AS (
+  SELECT src, 0.0 FROM edges GROUP BY src
+  ITERATE SELECT r.node, CASE WHEN r.v < 3.0 THEN r.v + 1.0 ELSE r.v END
+          FROM r
+  UNTIL DELTA = 0
+) SELECT node, v FROM r"""
+
+
 class TestOptimizationInvariance:
     """The paper's optimizations must never change results — only cost.
 
     Every combination of the five switches is run over every workload on
-    the same dataset and compared row-for-row, bit for bit.
+    the same dataset and compared row-for-row, bit for bit, together
+    with the number of loop iterations it took.
     """
 
-    @pytest.mark.parametrize("query_builder", [
-        lambda: pagerank_query(iterations=4),
-        lambda: pagerank_query(iterations=4, with_vertex_status=True),
-        lambda: sssp_query(source=1, iterations=5),
-        lambda: sssp_query(source=1, iterations=4,
-                           with_vertex_status=True),
-        lambda: ff_query(iterations=4, selectivity_mod=10,
-                         order_and_limit=False),
-    ], ids=["pr", "pr-vs", "sssp", "sssp-vs", "ff"])
-    def test_options_do_not_change_results(self, query_builder, loaded_db):
+    @pytest.mark.parametrize("query_builder,delta_demotions", [
+        pytest.param(lambda: pagerank_query(iterations=4), None, id="pr"),
+        pytest.param(
+            lambda: pagerank_query(iterations=4, with_vertex_status=True),
+            None, id="pr-vs"),
+        pytest.param(lambda: sssp_query(source=1, iterations=5), None,
+                     id="sssp"),
+        pytest.param(lambda: sssp_query(source=1, iterations=4,
+                                        with_vertex_status=True),
+                     None, id="sssp-vs"),
+        pytest.param(lambda: ff_query(iterations=4, selectivity_mod=10,
+                                      order_and_limit=False),
+                     None, id="ff"),
+        # UNTIL DELTA = 0 without a delta rewrite: the diff step only
+        # counts updates.
+        pytest.param(components_query, 0, id="cc"),
+        # A delta loop that demotes, then counts updates on the full body.
+        pytest.param(lambda: DEMOTING_SQL, 1, id="demote"),
+    ])
+    def test_options_do_not_change_results(self, query_builder,
+                                           delta_demotions, loaded_db):
         sql = query_builder()
         defaults = {name: getattr(loaded_db.options, name)
                     for name in SWITCHES}
         expected = None
         try:
             for vector in OPTION_GRID:
-                for name, value in zip(SWITCHES, vector):
+                options = dict(zip(SWITCHES, vector))
+                for name, value in options.items():
                     loaded_db.set_option(name, value)
+                before = loaded_db.stats.snapshot()
                 rows = sorted(loaded_db.execute(sql).rows())
+                counted = loaded_db.stats.delta_since(before)
+                outcome = (rows, counted["iterations"])
                 if expected is None:
-                    expected = rows
+                    expected = outcome
                 else:
-                    assert rows == expected, (
-                        f"options {dict(zip(SWITCHES, vector))} changed "
-                        "the result")
+                    assert outcome == expected, (
+                        f"options {options} changed the result")
+                if delta_demotions is not None:
+                    wanted = (delta_demotions
+                              if options["enable_delta_iteration"] else 0)
+                    assert counted["strategy_demotions"] == wanted, options
         finally:
             # Restore defaults for other tests in the module-scoped
             # fixture.
