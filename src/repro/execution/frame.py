@@ -25,7 +25,7 @@ from ..plan.binding import resolve_column
 from ..plan.logical import Field
 from ..sql import ast
 from ..storage import Column, ColumnSchema, Schema, Table
-from ..storage.column import has_padding
+from ..storage.column import has_padding, selection
 from ..types import SqlType
 
 
@@ -116,8 +116,8 @@ class Frame:
                      num_rows=len(indices))
 
     def filter(self, keep: np.ndarray) -> "Frame":
-        count = int(keep.sum())
-        return Frame(self.fields, [c.filter(keep) for c in self.columns],
+        rows, count = selection(keep)
+        return Frame(self.fields, [c.select(rows) for c in self.columns],
                      num_rows=count)
 
     def slice(self, start: int, stop: int) -> "Frame":

@@ -37,6 +37,7 @@ from ..plan.logical import (
 )
 from ..sql import ast
 from ..storage import Column, Table
+from ..storage.column import selection
 from ..types import SqlType
 from .aggregate import compute_aggregate, internal_aggregate_fields
 from .context import ExecutionContext
@@ -380,11 +381,11 @@ def _execute_join(op: LogicalJoin, ctx: ExecutionContext,
         if op.kind is ast.JoinKind.INNER:
             matched, gathered, keep = _residual_pairs(
                 residual, left, right, left_idx, right_idx, positions)
-            columns = [matched.columns[gathered.index(p)].filter(keep)
+            rows, count = selection(keep)
+            columns = [matched.columns[gathered.index(p)].select(rows)
                        for p in positions]
-            rows = int(keep.sum())
-            ctx.stats.rows_joined += rows
-            return Frame(op.fields, columns, rows)
+            ctx.stats.rows_joined += count
+            return Frame(op.fields, columns, count)
         _, _, keep = _residual_pairs(residual, left, right, left_idx,
                                      right_idx)
         left_idx, right_idx = _pad_outer(op.kind, left_idx[keep],

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import CatalogError, TypeCheckError
 from ..types import SqlType
-from .column import Column
+from .column import Column, selection
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,8 @@ class Table:
         return Table(self.schema, [c.take(indices) for c in self.columns])
 
     def filter(self, keep: np.ndarray) -> "Table":
-        return Table(self.schema, [c.filter(keep) for c in self.columns])
+        rows, _ = selection(keep)
+        return Table(self.schema, [c.select(rows) for c in self.columns])
 
     def slice(self, start: int, stop: int) -> "Table":
         return Table(self.schema,

@@ -180,27 +180,6 @@ class TestMidLoopPromotion:
         assert db.last_trace().loops[0].strategy == \
             "semi-naive-delta->rename-in-place"
 
-    def test_full_frontier_never_promotes(self):
-        # PageRank's frontier never collapses: the loop demotes once and
-        # stays demoted.
-        full, delta, db = both_modes(pagerank_query(iterations=8))
-        assert full == delta
-        assert db.stats.strategy_demotions == 1
-
-    def test_permanent_disqualification_never_promotes(self):
-        # Duplicate keys disable delta evaluation outright; the frontier
-        # being tiny afterwards must not resurrect it.
-        sql = """
-        WITH ITERATIVE r (node, v) AS (
-          SELECT src, 0.0 FROM edges
-          ITERATE SELECT r.node, r.v + 1.0 FROM r
-          UNTIL 6 ITERATIONS
-        ) SELECT node, v FROM r"""
-        full, delta, db = both_modes(sql)
-        assert full == delta
-        assert db.stats.strategy_demotions == 0
-        assert db.stats.delta_iterations == 0
-
 
 DUPLICATE_KEY_SQL = """
 WITH ITERATIVE r (node, v) AS (

@@ -21,6 +21,7 @@ from repro.workloads import (
     components_query,
     ff_query,
     pagerank_query,
+    reference_components,
     reference_ff,
     reference_pagerank,
     reference_sssp,
@@ -162,35 +163,57 @@ WITH ITERATIVE r (node, v) AS (
 ) SELECT node, v FROM r"""
 
 
+# Relative tolerance of a FLOAT result whose arithmetic may run in
+# another order than the oracle's Python loop (PageRank's SUM, FF's
+# rounded products); INTEGER and MIN/MAX results are compared exactly
+# (tolerance None).
+FLOAT_SUM_RTOL = 1e-9
+AVAILABLE = {node: bool(flag) for node, flag in STATUS}
+
+
 class TestOptimizationInvariance:
     """The paper's optimizations must never change results — only cost.
 
     Every combination of the five switches is run over every workload on
     the same dataset and compared row-for-row, bit for bit, together
-    with the number of loop iterations it took.
+    with the number of loop iterations it took.  The first vector's rows
+    are also checked against the workload's direct oracle, so a defect
+    every vector shares still fails.
     """
 
-    @pytest.mark.parametrize("query_builder,delta_demotions", [
-        pytest.param(lambda: pagerank_query(iterations=4), None, id="pr"),
+    @pytest.mark.parametrize("query_builder,delta_demotions,oracle,rtol", [
+        pytest.param(lambda: pagerank_query(iterations=4), None,
+                     lambda: reference_pagerank(EDGES, iterations=4),
+                     FLOAT_SUM_RTOL, id="pr"),
         pytest.param(
             lambda: pagerank_query(iterations=4, with_vertex_status=True),
-            None, id="pr-vs"),
+            None, lambda: reference_pagerank(EDGES, iterations=4,
+                                             available=AVAILABLE),
+            FLOAT_SUM_RTOL, id="pr-vs"),
         pytest.param(lambda: sssp_query(source=1, iterations=5), None,
-                     id="sssp"),
+                     lambda: reference_sssp(EDGES, source=1, iterations=5),
+                     None, id="sssp"),
         pytest.param(lambda: sssp_query(source=1, iterations=4,
                                         with_vertex_status=True),
+                     None, lambda: reference_sssp(EDGES, source=1,
+                                                  iterations=4,
+                                                  available=AVAILABLE),
                      None, id="sssp-vs"),
         pytest.param(lambda: ff_query(iterations=4, selectivity_mod=10,
                                       order_and_limit=False),
-                     None, id="ff"),
+                     None, lambda: reference_ff(EDGES, iterations=4,
+                                                selectivity_mod=10),
+                     FLOAT_SUM_RTOL, id="ff"),
         # UNTIL DELTA = 0 without a delta rewrite: the diff step only
         # counts updates.
-        pytest.param(components_query, 0, id="cc"),
+        pytest.param(components_query, 0,
+                     lambda: reference_components(EDGES), None, id="cc"),
         # A delta loop that demotes, then counts updates on the full body.
-        pytest.param(lambda: DEMOTING_SQL, 1, id="demote"),
+        pytest.param(lambda: DEMOTING_SQL, 1, None, None, id="demote"),
     ])
     def test_options_do_not_change_results(self, query_builder,
-                                           delta_demotions, loaded_db):
+                                           delta_demotions, oracle, rtol,
+                                           loaded_db):
         sql = query_builder()
         defaults = {name: getattr(loaded_db.options, name)
                     for name in SWITCHES}
@@ -206,6 +229,8 @@ class TestOptimizationInvariance:
                 outcome = (rows, counted["iterations"])
                 if expected is None:
                     expected = outcome
+                    if oracle is not None:
+                        assert_matches_oracle(rows, oracle(), rtol)
                 else:
                     assert outcome == expected, (
                         f"options {options} changed the result")
@@ -218,6 +243,17 @@ class TestOptimizationInvariance:
             # fixture.
             for name, value in defaults.items():
                 loaded_db.set_option(name, value)
+
+
+def assert_matches_oracle(rows, oracle, rtol):
+    """``rows`` (sorted ``(key, value)`` pairs) hold the oracle's keys
+    and values: exactly, or within ``rtol`` when it is not None."""
+    assert [key for key, _ in rows] == sorted(oracle)
+    for key, value in rows:
+        if rtol is None:
+            assert value == oracle[key], key
+        else:
+            assert value == pytest.approx(oracle[key], rel=rtol), key
 
 
 class TestDeterminantCounters:
